@@ -6,7 +6,8 @@ subsets can be constructed.  `solver` holds the exact and certified
 machinery, `spectral` the Fourier-side diagnostics, `structure` the
 additive-structure scanners, `weights` the mass-concentrating iteration
 and sampler the construction rests on, and `equidist` the orbit
-equidistribution checks behind its error terms.  `sumfree.cli:main` is
+equidistribution checks behind its error terms.  `reference` holds the
+slow oracles the fast paths are checked against.  `sumfree.cli:main` is
 the command line entry point and `checks.run_suite` the randomized
 property suites.
 """
@@ -34,7 +35,6 @@ from .solver import (
     compose_iterate,
     dilation_select,
     dilation_sweep,
-    exhaustive_max_sum_free,
     heuristic_sum_free,
     is_sum_free,
     max_sum_free_subset,
@@ -81,6 +81,7 @@ from .equidist import (
     irrationality_check,
     riemann_error,
 )
+from .reference import exhaustive_max_sum_free
 from .checks import SUITE_NAMES, run_suite
 
 __version__ = VERSION

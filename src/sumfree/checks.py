@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import equidist as eq
-from . import solver, spectral, structure, weights
+from . import reference, solver, spectral, structure, weights
 from .core import (
     IntegerSet,
     embed_signal,
@@ -55,7 +55,7 @@ def _check_exact_vs_oracle(rng):
         A = _random_set(rng, 12, 40)
         for conv in (solver.ALLOW_EQUAL, solver.DISTINCT_ONLY):
             fast = solver.max_sum_free_subset(A, conv)
-            slow_opt, slow_witness = solver.exhaustive_max_sum_free(A, conv)
+            slow_opt, slow_witness = reference.exhaustive_max_sum_free(A, conv)
             assert fast.exact, "branch and bound should finish on tiny sets"
             assert fast.optimum == slow_opt, (
                 f"{A.elements} {conv.value}: {fast.optimum} != oracle {slow_opt}"
@@ -86,10 +86,10 @@ def _check_compose_additivity(rng):
         A = _random_set(rng, 7, 30)
         B = _random_set(rng, 7, 30)
         C = solver.compose(A, B)
-        got = solver.exhaustive_max_sum_free(C, solver.ALLOW_EQUAL)[0]
+        got = reference.exhaustive_max_sum_free(C, solver.ALLOW_EQUAL)[0]
         want = (
-            solver.exhaustive_max_sum_free(A, solver.ALLOW_EQUAL)[0]
-            + solver.exhaustive_max_sum_free(B, solver.ALLOW_EQUAL)[0]
+            reference.exhaustive_max_sum_free(A, solver.ALLOW_EQUAL)[0]
+            + reference.exhaustive_max_sum_free(B, solver.ALLOW_EQUAL)[0]
         )
         assert got == want, f"compose optimum {got} != {want}"
 
@@ -138,7 +138,7 @@ def _check_u2_fft_vs_direct(rng):
         vals = rng.normal(size=n) + 1j * rng.normal(size=n)
         f = interval_signal(vals)
         fast = spectral.u2_group_norm(f)
-        slow = spectral.u2_group_norm_direct(f)
+        slow = reference.u2_group_norm_direct(f)
         assert abs(fast - slow) <= _REL_TOL * max(1.0, fast), (
             f"U2 group norm fft {fast} != direct {slow}"
         )
@@ -160,12 +160,7 @@ def _check_t_count_direct(rng):
         n = int(rng.integers(2, 24))
         vals = rng.uniform(-1.0, 1.0, size=n)
         fast = spectral.t_count(vals)
-        slow = 0.0
-        for x in range(1, n + 1):
-            for y in range(1, n + 1):
-                if x + y <= n:
-                    slow += vals[x - 1] * vals[y - 1] * vals[x + y - 1]
-        slow /= n * n
+        slow = reference.t_count_direct(vals)
         assert abs(fast - slow) <= _REL_TOL, f"t_count fft {fast} != direct {slow}"
 
 
@@ -254,50 +249,13 @@ def _check_decomposition(rng):
 # -------------------------------------------------------------- structure
 
 
-def _progression_candidates(N, min_length):
-    if min_length == 1:
-        max_step = N - 1
-    else:
-        max_step = (N - 1) // (min_length - 1)
-    return max(1, max_step)
-
-
-def _naive_dense_progression(A, N, min_length):
-    member = np.zeros(N + 1, dtype=np.int64)
-    member[list(A.elements)] = 1
-    best = None  # (hits, length, start, step)
-    for step in range(1, _progression_candidates(N, min_length) + 1):
-        for start in range(1, N + 1):
-            hits = 0
-            length = 0
-            n = start
-            while n <= N:
-                length += 1
-                hits += int(member[n])
-                if length >= min_length:
-                    cand = (hits, length, start, step)
-                    if best is None:
-                        best = cand
-                    else:
-                        lhs = cand[0] * best[1]
-                        rhs = best[0] * cand[1]
-                        if lhs > rhs or (
-                            lhs == rhs
-                            and (cand[1], -cand[2], -cand[3])
-                            > (best[1], -best[2], -best[3])
-                        ):
-                            best = cand
-                n += step
-    return best
-
-
 def _check_dense_progression_vs_naive(rng):
     for _ in range(12):
         N = int(rng.integers(10, 61))
         A = _random_set(rng, min(20, N), N)
         min_length = int(rng.integers(1, 7))
         report = structure.find_dense_progression(A, N, min_length, Fraction(1, 2))
-        naive = _naive_dense_progression(A, N, min_length)
+        naive = reference.dense_progression_direct(A, N, min_length)
         got = (
             report.hits,
             report.progression.length,

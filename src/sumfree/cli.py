@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -32,8 +31,6 @@ from .core import (
     save_set,
     validate_seed,
 )
-
-_THREAD_ENV = "SUMFREE_THREADS"
 
 
 def _note(msg: str) -> None:
@@ -446,27 +443,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _validate_thread_env() -> None:
-    raw = os.environ.get(_THREAD_ENV)
-    if raw is None:
-        return
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"{_THREAD_ENV} must be a positive integer, got {raw!r}") from None
-    if n < 1:
-        raise ValueError(f"{_THREAD_ENV} must be a positive integer, got {raw!r}")
-    # all operations are deterministic regardless; the setting caps numpy's
-    # own pools via the environment and needs no further plumbing here
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = _build_parser()
     args = parser.parse_args(argv)
     start = time.perf_counter()
     try:
-        _validate_thread_env()
         report, note, code = args.handler(args)
     except (ValueError, OverflowError, OSError) as exc:
         _note(f"error: {exc}")

@@ -1,0 +1,143 @@
+"""Slow reference oracles.
+
+Each fast path that tests and the `check` suites certify is compared with
+one of these: the branch-and-bound solver with an exhaustive subset
+classification, the FFT U2 norm with the direct quadruple average, the
+convex-hull progression scanner with a plain window enumeration, and the
+FFT triple count with a direct double sum.  They are written from the
+definitions and share no logic with the code they check; they are meant
+for small inputs only.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .core import CyclicSignal, IntegerSet, SumFreeConvention
+from .spectral import _interval_group_norm
+
+_DIRECT_SIZE_CAP = 512
+
+
+def _popcount_u32(a: np.ndarray) -> np.ndarray:
+    a = a - ((a >> 1) & np.uint32(0x55555555))
+    a = (a & np.uint32(0x33333333)) + ((a >> 2) & np.uint32(0x33333333))
+    a = (a + (a >> 4)) & np.uint32(0x0F0F0F0F)
+    return (a * np.uint32(0x01010101)) >> 24
+
+
+def exhaustive_max_sum_free(
+    A: IntegerSet,
+    convention: SumFreeConvention = SumFreeConvention.ALLOW_EQUAL,
+    size_cap: int = 22,
+) -> tuple[int, tuple[int, ...]]:
+    """Independent reference solver classifying all 2^|A| subsets.
+
+    A subset is sum-free iff dropping its largest element leaves a sum-free
+    set and no remaining pair sums to that element, so one vectorised pass
+    per element classifies every mask.  Returns (optimum, witness) with the
+    same lexicographic tie-break as the search solver, but computed by
+    maximising the bit-reversed mask over all optimal subsets.
+    """
+    A.require_positive("exhaustive_max_sum_free")
+    n = len(A)
+    if n > size_cap:
+        raise ValueError(f"exhaustive reference capped at {size_cap} elements")
+    vals = A.elements
+    if n == 0:
+        return 0, ()
+    allow_eq = convention is SumFreeConvention.ALLOW_EQUAL
+    index_of = {v: i for i, v in enumerate(vals)}
+    masks = np.arange(1 << n, dtype=np.uint32)
+    sumfree = np.ones(1 << n, dtype=bool)
+    for k in range(n):
+        half = 1 << k
+        bad = np.zeros(half, dtype=bool)
+        for i in range(k):
+            j = index_of.get(vals[k] - vals[i])
+            if j is None or j >= k or j < i:
+                continue  # each unordered pair handled once, at its smaller index
+            if i == j and not allow_eq:
+                continue
+            pair = np.uint32((1 << i) | (1 << j))
+            bad |= (masks[:half] & pair) == pair
+        sumfree[half : 2 * half] = sumfree[:half] & ~bad
+    pc = _popcount_u32(masks)
+    scored = np.where(sumfree, pc, np.uint32(0))
+    best = int(scored.max())
+    cands = np.nonzero(scored == best)[0].astype(np.uint64)
+    rev = np.zeros(len(cands), dtype=np.uint64)
+    for i in range(n):
+        rev |= ((cands >> np.uint64(i)) & np.uint64(1)) << np.uint64(n - 1 - i)
+    pick = int(cands[int(np.argmax(rev))])
+    witness = tuple(vals[i] for i in range(n) if (pick >> i) & 1)
+    return best, witness
+
+
+def u2_group_norm_direct(signal: CyclicSignal) -> float:
+    """Direct evaluation of the quadruple average; O(N'^3) reference."""
+    v = signal.values
+    n = len(v)
+    if n > _DIRECT_SIZE_CAP:
+        raise ValueError(f"direct U2 reference capped at N' = {_DIRECT_SIZE_CAP}")
+    idx = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
+    sh = v[idx]  # sh[h, x] = v[(x + h) mod N']
+    csh = np.conj(sh)
+    rows = np.arange(n)
+    total = 0.0 + 0.0j
+    for h1 in range(n):
+        row = v * csh[h1]
+        rolled = sh[(rows + h1) % n]  # rolled[h2, x] = v[(x + h1 + h2) mod N']
+        total += np.einsum("x,hx,hx->", row, csh, rolled)
+    mean4 = total / n**3
+    return float(abs(mean4)) ** 0.25
+
+
+def u2_norm_direct(signal: CyclicSignal) -> float:
+    """Interval-normalised U2 norm with the group norm computed directly.
+
+    The normaliser is the closed-form norm of 1_{1..N} that
+    spectral.u2_norm divides by as well.
+    """
+    return u2_group_norm_direct(signal) / _interval_group_norm(signal.ref_n, signal.n_prime)
+
+
+def t_count_direct(f) -> float:
+    """(1/N^2) sum_{x + y <= N} f(x) f(y) f(x+y) by direct summation, O(N^2)."""
+    arr = np.asarray(f, dtype=np.float64)
+    n = len(arr)
+    total = 0.0
+    for x in range(1, n):
+        # f(x) * sum_y f(y) f(x + y) over y = 1..N-x
+        total += arr[x - 1] * float(np.dot(arr[: n - x], arr[x:]))
+    return total / n**2
+
+
+def dense_progression_direct(
+    A: IntegerSet, N: int, min_length: int
+) -> tuple[int, int, int, int]:
+    """Densest progression window in {1,..,N} by enumerating every window.
+
+    Walks each chain start, start+step, .. <= N and scores each of its
+    prefixes of length >= min_length.  Returns (hits, length, start, step)
+    of the best window: highest density hits/length, then longest, then
+    earliest start, then smallest step.
+    """
+    elems = A.member_set
+    max_step = max(1, N - 1 if min_length == 1 else (N - 1) // (min_length - 1))
+    best = None
+    for step in range(1, max_step + 1):
+        for start in range(1, N + 1):
+            hits = 0
+            for length, x in enumerate(range(start, N + 1, step), 1):
+                hits += x in elems
+                if length < min_length:
+                    continue
+                if best is None:
+                    best = (hits, length, start, step)
+                    continue
+                bh, bl, bs, bd = best
+                lhs, rhs = hits * bl, bh * length
+                if lhs > rhs or (lhs == rhs and (length, -start, -step) > (bl, -bs, -bd)):
+                    best = (hits, length, start, step)
+    return best

@@ -3,10 +3,10 @@
 A set is sum-free when no equation x + y = z holds inside it; the two
 conventions differ on whether x = y counts (see core.SumFreeConvention).
 This module provides an exact branch-and-bound solver with a deterministic
-witness, an independent exhaustive reference used by the test oracles, an
-exact sweep over dilation parameters, a verified heuristic portfolio for
-sets too large to solve exactly, and a composition that glues two sets so
-their optima add.
+witness, an exact sweep over dilation parameters, a verified heuristic
+portfolio for sets too large to solve exactly, and a composition that
+glues two sets so their optima add.  The exhaustive solver the search is
+checked against lives in `reference`.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ DISTINCT_ONLY = SumFreeConvention.DISTINCT_ONLY
 
 EXACT_SIZE_CAP = 64
 _SWEEP_EVENT_CAP = 2_000_000
-_FLOAT_KEY_MAX_ELEMENT = 10**7
 
 
 def is_sum_free(A: IntegerSet, convention: SumFreeConvention = ALLOW_EQUAL) -> bool:
@@ -145,61 +144,6 @@ def max_sum_free_subset(
     )
 
 
-def _popcount_u32(a: np.ndarray) -> np.ndarray:
-    a = a - ((a >> 1) & np.uint32(0x55555555))
-    a = (a & np.uint32(0x33333333)) + ((a >> 2) & np.uint32(0x33333333))
-    a = (a + (a >> 4)) & np.uint32(0x0F0F0F0F)
-    return (a * np.uint32(0x01010101)) >> 24
-
-
-def exhaustive_max_sum_free(
-    A: IntegerSet,
-    convention: SumFreeConvention = ALLOW_EQUAL,
-    size_cap: int = 22,
-) -> tuple[int, tuple[int, ...]]:
-    """Independent reference solver classifying all 2^|A| subsets.
-
-    A subset is sum-free iff dropping its largest element leaves a sum-free
-    set and no remaining pair sums to that element, so one vectorised pass
-    per element classifies every mask.  Returns (optimum, witness) with the
-    same lexicographic tie-break as the search solver, but computed by
-    maximising the bit-reversed mask over all optimal subsets.
-    """
-    A.require_positive("exhaustive_max_sum_free")
-    n = len(A)
-    if n > size_cap:
-        raise ValueError(f"exhaustive reference capped at {size_cap} elements")
-    vals = A.elements
-    if n == 0:
-        return 0, ()
-    allow_eq = convention is ALLOW_EQUAL
-    index_of = {v: i for i, v in enumerate(vals)}
-    masks = np.arange(1 << n, dtype=np.uint32)
-    sumfree = np.ones(1 << n, dtype=bool)
-    for k in range(n):
-        half = 1 << k
-        bad = np.zeros(half, dtype=bool)
-        for i in range(k):
-            j = index_of.get(vals[k] - vals[i])
-            if j is None or j >= k or j < i:
-                continue  # each unordered pair handled once, at its smaller index
-            if i == j and not allow_eq:
-                continue
-            pair = np.uint32((1 << i) | (1 << j))
-            bad |= (masks[:half] & pair) == pair
-        sumfree[half : 2 * half] = sumfree[:half] & ~bad
-    pc = _popcount_u32(masks)
-    scored = np.where(sumfree, pc, np.uint32(0))
-    best = int(scored.max())
-    cands = np.nonzero(scored == best)[0].astype(np.uint64)
-    rev = np.zeros(len(cands), dtype=np.uint64)
-    for i in range(n):
-        rev |= ((cands >> np.uint64(i)) & np.uint64(1)) << np.uint64(n - 1 - i)
-    pick = int(cands[int(np.argmax(rev))])
-    witness = tuple(vals[i] for i in range(n) if (pick >> i) & 1)
-    return best, witness
-
-
 @dataclass(frozen=True)
 class DilationCertificate:
     """A dilation parameter and the subset it selects.
@@ -262,21 +206,21 @@ def dilation_sweep(A: IntegerSet) -> DilationCertificate:
     events = 2 * sum(A.elements)
     if events > 40_000_000:
         raise ValueError("too many breakpoints for the exact sweep; use heuristic_sum_free")
-    if A.elements[-1] <= _FLOAT_KEY_MAX_ELEMENT:
-        nums, dens, deltas = _sweep_events(A)
-        keys = nums / dens  # denominators <= 3e7, so distinct rationals round to distinct floats
-        order = np.argsort(keys, kind="stable")
-        keys, nums, dens, deltas = keys[order], nums[order], dens[order], deltas[order]
-        cum = np.cumsum(deltas)
-        ends = np.nonzero(np.diff(keys))[0]
-        counts = cum[ends]
-        g = int(np.argmax(counts))
-        size = int(counts[g])
-        i = int(ends[g])
-        lo = Fraction(int(nums[i]), int(dens[i]))
-        hi = Fraction(int(nums[i + 1]), int(dens[i + 1]))
-    else:
-        size, lo, hi = _sweep_events_exact(A)
+    nums, dens, deltas = _sweep_events(A)
+    # The event cap gives max(A) <= 2e7, so every denominator 3x is <= 6e7 and
+    # two distinct breakpoints differ by at least 1/3.6e15 > 2^-53.  Each key
+    # lies within 2^-54 of its rational, so float order and ties are exact.
+    keys = nums / dens
+    order = np.argsort(keys, kind="stable")
+    keys, nums, dens, deltas = keys[order], nums[order], dens[order], deltas[order]
+    cum = np.cumsum(deltas)
+    ends = np.nonzero(np.diff(keys))[0]
+    counts = cum[ends]
+    g = int(np.argmax(counts))
+    size = int(counts[g])
+    i = int(ends[g])
+    lo = Fraction(int(nums[i]), int(dens[i]))
+    hi = Fraction(int(nums[i + 1]), int(dens[i + 1]))
     theta = (lo + hi) / 2
     selected = dilation_select(A, theta)
     if len(selected) != size:
@@ -296,23 +240,6 @@ def _sweep_events(A: IntegerSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         dens.append(den)
         deltas.append(np.full(x, -1, dtype=np.int64))
     return np.concatenate(nums), np.concatenate(dens), np.concatenate(deltas)
-
-
-def _sweep_events_exact(A: IntegerSet) -> tuple[int, Fraction, Fraction]:
-    events: list[tuple[Fraction, int]] = []
-    for x in A.elements:
-        for k in range(x):
-            events.append((Fraction(3 * k + 1, 3 * x), 1))
-            events.append((Fraction(3 * k + 2, 3 * x), -1))
-    events.sort(key=lambda e: e[0])
-    best_size, best_lo, best_hi = -1, Fraction(0), Fraction(1)
-    count = 0
-    for i, (value, delta) in enumerate(events):
-        count += delta
-        if i + 1 < len(events) and events[i + 1][0] != value:
-            if count > best_size:
-                best_size, best_lo, best_hi = count, value, events[i + 1][0]
-    return best_size, best_lo, best_hi
 
 
 def _interval_candidates(A: IntegerSet) -> list[tuple[int, int]]:

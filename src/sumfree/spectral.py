@@ -8,9 +8,10 @@ asserted).  The fourth-moment identity
     ||f||_{U2}^4 = E_{x,h1,h2} f(x) conj(f(x+h1) f(x+h2)) f(x+h1+h2)
                  = sum_r |fhat(r)|^4,      fhat(r) = E_x f(x) e(-rx/N'),
 
-turns the quadruple average into one FFT; the direct triple sum is kept as
-a slow reference.  Interval quantities use N = ref_n and the convention that
-array index i holds the value at n = i + 1.
+turns the quadruple average into one FFT; `reference` holds the direct
+quadruple average and triple sum that the FFT paths are checked against.
+Interval quantities use N = ref_n and the convention that array index i
+holds the value at n = i + 1.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ from fractions import Fraction
 import numpy as np
 
 from .core import CyclicSignal, IntegerSet, indicator_vector, interval_signal
-
-_DIRECT_SIZE_CAP = 512
 
 
 def spectrum(signal: CyclicSignal) -> np.ndarray:
@@ -40,17 +39,14 @@ def u2_group_norm(signal: CyclicSignal) -> float:
     return float(np.sum(np.abs(coeffs) ** 4) ** 0.25)
 
 
-_INTERVAL_NORM_CACHE: dict[tuple[int, int], float] = {}
-
-
 def _interval_group_norm(ref_n: int, n_prime: int) -> float:
-    key = (ref_n, n_prime)
-    value = _INTERVAL_NORM_CACHE.get(key)
-    if value is None:
-        ones = interval_signal(np.ones(ref_n), n_prime=n_prime)
-        value = u2_group_norm(ones)
-        _INTERVAL_NORM_CACHE[key] = value
-    return value
+    """Group U2 norm of 1_{1..N} in Z/N'Z, in closed form.
+
+    With N' > 4N nothing wraps, so the fourth power is N'^-3 times the
+    number of additive quadruples a + b = c + d in {1,..,N}, which is
+    sum_s r(s)^2 = (2N^3 + N)/3 for r(s) = #{(a, b) : a + b = s}.
+    """
+    return ((2 * ref_n**3 + ref_n) / (3 * n_prime**3)) ** 0.25
 
 
 def u2_norm(signal: CyclicSignal) -> float:
@@ -59,42 +55,9 @@ def u2_norm(signal: CyclicSignal) -> float:
     Because N' > 4N prevents wraparound, both fourth powers are 1/N'^3
     times wrap-free quadruple counts, so the ratio does not depend on which
     valid N' the signal was embedded with.  The indicator of {1,..,N} itself
-    gets norm exactly 1.
+    gets norm 1 up to float rounding.
     """
     return u2_group_norm(signal) / _interval_group_norm(signal.ref_n, signal.n_prime)
-
-
-def u2_group_norm_direct(signal: CyclicSignal) -> float:
-    """Direct evaluation of the quadruple average; O(N'^3) reference."""
-    v = signal.values
-    n = len(v)
-    if n > _DIRECT_SIZE_CAP:
-        raise ValueError(f"direct U2 reference capped at N' = {_DIRECT_SIZE_CAP}")
-    idx = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
-    sh = v[idx]  # sh[h, x] = v[(x + h) mod N']
-    csh = np.conj(sh)
-    rows = np.arange(n)
-    total = 0.0 + 0.0j
-    for h1 in range(n):
-        row = v * csh[h1]
-        rolled = sh[(rows + h1) % n]  # rolled[h2, x] = v[(x + h1 + h2) mod N']
-        total += np.einsum("x,hx,hx->", row, csh, rolled)
-    mean4 = total / n**3
-    return float(abs(mean4)) ** 0.25
-
-
-_DIRECT_INTERVAL_CACHE: dict[tuple[int, int], float] = {}
-
-
-def u2_norm_direct(signal: CyclicSignal) -> float:
-    """Interval-normalised U2 norm with both parts computed directly."""
-    key = (signal.ref_n, signal.n_prime)
-    denom = _DIRECT_INTERVAL_CACHE.get(key)
-    if denom is None:
-        ones = interval_signal(np.ones(signal.ref_n), n_prime=signal.n_prime)
-        denom = u2_group_norm_direct(ones)
-        _DIRECT_INTERVAL_CACHE[key] = denom
-    return u2_group_norm_direct(signal) / denom
 
 
 def t_count(f: np.ndarray | list[float]) -> float:

@@ -26,12 +26,17 @@ from sumfree.core import (
     rng_from_seed,
 )
 from sumfree.equidist import riemann_error
+from sumfree.reference import (
+    dense_progression_direct,
+    exhaustive_max_sum_free,
+    t_count_direct,
+    u2_norm_direct,
+)
 from sumfree.solver import (
     ALLOW_EQUAL,
     catalog,
     compose,
     dilation_sweep,
-    exhaustive_max_sum_free,
     max_sum_free_subset,
 )
 from sumfree.spectral import (
@@ -39,7 +44,6 @@ from sumfree.spectral import (
     t_count,
     t_stability_gap,
     u2_norm,
-    u2_norm_direct,
 )
 from sumfree.structure import (
     AlphaGrid,
@@ -140,14 +144,6 @@ def test_04_u2_fft_vs_direct_200_signals():
     _finish("u2 fft vs direct", detail, t0, 60.0)
 
 
-def _direct_triple_average(arr):
-    n = len(arr)
-    total = 0.0
-    for m in range(1, n):
-        total += arr[m - 1] * float(np.dot(arr[: n - m], arr[m:]))
-    return total / n**2
-
-
 def test_05_t_count_correctness_and_stability():
     t0 = time.perf_counter()
     rng = _rng("tcount")
@@ -155,7 +151,7 @@ def test_05_t_count_correctness_and_stability():
     for _ in range(200):
         n = int(rng.integers(2, 513))
         f = rng.uniform(-1, 1, n)
-        gap = abs(t_count(f) - _direct_triple_average(f))
+        gap = abs(t_count(f) - t_count_direct(f))
         assert gap <= 1e-9
         worst = max(worst, gap)
     for _ in range(1000):
@@ -199,35 +195,6 @@ def test_07_grid_doubling_inequality_10k_grids():
     _finish("grid doubling", "10000 random grids hold, single-cell equality exact", t0, 60.0)
 
 
-def _naive_best_window(A, N, min_length):
-    elems = set(A.elements)
-    max_step = N - 1 if min_length == 1 else (N - 1) // (min_length - 1)
-    best = None
-    for step in range(1, max(1, max_step) + 1):
-        for start in range(1, N + 1):
-            hits = 0
-            length = 0
-            x = start
-            while x <= N:
-                length += 1
-                if x in elems:
-                    hits += 1
-                if length >= min_length:
-                    cand = (hits, length, start, step)
-                    if best is None:
-                        best = cand
-                    else:
-                        ch, cl, cs, cd = cand
-                        bh, bl, bs, bd = best
-                        if ch * bl != bh * cl:
-                            if ch * bl > bh * cl:
-                                best = cand
-                        elif (cl, -cs, -cd) > (bl, -bs, -bd):
-                            best = cand
-                x += step
-    return best
-
-
 def test_08_dense_progression_scanner_vs_naive():
     t0 = time.perf_counter()
     rng = _rng("scanner")
@@ -238,7 +205,7 @@ def test_08_dense_progression_scanner_vs_naive():
         min_length = int(rng.integers(1, 9))
         rep = find_dense_progression(A, n, min_length, Fraction(1, 2))
         got = (rep.hits, rep.progression.length, rep.progression.start, rep.progression.step)
-        assert got == _naive_best_window(A, n, min_length)
+        assert got == dense_progression_direct(A, n, min_length)
     half = IntegerSet(tuple(range(1, 101)))
     rep = find_dense_progression(half, 200, 10, Fraction(1))
     assert rep.density == 1 and rep.meets_target

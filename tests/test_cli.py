@@ -160,14 +160,3 @@ def test_check_subcommand_passes(capsys):
     assert report["passed"] and report["failed"] == []
     assert "checks passed" in err
 
-
-def test_thread_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("SUMFREE_THREADS", "not-a-number")
-    code, _, err = run_cli(capsys, COMMANDS["solve"])
-    assert code == 1 and "SUMFREE_THREADS" in err
-    monkeypatch.setenv("SUMFREE_THREADS", "0")
-    code, _, _ = run_cli(capsys, COMMANDS["solve"])
-    assert code == 1
-    monkeypatch.setenv("SUMFREE_THREADS", "2")
-    code, _, _ = run_cli(capsys, COMMANDS["solve"])
-    assert code == 0

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from sumfree.core import IntegerSet, rng_from_seed
+from sumfree.reference import exhaustive_max_sum_free
 from sumfree.solver import (
     ALLOW_EQUAL,
     DISTINCT_ONLY,
@@ -11,7 +12,6 @@ from sumfree.solver import (
     compose_iterate,
     dilation_select,
     dilation_sweep,
-    exhaustive_max_sum_free,
     heuristic_sum_free,
     is_sum_free,
     max_sum_free_subset,

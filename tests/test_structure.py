@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sumfree.core import IntegerSet, rng_from_seed
+from sumfree.reference import dense_progression_direct
 from sumfree.structure import (
     AlphaGrid,
     GridSet,
@@ -19,36 +20,6 @@ from sumfree.structure import (
     load_grid_set,
     torus_macbeath_estimate,
 )
-
-
-def naive_best_progression(A, N, min_length):
-    """Enumerate every window (start, step, length) directly; O(N^3)."""
-    elems = set(A.elements)
-    max_step = N - 1 if min_length == 1 else (N - 1) // (min_length - 1)
-    best = None  # (hits, length, start, step)
-    for step in range(1, max(1, max_step) + 1):
-        for start in range(1, N + 1):
-            hits = 0
-            length = 0
-            x = start
-            while x <= N:
-                length += 1
-                if x in elems:
-                    hits += 1
-                if length >= min_length:
-                    cand = (hits, length, start, step)
-                    if best is None:
-                        best = cand
-                    else:
-                        ch, cl, cs, cd = cand
-                        bh, bl, bs, bd = best
-                        if ch * bl != bh * cl:
-                            if ch * bl > bh * cl:
-                                best = cand
-                        elif (cl, -cs, -cd) > (bl, -bs, -bd):
-                            best = cand
-                x += step
-    return best
 
 
 class TestProgression:
@@ -104,7 +75,7 @@ class TestDenseProgression:
             A = IntegerSet(tuple(sorted(int(x) for x in picks)))
             min_length = int(rng.integers(1, 7))
             rep = find_dense_progression(A, n, min_length, Fraction(1, 2))
-            want = naive_best_progression(A, n, min_length)
+            want = dense_progression_direct(A, n, min_length)
             got = (
                 rep.hits,
                 rep.progression.length,
