@@ -75,73 +75,178 @@ def max_sum_free_subset(
     convention: SumFreeConvention = ALLOW_EQUAL,
     budget: int | None = None,
 ) -> SolveReport:
-    """Exact maximum sum-free subset by branch and bound over a bitset.
+    """Exact maximum sum-free subset by Russian-doll branch and bound.
 
-    Elements are processed in increasing order with the include branch
-    first, and a subtree is abandoned only when it cannot strictly beat the
-    incumbent, so the first optimum reached -- and hence the one returned --
-    is the lexicographically smallest witness.  Including an element blocks
-    every later element that would close a forbidden triple with the current
-    choice, which is what drives the |chosen| + |allowed| bound.
+    Every search is an include-first depth-first search over a bitset of
+    the elements still allowed: including x blocks each later element that
+    would close a forbidden triple with the current choice.  Each leaf is a
+    sum-free set, every sum-free set is a leaf, and leaves come in
+    decreasing lexicographic order of their membership vectors.
 
-    `budget` caps explored nodes; on exhaustion the report carries the best
-    witness found and exact=False.
+    The suffixes vals[i:] of the sorted elements are solved for
+    i = n-1, ..., 0.  Their optima satisfy doll[i] = doll[i+1] or
+    doll[i+1] + 1, so the search for suffix i only asks for a leaf reaching
+    doll[i+1] + 1 -- one that holds vals[i] -- and stops at the first.  A
+    last search over the whole set asks for the first leaf reaching
+    doll[0].  A node with chosen set C and allowed set R, all at or after
+    index p, is cut when |C| plus either of two upper bounds on what R can
+    still add misses the target:
+
+    - doll[p], since the additions form a sum-free subset of vals[p:];
+    - |R| minus a greedy packing of disjoint conflicts inside R -- triples
+      {x, y, x+y}, pairs {x, 2x} under ALLOW_EQUAL, and pairs {y, y+c} for
+      chosen c -- each of which costs a sum-free set one of its elements.
+      The packing is only tried when it could cut (it has at most |R|/2
+      groups) and stops as soon as it does.
+
+    Both bounds are valid, so no cut subtree holds a leaf that reaches the
+    target, and each search returns the first such leaf in search order.
+    The last one therefore returns the first optimal leaf, the
+    lexicographically smallest witness -- the one an unpruned search meets
+    first and `reference.exhaustive_max_sum_free` picks -- with no incumbent
+    and no re-selection pass.  Keeping that canonical witness makes the
+    report a function of the set alone: a stronger bound changes
+    nodes_explored and nothing else.  The last search is needed even though
+    suffix 0 was searched: when doll[0] = doll[1], an optimum may still hold
+    vals[0].
+
+    `budget` caps the nodes of all searches together.  On exhaustion the
+    report has exact=False, nodes_explored = budget + 1, and the larger of
+    the last suffix leaf found and the greedy include-first leaf (the
+    greedy one on a tie, as it comes first in search order).
     """
     A.require_positive("max_sum_free_subset")
     n = len(A)
     if n > EXACT_SIZE_CAP:
         raise ValueError(f"exact solver capped at {EXACT_SIZE_CAP} elements; use heuristic_sum_free")
-    vals = A.elements
-    index_of = {v: i for i, v in enumerate(vals)}
-    allow_eq = convention is ALLOW_EQUAL
-
-    best_mask = 0
-    best_size = -1
+    tables = _conflict_tables(A.elements, convention is ALLOW_EQUAL)
+    full = (1 << n) - 1
+    # doll[i] bounds the optimum of vals[i:] from above; it starts at n - i
+    # and is exact once suffix i has been searched.
+    doll = [n - i for i in range(n + 1)]
+    best = 0
     nodes = 0
-    exact = True
-    stack: list[tuple[int, int, int]] = [(0, 0, (1 << n) - 1)]
-    while stack:
-        pos, chosen, allowed = stack.pop()
-        nodes += 1
+    for i in range(n - 1, -1, -1):
+        doll[i] = doll[i + 1] + 1
+        leaf, nodes = _first_leaf(full >> i << i, doll[i], doll, tables, nodes, budget)
         if budget is not None and nodes > budget:
-            exact = False
             break
-        while pos < n and not (allowed >> pos) & 1:
-            pos += 1
-        if pos == n:
-            size = chosen.bit_count()
-            if size > best_size:
-                best_size = size
-                best_mask = chosen
-            continue
-        if chosen.bit_count() + (allowed >> pos).bit_count() <= best_size:
-            continue
-        bit = 1 << pos
-        rest = allowed & ~bit
-        stack.append((pos + 1, chosen, rest))  # exclude branch, explored second
-        new_chosen = chosen | bit
-        blocked = 0
-        m = new_chosen if allow_eq else chosen
-        while m:
-            b = m & -m
-            m ^= b
-            s = vals[pos] + vals[b.bit_length() - 1]
-            j = index_of.get(s)
-            if j is not None:
-                blocked |= 1 << j
-        stack.append((pos + 1, new_chosen, rest & ~blocked))
+        if leaf is None:
+            doll[i] -= 1
+        else:
+            best = leaf
+    else:
+        leaf, nodes = _first_leaf(full, doll[0], doll, tables, nodes, budget)
+        if leaf is not None:
+            best = leaf
+    exact = budget is None or nodes <= budget
+    if not exact:
+        greedy, _ = _first_leaf(full, 0, doll, tables, 0, None)
+        if greedy.bit_count() >= best.bit_count():
+            best = greedy
 
-    if best_size < 0:
-        best_mask, best_size = 0, 0
-    witness = IntegerSet(tuple(vals[i] for i in range(n) if (best_mask >> i) & 1))
+    witness = IntegerSet(tuple(v for i, v in enumerate(A.elements) if (best >> i) & 1))
     return SolveReport(
         input_size=n,
         convention=convention,
-        optimum=best_size,
+        optimum=best.bit_count(),
         witness=witness,
         nodes_explored=nodes,
         exact=exact,
     )
+
+
+def _conflict_tables(vals: tuple[int, ...], allow_eq: bool):
+    """Index bitmasks of the forbidden triples, bucketed by lowest index.
+
+    For each vals[a] + vals[d] = vals[b]: when d < a, or d = a under
+    ALLOW_EQUAL, sums[a] holds (bit d, bit b) -- including a blocks b once
+    d is chosen, and {a, b} is then a conflicting pair; when d > a,
+    triples[a] holds bit d | bit b.
+    """
+    index_of = {v: i for i, v in enumerate(vals)}
+    n = len(vals)
+    sums: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    triples: list[list[int]] = [[] for _ in range(n)]
+    for a in range(n):
+        for d in range(n):
+            b = index_of.get(vals[a] + vals[d])
+            if b is None or (d == a and not allow_eq):
+                continue
+            if d <= a:
+                sums[a].append((1 << d, 1 << b))
+            else:
+                triples[a].append((1 << d) | (1 << b))
+    return sums, triples
+
+
+def _first_leaf(allowed, target, doll, tables, nodes, budget):
+    """First leaf under the node (nothing chosen, `allowed`) with >= target elements.
+
+    Returns (leaf mask or None, node count); the count goes on from `nodes`
+    and the search gives up, with no leaf, once it passes `budget`.
+    """
+    sums, triples = tables
+    stack = [(0, allowed)]
+    while stack:
+        chosen, allowed = stack.pop()
+        nodes += 1
+        if budget is not None and nodes > budget:
+            return None, nodes
+        size = chosen.bit_count()
+        if not allowed:
+            if size >= target:
+                return chosen, nodes
+            continue
+        low = allowed & -allowed
+        pos = low.bit_length() - 1
+        free = allowed.bit_count()
+        if size + min(free, doll[pos]) < target:
+            continue
+        need = size + free - target + 1  # disjoint conflicts that would cut
+        if 2 * need <= free and _packs(allowed, chosen, need, sums, triples):
+            continue
+        rest = allowed ^ low
+        stack.append((chosen, rest))  # exclude branch, explored second
+        chosen |= low
+        blocked = 0
+        for c, s in sums[pos]:
+            if c & chosen:
+                blocked |= s
+        stack.append((chosen, rest & ~blocked))
+    return None, nodes
+
+
+def _packs(allowed: int, chosen: int, need: int, sums, triples) -> bool:
+    """Whether a greedy packing finds `need` disjoint conflicts inside `allowed`.
+
+    Lowest indices a are taken in increasing order, each with its first
+    pair {a, b}, else its first triple, that still fits.  Every conflict
+    holding a has its lowest index at or below a, so a is done once passed.
+    """
+    free = allowed
+    groups = 0
+    while free:
+        low = free & -free
+        free ^= low
+        a = low.bit_length() - 1
+        context = chosen | low
+        take = 0
+        for d, b in sums[a]:
+            if d & context and b & free:
+                take = b
+                break
+        else:
+            for t in triples[a]:
+                if t & free == t:
+                    take = t
+                    break
+        if take:
+            free ^= take
+            groups += 1
+            if groups >= need:
+                return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -347,9 +452,10 @@ def heuristic_sum_free(
     else:
         arr = np.asarray(A.elements, dtype=np.int64)
         q = 99_991  # prime modulus: theta = k/q evaluated in exact integer arithmetic
+        residues = arr % q  # k * residue < q^2 < 10^10 cannot overflow int64
         best_count, best_sel = -1, None
         for k in rng.integers(1, q, size=192):
-            r = (int(k) * arr) % q
+            r = (int(k) * residues) % q
             inside = (3 * r > q) & (3 * r < 2 * q)
             c = int(inside.sum())
             if c > best_count:

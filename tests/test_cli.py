@@ -76,6 +76,14 @@ def test_text_set_format(capsys):
     assert report["optimum"] == 3
 
 
+def test_heuristic_on_elements_near_int64_limit(capsys, tmp_path):
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"elements": [10**15 * x for x in (17, 28, 31, 38, 48)]}))
+    code, out, _ = run_cli(capsys, ["solve", "--set", str(big), "--heuristic", "--seed", "4"])
+    assert code == 0
+    assert json.loads(out)["report"]["optimum"] >= 2
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -53,25 +53,49 @@ class TestExactSolver:
 
     def test_matches_exhaustive_oracle(self):
         rng = rng_from_seed(2024, "solver-oracle")
-        for _ in range(40):
-            A = random_set(rng, 13, 45)
+        for max_size, max_element in [(13, 45)] * 40 + [(20, 70)] * 30:
+            A = random_set(rng, max_size, max_element)
             for conv in (ALLOW_EQUAL, DISTINCT_ONLY):
                 rep = max_sum_free_subset(A, conv)
                 opt, witness = exhaustive_max_sum_free(A, conv)
-                assert rep.optimum == opt
+                assert rep.exact and rep.optimum == opt
                 assert rep.witness.elements == witness
 
     def test_empty_set(self):
         rep = max_sum_free_subset(IntegerSet(()))
         assert rep.optimum == 0 and rep.witness.elements == ()
 
+    @pytest.mark.parametrize("conv", [ALLOW_EQUAL, DISTINCT_ONLY], ids=lambda c: c.value)
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    @pytest.mark.parametrize("name", ["klarner", "malouf"])
+    def test_catalog_compositions_exact_and_cheap(self, name, k, conv):
+        part = next(e.elements for e in catalog() if e.name == name)
+        rep = max_sum_free_subset(compose_iterate(part, k), conv)
+        assert rep.exact
+        assert rep.optimum == k * exhaustive_max_sum_free(part, conv)[0]
+        assert rep.nodes_explored <= 10_000
+
     def test_budget_soft_fail(self):
         A = IntegerSet(tuple(range(1, 41)))
         rep = max_sum_free_subset(A, ALLOW_EQUAL, budget=5)
         assert not rep.exact
-        assert rep.nodes_explored <= 6
+        assert rep.nodes_explored == 6
         assert is_sum_free(rep.witness, ALLOW_EQUAL)
         assert rep.optimum == len(rep.witness)
+
+    def test_budget_stops_short_with_sum_free_witness(self):
+        rng = rng_from_seed(2024, "solver-budget")
+        A = IntegerSet(tuple(sorted(int(x) for x in rng.choice(160, size=40, replace=False) + 1)))
+        full = max_sum_free_subset(A, DISTINCT_ONLY)
+        for budget in (1, 50, full.nodes_explored // 2, full.nodes_explored - 1):
+            rep = max_sum_free_subset(A, DISTINCT_ONLY, budget=budget)
+            assert not rep.exact
+            assert rep.nodes_explored == budget + 1
+            assert set(rep.witness.elements) <= set(A.elements)
+            assert is_sum_free(rep.witness, DISTINCT_ONLY)
+            assert 0 < rep.optimum <= full.optimum
+        rep = max_sum_free_subset(A, DISTINCT_ONLY, budget=full.nodes_explored)
+        assert rep.exact and rep.witness == full.witness
 
     def test_rejects_oversized(self):
         with pytest.raises(ValueError):
@@ -129,6 +153,13 @@ class TestHeuristic:
         a = heuristic_sum_free(A, seed=11)
         b = heuristic_sum_free(A, seed=11)
         assert a.witness.elements == b.witness.elements
+
+    def test_sampled_dilations_near_int64_limit(self):
+        A = IntegerSet(tuple(10**15 * x for x in (17, 28, 31, 38, 48)))
+        rep = heuristic_sum_free(A, seed=4)
+        assert is_sum_free(rep.witness, ALLOW_EQUAL)
+        assert set(rep.witness.elements) <= set(A.elements)
+        assert rep.optimum >= -(-(len(A) + 1) // 3)
 
     def test_restarts_validated(self):
         with pytest.raises(ValueError):
