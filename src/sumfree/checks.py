@@ -422,7 +422,7 @@ def _check_uniform_sampler_full(rng):
     w = weights.uniform_weight(K)
     N = int(rng.integers(K, 200))
     p = weights.sample_probabilities(w, N)
-    assert np.all(p == 1.0), "uniform weight must give probability 1"
+    assert p.shape == (N,) and np.all(p == 1.0), "uniform weight must give probability 1"
     for seed in rng.integers(0, 2**32, size=3):
         A = weights.sample_set(w, N, int(seed))
         assert A.elements == tuple(range(1, N + 1)), "uniform sample not full interval"
@@ -554,7 +554,9 @@ def _check_riemann_decay(rng):
     assert abs(errs[0] / errs[1] - 2.0) <= 1e-9 and abs(errs[1] / errs[2] - 2.0) <= 1e-9
 
 
-_SUITES: dict[str, list[tuple[str, object]]] = {
+# Owner suite -> (check name, check) in run order.  Each check takes the
+# generator rng_from_seed(seed, owner, name) and raises on a violation.
+SUITES: dict[str, list[tuple[str, object]]] = {
     "solver": [
         ("dilation_floor", _check_dilation_floor),
         ("exact_vs_oracle", _check_exact_vs_oracle),
@@ -609,7 +611,7 @@ _SUITES: dict[str, list[tuple[str, object]]] = {
     ],
 }
 
-SUITE_NAMES = tuple(_SUITES) + ("all",)
+SUITE_NAMES = tuple(SUITES) + ("all",)
 
 
 def run_suite(suite: str, seed: int = 0) -> dict:
@@ -621,10 +623,10 @@ def run_suite(suite: str, seed: int = 0) -> dict:
     """
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}")
-    names = list(_SUITES) if suite == "all" else [suite]
+    names = list(SUITES) if suite == "all" else [suite]
     checks = []
     for owner in names:
-        for check_name, fn in _SUITES[owner]:
+        for check_name, fn in SUITES[owner]:
             rng = rng_from_seed(seed, owner, check_name)
             label = f"{owner}.{check_name}"
             try:

@@ -275,6 +275,8 @@ def embed_signal(A: IntegerSet, N: int, n_prime: int | None = None) -> CyclicSig
         raise ValueError(f"set not contained in {{1,..,{N}}}")
     if n_prime is None:
         n_prime = default_n_prime(N)
+    if n_prime <= 4 * N:
+        raise ValueError(f"group order {n_prime} too small for N = {N}; need > {4 * N}")
     values = np.zeros(n_prime, dtype=np.complex128)
     for a in A.elements:
         values[a] = 1.0

@@ -116,6 +116,8 @@ def max_sum_free_subset(
     greedy one on a tie, as it comes first in search order).
     """
     A.require_positive("max_sum_free_subset")
+    if budget is not None and budget < 0:
+        raise ValueError("budget must be >= 0")
     n = len(A)
     if n > EXACT_SIZE_CAP:
         raise ValueError(f"exact solver capped at {EXACT_SIZE_CAP} elements; use heuristic_sum_free")
@@ -311,21 +313,23 @@ def dilation_sweep(A: IntegerSet) -> DilationCertificate:
     events = 2 * sum(A.elements)
     if events > 40_000_000:
         raise ValueError("too many breakpoints for the exact sweep; use heuristic_sum_free")
-    nums, dens, deltas = _sweep_events(A)
+    keys, deltas = _sweep_events(A)
     # The event cap gives max(A) <= 2e7, so every denominator 3x is <= 6e7 and
     # two distinct breakpoints differ by at least 1/3.6e15 > 2^-53.  Each key
-    # lies within 2^-54 of its rational, so float order and ties are exact.
-    keys = nums / dens
+    # lies within 2^-54 of its rational, so float order and ties are exact,
+    # and the fraction with denominator <= 3 max(A) closest to a key is its
+    # breakpoint.
     order = np.argsort(keys, kind="stable")
-    keys, nums, dens, deltas = keys[order], nums[order], dens[order], deltas[order]
+    keys, deltas = keys[order], deltas[order]
     cum = np.cumsum(deltas)
     ends = np.nonzero(np.diff(keys))[0]
     counts = cum[ends]
     g = int(np.argmax(counts))
     size = int(counts[g])
     i = int(ends[g])
-    lo = Fraction(int(nums[i]), int(dens[i]))
-    hi = Fraction(int(nums[i + 1]), int(dens[i + 1]))
+    max_den = 3 * A.elements[-1]
+    lo = Fraction(float(keys[i])).limit_denominator(max_den)
+    hi = Fraction(float(keys[i + 1])).limit_denominator(max_den)
     theta = (lo + hi) / 2
     selected = dilation_select(A, theta)
     if len(selected) != size:
@@ -333,18 +337,20 @@ def dilation_sweep(A: IntegerSet) -> DilationCertificate:
     return DilationCertificate(theta=theta, selected=selected, size=size)
 
 
-def _sweep_events(A: IntegerSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    nums, dens, deltas = [], [], []
+def _sweep_events(A: IntegerSet) -> tuple[np.ndarray, np.ndarray]:
+    """Float keys (3k+1)/(3x) and (3k+2)/(3x) with int8 deltas +1 and -1.
+
+    np.cumsum accumulates int8 in the default integer type, so the running
+    count cannot wrap.
+    """
+    keys, deltas = [], []
     for x in A.elements:
         k3 = 3 * np.arange(x, dtype=np.int64)
-        den = np.full(x, 3 * x, dtype=np.int64)
-        nums.append(k3 + 1)
-        dens.append(den)
-        deltas.append(np.ones(x, dtype=np.int64))
-        nums.append(k3 + 2)
-        dens.append(den)
-        deltas.append(np.full(x, -1, dtype=np.int64))
-    return np.concatenate(nums), np.concatenate(dens), np.concatenate(deltas)
+        keys.append((k3 + 1) / (3 * x))
+        deltas.append(np.ones(x, dtype=np.int8))
+        keys.append((k3 + 2) / (3 * x))
+        deltas.append(np.full(x, -1, dtype=np.int8))
+    return np.concatenate(keys), np.concatenate(deltas)
 
 
 def _interval_candidates(A: IntegerSet) -> list[tuple[int, int]]:

@@ -1,10 +1,30 @@
+import json
+
 import pytest
 
-from sumfree.checks import SUITE_NAMES, run_suite
+from sumfree import checks
+from sumfree.checks import SUITE_NAMES, SUITES, run_suite
+from sumfree.cli import main
+from sumfree.core import rng_from_seed
+
+CHECKS = [(owner, name, fn) for owner, table in SUITES.items() for name, fn in table]
+
+
+@pytest.mark.parametrize(
+    ("owner", "name", "fn"), CHECKS, ids=[f"{owner}.{name}" for owner, name, _ in CHECKS]
+)
+def test_check(owner, name, fn):
+    # the stream run_suite(..., seed=0) hands this check
+    fn(rng_from_seed(0, owner, name))
 
 
 def test_suite_names():
     assert SUITE_NAMES == ("solver", "spectral", "structure", "weights", "equidist", "all")
+
+
+def test_check_names_unique():
+    labels = [f"{owner}.{name}" for owner, name, _ in CHECKS]
+    assert len(labels) == len(set(labels)) == 42
 
 
 def test_unknown_suite_rejected():
@@ -12,23 +32,57 @@ def test_unknown_suite_rejected():
         run_suite("nonsense")
 
 
-def test_all_suites_pass_and_report_shape():
+@pytest.fixture
+def drawn(monkeypatch):
+    """Swap in a table of cheap checks that record their first draw."""
+    seen = {}
+
+    def recorder(label):
+        return lambda rng: seen.setdefault(label, []).append(int(rng.integers(2**62)))
+
+    table = {
+        owner: [(name, recorder(f"{owner}.{name}")) for name, _ in entries]
+        for owner, entries in SUITES.items()
+    }
+    monkeypatch.setattr(checks, "SUITES", table)
+    return seen
+
+
+def test_all_suites_pass_and_report_shape(drawn):
     report = run_suite("all", seed=0)
-    assert report["passed"], report["failed"]
     assert report["suite"] == "all"
     assert report["seed"] == 0
-    assert report["failed"] == []
-    names = [c["name"] for c in report["checks"]]
-    assert len(names) == len(set(names))
-    owners = {n.split(".")[0] for n in names}
-    assert owners == {"solver", "spectral", "structure", "weights", "equidist"}
-    for c in report["checks"]:
-        assert c["passed"] and c["detail"] is None
+    assert report["passed"] and report["failed"] == []
+    assert [c["name"] for c in report["checks"]] == [f"{o}.{n}" for o, n, _ in CHECKS]
+    assert all(c["passed"] and c["detail"] is None for c in report["checks"])
+    for owner, name, _ in CHECKS:
+        want = int(rng_from_seed(0, owner, name).integers(2**62))
+        assert drawn[f"{owner}.{name}"] == [want]
 
 
-def test_single_suite_matches_all():
+def test_single_suite_matches_all(drawn):
     solo = run_suite("solver", seed=3)
     combined = run_suite("all", seed=3)
     solo_names = [c["name"] for c in solo["checks"]]
-    subset = [c for c in combined["checks"] if c["name"] in solo_names]
-    assert subset == solo["checks"]
+    assert solo_names == [f"solver.{name}" for name, _ in SUITES["solver"]]
+    assert [c for c in combined["checks"] if c["name"] in solo_names] == solo["checks"]
+    for label in solo_names:
+        alone, together = drawn[label]
+        assert alone == together
+
+
+def test_failing_check_is_reported(monkeypatch, capsys):
+    def boom(rng):
+        raise AssertionError("boom")
+
+    monkeypatch.setattr(checks, "SUITES", {**SUITES, "solver": [("boom", boom)]})
+    report = run_suite("solver", seed=0)
+    assert report["checks"] == [
+        {"name": "solver.boom", "passed": False, "detail": "AssertionError: boom"}
+    ]
+    assert not report["passed"] and report["failed"] == ["solver.boom"]
+
+    assert main(["check", "--suite", "solver", "--seed", "0"]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["report"] == report
+    assert captured.err.strip() == "check: FAILED solver.boom"

@@ -106,7 +106,9 @@ def test_domain_errors_exit_1(capsys, tmp_path):
     cases = [
         ["solve", "--set", str(tmp_path / "missing.json")],
         ["sweep", "--set", str(empty)],
+        ["solve", "--set", fixture("deca.json"), "--budget", "-3"],
         ["compose", "--set-a", fixture("klarner.json")],
+        ["spectral", "u2", "--set", fixture("deca.json"), "--n", "10", "--n-prime", "3"],
         ["weight", "build", "--eps", "1/2", "--cells", "8"],  # default steps overflow
         ["equidist", "check", "--theta", "1.5", "--a", "2", "--n", "10"],
     ]

@@ -59,12 +59,6 @@ class TestIrrationality:
         assert not rep.holds
         assert rep.worst_vector == (8,)
 
-    def test_rational_theta_fails(self):
-        rep = irrationality_check(Theta((0.5,)), 2, 100)
-        assert not rep.holds
-        assert rep.worst_vector == (2,)
-        assert rep.worst_distance == 0.0
-
     def test_holds_monotone_in_n(self):
         th = golden_theta()
         dist = irrationality_check(th, 5, 1000).worst_distance

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sumfree.core import IntegerSet, indicator_vector, interval_signal, rng_from_seed
-from sumfree.reference import t_count_direct, u2_group_norm_direct, u2_norm_direct
+from sumfree.reference import t_count_direct
 from sumfree.spectral import (
     autocorrelation,
     difference_counts,
@@ -63,16 +63,6 @@ class TestU2:
         rhs = float(np.mean(np.abs(sig.values) ** 2))
         assert lhs == pytest.approx(rhs, abs=1e-13)
 
-    def test_fft_matches_direct(self):
-        rng = rng_from_seed(90, "u2-direct")
-        for _ in range(6):
-            n = int(rng.integers(2, 22))
-            sig = interval_signal(rng.uniform(-1, 1, n))
-            assert u2_group_norm(sig) == pytest.approx(
-                u2_group_norm_direct(sig), abs=1e-9
-            )
-            assert u2_norm(sig) == pytest.approx(u2_norm_direct(sig), abs=1e-9)
-
     def test_embedding_independence(self):
         rng = rng_from_seed(90, "u2-embed")
         v = rng.uniform(-1, 1, 19)
@@ -115,16 +105,6 @@ class TestDifferences:
 
 
 class TestPollard:
-    def test_integer_tau_always_holds(self):
-        rng = rng_from_seed(90, "pollard")
-        for _ in range(60):
-            p = int(rng.choice([5, 7, 11, 13]))
-            s1 = [int(x) for x in rng.choice(p, size=int(rng.integers(1, p)), replace=False)]
-            s2 = [int(x) for x in rng.choice(p, size=int(rng.integers(1, p)), replace=False)]
-            k = int(rng.integers(0, min(len(s1), len(s2)) + 1))
-            rep = pollard_check(s1, s2, p, Fraction(k, p))
-            assert rep.holds, rep
-
     def test_real_t_counterexample(self):
         rep = pollard_check((0,), (0,), 5, Fraction(1, 10))
         assert rep.lhs == Fraction(1, 50)
@@ -148,15 +128,6 @@ class TestPollard:
 
 
 class TestStability:
-    def test_gap_bound(self):
-        rng = rng_from_seed(90, "stability")
-        for _ in range(40):
-            n = int(rng.integers(4, 200))
-            f = rng.uniform(-1, 1, n)
-            g = np.clip(f + rng.uniform(-0.2, 0.2, n), -1, 1)
-            rep = t_stability_gap(f, g)
-            assert rep.t_gap <= 7 * rep.l1_gap + 1e-12
-
     def test_identical_inputs(self):
         f = np.linspace(-1, 1, 50)
         rep = t_stability_gap(f, f)

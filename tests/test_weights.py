@@ -15,7 +15,6 @@ from sumfree.weights import (
     density_experiment,
     load_weight,
     pushforward_snapshot,
-    pushforward_step,
     quadrature_nodes,
     sample_probabilities,
     sample_set,
@@ -83,13 +82,6 @@ class TestPushforward:
         assert w.values.tolist() == want.tolist()
         assert w.generation == 1
         assert w.alpha_bound == Fraction(163, 192)
-
-    def test_step_mean_and_floor(self):
-        w = uniform_weight(6)
-        for _ in range(3):
-            w = pushforward_step(w, IterationParams(t_samples=4), Fraction(1, 3))
-            assert abs(w.values.mean() - 1.0) <= 1e-12
-            assert w.values.min() >= 0.25
 
     def test_build_frozen(self):
         rep = build_weight(Fraction(1, 2), IterationParams(steps=2), 8)
