@@ -107,6 +107,8 @@ def _cmd_solve(args):
     A = load_set(args.set)
     conv = SumFreeConvention.parse(args.convention)
     if args.heuristic:
+        if args.budget is not None:
+            raise ValueError("--budget bounds the exact search; drop it or --heuristic")
         validate_seed(args.seed)
         rep = solver.heuristic_sum_free(A, conv, restarts=args.restarts, seed=args.seed)
         kind = "verified lower bound"

@@ -40,6 +40,10 @@ VERSION = "0.1.0"
 
 _MAX_SEED = 2**64 - 1
 
+# Longest array a signal or indicator may allocate (64 MiB of float64,
+# 128 MiB of complex128); checked before allocating.
+MAX_SIGNAL_LENGTH = 1 << 23
+
 
 class SetFormatError(ValueError):
     """A set file failed to parse or validate; carries file/line context."""
@@ -277,6 +281,8 @@ def embed_signal(A: IntegerSet, N: int, n_prime: int | None = None) -> CyclicSig
         n_prime = default_n_prime(N)
     if n_prime <= 4 * N:
         raise ValueError(f"group order {n_prime} too small for N = {N}; need > {4 * N}")
+    if n_prime > MAX_SIGNAL_LENGTH:
+        raise ValueError(f"group order {n_prime} exceeds the limit {MAX_SIGNAL_LENGTH}")
     values = np.zeros(n_prime, dtype=np.complex128)
     for a in A.elements:
         values[a] = 1.0
@@ -291,6 +297,8 @@ def interval_signal(values: Sequence[float] | np.ndarray, n_prime: int | None = 
     N = len(arr)
     if n_prime is None:
         n_prime = default_n_prime(N)
+    if n_prime > MAX_SIGNAL_LENGTH:
+        raise ValueError(f"group order {n_prime} exceeds the limit {MAX_SIGNAL_LENGTH}")
     out = np.zeros(n_prime, dtype=np.complex128)
     out[1 : N + 1] = arr
     return CyclicSignal(out, ref_n=N)
@@ -300,6 +308,8 @@ def indicator_vector(A: IntegerSet, N: int) -> np.ndarray:
     """Indicator of A on {1,..,N} as a float array (index i = point i+1)."""
     if A.elements and (A.elements[0] < 1 or A.elements[-1] > N):
         raise ValueError(f"set not contained in {{1,..,{N}}}")
+    if N > MAX_SIGNAL_LENGTH:
+        raise ValueError(f"N = {N} exceeds the limit {MAX_SIGNAL_LENGTH}")
     out = np.zeros(N, dtype=np.float64)
     for a in A.elements:
         out[a - 1] = 1.0

@@ -2,19 +2,23 @@
 
 Each fast path that tests and the `check` suites certify is compared with
 one of these: the branch-and-bound solver with an exhaustive subset
-classification, the FFT U2 norm with the direct quadruple average, the
-convex-hull progression scanner with a plain window enumeration, and the
-FFT triple count with a direct double sum.  They are written from the
-definitions and share no logic with the code they check; they are meant
-for small inputs only.
+classification, the FFT U2 norm with the quadruple average summed over
+shifts in physical space, the convex-hull progression scanner with a plain
+window enumeration, the FFT triple count with a direct double sum, and the
+integer grid doubling table with a Fraction pair loop.  They are written
+from the definitions and share no logic with the code they check; they are
+meant for small inputs only.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import numpy as np
 
 from .core import CyclicSignal, IntegerSet, SumFreeConvention
 from .spectral import _interval_group_norm
+from .structure import AlphaGrid
 
 _DIRECT_SIZE_CAP = 512
 
@@ -75,22 +79,18 @@ def exhaustive_max_sum_free(
 
 
 def u2_group_norm_direct(signal: CyclicSignal) -> float:
-    """Direct evaluation of the quadruple average; O(N'^3) reference."""
+    """Group U2 norm from the quadruple average, O(N'^2) reference.
+
+    Substituting y = x + h2 in E_{x,h1,h2} f(x) conj(f(x+h1) f(x+h2))
+    f(x+h1+h2) factors the average as E_h |E_x f(x) conj f(x+h)|^2, an
+    identity in physical space that shares nothing with the FFT path.
+    """
     v = signal.values
     n = len(v)
     if n > _DIRECT_SIZE_CAP:
         raise ValueError(f"direct U2 reference capped at N' = {_DIRECT_SIZE_CAP}")
-    idx = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
-    sh = v[idx]  # sh[h, x] = v[(x + h) mod N']
-    csh = np.conj(sh)
-    rows = np.arange(n)
-    total = 0.0 + 0.0j
-    for h1 in range(n):
-        row = v * csh[h1]
-        rolled = sh[(rows + h1) % n]  # rolled[h2, x] = v[(x + h1 + h2) mod N']
-        total += np.einsum("x,hx,hx->", row, csh, rolled)
-    mean4 = total / n**3
-    return float(abs(mean4)) ** 0.25
+    total = sum(abs(np.vdot(np.roll(v, -h), v)) ** 2 for h in range(n))
+    return float(total / n**3) ** 0.25
 
 
 def u2_norm_direct(signal: CyclicSignal) -> float:
@@ -141,3 +141,32 @@ def dense_progression_direct(
                 if lhs > rhs or (lhs == rhs and (length, -start, -step) > (bl, -bs, -bd)):
                     best = (hits, length, start, step)
     return best
+
+
+def alpha_tilde_direct(grid: AlphaGrid, eta) -> Fraction:
+    """Grand sum of structure.alpha_tilde's pair-maximum table, by a Fraction loop.
+
+    Every ordered pair of cells with values > eta updates the two table
+    entries its level difference reaches, comparing Fractions; O(P^2) for
+    P such cells.
+    """
+    eta_f = Fraction(eta)
+    q, M = grid.modulus, grid.levels
+    positives = [
+        (a, i, grid.values[a][i - 1])
+        for a in range(q)
+        for i in range(1, M + 1)
+        if grid.values[a][i - 1] > eta_f
+    ]
+    width = 2 * M + 1
+    table = [[Fraction(0)] * width for _ in range(q)]
+    for a, i, v in positives:
+        for a2, i2, v2 in positives:
+            s = v + v2
+            x = (a - a2) % q
+            delta = i - i2
+            for y in (delta, delta + 1):
+                col = y + M
+                if s > table[x][col]:
+                    table[x][col] = s
+    return sum((entry for row in table for entry in row), Fraction(0))

@@ -92,20 +92,6 @@ def difference_counts(A: IntegerSet, N: int) -> np.ndarray:
     return counts
 
 
-def autocorrelation(A: IntegerSet, N: int) -> np.ndarray:
-    """g(d) = |A ∩ (A+d)| / N on d = -(N-1)..N-1; index d+N-1 holds g(d).
-
-    Computed as an FFT cross-correlation; the underlying counts are integers
-    and are rounded back to exact values before normalising, so downstream
-    thresholding is exact.  g(0) = |A|/N and g is even.
-    """
-    counts = difference_counts(A, N)
-    g = np.empty(2 * N - 1, dtype=np.float64)
-    g[N - 1 :] = counts / N
-    g[: N - 1] = (counts[1:] / N)[::-1]
-    return g
-
-
 def popular_differences(A: IntegerSet, N: int, t) -> list[int]:
     """{d : |A ∩ (A+d)| / N >= t} with exact integer thresholding.
 
@@ -117,12 +103,10 @@ def popular_differences(A: IntegerSet, N: int, t) -> list[int]:
     if not 0 < tf <= 1:
         raise ValueError("threshold t must satisfy 0 < t <= 1")
     counts = difference_counts(A, N)
-    num, den = tf.numerator, tf.denominator
-    out = []
-    for d in range(-(N - 1), N):
-        if int(counts[abs(d)]) * den >= num * N:
-            out.append(d)
-    return out
+    # counts * den >= num * N  <=>  counts >= ceil(num * N / den), which is <= N
+    need = -(-tf.numerator * N // tf.denominator)
+    both = np.concatenate((counts[:0:-1], counts))  # index d + N - 1 holds d
+    return (np.nonzero(both >= need)[0] - (N - 1)).tolist()
 
 
 @dataclass(frozen=True)

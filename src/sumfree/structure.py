@@ -5,8 +5,7 @@ progression scanner (is a set unusually concentrated on some arithmetic
 progression?), the exact grid form of the doubling inequality for functions
 on Z/qZ x {1,..,M}, and the avoid-zero diagnostic for grid sets (how little
 mass can a set have near the origin, over subgroup-times-interval boxes?).
-All verdicts are computed in exact integer or rational arithmetic; floats
-appear only in the documented approximate torus estimate.
+All verdicts are computed in exact integer or rational arithmetic.
 """
 
 from __future__ import annotations
@@ -275,22 +274,18 @@ class AlphaGrid:
         )
         return cls(modulus=modulus, levels=levels, values=rows)
 
-    def total(self) -> Fraction:
-        return sum((v for row in self.values for v in row), Fraction(0))
-
 
 @dataclass(frozen=True)
 class AlphaTildeReport:
     """Both sides of the grid doubling inequality, exactly.
 
-    table[x][y + levels] holds the paired-sum maximum at (x, y) for
-    x in Z/qZ and y in {-M,..,M}; lhs_total is its grand sum, rhs_bound is
-    4*(sum of the grid) - 4*eta*q*M.  The inequality lhs >= rhs is a
-    theorem, so holds=False on any input means an implementation bug.
+    lhs_total is the grand sum of the pair-maximum table that alpha_tilde
+    describes, and rhs_bound is 4*(sum of the grid) - 4*eta*q*M.  The
+    inequality lhs >= rhs is a theorem, so holds=False on any input means
+    an implementation bug.
     """
 
     eta: Fraction
-    table: tuple[tuple[Fraction, ...], ...]
     lhs_total: Fraction
     rhs_bound: Fraction
     holds: bool
@@ -305,44 +300,43 @@ class AlphaTildeReport:
 
 
 def alpha_tilde(grid: AlphaGrid, eta) -> AlphaTildeReport:
-    """Pair-maximum table and the exact inequality sum >= 4*sum - 4*eta*q*M.
+    """Exact inequality sum of the pair-maximum table >= 4*sum - 4*eta*q*M.
 
-    The table entry at (x, y) is the largest value(a,i) + value(a',i') over
-    pairs with both entries > eta, a - a' = x mod q, and i - i' in
-    {y, y-1}; an empty pair set contributes 0.  Identical cells do pair
-    with themselves: a single positive cell c gives entries 2c at
-    (0, 0) and (0, 1) and total 4c, the equality case.
+    The table has an entry at each (x, y) for x in Z/qZ and y in {-M,..,M}:
+    the largest value(a,i) + value(a',i') over pairs with both entries
+    > eta, a - a' = x mod q, and i - i' in {y, y-1}; an empty pair set
+    contributes 0.  Identical cells do pair with themselves: a single
+    positive cell c gives entries 2c at (0, 0) and (0, 1) and total 4c, the
+    equality case.
+
+    The values are scaled to integer numerators over their common
+    denominator and each ordered pair is visited once.  The numerators are
+    Python ints, since float entries can push that denominator past int64.
     """
     eta_f = Fraction(eta)
     if eta_f < 0:
         raise ValueError("eta must be >= 0")
     q, M = grid.modulus, grid.levels
-    positives = [
-        (a, i, grid.values[a][i - 1])
-        for a in range(q)
-        for i in range(1, M + 1)
-        if grid.values[a][i - 1] > eta_f
-    ]
-    width = 2 * M + 1
-    table = [[Fraction(0)] * width for _ in range(q)]
-    for a, i, v in positives:
-        for a2, i2, v2 in positives:
-            s = v + v2
-            x = (a - a2) % q
-            delta = i - i2
-            for y in (delta, delta + 1):
-                col = y + M
-                if s > table[x][col]:
-                    table[x][col] = s
-    lhs = sum((entry for row in table for entry in row), Fraction(0))
-    rhs = 4 * grid.total() - 4 * eta_f * q * M
-    return AlphaTildeReport(
-        eta=eta_f,
-        table=tuple(tuple(row) for row in table),
-        lhs_total=lhs,
-        rhs_bound=rhs,
-        holds=lhs >= rhs,
+    den = math.lcm(*(v.denominator for row in grid.values for v in row))
+    nums = np.array(
+        [[v.numerator * (den // v.denominator) for v in row] for row in grid.values],
+        dtype=object,
     )
+    a, i = np.nonzero(nums * eta_f.denominator > eta_f.numerator * den)
+    v = nums[a, i]
+    # best[x, d + M] is the largest pair sum with a - a' = x mod q and i - i' = d
+    best = np.zeros((q, 2 * M + 1), dtype=object)
+    np.maximum.at(
+        best,
+        (np.subtract.outer(a, a).ravel() % q, np.subtract.outer(i, i).ravel() + M),
+        np.add.outer(v, v).ravel(),
+    )
+    # column y takes the differences y and y - 1; |d| < M keeps columns 0
+    # and 2M of best at 0, so the roll wraps in nothing
+    table = np.maximum(best, np.roll(best, 1, axis=1))
+    lhs = Fraction(int(table.sum()), den)
+    rhs = Fraction(4 * int(nums.sum()), den) - 4 * eta_f * q * M
+    return AlphaTildeReport(eta=eta_f, lhs_total=lhs, rhs_bound=rhs, holds=lhs >= rhs)
 
 
 @dataclass(frozen=True)
@@ -441,72 +435,6 @@ def avoid_zero_diagnostic(
         subgroup=tuple(range(0, q, stride)),
         interval_end=Fraction(j, K),
         mass=mass,
-    )
-
-
-@dataclass(frozen=True)
-class TorusMacbeathEstimate:
-    lhs_estimate: float
-    rhs: float
-    margin: float
-    samples_per_cell: int
-
-
-def torus_macbeath_estimate(
-    S1: GridSet, S2: GridSet, t, samples_per_cell: int = 8
-) -> TorusMacbeathEstimate:
-    """Approximate both sides of the torus convolution-threshold inequality.
-
-    The grid sets are read as genuine subsets of Z/qZ x [0, 1); their
-    convolution is piecewise linear in the interval coordinate, and the
-    left side integral of min(convolution, t) is estimated by midpoint
-    sampling at samples_per_cell points per cell, so the result carries an
-    O(1/(K*samples_per_cell)) error and is NOT an exact verdict.  For the
-    exact discrete counterpart use the prime-group check in the spectral
-    module.
-    """
-    if (S1.modulus, S1.cells) != (S2.modulus, S2.cells):
-        raise ValueError("grid sets must share dimensions")
-    if samples_per_cell < 1:
-        raise ValueError("samples_per_cell must be >= 1")
-    q, K = S1.modulus, S1.cells
-    mu1, mu2 = float(S1.measure()), float(S2.measure())
-    tf = float(t)
-    if not 0 <= tf <= min(mu1, mu2):
-        raise ValueError("t must lie in [0, min of the measures]")
-    h = 1.0 / K
-    # per residue pair, histogram of cell-index sums; the 1-d convolution of
-    # two width-h cells is a tent of half-width h centred at (i + j - 1) * h
-    hist = np.zeros((q, 2 * K + 1), dtype=np.int64)
-    rows1 = [np.nonzero(S1.membership[a])[0] + 1 for a in range(q)]
-    rows2 = [np.nonzero(S2.membership[a])[0] + 1 for a in range(q)]
-    for a in range(q):
-        if len(rows1[a]) == 0:
-            continue
-        for a2 in range(q):
-            if len(rows2[a2]) == 0:
-                continue
-            x = (a + a2) % q
-            sums = (rows1[a][:, None] + rows2[a2][None, :]).ravel()
-            hist[x] += np.bincount(sums, minlength=2 * K + 1)[: 2 * K + 1]
-    n_samples = K * samples_per_cell
-    ys = (np.arange(n_samples) + 0.5) / n_samples
-    centers = (np.arange(2 * K + 1) - 1) * h
-    # circular distance from each sample to each tent centre
-    d = np.abs(ys[:, None] - centers[None, :])
-    d = np.minimum(d, 1.0 - d)
-    tents = np.maximum(0.0, h - d)
-    lhs = 0.0
-    for x in range(q):
-        conv = (tents @ hist[x]) / q
-        lhs += np.minimum(conv, tf).mean()
-    lhs /= q
-    rhs = tf * min(mu1 + mu2 - tf, 1.0)
-    return TorusMacbeathEstimate(
-        lhs_estimate=lhs,
-        rhs=rhs,
-        margin=lhs - rhs,
-        samples_per_cell=samples_per_cell,
     )
 
 

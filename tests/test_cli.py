@@ -107,8 +107,13 @@ def test_domain_errors_exit_1(capsys, tmp_path):
         ["solve", "--set", str(tmp_path / "missing.json")],
         ["sweep", "--set", str(empty)],
         ["solve", "--set", fixture("deca.json"), "--budget", "-3"],
+        ["solve", "--set", fixture("deca.json"), "--heuristic", "--budget", "-3"],
         ["compose", "--set-a", fixture("klarner.json")],
         ["spectral", "u2", "--set", fixture("deca.json"), "--n", "10", "--n-prime", "3"],
+        # sizes past MAX_SIGNAL_LENGTH, refused before numpy allocates
+        ["spectral", "u2", "--set", fixture("deca.json"), "--n", "20", "--n-prime", str(10**12)],
+        ["spectral", "tcount", "--set", fixture("deca.json"), "--n", str(10**11)],
+        ["spectral", "popdiff", "--set", fixture("deca.json"), "--n", str(10**11), "--threshold", "1/2"],
         ["weight", "build", "--eps", "1/2", "--cells", "8"],  # default steps overflow
         ["equidist", "check", "--theta", "1.5", "--a", "2", "--n", "10"],
     ]

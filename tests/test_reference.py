@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from sumfree.core import default_n_prime, interval_signal
+from sumfree.core import CyclicSignal, default_n_prime, interval_signal, rng_from_seed
 from sumfree.reference import u2_group_norm_direct
 from sumfree.spectral import _interval_group_norm
 
@@ -12,6 +12,23 @@ def test_direct_cap():
     sig = interval_signal(np.ones(200), n_prime=1024)
     with pytest.raises(ValueError):
         u2_group_norm_direct(sig)
+
+
+def test_u2_direct_matches_quadruple_definition():
+    rng = rng_from_seed(6, "u2-quadruples")
+    for n in range(5, 13):
+        f = rng.normal(size=n) + 1j * rng.normal(size=n)
+        total = 0j
+        for x in range(n):
+            for h1 in range(n):
+                for h2 in range(n):
+                    total += (
+                        f[x]
+                        * np.conj(f[(x + h1) % n] * f[(x + h2) % n])
+                        * f[(x + h1 + h2) % n]
+                    )
+        want = abs(total / n**3) ** 0.25
+        assert u2_group_norm_direct(CyclicSignal(f, ref_n=1)) == pytest.approx(want, rel=1e-12)
 
 
 def test_interval_norm_closed_form_counts_quadruples():

@@ -6,7 +6,6 @@ import pytest
 from sumfree.core import IntegerSet, indicator_vector, interval_signal, rng_from_seed
 from sumfree.reference import t_count_direct
 from sumfree.spectral import (
-    autocorrelation,
     difference_counts,
     fourier_decompose,
     pollard_check,
@@ -81,12 +80,6 @@ class TestDifferences:
         size = sum(2 for c in counts[1:] if c > 0) + 1
         assert size == 13
 
-    def test_autocorrelation_even(self):
-        g = autocorrelation(POW2, 8)
-        assert len(g) == 15
-        assert np.allclose(g, g[::-1])
-        assert g[7] == pytest.approx(4 / 8)
-
     def test_popular_frozen(self):
         assert popular_differences(POW2, 8, Fraction(1, 4)) == [0]
 
@@ -97,6 +90,21 @@ class TestDifferences:
         assert set(tight) <= set(loose)
         for d in loose:
             assert counts[abs(d)] > 0
+
+    def test_popular_matches_definition(self):
+        rng = rng_from_seed(6, "popdiff")
+        for _ in range(20):
+            N = int(rng.integers(1, 60))
+            size = int(rng.integers(1, N + 1))
+            A = IntegerSet.from_iterable(int(x) + 1 for x in rng.choice(N, size, replace=False))
+            k = int(rng.integers(1, N + 1))
+            for t in (Fraction(1, 10**30), Fraction(7, 10**20 + 3), Fraction(k, N)):
+                want = [
+                    d
+                    for d in range(-(N - 1), N)
+                    if sum(a - d in A for a in A) * t.denominator >= t.numerator * N
+                ]
+                assert popular_differences(A, N, t) == want
 
     def test_threshold_validated(self):
         for bad in (0, Fraction(-1, 2), 2):

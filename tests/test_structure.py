@@ -1,11 +1,12 @@
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from sumfree.core import IntegerSet, rng_from_seed
-from sumfree.reference import dense_progression_direct
+from sumfree.reference import alpha_tilde_direct, dense_progression_direct
 from sumfree.structure import (
     AlphaGrid,
     GridSet,
@@ -18,7 +19,6 @@ from sumfree.structure import (
     lev_check,
     load_alpha_grid,
     load_grid_set,
-    torus_macbeath_estimate,
 )
 
 
@@ -136,6 +136,29 @@ class TestAlphaTilde:
         assert rep.rhs_bound == Fraction(22, 5)
         assert rep.holds
 
+    def test_matches_fraction_loop(self):
+        rng = rng_from_seed(6, "alphatilde-direct")
+        primes = (3, 5, 7, 11, 13, 17, 19, 23)
+        past_int64 = 0
+        for trial in range(200):
+            q = int(rng.integers(1, 7))
+            M = int(rng.integers(1, 7))
+            values = []
+            for kind in rng.integers(0, 3, q * M):
+                if kind == 0:
+                    values.append(Fraction(int(rng.integers(0, 9)), 8))
+                elif kind == 1:
+                    p = int(rng.choice(primes))
+                    values.append(Fraction(int(rng.integers(0, p + 1)), p))
+                else:
+                    values.append(float(rng.random()))
+            grid = AlphaGrid.from_values(q, M, values)
+            den = math.lcm(*(v.denominator for row in grid.values for v in row))
+            past_int64 += den > 2**63
+            eta = (Fraction(0), Fraction(1, 10), Fraction(3, 10))[trial % 3]
+            assert alpha_tilde(grid, eta).lhs_total == alpha_tilde_direct(grid, eta)
+        assert past_int64 > 0
+
     def test_eta_validated(self):
         grid = AlphaGrid.from_values(1, 1, [1])
         with pytest.raises(ValueError):
@@ -191,23 +214,6 @@ class TestAvoidZero:
             avoid_zero_diagnostic(g, 0, Fraction(1, 2))
         with pytest.raises(ValueError):
             avoid_zero_diagnostic(g, 2, 0)
-
-
-class TestTorusEstimate:
-    def test_full_sets_saturate(self):
-        S = GridSet.full(2, 2)
-        est = torus_macbeath_estimate(S, S, 0.5)
-        assert est.lhs_estimate == pytest.approx(0.5, abs=1e-12)
-        assert est.rhs == pytest.approx(0.5, abs=1e-12)
-
-    def test_validation(self):
-        S = GridSet.full(2, 2)
-        with pytest.raises(ValueError):
-            torus_macbeath_estimate(S, GridSet.full(2, 3), 0.1)
-        with pytest.raises(ValueError):
-            torus_macbeath_estimate(S, S, 2.0)
-        with pytest.raises(ValueError):
-            torus_macbeath_estimate(S, S, 0.1, samples_per_cell=0)
 
 
 class TestLev:
