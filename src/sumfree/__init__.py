@@ -67,6 +67,7 @@ from .weights import (
     density_experiment,
     load_weight,
     pushforward_step,
+    riemann_error,
     sample_probabilities,
     sample_set,
     save_weight,
@@ -79,7 +80,6 @@ from .equidist import (
     equidist_error,
     golden_theta,
     irrationality_check,
-    riemann_error,
 )
 from .reference import exhaustive_max_sum_free
 from .checks import SUITE_NAMES, run_suite

@@ -541,13 +541,13 @@ def _check_riemann_uniform(rng):
     K = int(rng.integers(1, 9))
     w = weights.uniform_weight(K)
     N = K * int(rng.integers(1, 50))
-    assert eq.riemann_error(w, N) == 0.0, "uniform weight should integrate exactly"
+    assert weights.riemann_error(w, N) == 0.0, "uniform weight should integrate exactly"
 
 
 def _check_riemann_decay(rng):
     del rng
     w = weights.GridWeight(1, 3, np.array([[0.5, 1.0, 1.5]]), 0, Fraction(1))
-    errs = [eq.riemann_error(w, N) for N in (100, 200, 400)]
+    errs = [weights.riemann_error(w, N) for N in (100, 200, 400)]
     assert abs(errs[0] - 1 / 200) <= 1e-15
     assert abs(errs[1] - 1 / 400) <= 1e-15
     assert abs(errs[2] - 1 / 800) <= 1e-15

@@ -314,7 +314,7 @@ def _add_params_args(p):
     p.add_argument("--factor", type=int, default=2, help="residue modulus factor per step")
     p.add_argument("--shrink", default="1/2", help="interval contraction per step (rational)")
     p.add_argument("--t-samples", type=int, default=8, help="quadrature nodes in [1/2, 1]")
-    p.add_argument("--steps", type=int, default=None, help="iteration steps (default ceil(100 ln(1/eps)))")
+    p.add_argument("--steps", type=int, default=None, help="iteration steps (default: first with alpha below 1/3 + eps/4)")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -19,9 +19,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import format_rational
+from .core import MAX_SIGNAL_LENGTH, format_rational
 from .structure import Progression
-from .weights import GridWeight
 
 _MAX_ENUM_VECTORS = 20_000_000
 _MAX_EXHAUSTIVE_BOUND = 1000
@@ -304,12 +303,12 @@ def equidist_error(
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    if progression is None:
-        points = np.arange(1, N + 1, dtype=np.int64)
-    else:
-        if progression.last > N:
-            raise ValueError(f"progression reaches {progression.last} > N = {N}")
-        points = np.array(progression.elements(), dtype=np.int64)
+    P = progression if progression is not None else Progression(1, 1, N)
+    if P.last > N:
+        raise ValueError(f"progression reaches {P.last} > N = {N}")
+    if P.length > MAX_SIGNAL_LENGTH:
+        raise ValueError(f"{P.length} sample points exceed the limit {MAX_SIGNAL_LENGTH}")
+    points = np.arange(P.start, P.last + 1, P.step, dtype=np.int64)
     values = F.evaluate(points, N, theta)
     empirical = complex(values.mean())
     integral = F.exact_integral()
@@ -320,31 +319,3 @@ def equidist_error(
         integral=integral,
         error=abs(empirical - integral),
     )
-
-
-def riemann_error(w: GridWeight, N: int) -> float:
-    """|average of w over the first N integers - grid mean|, exactly.
-
-    Integer n lands in cell (n mod Q, ceil(n*K/N)); both the empirical
-    average and the grid mean are accumulated as exact rationals over the
-    float cell values, so the returned gap is the true one up to a single
-    final rounding.  It vanishes when every cell is hit equally often
-    (e.g. Q = 1 and K dividing N) and decays like 1/N in general.
-    """
-    Q, K = w.modulus, w.cells
-    if N < Q * K:
-        raise ValueError(f"N must be at least Q*K = {Q * K}")
-    n = np.arange(1, N + 1, dtype=np.int64)
-    residues = n % Q
-    cells = -(-n * K // N) - 1
-    counts = np.zeros((Q, K), dtype=np.int64)
-    np.add.at(counts, (residues, cells), 1)
-    total = Fraction(0)
-    mean = Fraction(0)
-    for r in range(Q):
-        for c in range(K):
-            v = Fraction(float(w.values[r, c]))
-            total += int(counts[r, c]) * v
-            mean += v
-    gap = total / N - mean / (Q * K)
-    return abs(float(gap))

@@ -4,14 +4,16 @@ Each fast path that tests and the `check` suites certify is compared with
 one of these: the branch-and-bound solver with an exhaustive subset
 classification, the FFT U2 norm with the quadruple average summed over
 shifts in physical space, the convex-hull progression scanner with a plain
-window enumeration, the FFT triple count with a direct double sum, and the
-integer grid doubling table with a Fraction pair loop.  They are written
+window enumeration, the FFT triple count with a direct double sum, the
+integer grid doubling table with a Fraction pair loop, and the two-cell
+weight pushforward with a Fraction overlap loop.  They are written
 from the definitions and share no logic with the code they check; they are
 meant for small inputs only.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +21,7 @@ import numpy as np
 from .core import CyclicSignal, IntegerSet, SumFreeConvention
 from .spectral import _interval_group_norm
 from .structure import AlphaGrid
+from .weights import GridWeight
 
 _DIRECT_SIZE_CAP = 512
 
@@ -170,3 +173,34 @@ def alpha_tilde_direct(grid: AlphaGrid, eta) -> Fraction:
                 if s > table[x][col]:
                     table[x][col] = s
     return sum((entry for row in table for entry in row), Fraction(0))
+
+
+def pushforward_direct(w: GridWeight, factor: int, shrink: Fraction, t: Fraction) -> np.ndarray:
+    """Single-node pushforward values of weights._node_values, by a Fraction loop.
+
+    The image of source cell i under y -> t*shrink*y is an interval of
+    length t*shrink/K; its overlap with each destination cell is computed
+    as an exact rational, walking the destination cells left to right
+    until the image ends.  3/4 of the mass lands on the image at residue
+    factor*r, and a flat 1/4 covers the whole grid.
+    """
+    Q, K = w.modulus, w.cells
+    width = t * shrink
+    if not 0 < width <= 1:
+        raise ValueError("t * interval_shrink must lie in (0, 1]")
+    out = np.full((factor * Q, K), 0.25, dtype=np.float64)
+    rows = factor * np.arange(Q)
+    scale = 0.75 * factor
+    for i in range(1, K + 1):
+        lo = (i - 1) * width / K
+        hi = i * width / K
+        j = math.floor(lo * K) + 1
+        while True:
+            ov = min(hi, Fraction(j, K)) - max(lo, Fraction(j - 1, K))
+            if ov > 0:
+                portion = ov * K / width  # fraction of cell i's image in cell j
+                out[rows, j - 1] += scale * float(portion) * w.values[:, i - 1]
+            if Fraction(j, K) >= hi:
+                break
+            j += 1
+    return out

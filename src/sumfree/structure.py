@@ -448,11 +448,10 @@ def lev_check(P: Progression, X: IntegerSet) -> bool:
     """
     if P.length <= 12:
         raise ValueError("covering check requires |P| > 12")
-    p_elems = set(P.elements())
-    if not set(X.elements) <= p_elems:
-        raise ValueError("X must be contained in P")
     if 2 * len(X) <= P.length:
         raise ValueError("X must fill more than half of P")
+    if not all(P.start <= x <= P.last and (x - P.start) % P.step == 0 for x in X.elements):
+        raise ValueError("X must be contained in P")
     xs = [(x - P.start) // P.step for x in X.elements]
 
     mask = 0

@@ -8,11 +8,13 @@ the nodes.  The mass therefore piles up near the origin of both
 coordinates while the mean stays exactly 1, and an exact rational tracker
 alpha_bound contracts by 3/4 per step toward the fixed point 1/3 + eps/8.
 Sampling turns a weight into a concrete integer set: n is included
-independently with probability proportional to the weight over its cell.
+independently with probability proportional to the weight over its cell,
+and riemann_error measures that integer-to-cell map against the grid mean.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
+    MAX_SIGNAL_LENGTH,
     SCHEMA_VERSION,
     GridOverflowError,
     IntegerSet,
@@ -77,7 +80,7 @@ class GridWeight:
             "K": self.cells,
             "generation": self.generation,
             "alpha_bound": format_rational(self.alpha_bound),
-            "values": [float(x) for x in self.values.ravel()],
+            "values": self.values.ravel().tolist(),
         }
 
 
@@ -102,8 +105,9 @@ class IterationParams:
     they are explicit parameters here: modulus_factor is the residue scale
     M per step, interval_shrink the interval contraction, t_samples the
     number of midpoint quadrature nodes for the averaging over t in
-    [1/2, 1], and steps the iteration count (None means the documented
-    default ceil(100*ln(1/eps))).
+    [1/2, 1], and steps the iteration count (None means
+    default_step_count(eps), the first generation whose tracked alpha is
+    below 1/3 + eps/4).
     """
 
     modulus_factor: int = 2
@@ -132,11 +136,22 @@ class IterationParams:
 
 
 def default_step_count(eps) -> int:
-    """ceil(100 * ln(1/eps)), the documented (generous) iteration count."""
+    """The first generation whose tracked alpha is below 1/3 + eps/4.
+
+    The tracker's gap to 1/3 + eps/8 starts at 2/3 - eps/8 and contracts
+    by 3/4 per step, so for eps = p/q the test reads
+    (16q - 3p) * 3^k < 3p * 4^k.  A float logarithm places k within one
+    step and the integer test settles it, so tiny eps cost no iteration:
+    8, 11 and 13 steps for eps = 1/2, 1/4 and 1/8.
+    """
     eps_f = Fraction(eps)
     if not 0 < eps_f < 1:
         raise ValueError("eps must lie in (0, 1)")
-    return math.ceil(100 * math.log(1 / float(eps_f)))
+    gap, allowance = 16 * eps_f.denominator - 3 * eps_f.numerator, 3 * eps_f.numerator
+    steps = max(0, math.floor((math.log(gap) - math.log(allowance)) / math.log(4 / 3)) - 1)
+    while gap * 3**steps >= allowance * 4**steps:
+        steps += 1
+    return steps
 
 
 def alpha_fixed_point(eps) -> Fraction:
@@ -176,56 +191,66 @@ def quadrature_nodes(t_samples: int) -> tuple[Fraction, ...]:
 def _node_values(w: GridWeight, factor: int, shrink: Fraction, t: Fraction) -> np.ndarray:
     """Single-node pushforward: 3/4 of the mass lands on the image, 1/4 is flat.
 
-    The image of source cell i under y -> t*shrink*y is an interval of
-    length t*shrink/K; its overlap with each destination cell is computed
-    as an exact rational, so each source cell's mass is split with no loss.
-    Residues map a -> factor*a, so only every factor-th residue receives
-    image mass.
+    Under y -> t*shrink*y = (a/b)*y with a <= b, the image of a cell is at
+    most one cell long, so it meets at most two destination cells.  In
+    units of 1/(K*b), source cell i is (i*a, (i+1)*a] and destination cell
+    j is (j*b, (j+1)*b]; the share (cut - i*a)/a of cell i's mass lands in
+    j0 = i*a // b and the rest in j0 + 1, all in exact Python integers.
+    Residues map r -> factor*r, so only every factor-th residue receives
+    image mass.  Each destination is summed in increasing source order.
     """
     Q, K = w.modulus, w.cells
     width = t * shrink
     if not 0 < width <= 1:
         raise ValueError("t * interval_shrink must lie in (0, 1]")
-    out = np.full((factor * Q, K), 0.25, dtype=np.float64)
-    rows = factor * np.arange(Q)
+    a, b = width.numerator, width.denominator
+    lo = np.arange(K, dtype=object) * a  # Python ints: b may pass 2^63
+    j0 = lo // b
+    cut = np.minimum(lo + a, (j0 + 1) * b)
     scale = 0.75 * factor
-    for i in range(1, K + 1):
-        lo = (i - 1) * width / K
-        hi = i * width / K
-        j = math.floor(lo * K) + 1
-        while True:
-            ov = min(hi, Fraction(j, K)) - max(lo, Fraction(j - 1, K))
-            if ov > 0:
-                portion = ov * K / width  # fraction of cell i's image in cell j
-                out[rows, j - 1] += scale * float(portion) * w.values[:, i - 1]
-            if Fraction(j, K) >= hi:
-                break
-            j += 1
+    first = scale * ((cut - lo) / a).astype(np.float64)
+    second = scale * ((lo + a - cut) / a).astype(np.float64)
+    j0 = j0.astype(np.int64)
+    out = np.full((factor * Q, K), 0.25, dtype=np.float64)
+    rows = factor * np.arange(Q)[:, None]
+    # a destination's second parts come from lower sources than its first parts
+    spill = np.nonzero(second)[0]
+    np.add.at(out, (rows, j0[spill] + 1), second[spill] * w.values[:, spill])
+    np.add.at(out, (rows, j0), first * w.values)
     return out
+
+
+def _push(w: GridWeight, params: IterationParams, eps, nodes) -> GridWeight:
+    """Average the single-node pushforwards of w over the given t nodes."""
+    eps_f = Fraction(eps)
+    if not 0 < eps_f < 1:
+        raise ValueError("eps must lie in (0, 1)")
+    new_modulus = params.modulus_factor * w.modulus
+    _check_grid_size(new_modulus, w.cells)
+    acc = np.zeros((new_modulus, w.cells), dtype=np.float64)
+    for t in nodes:
+        acc += _node_values(w, params.modulus_factor, params.interval_shrink, t)
+    acc /= len(nodes)
+    return GridWeight(
+        modulus=new_modulus,
+        cells=w.cells,
+        values=acc,
+        generation=w.generation + 1,
+        alpha_bound=alpha_next(w.alpha_bound, eps_f),
+    )
 
 
 def pushforward_snapshot(w: GridWeight, params: IterationParams, eps, t) -> GridWeight:
     """The single-t building block that pushforward_step averages.
 
-    Useful for hand-checkable fixtures: with a uniform start, modulus
-    factor 2, shrink 1/2 and t = 1/2, the image is residue 0 x [0, 1/4]
-    and every landing cell gets 1/4 + (3/4) * 2 * (K/4) / (K/4) ... i.e.
-    the K=8 grid shows 6.25 on the first two even-residue cells and 0.25
-    elsewhere, mean exactly 1.
+    Hand-checkable: from the uniform K = 8 start with factor 2, shrink 1/2
+    and t = 1/2, the image is residue 0 x (0, 1/4], so cells (0, 1) and
+    (0, 2) get 1/4 + (3/4) * 2 * 4 = 6.25 and every other cell 1/4.
     """
     t_f = Fraction(t)
     if not 0 < t_f <= 1:
         raise ValueError("t must lie in (0, 1]")
-    new_modulus = params.modulus_factor * w.modulus
-    _check_grid_size(new_modulus, w.cells)
-    values = _node_values(w, params.modulus_factor, params.interval_shrink, t_f)
-    return GridWeight(
-        modulus=new_modulus,
-        cells=w.cells,
-        values=values,
-        generation=w.generation + 1,
-        alpha_bound=alpha_next(w.alpha_bound, eps),
-    )
+    return _push(w, params, eps, (t_f,))
 
 
 def pushforward_step(w: GridWeight, params: IterationParams, eps) -> GridWeight:
@@ -235,22 +260,7 @@ def pushforward_step(w: GridWeight, params: IterationParams, eps) -> GridWeight:
     plus a flat 1/4), so the average does too; the pointwise floor 1/4
     survives because every node contributes at least its flat part.
     """
-    eps_f = Fraction(eps)
-    if not 0 < eps_f < 1:
-        raise ValueError("eps must lie in (0, 1)")
-    new_modulus = params.modulus_factor * w.modulus
-    _check_grid_size(new_modulus, w.cells)
-    acc = np.zeros((new_modulus, w.cells), dtype=np.float64)
-    for t in quadrature_nodes(params.t_samples):
-        acc += _node_values(w, params.modulus_factor, params.interval_shrink, t)
-    acc /= params.t_samples
-    return GridWeight(
-        modulus=new_modulus,
-        cells=w.cells,
-        values=acc,
-        generation=w.generation + 1,
-        alpha_bound=alpha_next(w.alpha_bound, eps_f),
-    )
+    return _push(w, params, eps, quadrature_nodes(params.t_samples))
 
 
 def _check_grid_size(modulus: int, cells: int) -> None:
@@ -282,12 +292,12 @@ class WeightBuildReport:
 def build_weight(eps, params: IterationParams, cells: int) -> WeightBuildReport:
     """Iterate pushforward_step from the uniform start, with full provenance.
 
-    The step count is params.steps, defaulting to ceil(100*ln(1/eps)); the
-    final grid size is checked up front so an over-deep build fails before
-    any work.  The alpha trail is the exact recurrence, one value per
-    generation; the final value sits below 1/3 + eps/4 once
-    (3/4)^steps * (2/3 - eps/8) < eps/8, which the default step count
-    satisfies by a wide margin for any eps in (0, 1).
+    The step count is params.steps, defaulting to default_step_count(eps);
+    the final grid size is checked up front so an over-deep build fails
+    before any work.  The alpha trail is the exact recurrence, one value
+    per generation; the final value sits below 1/3 + eps/4 once
+    (3/4)^steps * (2/3 - eps/8) < eps/8, and the default step count is
+    the first that satisfies it.
     """
     eps_f = Fraction(eps)
     if not 0 < eps_f < 1:
@@ -343,18 +353,43 @@ def weight_stats(w: GridWeight) -> WeightStats:
     )
 
 
+def _cell_map(w: GridWeight, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Residue and 0-based cell of each n = 1..N: (n mod Q, ceil(n*K/N) - 1).
+
+    Right-closed cells: n belongs to cell i iff (i-1)/K < n/N <= i/K.
+    """
+    Q, K = w.modulus, w.cells
+    if N < Q * K:
+        raise ValueError(f"N must be at least Q*K = {Q * K}")
+    if N > MAX_SIGNAL_LENGTH:
+        raise ValueError(f"N = {N} exceeds the limit {MAX_SIGNAL_LENGTH}")
+    n = np.arange(1, N + 1, dtype=np.int64)
+    return n % Q, -(-n * K // N) - 1
+
+
 def sample_probabilities(w: GridWeight, N: int) -> np.ndarray:
     """p(n) = w(n mod Q, ceil(n*K/N)) / max(w) for n = 1..N (index n-1).
 
-    Right-closed cells: n belongs to cell i iff (i-1)/K < n/N <= i/K.
     Values lie in (0, 1] and the maximum-weight cells get exactly 1.
     """
-    if N < w.modulus * w.cells:
-        raise ValueError(f"N must be at least Q*K = {w.modulus * w.cells}")
-    n = np.arange(1, N + 1, dtype=np.int64)
-    residues = n % w.modulus
-    cell_index = -(-n * w.cells // N)  # ceil(n*K/N)
-    return w.values[residues, cell_index - 1] / w.values.max()
+    residues, cells = _cell_map(w, N)
+    return w.values[residues, cells] / w.values.max()
+
+
+def riemann_error(w: GridWeight, N: int) -> float:
+    """|average of w over the first N integers - grid mean|, exactly.
+
+    Integer n lands in the cell that sample_probabilities reads; both the
+    empirical average and the grid mean are accumulated as exact rationals
+    over the float cell values, so the returned gap is the true one up to
+    a single final rounding.  It vanishes when every cell is hit equally
+    often (e.g. Q = 1 and K dividing N) and decays like 1/N in general.
+    """
+    residues, cells = _cell_map(w, N)
+    counts = np.bincount(residues * w.cells + cells, minlength=w.values.size).tolist()
+    values = [Fraction(v) for v in w.values.ravel().tolist()]
+    gap = sum(c * v for c, v in zip(counts, values)) / N - sum(values) / len(values)
+    return abs(float(gap))
 
 
 def sample_set(w: GridWeight, N: int, seed: int) -> IntegerSet:
@@ -443,11 +478,8 @@ def density_experiment(eps, params: IterationParams, cells: int, N: int, seeds) 
             continue
         heur = heuristic_sum_free(A, ALLOW_EQUAL, seed=seed)
         floor = -(-(size + 1) // 3)
-        exact = None
-        if size <= EXACT_SIZE_CAP:
-            solved = max_sum_free_subset(A, ALLOW_EQUAL)
-            if solved.exact:
-                exact = solved.optimum
+        # with no budget the exact solve always finishes exact
+        exact = max_sum_free_subset(A, ALLOW_EQUAL).optimum if size <= EXACT_SIZE_CAP else None
         rows.append(
             ExperimentRow(
                 seed=seed,
@@ -471,15 +503,11 @@ def density_experiment(eps, params: IterationParams, cells: int, N: int, seeds) 
 
 
 def save_weight(w: GridWeight, path: str | Path) -> None:
-    import json
-
     Path(path).write_text(json.dumps(w.to_json_dict(), indent=2) + "\n")
 
 
 def load_weight(path: str | Path) -> GridWeight:
     """Read a GridWeight from its JSON form (values row-major)."""
-    import json
-
     text = Path(path).read_text()
     try:
         raw = json.loads(text)

@@ -25,7 +25,6 @@ from sumfree.core import (
     interval_signal,
     rng_from_seed,
 )
-from sumfree.equidist import riemann_error
 from sumfree.reference import (
     dense_progression_direct,
     exhaustive_max_sum_free,
@@ -59,6 +58,7 @@ from sumfree.weights import (
     default_step_count,
     density_experiment,
     pushforward_step,
+    riemann_error,
     sample_probabilities,
     sample_set,
     uniform_weight,

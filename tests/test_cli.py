@@ -114,14 +114,29 @@ def test_domain_errors_exit_1(capsys, tmp_path):
         ["spectral", "u2", "--set", fixture("deca.json"), "--n", "20", "--n-prime", str(10**12)],
         ["spectral", "tcount", "--set", fixture("deca.json"), "--n", str(10**11)],
         ["spectral", "popdiff", "--set", fixture("deca.json"), "--n", str(10**11), "--threshold", "1/2"],
-        ["weight", "build", "--eps", "1/2", "--cells", "8"],  # default steps overflow
+        ["weight", "build", "--eps", "1/100", "--cells", "8"],  # default steps overflow
+        ["weight", "build", "--eps", "1e-400", "--cells", "8"],  # eps below the float range
+        ["weight", "sample", "--weight", fixture("w.json"), "--n", str(10**11), "--seed", "1"],
         ["equidist", "check", "--theta", "1.5", "--a", "2", "--n", "10"],
+        ["equidist", "error", "--theta", "0.618", "--freq", "1", "--n", str(10**11)],
+        ["equidist", "error", "--theta", "0.618", "--freq", "1", "--n", str(10**12),
+         "--progression", f"1,1,{10**11}"],
+        ["structure", "lev", "--start", "1", "--step", "1", "--length", str(10**12),
+         "--subset", fixture("lev_x.json")],
     ]
     for argv in cases:
         code, out, err = run_cli(capsys, argv)
         assert code == 1, argv
         assert out == "", argv
         assert err.startswith("error:"), argv
+
+
+def test_weight_build_default_steps(capsys):
+    code, out, _ = run_cli(capsys, ["weight", "build", "--eps", "1/2", "--cells", "8"])
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert report["steps"] == 8
+    assert (report["weight"]["Q"], report["weight"]["K"]) == (256, 8)
 
 
 def test_failed_catalog_verification_unused_flag_ok(capsys):

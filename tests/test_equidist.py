@@ -13,12 +13,11 @@ from sumfree.equidist import (
     equidist_error,
     golden_theta,
     irrationality_check,
-    riemann_error,
     torus_distance,
     trig_function,
 )
 from sumfree.structure import Progression
-from sumfree.weights import GridWeight, uniform_weight
+from sumfree.weights import GridWeight, riemann_error, uniform_weight
 
 
 class TestTheta:

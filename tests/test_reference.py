@@ -1,11 +1,13 @@
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from sumfree.core import CyclicSignal, default_n_prime, interval_signal, rng_from_seed
-from sumfree.reference import u2_group_norm_direct
+from sumfree.reference import pushforward_direct, u2_group_norm_direct
 from sumfree.spectral import _interval_group_norm
+from sumfree.weights import GridWeight, _node_values
 
 
 def test_direct_cap():
@@ -39,3 +41,24 @@ def test_interval_norm_closed_form_counts_quadruples():
         for n_prime in (default_n_prime(N), 2 * default_n_prime(N)):
             norm4 = _interval_group_norm(N, n_prime) ** 4
             assert norm4 * n_prime**3 == pytest.approx(quadruples, rel=1e-13)
+
+
+def test_pushforward_matches_fraction_loop():
+    rng = rng_from_seed(7, "pushforward")
+    wide = 10**20 + 3  # a shrink denominator past 2^63
+    for case in range(300):
+        Q, K = int(rng.integers(1, 9)), int(rng.integers(1, 40))
+        factor = int(rng.integers(2, 4))
+        values = rng.random((Q, K)) + 0.1
+        w = GridWeight(Q, K, values / values.mean(), 0, Fraction(1))
+        m = int(rng.integers(1, 30))
+        shrink = Fraction(int(rng.integers(1, m + 1)), m)
+        t = Fraction(int(rng.integers(1, 65)), 64)
+        if case % 10 == 0:
+            shrink, t = Fraction(1), Fraction(1)  # t * shrink = 1: each image is one cell
+        elif case % 10 == 1:
+            shrink = Fraction(1, wide)
+        elif case % 10 == 2:
+            shrink = Fraction(wide - 2, wide)
+        fast = _node_values(w, factor, shrink, t)
+        assert fast.tobytes() == pushforward_direct(w, factor, shrink, t).tobytes(), case

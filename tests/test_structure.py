@@ -224,13 +224,15 @@ class TestLev:
 
     def test_preconditions(self):
         P = Progression(1, 1, 12)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="requires"):
             lev_check(P, IntegerSet(tuple(range(1, 10))))  # P too short
         P = Progression(1, 1, 14)
-        with pytest.raises(ValueError):
-            lev_check(P, IntegerSet((1, 2, 15)))  # not a subset
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="contained"):
+            lev_check(P, IntegerSet((*range(1, 11), 15)))  # majority, one element outside
+        with pytest.raises(ValueError, match="more than half"):
             lev_check(P, IntegerSet((1, 2, 3)))  # under half
+        with pytest.raises(ValueError, match="contained"):
+            lev_check(Progression(3, 2, 14), IntegerSet(tuple(range(3, 20))))  # off the step
 
 
 class TestGridLoaders:

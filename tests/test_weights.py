@@ -44,9 +44,13 @@ class TestAlphaRecurrence:
             assert nxt - fp == Fraction(3, 4) * (prev - fp)
 
     def test_default_step_counts(self):
-        assert default_step_count(Fraction(1, 2)) == 70
-        assert default_step_count(Fraction(1, 4)) == 139
-        assert default_step_count(Fraction(1, 8)) == 208
+        frozen = {Fraction(1, 2): 8, Fraction(1, 4): 11, Fraction(1, 8): 13}
+        others = [Fraction(k, 97) for k in range(1, 97)] + [Fraction(1, 10**30)]
+        for eps in [*frozen, *others]:
+            steps = default_step_count(eps)
+            assert steps == frozen.get(eps, steps)
+            trail = alpha_schedule(eps, steps)
+            assert trail[-1] < Fraction(1, 3) + eps / 4 <= trail[-2]  # one step fewer misses
 
     def test_eps_validated(self):
         for bad in (0, 1, Fraction(3, 2)):
@@ -101,8 +105,9 @@ class TestPushforward:
         assert rep.alpha_trail == (Fraction(1),)
 
     def test_default_steps_overflow(self):
+        # 22 default steps at eps = 1/100: 2^22 x 8 cells, past the cap
         with pytest.raises(GridOverflowError):
-            build_weight(Fraction(1, 2), IterationParams(), 8)
+            build_weight(Fraction(1, 100), IterationParams(), 8)
 
     def test_eps_validated(self):
         with pytest.raises(ValueError):
