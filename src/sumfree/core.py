@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -326,6 +326,63 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
+
+
+class JsonReport:
+    """Base of the report dataclasses: their JSON form follows their fields.
+
+    Each field, in declaration order, becomes one key: a nested report (or
+    anything else with a `to_json_dict`) gives its dict, an IntegerSet its
+    element list, a Fraction "p/q" ("p" when integral), an Enum its value,
+    a complex [re, im] and a tuple a list of converted items; any other
+    value is written as it is.
+    """
+
+    def to_json_dict(self) -> dict:
+        return {f.name: _json_value(getattr(self, f.name)) for f in fields(self)}
+
+
+def _json_value(x):
+    if hasattr(x, "to_json_dict"):
+        return x.to_json_dict()
+    if isinstance(x, IntegerSet):
+        return list(x.elements)
+    if isinstance(x, Fraction):
+        return format_rational(x)
+    if isinstance(x, Enum):
+        return x.value
+    if isinstance(x, complex):
+        return [x.real, x.imag]
+    if isinstance(x, tuple):
+        return [_json_value(v) for v in x]
+    return x
+
+
+def read_grid_json(path: str | Path, rows_key: str, cols_key: str) -> dict:
+    """Parse a grid file {rows_key, cols_key, "values": [row-major]}.
+
+    Checks the layout that grid and weight files share: a JSON object whose
+    two dimensions are integers >= 1 and whose values list holds exactly
+    rows * cols entries.  Each violation is a one-line ValueError naming
+    the file; the entries themselves are left to the caller.
+    """
+    try:
+        raw = json.loads(Path(path).read_text())
+    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
+        raise ValueError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    for key in (rows_key, cols_key, "values"):
+        if key not in raw:
+            raise ValueError(f"{path}: missing key {key!r}")
+    for key in (rows_key, cols_key):
+        dim = raw[key]
+        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+            raise ValueError(f"{path}: {key} must be an integer >= 1, got {dim!r}")
+    values, count = raw["values"], raw[rows_key] * raw[cols_key]
+    if not isinstance(values, list) or len(values) != count:
+        raise ValueError(f"{path}: values must be a list of {count} entries")
+    return raw
 
 
 def validate_seed(seed: int) -> int:

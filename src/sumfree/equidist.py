@@ -19,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import MAX_SIGNAL_LENGTH, format_rational
+from .core import MAX_SIGNAL_LENGTH, JsonReport
 from .structure import Progression
 
 _MAX_ENUM_VECTORS = 20_000_000
@@ -181,13 +181,14 @@ def cosine_orbit(orbit_dim: int = 1, coordinate: int = 0, modulus: int = 1) -> L
 
 
 @dataclass(frozen=True)
-class IrrationalityReport:
+class IrrationalityReport(JsonReport):
     """Exhaustive small-denominator scan of a torus point.
 
     holds means every nonzero integer vector with coordinate-sum of
     absolute values at most a_bound keeps q . theta at torus distance at
     least a_bound / n.  worst_vector is the canonical (first nonzero
-    positive, lexicographically first) minimizer.
+    positive, lexicographically first) minimizer; threshold is
+    float(a_bound / n), the distance the verdict compares against.
     """
 
     a_bound: Fraction
@@ -195,20 +196,7 @@ class IrrationalityReport:
     holds: bool
     worst_vector: tuple[int, ...]
     worst_distance: float
-
-    @property
-    def threshold(self) -> float:
-        return float(self.a_bound / self.n)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "a_bound": format_rational(self.a_bound),
-            "n": self.n,
-            "holds": self.holds,
-            "worst_vector": list(self.worst_vector),
-            "worst_distance": self.worst_distance,
-            "threshold": self.threshold,
-        }
+    threshold: float
 
 
 def _canonical_vectors(dim: int, budget: int):
@@ -262,29 +250,21 @@ def irrationality_check(theta: Theta, a_bound, N: int) -> IrrationalityReport:
         if dist < worst_dist:
             worst_dist = dist
             worst_vec = vec
+    threshold = float(a_frac / N)
     if worst_vec is None:
         # budget < 1 leaves nothing to scan; vacuously irrational
-        return IrrationalityReport(a_frac, N, True, (), math.inf)
+        return IrrationalityReport(a_frac, N, True, (), math.inf, threshold)
     holds = worst_dist >= float(a_frac) / N
-    return IrrationalityReport(a_frac, N, holds, worst_vec, worst_dist)
+    return IrrationalityReport(a_frac, N, holds, worst_vec, worst_dist, threshold)
 
 
 @dataclass(frozen=True)
-class EquidistErrorReport:
+class EquidistErrorReport(JsonReport):
     n: int
     sample_count: int
     empirical: complex
     integral: complex
     error: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "sample_count": self.sample_count,
-            "empirical": [self.empirical.real, self.empirical.imag],
-            "integral": [self.integral.real, self.integral.imag],
-            "error": self.error,
-        }
 
 
 def equidist_error(

@@ -11,12 +11,13 @@ checked against lives in `reference`.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .core import IntegerSet, SumFreeConvention, rng_from_seed
+from .core import IntegerSet, JsonReport, SumFreeConvention, rng_from_seed
 
 ALLOW_EQUAL = SumFreeConvention.ALLOW_EQUAL
 DISTINCT_ONLY = SumFreeConvention.DISTINCT_ONLY
@@ -39,7 +40,7 @@ def is_sum_free(A: IntegerSet, convention: SumFreeConvention = ALLOW_EQUAL) -> b
 
 
 @dataclass(frozen=True)
-class SolveReport:
+class SolveReport(JsonReport):
     """Outcome of a solver run; the witness is re-verified on construction.
 
     `optimum` is the certified size when `exact` is True, otherwise the best
@@ -58,16 +59,6 @@ class SolveReport:
             raise ValueError("witness size does not match reported optimum")
         if not is_sum_free(self.witness, self.convention):
             raise ValueError("witness is not sum-free under the stated convention")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "input_size": self.input_size,
-            "convention": self.convention.value,
-            "optimum": self.optimum,
-            "witness": list(self.witness.elements),
-            "nodes_explored": self.nodes_explored,
-            "exact": self.exact,
-        }
 
 
 def max_sum_free_subset(
@@ -252,7 +243,7 @@ def _packs(allowed: int, chosen: int, need: int, sums, triples) -> bool:
 
 
 @dataclass(frozen=True)
-class DilationCertificate:
+class DilationCertificate(JsonReport):
     """A dilation parameter and the subset it selects.
 
     Construction recomputes the selection from theta in exact arithmetic and
@@ -270,13 +261,6 @@ class DilationCertificate:
             raise ValueError("size does not match selection")
         if not is_sum_free(self.selected, ALLOW_EQUAL):
             raise ValueError("dilation selection is not sum-free")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "theta": f"{self.theta.numerator}/{self.theta.denominator}",
-            "selected": list(self.selected.elements),
-            "size": self.size,
-        }
 
 
 def dilation_select(A: IntegerSet, theta: Fraction) -> IntegerSet:
@@ -331,10 +315,7 @@ def dilation_sweep(A: IntegerSet) -> DilationCertificate:
     lo = Fraction(float(keys[i])).limit_denominator(max_den)
     hi = Fraction(float(keys[i + 1])).limit_denominator(max_den)
     theta = (lo + hi) / 2
-    selected = dilation_select(A, theta)
-    if len(selected) != size:
-        raise AssertionError("sweep bookkeeping disagrees with exact re-selection")
-    return DilationCertificate(theta=theta, selected=selected, size=size)
+    return DilationCertificate(theta=theta, selected=dilation_select(A, theta), size=size)
 
 
 def _sweep_events(A: IntegerSet) -> tuple[np.ndarray, np.ndarray]:
@@ -351,17 +332,6 @@ def _sweep_events(A: IntegerSet) -> tuple[np.ndarray, np.ndarray]:
         keys.append((k3 + 2) / (3 * x))
         deltas.append(np.full(x, -1, dtype=np.int8))
     return np.concatenate(keys), np.concatenate(deltas)
-
-
-def _interval_candidates(A: IntegerSet) -> list[tuple[int, int]]:
-    """Sizes of A ∩ [x, 2x) for each x in A; such intervals are sum-free."""
-    arr = np.asarray(A.elements, dtype=np.int64)
-    out = []
-    for x in A.elements:
-        lo = int(np.searchsorted(arr, x, side="left"))
-        hi = int(np.searchsorted(arr, 2 * x, side="left"))
-        out.append((hi - lo, x))
-    return out
 
 
 _RESIDUE_CACHE: dict[int, list[int]] = {}
@@ -471,9 +441,13 @@ def heuristic_sum_free(
             cert = dilation_sweep(A)  # exact fallback restores the guarantee
             best_set = set(cert.selected.elements)
 
-    for count, x in _interval_candidates(A):
-        if count > len(best_set):
-            best_set = {a for a in A.elements if x <= a < 2 * x}
+    # A ∩ [x, 2x) is sum-free; the first x with the most elements wins
+    elems = A.elements
+    counts = [bisect_left(elems, 2 * x) - i for i, x in enumerate(elems)]
+    top = max(counts)
+    if top > len(best_set):
+        i = counts.index(top)
+        best_set = set(elems[i : i + top])
 
     for q in range(2, 11):
         count, mask = _residue_candidate(A, q)
@@ -481,7 +455,6 @@ def heuristic_sum_free(
             best_set = {a for a in A.elements if (mask >> (a % q)) & 1}
 
     # Local search: random add moves, falling back to 1-swaps.
-    elems = A.elements
     current = set(best_set)
     best = set(best_set)
     for _ in range(restarts):
@@ -503,8 +476,6 @@ def heuristic_sum_free(
         current = set(best)
 
     witness = IntegerSet.from_iterable(best)
-    if not is_sum_free(witness, convention):
-        raise AssertionError("heuristic produced a non-sum-free witness")
     return SolveReport(
         input_size=n,
         convention=convention,

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import CyclicSignal, IntegerSet, indicator_vector, interval_signal
+from .core import CyclicSignal, IntegerSet, JsonReport, indicator_vector, interval_signal
 
 
 def spectrum(signal: CyclicSignal) -> np.ndarray:
@@ -163,21 +163,12 @@ def _is_prime(p: int) -> bool:
 
 
 @dataclass(frozen=True)
-class PollardCheck:
+class PollardCheck(JsonReport):
     p: int
     t: Fraction
     lhs: Fraction
     rhs: Fraction
     holds: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "t": f"{self.t.numerator}/{self.t.denominator}",
-            "lhs": f"{self.lhs.numerator}/{self.lhs.denominator}",
-            "rhs": f"{self.rhs.numerator}/{self.rhs.denominator}",
-            "holds": self.holds,
-        }
 
 
 def pollard_check(s1, s2, p: int, t) -> PollardCheck:

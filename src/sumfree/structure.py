@@ -10,7 +10,6 @@ All verdicts are computed in exact integer or rational arithmetic.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -19,12 +18,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import IntegerSet, format_rational
+from .core import IntegerSet, JsonReport, read_grid_json
 from .spectral import popular_differences
 
 
 @dataclass(frozen=True)
-class Progression:
+class Progression(JsonReport):
     """Arithmetic progression start, start+step, .., start+(length-1)*step."""
 
     start: int
@@ -49,9 +48,6 @@ class Progression:
     def __len__(self) -> int:
         return self.length
 
-    def to_json_dict(self) -> dict:
-        return {"start": self.start, "step": self.step, "length": self.length}
-
 
 def difference_set(A: IntegerSet) -> tuple[tuple[int, ...], int]:
     """A - A as a sorted tuple, 0 and negatives included, with its size.
@@ -65,21 +61,12 @@ def difference_set(A: IntegerSet) -> tuple[tuple[int, ...], int]:
 
 
 @dataclass(frozen=True)
-class DenseProgressionReport:
+class DenseProgressionReport(JsonReport):
     progression: Progression
     hits: int
     density: Fraction
     target: Fraction
     meets_target: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "progression": self.progression.to_json_dict(),
-            "hits": self.hits,
-            "density": format_rational(self.density),
-            "target": format_rational(self.target),
-            "meets_target": self.meets_target,
-        }
 
 
 def _candidate_beats(cand, best) -> bool:
@@ -175,7 +162,7 @@ def find_dense_progression(
 
 
 @dataclass(frozen=True)
-class DoublingReport:
+class DoublingReport(JsonReport):
     n: int
     set_size: int
     delta: float
@@ -185,19 +172,6 @@ class DoublingReport:
     hypothesis_met: bool
     min_length: int
     progression: DenseProgressionReport | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "set_size": self.set_size,
-            "delta": self.delta,
-            "eps": format_rational(self.eps),
-            "popular_count": self.popular_count,
-            "doubling_allowance": format_rational(self.doubling_allowance),
-            "hypothesis_met": self.hypothesis_met,
-            "min_length": self.min_length,
-            "progression": None if self.progression is None else self.progression.to_json_dict(),
-        }
 
 
 def check_doubling_hypothesis(
@@ -276,7 +250,7 @@ class AlphaGrid:
 
 
 @dataclass(frozen=True)
-class AlphaTildeReport:
+class AlphaTildeReport(JsonReport):
     """Both sides of the grid doubling inequality, exactly.
 
     lhs_total is the grand sum of the pair-maximum table that alpha_tilde
@@ -289,14 +263,6 @@ class AlphaTildeReport:
     lhs_total: Fraction
     rhs_bound: Fraction
     holds: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "eta": format_rational(self.eta),
-            "lhs_total": format_rational(self.lhs_total),
-            "rhs_bound": format_rational(self.rhs_bound),
-            "holds": self.holds,
-        }
 
 
 def alpha_tilde(grid: AlphaGrid, eta) -> AlphaTildeReport:
@@ -370,7 +336,7 @@ class GridSet:
 
 
 @dataclass(frozen=True)
-class AvoidZeroReport:
+class AvoidZeroReport(JsonReport):
     """Minimizing subgroup-times-interval box and the set's mass on it.
 
     subgroup is {0, stride, 2*stride, ..} in Z/qZ (index = stride); the
@@ -382,14 +348,6 @@ class AvoidZeroReport:
     subgroup: tuple[int, ...]
     interval_end: Fraction
     mass: Fraction
-
-    def to_json_dict(self) -> dict:
-        return {
-            "subgroup_stride": self.subgroup_stride,
-            "subgroup": list(self.subgroup),
-            "interval_end": format_rational(self.interval_end),
-            "mass": format_rational(self.mass),
-        }
 
 
 def avoid_zero_diagnostic(
@@ -476,43 +434,25 @@ def lev_check(P: Progression, X: IntegerSet) -> bool:
 
 
 def load_alpha_grid(path: str | Path) -> AlphaGrid:
-    """Read an AlphaGrid from JSON {q, M, values row-major}."""
-    raw = _load_grid_json(path, "M")
+    """Read an AlphaGrid from JSON {q, M, values row-major}.
+
+    Each value is an integer, a float or a rational string such as "1/3".
+    """
+    raw = read_grid_json(path, "q", "M")
+    if not set(map(type, raw["values"])) <= {int, float, str}:  # JSON gives exact types
+        bad = next(v for v in raw["values"] if type(v) not in (int, float, str))
+        raise ValueError(f"{path}: grid values must be numbers or rational strings, got {bad!r}")
     try:
         return AlphaGrid.from_values(raw["q"], raw["M"], raw["values"])
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:  # Fraction(inf) overflows
         raise ValueError(f"{path}: {exc}") from exc
 
 
 def load_grid_set(path: str | Path) -> GridSet:
     """Read a GridSet from JSON {q, K, values row-major} with 0/1 entries."""
-    raw = _load_grid_json(path, "K")
+    raw = read_grid_json(path, "q", "K")
     q, K, values = raw["q"], raw["K"], raw["values"]
-    if len(values) != q * K:
-        raise ValueError(f"{path}: expected {q * K} values, got {len(values)}")
     for v in values:
         if v not in (0, 1):
             raise ValueError(f"{path}: membership values must be 0 or 1, got {v!r}")
-    arr = np.array(values, dtype=bool).reshape(q, K)
-    try:
-        return GridSet(modulus=q, cells=K, membership=arr)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-
-
-def _load_grid_json(path: str | Path, second_key: str) -> dict:
-    text = Path(path).read_text()
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ValueError(f"{path}: expected a JSON object")
-    for key in ("q", second_key, "values"):
-        if key not in raw:
-            raise ValueError(f"{path}: missing key {key!r}")
-    if not isinstance(raw["q"], int) or not isinstance(raw[second_key], int):
-        raise ValueError(f"{path}: dimensions must be integers")
-    if not isinstance(raw["values"], list):
-        raise ValueError(f"{path}: values must be a list")
-    return raw
+    return GridSet(modulus=q, cells=K, membership=np.array(values, dtype=bool).reshape(q, K))

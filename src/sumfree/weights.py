@@ -27,9 +27,11 @@ from .core import (
     SCHEMA_VERSION,
     GridOverflowError,
     IntegerSet,
+    JsonReport,
     format_rational,
     indicator_vector,
     parse_rational,
+    read_grid_json,
     rng_from_seed,
     validate_seed,
 )
@@ -98,7 +100,7 @@ def uniform_weight(cells: int) -> GridWeight:
 
 
 @dataclass(frozen=True)
-class IterationParams:
+class IterationParams(JsonReport):
     """Knobs of one iteration step.
 
     The contraction constants the construction needs are existence-only, so
@@ -125,14 +127,6 @@ class IterationParams:
             raise ValueError("t_samples must be >= 2")
         if self.steps is not None and self.steps < 0:
             raise ValueError("steps must be >= 0")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "modulus_factor": self.modulus_factor,
-            "interval_shrink": format_rational(self.interval_shrink),
-            "t_samples": self.t_samples,
-            "steps": self.steps,
-        }
 
 
 def default_step_count(eps) -> int:
@@ -265,28 +259,22 @@ def pushforward_step(w: GridWeight, params: IterationParams, eps) -> GridWeight:
 
 def _check_grid_size(modulus: int, cells: int) -> None:
     if modulus * cells > MAX_GRID_CELLS:
+        # a modulus past 64 bits goes by its bit length: str() of an int
+        # refuses more than 4300 digits
+        rows = modulus if modulus.bit_length() <= 64 else f"({modulus.bit_length()}-bit modulus)"
         raise GridOverflowError(
-            f"grid of {modulus} x {cells} cells exceeds the {MAX_GRID_CELLS}-cell cap; "
+            f"grid of {rows} x {cells} cells exceeds the {MAX_GRID_CELLS}-cell cap; "
             "reduce steps (alpha_schedule tracks the recurrence without a grid)"
         )
 
 
 @dataclass(frozen=True)
-class WeightBuildReport:
-    weight: GridWeight
+class WeightBuildReport(JsonReport):
     eps: Fraction
     params: IterationParams
     steps: int
     alpha_trail: tuple[Fraction, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "eps": format_rational(self.eps),
-            "params": self.params.to_json_dict(),
-            "steps": self.steps,
-            "alpha_trail": [format_rational(a) for a in self.alpha_trail],
-            "weight": self.weight.to_json_dict(),
-        }
+    weight: GridWeight
 
 
 def build_weight(eps, params: IterationParams, cells: int) -> WeightBuildReport:
@@ -323,14 +311,6 @@ class WeightStats:
     minimum: float
     maximum: float
     lipschitz: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "mean": self.mean,
-            "min": self.minimum,
-            "max": self.maximum,
-            "lipschitz": self.lipschitz,
-        }
 
 
 def weight_stats(w: GridWeight) -> WeightStats:
@@ -407,7 +387,7 @@ def sample_set(w: GridWeight, N: int, seed: int) -> IntegerSet:
 
 
 @dataclass(frozen=True)
-class ExperimentRow:
+class ExperimentRow(JsonReport):
     seed: int
     set_size: int
     heuristic_size: int
@@ -416,20 +396,9 @@ class ExperimentRow:
     exact_size: int | None
     triple_count: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "set_size": self.set_size,
-            "heuristic_size": self.heuristic_size,
-            "heuristic_density": format_rational(self.heuristic_density),
-            "floor_size": self.floor_size,
-            "exact_size": self.exact_size,
-            "triple_count": self.triple_count,
-        }
-
 
 @dataclass(frozen=True)
-class ExperimentReport:
+class ExperimentReport(JsonReport):
     """Observational end-to-end run: build, sample, bound, count triples.
 
     Per seed: the sampled set's size, the verified heuristic sum-free lower
@@ -447,17 +416,6 @@ class ExperimentReport:
     weight_generation: int
     weight_alpha_bound: Fraction
     rows: tuple[ExperimentRow, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "eps": format_rational(self.eps),
-            "params": self.params.to_json_dict(),
-            "cells": self.cells,
-            "n": self.n,
-            "weight_generation": self.weight_generation,
-            "weight_alpha_bound": format_rational(self.weight_alpha_bound),
-            "rows": [r.to_json_dict() for r in self.rows],
-        }
 
 
 def density_experiment(eps, params: IterationParams, cells: int, N: int, seeds) -> ExperimentReport:
@@ -508,29 +466,23 @@ def save_weight(w: GridWeight, path: str | Path) -> None:
 
 def load_weight(path: str | Path) -> GridWeight:
     """Read a GridWeight from its JSON form (values row-major)."""
-    text = Path(path).read_text()
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ValueError(f"{path}: expected a JSON object")
-    for key in ("Q", "K", "generation", "alpha_bound", "values"):
+    raw = read_grid_json(path, "Q", "K")
+    for key in ("generation", "alpha_bound"):
         if key not in raw:
             raise ValueError(f"{path}: missing key {key!r}")
-    Q, K = raw["Q"], raw["K"]
-    if not isinstance(Q, int) or not isinstance(K, int):
-        raise ValueError(f"{path}: Q and K must be integers")
-    values = raw["values"]
-    if not isinstance(values, list) or len(values) != Q * K:
-        raise ValueError(f"{path}: expected {Q * K} values")
+    Q, K, values, generation = raw["Q"], raw["K"], raw["values"], raw["generation"]
+    if not set(map(type, values)) <= {int, float}:  # JSON gives exact types; bool is not int here
+        bad = next(v for v in values if type(v) not in (int, float))
+        raise ValueError(f"{path}: weight values must be numbers, got {bad!r}")
+    if not isinstance(generation, int) or isinstance(generation, bool) or generation < 0:
+        raise ValueError(f"{path}: generation must be an integer >= 0, got {generation!r}")
     try:
         return GridWeight(
             modulus=Q,
             cells=K,
             values=np.array(values, dtype=np.float64).reshape(Q, K),
-            generation=raw["generation"],
+            generation=generation,
             alpha_bound=parse_rational(str(raw["alpha_bound"])),
         )
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: an int past the float range
         raise ValueError(f"{path}: {exc}") from exc

@@ -103,6 +103,8 @@ def test_version_flag(capsys):
 def test_domain_errors_exit_1(capsys, tmp_path):
     empty = tmp_path / "empty.json"
     empty.write_text(json.dumps({"elements": []}))
+    bool_q = tmp_path / "bool_q.json"
+    bool_q.write_text(json.dumps({"q": True, "K": 2, "values": [0, 1]}))
     cases = [
         ["solve", "--set", str(tmp_path / "missing.json")],
         ["sweep", "--set", str(empty)],
@@ -123,12 +125,20 @@ def test_domain_errors_exit_1(capsys, tmp_path):
          "--progression", f"1,1,{10**11}"],
         ["structure", "lev", "--start", "1", "--step", "1", "--length", str(10**12),
          "--subset", fixture("lev_x.json")],
+        ["structure", "avoidzero", "--grid", str(bool_q), "--index-bound", "1", "--min-interval", "1/2"],
     ]
     for argv in cases:
         code, out, err = run_cli(capsys, argv)
         assert code == 1, argv
         assert out == "", argv
         assert err.startswith("error:"), argv
+
+
+def test_grid_cap_message_for_huge_modulus(capsys):
+    # about 40 000 default steps: the modulus 2^40000 has more digits than str() allows
+    code, out, err = run_cli(capsys, ["weight", "build", "--eps", "1e-5000", "--cells", "8"])
+    assert code == 1 and out == ""
+    assert "-cell cap" in err and "-bit modulus" in err
 
 
 def test_weight_build_default_steps(capsys):

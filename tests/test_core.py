@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sumfree.core import (
     CyclicSignal,
@@ -19,6 +21,8 @@ from sumfree.core import (
     save_set,
     validate_seed,
 )
+from sumfree.structure import load_alpha_grid, load_grid_set
+from sumfree.weights import load_weight
 
 
 class TestIntegerSet:
@@ -157,3 +161,54 @@ class TestSeeds:
         c = rng_from_seed(7, "y").random(4)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+
+
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.floats(),
+    st.sampled_from(["0", "1/2", "1/0", "x", "2"]),
+)
+_DIMS = st.one_of(st.integers(-2, 3), st.booleans(), st.sampled_from(["2", ""]), st.none())
+_ENTRIES = st.one_of(
+    _SCALARS, st.lists(_SCALARS, max_size=2), st.dictionaries(st.sampled_from("ab"), _SCALARS, max_size=2)
+)
+_LOADERS = {load_alpha_grid: ("q", "M"), load_grid_set: ("q", "K"), load_weight: ("Q", "K")}
+
+
+@st.composite
+def _grid_files(draw, rows_key, cols_key):
+    """Small grid-shaped objects; the value count usually matches rows * cols."""
+    rows, cols = draw(_DIMS), draw(_DIMS)
+    fits = isinstance(rows, int) and isinstance(cols, int) and 0 <= rows * cols <= 6
+    count = rows * cols if fits and draw(st.booleans()) else draw(st.integers(0, 6))
+    obj = {
+        rows_key: rows,
+        cols_key: cols,
+        "values": draw(st.one_of(st.lists(_ENTRIES, min_size=count, max_size=count), _SCALARS)),
+        "generation": draw(_DIMS),
+        "alpha_bound": draw(_SCALARS),
+    }
+    for key in draw(st.sets(st.sampled_from(sorted(obj)), max_size=1)):
+        del obj[key]
+    return obj
+
+
+class TestGridReader:
+    @pytest.mark.parametrize("loader", list(_LOADERS), ids=lambda f: f.__name__)
+    def test_loaders_return_or_name_the_file(self, loader, tmp_path_factory):
+        """Any small JSON object either loads or gives a ValueError that starts with the path."""
+        path = tmp_path_factory.mktemp("grid") / "g.json"
+
+        @settings(derandomize=True, deadline=None)
+        @given(_grid_files(*_LOADERS[loader]))
+        def check(obj):
+            path.write_text(json.dumps(obj))
+            try:
+                loader(path)
+            except ValueError as exc:
+                assert str(exc).startswith(f"{path}: "), str(exc)
+
+        check()

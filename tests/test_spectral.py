@@ -133,6 +133,8 @@ class TestPollard:
         d = pollard_check((0, 1), (2,), 5, Fraction(1, 5)).to_json_dict()
         assert set(d) == {"p", "t", "lhs", "rhs", "holds"}
         assert d["t"] == "1/5"
+        d = pollard_check((0, 1), (2,), 5, 0).to_json_dict()
+        assert (d["t"], d["lhs"], d["rhs"]) == ("0", "0", "0")  # integral: no "/1"
 
 
 class TestStability:

@@ -258,9 +258,16 @@ class TestGridLoaders:
             (json.dumps({"q": 1, "K": 1, "values": [2]}), load_grid_set),
             (json.dumps({"q": 1, "K": 2, "values": [1]}), load_grid_set),
             (json.dumps({"q": 1, "M": 1, "values": [2]}), load_alpha_grid),
+            (json.dumps({"q": True, "K": 2, "values": [0, 1]}), load_grid_set),
+            (json.dumps({"q": 1, "M": True, "values": ["1/2"]}), load_alpha_grid),
+            (json.dumps({"q": 1, "M": 1, "values": [None]}), load_alpha_grid),
+            (json.dumps({"q": 1, "M": 1, "values": [{}]}), load_alpha_grid),
+            (json.dumps({"q": 1, "M": 1, "values": [[1]]}), load_alpha_grid),
+            (json.dumps({"q": -1, "K": -2, "values": [1, 1]}), load_grid_set),
         ]
         for text, loader in cases:
             path = tmp_path / "bad.json"
             path.write_text(text)
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError) as exc:
                 loader(path)
+            assert str(exc.value).startswith(f"{path}: "), text

@@ -206,12 +206,17 @@ class TestSerialization:
             json.dumps({"Q": "1", "K": 1, "generation": 0, "alpha_bound": "1", "values": [1.0]}),
             json.dumps({"Q": 1, "K": 2, "generation": 0, "alpha_bound": "1", "values": [1.0]}),
             json.dumps({"Q": 1, "K": 1, "generation": 0, "alpha_bound": "1", "values": [-1.0]}),
+            json.dumps({"Q": True, "K": 1, "generation": 0, "alpha_bound": "1", "values": [1.0]}),
+            json.dumps({"Q": 1, "K": 1, "generation": 0, "alpha_bound": "1", "values": [{}]}),
+            json.dumps({"Q": 1, "K": 1, "generation": "0", "alpha_bound": "1", "values": [1.0]}),
+            json.dumps({"Q": -1, "K": -1, "generation": 0, "alpha_bound": "1", "values": [1.0]}),
         ]
         for text in cases:
             path = tmp_path / "bad.json"
             path.write_text(text)
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError) as exc:
                 load_weight(path)
+            assert str(exc.value).startswith(f"{path}: "), text
 
 
 class TestExperiment:
