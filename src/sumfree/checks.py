@@ -513,7 +513,6 @@ def _check_geometric_envelope(rng):
             modulus=1,
             orbit_dim=1,
             terms=(eq.TrigTerm(1.0, 0, 0, (m,)),),
-            lipschitz_bound=2 * np.pi * m,
         )
         report = eq.equidist_error(theta, F, N)
         assert report.error <= 2.0 / (N * dist) + 1e-12, (

@@ -110,7 +110,7 @@ def _cmd_solve(args):
         if args.budget is not None:
             raise ValueError("--budget bounds the exact search; drop it or --heuristic")
         validate_seed(args.seed)
-        rep = solver.heuristic_sum_free(A, conv, restarts=args.restarts, seed=args.seed)
+        rep = solver.heuristic_sum_free(A, conv, seed=args.seed)
         kind = "verified lower bound"
     else:
         rep = solver.max_sum_free_subset(A, conv, budget=args.budget)
@@ -335,7 +335,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--heuristic", action="store_true", help="verified lower bound instead of exact search")
     sp.add_argument("--budget", type=int, default=None, help="node budget for the exact search")
-    sp.add_argument("--restarts", type=int, default=4, help="heuristic restarts")
     sp.add_argument("--seed", type=int, default=0, help="heuristic random seed")
     sp.set_defaults(handler=_cmd_solve)
 

@@ -165,8 +165,8 @@ def load_set(path: str | Path) -> IntegerSet:
 def _load_set_json(text: str, path: str) -> IntegerSet:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SetFormatError(f"invalid JSON ({exc.msg})", path=path, line=exc.lineno) from exc
+    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
+        raise SetFormatError(f"invalid JSON: {exc}", path=path) from exc
     if not isinstance(obj, dict) or "elements" not in obj:
         raise SetFormatError('expected an object with an "elements" array', path=path)
     raw = obj["elements"]

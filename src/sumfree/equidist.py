@@ -81,21 +81,14 @@ class TrigTerm:
 
 @dataclass(frozen=True)
 class LipschitzTestFunction:
-    """Trig polynomial on Z/qZ x [0, 1] x (R/Z)^d with a declared Lipschitz bound.
-
-    The declared bound must dominate the computed one
-    sum |c| * 2*pi * (|a|/q + |m| + sum |m_k|), which bounds the true
-    Lipschitz constant coordinate-wise (residues at metric |x - x'|/q).
-    """
+    """Trig polynomial on Z/qZ x [0, 1] x (R/Z)^d."""
 
     modulus: int
     orbit_dim: int
     terms: tuple[TrigTerm, ...]
-    lipschitz_bound: float
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
-        object.__setattr__(self, "lipschitz_bound", float(self.lipschitz_bound))
         if self.modulus < 1:
             raise ValueError("modulus must be >= 1")
         if self.orbit_dim < 0:
@@ -108,13 +101,14 @@ class LipschitzTestFunction:
                     f"term orbit frequency has {len(term.orbit_freq)} coordinates, "
                     f"expected {self.orbit_dim}"
                 )
-        computed = self.computed_lipschitz()
-        if self.lipschitz_bound < computed - 1e-9:
-            raise ValueError(
-                f"declared Lipschitz bound {self.lipschitz_bound} below computed {computed}"
-            )
 
-    def computed_lipschitz(self) -> float:
+    @property
+    def lipschitz_bound(self) -> float:
+        """sum |c| * 2*pi * (|a|/q + |m| + sum |m_k|) over the terms.
+
+        This bounds the true Lipschitz constant coordinate-wise (residues at
+        metric |x - x'|/q).
+        """
         total = 0.0
         for t in self.terms:
             freq_mass = abs(t.residue_freq) / self.modulus + abs(t.interval_freq)
@@ -152,9 +146,8 @@ class LipschitzTestFunction:
 def trig_function(
     modulus: int, orbit_dim: int, terms: tuple[TrigTerm, ...]
 ) -> LipschitzTestFunction:
-    """Construct with the declared Lipschitz bound set to the computed one."""
-    probe = LipschitzTestFunction(modulus, orbit_dim, terms, math.inf)
-    return LipschitzTestFunction(modulus, orbit_dim, terms, probe.computed_lipschitz())
+    """The test function with these terms; its Lipschitz bound is computed from them."""
+    return LipschitzTestFunction(modulus, orbit_dim, terms)
 
 
 def constant_function(value: complex, modulus: int = 1, orbit_dim: int = 1) -> LipschitzTestFunction:
@@ -162,7 +155,6 @@ def constant_function(value: complex, modulus: int = 1, orbit_dim: int = 1) -> L
         modulus=modulus,
         orbit_dim=orbit_dim,
         terms=(TrigTerm(value, 0, 0, (0,) * orbit_dim),),
-        lipschitz_bound=0.0,
     )
 
 
@@ -176,7 +168,6 @@ def cosine_orbit(orbit_dim: int = 1, coordinate: int = 0, modulus: int = 1) -> L
         modulus=modulus,
         orbit_dim=orbit_dim,
         terms=(TrigTerm(0.5, 0, 0, plus), TrigTerm(0.5, 0, 0, minus)),
-        lipschitz_bound=2.0 * math.pi,
     )
 
 

@@ -5,10 +5,11 @@ one of these: the branch-and-bound solver with an exhaustive subset
 classification, the FFT U2 norm with the quadruple average summed over
 shifts in physical space, the convex-hull progression scanner with a plain
 window enumeration, the FFT triple count with a direct double sum, the
-integer grid doubling table with a Fraction pair loop, and the two-cell
-weight pushforward with a Fraction overlap loop.  They are written
-from the definitions and share no logic with the code they check; they are
-meant for small inputs only.
+integer grid doubling table with a Fraction pair loop, the two-cell
+weight pushforward with a Fraction overlap loop, and the dilation sweep
+with a Fraction scan of every interval between breakpoints.  They are
+written from the definitions and share no logic with the code they
+check; they are meant for small inputs only.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .structure import AlphaGrid
 from .weights import GridWeight
 
 _DIRECT_SIZE_CAP = 512
+_EXHAUSTIVE_SIZE_CAP = 22
 
 
 def _popcount_u32(a: np.ndarray) -> np.ndarray:
@@ -36,7 +38,6 @@ def _popcount_u32(a: np.ndarray) -> np.ndarray:
 def exhaustive_max_sum_free(
     A: IntegerSet,
     convention: SumFreeConvention = SumFreeConvention.ALLOW_EQUAL,
-    size_cap: int = 22,
 ) -> tuple[int, tuple[int, ...]]:
     """Independent reference solver classifying all 2^|A| subsets.
 
@@ -48,8 +49,8 @@ def exhaustive_max_sum_free(
     """
     A.require_positive("exhaustive_max_sum_free")
     n = len(A)
-    if n > size_cap:
-        raise ValueError(f"exhaustive reference capped at {size_cap} elements")
+    if n > _EXHAUSTIVE_SIZE_CAP:
+        raise ValueError(f"exhaustive reference capped at {_EXHAUSTIVE_SIZE_CAP} elements")
     vals = A.elements
     if n == 0:
         return 0, ()
@@ -79,6 +80,28 @@ def exhaustive_max_sum_free(
     pick = int(cands[int(np.argmax(rev))])
     witness = tuple(vals[i] for i in range(n) if (pick >> i) & 1)
     return best, witness
+
+
+def dilation_sweep_direct(A: IntegerSet) -> tuple[Fraction, tuple[int, ...]]:
+    """First maximising dilation (theta, selection), scanning every interval.
+
+    x is selected at theta = p/q when 1/3 < frac(theta x) < 2/3, that is
+    q < 3 (p x mod q) < 2q; the selection can only change at the exact
+    breakpoints (3k+1)/(3x) and (3k+2)/(3x).  Each midpoint of two adjacent
+    distinct breakpoints is tried in increasing order, and the first with
+    the most elements is returned.
+    """
+    points = sorted(
+        {Fraction(3 * k + r, 3 * x) for x in A.elements for k in range(x) for r in (1, 2)}
+    )
+    best = None
+    for lo, hi in zip(points, points[1:]):
+        theta = (lo + hi) / 2
+        p, q = theta.numerator, theta.denominator
+        picked = tuple(x for x in A.elements if q < 3 * (p * x % q) < 2 * q)
+        if best is None or len(picked) > len(best[1]):
+            best = (theta, picked)
+    return best
 
 
 def u2_group_norm_direct(signal: CyclicSignal) -> float:

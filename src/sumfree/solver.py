@@ -246,8 +246,9 @@ def _packs(allowed: int, chosen: int, need: int, sums, triples) -> bool:
 class DilationCertificate(JsonReport):
     """A dilation parameter and the subset it selects.
 
-    Construction recomputes the selection from theta in exact arithmetic and
-    re-verifies that it is sum-free under ALLOW_EQUAL.
+    Construction checks that theta lies in (0, 1), that size counts the
+    selection, and that the selection is sum-free under ALLOW_EQUAL; the
+    sweep builds the selection by an exact re-selection at theta.
     """
 
     theta: Fraction
@@ -282,10 +283,10 @@ def dilation_sweep(A: IntegerSet) -> DilationCertificate:
     something in (2/3, 4/3) mod 1, which misses (1/3, 2/3).  As theta grows,
     x enters the selection at (3k+1)/(3x) and leaves at (3k+2)/(3x), so the
     selection size is piecewise constant between those breakpoints.  The
-    sweep sorts every event, scans the running count, and returns the exact
-    midpoint of the first maximising interval -- midpoints of adjacent
-    breakpoints are never breakpoints themselves, so the certificate never
-    sits on a boundary.
+    sweep sorts the entry points and the exit points, counts the selection
+    just after each entry, and returns the exact midpoint of the first
+    maximising interval -- midpoints of adjacent breakpoints are never
+    breakpoints themselves, so the certificate never sits on a boundary.
 
     The average selection size over theta is |A|/3, while neighbourhoods of
     0 and 1 select nothing; some interval therefore beats the average, which
@@ -297,41 +298,33 @@ def dilation_sweep(A: IntegerSet) -> DilationCertificate:
     events = 2 * sum(A.elements)
     if events > 40_000_000:
         raise ValueError("too many breakpoints for the exact sweep; use heuristic_sum_free")
-    keys, deltas = _sweep_events(A)
-    # The event cap gives max(A) <= 2e7, so every denominator 3x is <= 6e7 and
-    # two distinct breakpoints differ by at least 1/3.6e15 > 2^-53.  Each key
-    # lies within 2^-54 of its rational, so float order and ties are exact,
-    # and the fraction with denominator <= 3 max(A) closest to a key is its
-    # breakpoint.
-    order = np.argsort(keys, kind="stable")
-    keys, deltas = keys[order], deltas[order]
-    cum = np.cumsum(deltas)
-    ends = np.nonzero(np.diff(keys))[0]
-    counts = cum[ends]
-    g = int(np.argmax(counts))
-    size = int(counts[g])
-    i = int(ends[g])
+    enter = np.concatenate([np.arange(1, 3 * x, 3) / (3 * x) for x in A.elements])
+    enter.sort()
+    leave = np.concatenate([np.arange(2, 3 * x, 3) / (3 * x) for x in A.elements])
+    leave.sort()
+    # The event cap gives max(A) <= 2e7, so every key is one correctly
+    # rounded division of ints below 2^53: equal breakpoints, entry or exit,
+    # give equal floats.  Every denominator 3x is <= 6e7, so two distinct
+    # breakpoints differ by at least 1/3.6e15 > 2^-53.  Each key lies within
+    # 2^-54 of its rational, so float order and ties are exact, and the
+    # fraction with denominator <= 3 max(A) closest to a key is its breakpoint.
+    #
+    # The count just after enter[i] is the i + 1 entries so far minus the
+    # exits at or before it.  A breakpoint with no entry lowers the count, so
+    # the first maximising interval starts at an entry; along a run of equal
+    # entries the count rises, so argmax takes the run's last, where the
+    # interval starts.  A breakpoint with no exit raises the count, so the
+    # next breakpoint after it holds an exit: leave[gone[i]].
+    gone = np.searchsorted(leave, enter, side="right")
+    counts = np.arange(1, len(enter) + 1)
+    counts -= gone
+    i = int(np.argmax(counts))
+    size = int(counts[i])
     max_den = 3 * A.elements[-1]
-    lo = Fraction(float(keys[i])).limit_denominator(max_den)
-    hi = Fraction(float(keys[i + 1])).limit_denominator(max_den)
+    lo = Fraction(float(enter[i])).limit_denominator(max_den)
+    hi = Fraction(float(leave[gone[i]])).limit_denominator(max_den)
     theta = (lo + hi) / 2
     return DilationCertificate(theta=theta, selected=dilation_select(A, theta), size=size)
-
-
-def _sweep_events(A: IntegerSet) -> tuple[np.ndarray, np.ndarray]:
-    """Float keys (3k+1)/(3x) and (3k+2)/(3x) with int8 deltas +1 and -1.
-
-    np.cumsum accumulates int8 in the default integer type, so the running
-    count cannot wrap.
-    """
-    keys, deltas = [], []
-    for x in A.elements:
-        k3 = 3 * np.arange(x, dtype=np.int64)
-        keys.append((k3 + 1) / (3 * x))
-        deltas.append(np.ones(x, dtype=np.int8))
-        keys.append((k3 + 2) / (3 * x))
-        deltas.append(np.full(x, -1, dtype=np.int8))
-    return np.concatenate(keys), np.concatenate(deltas)
 
 
 _RESIDUE_CACHE: dict[int, list[int]] = {}
@@ -391,7 +384,6 @@ def _can_add(x: int, S: set[int], allow_eq: bool) -> bool:
 def heuristic_sum_free(
     A: IntegerSet,
     convention: SumFreeConvention = ALLOW_EQUAL,
-    restarts: int = 4,
     seed: int = 0,
 ) -> SolveReport:
     """Verified lower bound from a candidate portfolio plus local search.
@@ -399,9 +391,10 @@ def heuristic_sum_free(
     Candidates: the exact dilation sweep (or exact-rational sampled
     dilations when the full sweep would be too large), dyadic intervals
     A ∩ [x, 2x), and sum-free residue classes mod q <= 10.  The best
-    candidate is improved by seeded add/swap local search.  The returned
-    witness is re-verified; optimum is a lower bound (exact=False).  Output
-    is a deterministic function of (A, convention, restarts, seed).
+    candidate is improved by four rounds of seeded add/swap local search.
+    The returned witness is re-verified; optimum is a lower bound
+    (exact=False).  Output is a deterministic function of (A, convention,
+    seed).
 
     The dilation stage guarantees at least ceil((|A|+1)/3) elements: the
     exact sweep certifies that floor, and when sampling is used instead the
@@ -410,8 +403,6 @@ def heuristic_sum_free(
     A.require_positive("heuristic_sum_free")
     if len(A) == 0:
         raise ValueError("heuristic_sum_free needs a nonempty set")
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
     rng = rng_from_seed(seed, "heuristic")
     n = len(A)
     allow_eq = convention is ALLOW_EQUAL
@@ -457,7 +448,7 @@ def heuristic_sum_free(
     # Local search: random add moves, falling back to 1-swaps.
     current = set(best_set)
     best = set(best_set)
-    for _ in range(restarts):
+    for _ in range(4):
         for _ in range(150):
             x = int(elems[rng.integers(0, n)])
             if x in current:

@@ -135,17 +135,23 @@ def default_step_count(eps) -> int:
     The tracker's gap to 1/3 + eps/8 starts at 2/3 - eps/8 and contracts
     by 3/4 per step, so for eps = p/q the test reads
     (16q - 3p) * 3^k < 3p * 4^k.  A float logarithm places k within one
-    step and the integer test settles it, so tiny eps cost no iteration:
-    8, 11 and 13 steps for eps = 1/2, 1/4 and 1/8.
+    step (see _step_estimate) and the integer test settles it, so tiny eps
+    cost no iteration: 8, 11 and 13 steps for eps = 1/2, 1/4 and 1/8.
     """
+    steps, gap, allowance = _step_estimate(eps)
+    while gap * 3**steps >= allowance * 4**steps:
+        steps += 1
+    return steps
+
+
+def _step_estimate(eps) -> tuple[int, int, int]:
+    """(k, 16q - 3p, 3p) for eps = p/q, where k <= default_step_count(eps)."""
     eps_f = Fraction(eps)
     if not 0 < eps_f < 1:
         raise ValueError("eps must lie in (0, 1)")
     gap, allowance = 16 * eps_f.denominator - 3 * eps_f.numerator, 3 * eps_f.numerator
     steps = max(0, math.floor((math.log(gap) - math.log(allowance)) / math.log(4 / 3)) - 1)
-    while gap * 3**steps >= allowance * 4**steps:
-        steps += 1
-    return steps
+    return steps, gap, allowance
 
 
 def alpha_fixed_point(eps) -> Fraction:
@@ -290,9 +296,13 @@ def build_weight(eps, params: IterationParams, cells: int) -> WeightBuildReport:
     eps_f = Fraction(eps)
     if not 0 < eps_f < 1:
         raise ValueError("eps must lie in (0, 1)")
-    steps = params.steps if params.steps is not None else default_step_count(eps_f)
-    final_modulus = params.modulus_factor**steps
-    _check_grid_size(final_modulus, cells)
+    steps = params.steps
+    if steps is None:
+        # the estimate is at most the default, so a default past the cap is
+        # refused before default_step_count forms 3^k and 4^k exactly
+        _check_grid_size(params.modulus_factor ** _step_estimate(eps_f)[0], cells)
+        steps = default_step_count(eps_f)
+    _check_grid_size(params.modulus_factor**steps, cells)
     w = uniform_weight(cells)
     for _ in range(steps):
         w = pushforward_step(w, params, eps_f)

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -137,6 +138,15 @@ def test_domain_errors_exit_1(capsys, tmp_path):
 def test_grid_cap_message_for_huge_modulus(capsys):
     # about 40 000 default steps: the modulus 2^40000 has more digits than str() allows
     code, out, err = run_cli(capsys, ["weight", "build", "--eps", "1e-5000", "--cells", "8"])
+    assert code == 1 and out == ""
+    assert "-cell cap" in err and "-bit modulus" in err
+
+
+def test_grid_cap_refused_before_the_exact_step_count(capsys):
+    # about 8e6 default steps: the exact test would form 3^k and 4^k first
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, ["weight", "build", "--eps", "1e-1000000", "--cells", "8"])
+    assert time.perf_counter() - start < 5.0
     assert code == 1 and out == ""
     assert "-cell cap" in err and "-bit modulus" in err
 

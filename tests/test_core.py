@@ -89,6 +89,16 @@ class TestSetFiles:
         with pytest.raises(SetFormatError):
             load_set(path)
 
+    @pytest.mark.parametrize(
+        "text", ['{"elements": [1,', '{"elements": [' + "9" * 5000 + "]}"], ids=["truncated", "digits"]
+    )
+    def test_json_syntax_errors_name_the_file(self, tmp_path, text):
+        path = tmp_path / "s.json"
+        path.write_text(text)
+        with pytest.raises(SetFormatError) as info:
+            load_set(path)
+        assert str(info.value).startswith(f"{path}: invalid JSON: ")
+
 
 class TestConvention:
     def test_parse(self):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from sumfree.equidist import (
-    LipschitzTestFunction,
     Theta,
     TrigTerm,
     constant_function,
@@ -96,11 +95,6 @@ class TestIrrationality:
 
 
 class TestTestFunctions:
-    def test_declared_bound_must_dominate(self):
-        term = TrigTerm(1.0, 0, 3, (0,))
-        with pytest.raises(ValueError):
-            LipschitzTestFunction(1, 1, (term,), 1.0)
-
     def test_trig_function_uses_computed_bound(self):
         term = TrigTerm(1.0, 0, 3, (0,))
         F = trig_function(1, 1, (term,))

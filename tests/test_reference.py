@@ -4,8 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sumfree.core import CyclicSignal, default_n_prime, interval_signal, rng_from_seed
-from sumfree.reference import pushforward_direct, u2_group_norm_direct
+from sumfree.core import CyclicSignal, IntegerSet, default_n_prime, interval_signal, rng_from_seed
+from sumfree.reference import dilation_sweep_direct, pushforward_direct, u2_group_norm_direct
+from sumfree.solver import dilation_sweep
 from sumfree.spectral import _interval_group_norm
 from sumfree.weights import GridWeight, _node_values
 
@@ -62,3 +63,16 @@ def test_pushforward_matches_fraction_loop():
             shrink = Fraction(wide - 2, wide)
         fast = _node_values(w, factor, shrink, t)
         assert fast.tobytes() == pushforward_direct(w, factor, shrink, t).tobytes(), case
+
+
+def test_sweep_matches_interval_scan():
+    rng = rng_from_seed(9, "sweep-oracle")
+    sets = [tuple(range(1, n + 1)) for n in range(1, 21)]
+    for top in (12, 30, 60):
+        for _ in range(60):
+            n = int(rng.integers(1, 13))
+            sets.append(tuple(int(v) for v in rng.choice(np.arange(1, top + 1), n, replace=False)))
+    for elems in sets:
+        A = IntegerSet.from_iterable(elems)
+        cert = dilation_sweep(A)
+        assert (cert.theta, cert.selected.elements) == dilation_sweep_direct(A), elems

@@ -154,10 +154,6 @@ class TestHeuristic:
         assert set(rep.witness.elements) <= set(A.elements)
         assert rep.optimum >= -(-(len(A) + 1) // 3)
 
-    def test_restarts_validated(self):
-        with pytest.raises(ValueError):
-            heuristic_sum_free(DECADE, restarts=0)
-
 
 class TestCompose:
     def test_two_copies_frozen(self):
