@@ -25,11 +25,9 @@ from .core import (
     SumFreeConvention,
     embed_signal,
     format_rational,
-    indicator_vector,
     load_set,
     parse_rational,
     save_set,
-    validate_seed,
 )
 
 
@@ -88,7 +86,7 @@ def _parse_freq(args) -> eqd.LipschitzTestFunction:
         )
     else:
         terms = (eqd.TrigTerm(1.0, a, m, orbit),)
-    return eqd.trig_function(args.modulus, len(orbit), terms)
+    return eqd.LipschitzTestFunction(args.modulus, len(orbit), terms)
 
 
 def _iteration_params(args) -> weights.IterationParams:
@@ -109,7 +107,6 @@ def _cmd_solve(args):
     if args.heuristic:
         if args.budget is not None:
             raise ValueError("--budget bounds the exact search; drop it or --heuristic")
-        validate_seed(args.seed)
         rep = solver.heuristic_sum_free(A, conv, seed=args.seed)
         kind = "verified lower bound"
     else:
@@ -121,8 +118,7 @@ def _cmd_solve(args):
 def _cmd_sweep(args):
     A = load_set(args.set)
     cert = solver.dilation_sweep(A)
-    floor = -(-(len(A) + 1) // 3)
-    note = f"sweep: selected {cert.size} of {len(A)} (floor {floor})"
+    note = f"sweep: selected {cert.size} of {len(A)} (floor {solver.one_third_floor(len(A))})"
     return cert.to_json_dict(), note, 0
 
 
@@ -181,8 +177,8 @@ def _cmd_spectral_u2(args):
 
 def _cmd_spectral_tcount(args):
     A = load_set(args.set)
-    t = spectral.t_count(indicator_vector(A, args.n))
-    triples = int(round(t * args.n**2))
+    triples = spectral.ordered_triples(A, args.n)
+    t = triples / args.n**2
     report = {"n": args.n, "t_count": t, "ordered_triples": triples}
     return report, f"tcount: {t:.6g} ({triples} ordered triples)", 0
 
@@ -256,7 +252,6 @@ def _cmd_weight_build(args):
 
 def _cmd_weight_sample(args):
     w = weights.load_weight(args.weight)
-    validate_seed(args.seed)
     A = weights.sample_set(w, args.n, args.seed)
     if args.out:
         save_set(A, args.out)
@@ -294,7 +289,6 @@ def _cmd_equidist_error(args):
 
 
 def _cmd_check(args):
-    validate_seed(args.seed)
     rep = checks.run_suite(args.suite, args.seed)
     if rep["passed"]:
         note = f"check: {len(rep['checks'])} checks passed"

@@ -25,6 +25,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
+import re
 import zlib
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -43,6 +44,10 @@ _MAX_SEED = 2**64 - 1
 # Longest array a signal or indicator may allocate (64 MiB of float64,
 # 128 MiB of complex128); checked before allocating.
 MAX_SIGNAL_LENGTH = 1 << 23
+
+# Largest |k| in a decimal exponent 'e<k>'; Fraction forms 10^|k| exactly.
+MAX_DECIMAL_EXPONENT = 10**6
+_DECIMAL_EXPONENT = re.compile(r"[eE][-+]?0*(\d+)\s*$")
 
 
 class SetFormatError(ValueError):
@@ -111,19 +116,11 @@ class IntegerSet:
     @classmethod
     def from_iterable(cls, values: Iterable[int], name: str | None = None) -> "IntegerSet":
         """Build a set from unordered values; duplicates are an error."""
-        elems = sorted(int(v) for v in values)
-        for a, b in zip(elems, elems[1:]):
-            if a == b:
-                raise ValueError(f"duplicate element {a}")
-        return cls(tuple(elems), name)
+        return cls(tuple(sorted(int(v) for v in values)), name)
 
     @cached_property
     def member_set(self) -> frozenset[int]:
         return frozenset(self.elements)
-
-    @property
-    def size(self) -> int:
-        return len(self.elements)
 
     @property
     def is_positive(self) -> bool:
@@ -230,8 +227,6 @@ def set_to_json(A: IntegerSet) -> str:
 
 def default_n_prime(ref_n: int) -> int:
     """Smallest power of two strictly greater than 4 * ref_n."""
-    if ref_n < 1:
-        raise ValueError("ref_n must be >= 1")
     return 1 << (4 * ref_n).bit_length()
 
 
@@ -273,30 +268,19 @@ def embed_signal(A: IntegerSet, N: int, n_prime: int | None = None) -> CyclicSig
     With no explicit n_prime, N' is the smallest power of two above 4N:
     A = {1,2}, N = 2 gives N' = 16; N = 10 gives 64; N = 100 gives 512.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if A.elements and (A.elements[0] < 1 or A.elements[-1] > N):
-        raise ValueError(f"set not contained in {{1,..,{N}}}")
-    if n_prime is None:
-        n_prime = default_n_prime(N)
-    if n_prime <= 4 * N:
-        raise ValueError(f"group order {n_prime} too small for N = {N}; need > {4 * N}")
-    if n_prime > MAX_SIGNAL_LENGTH:
-        raise ValueError(f"group order {n_prime} exceeds the limit {MAX_SIGNAL_LENGTH}")
-    values = np.zeros(n_prime, dtype=np.complex128)
-    for a in A.elements:
-        values[a] = 1.0
-    return CyclicSignal(values, ref_n=N)
+    return interval_signal(indicator_vector(A, N), n_prime)
 
 
 def interval_signal(values: Sequence[float] | np.ndarray, n_prime: int | None = None) -> CyclicSignal:
     """Embed a function on {1,..,N} (array index i holds f(i+1)) into Z/N'Z."""
-    arr = np.asarray(values, dtype=np.complex128)
+    arr = np.asarray(values)  # cast while copied into the group, with no complex temporary
     if arr.ndim != 1 or len(arr) == 0:
         raise ValueError("values must be a nonempty 1-d array")
     N = len(arr)
     if n_prime is None:
         n_prime = default_n_prime(N)
+    if n_prime <= 4 * N:
+        raise ValueError(f"group order {n_prime} too small for N = {N}; need > {4 * N}")
     if n_prime > MAX_SIGNAL_LENGTH:
         raise ValueError(f"group order {n_prime} exceeds the limit {MAX_SIGNAL_LENGTH}")
     out = np.zeros(n_prime, dtype=np.complex128)
@@ -305,19 +289,26 @@ def interval_signal(values: Sequence[float] | np.ndarray, n_prime: int | None = 
 
 
 def indicator_vector(A: IntegerSet, N: int) -> np.ndarray:
-    """Indicator of A on {1,..,N} as a float array (index i = point i+1)."""
+    """Indicator of A on {1,..,N} as a float array (index i = point i+1).
+
+    The one place a set becomes an array; checked before allocating.
+    """
+    if N < 1:
+        raise ValueError("N must be >= 1")
     if A.elements and (A.elements[0] < 1 or A.elements[-1] > N):
         raise ValueError(f"set not contained in {{1,..,{N}}}")
     if N > MAX_SIGNAL_LENGTH:
         raise ValueError(f"N = {N} exceeds the limit {MAX_SIGNAL_LENGTH}")
     out = np.zeros(N, dtype=np.float64)
-    for a in A.elements:
-        out[a - 1] = 1.0
+    out[np.array(A.elements, dtype=np.int64) - 1] = 1.0
     return out
 
 
 def parse_rational(text: str) -> Fraction:
-    """Exact rational from '2/5', '0.1', or '3'."""
+    """Exact rational from '2/5', '0.1', '3' or '1e-9' (exponent at most 10^6)."""
+    exponent = _DECIMAL_EXPONENT.search(text.replace("_", ""))
+    if exponent and (len(exponent[1]) > 7 or int(exponent[1]) > MAX_DECIMAL_EXPONENT):
+        raise ValueError(f"decimal exponent of {text!r} is past {MAX_DECIMAL_EXPONENT}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 import numpy as np
 
@@ -40,10 +39,6 @@ class Theta:
         for c in comps:
             if not 0.0 <= c < 1.0:
                 raise ValueError(f"theta component {c!r} outside [0, 1)")
-
-    @staticmethod
-    def from_iterable(values: Iterable[float]) -> "Theta":
-        return Theta(tuple(float(v) for v in values))
 
     @property
     def dimension(self) -> int:
@@ -141,13 +136,6 @@ class LipschitzTestFunction:
                     phase = phase + m * theta.components[k] * arr
             out += t.coefficient * np.exp(2j * np.pi * phase)
         return out
-
-
-def trig_function(
-    modulus: int, orbit_dim: int, terms: tuple[TrigTerm, ...]
-) -> LipschitzTestFunction:
-    """The test function with these terms; its Lipschitz bound is computed from them."""
-    return LipschitzTestFunction(modulus, orbit_dim, terms)
 
 
 def constant_function(value: complex, modulus: int = 1, orbit_dim: int = 1) -> LipschitzTestFunction:

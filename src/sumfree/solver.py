@@ -23,7 +23,14 @@ ALLOW_EQUAL = SumFreeConvention.ALLOW_EQUAL
 DISTINCT_ONLY = SumFreeConvention.DISTINCT_ONLY
 
 EXACT_SIZE_CAP = 64
+# breakpoint events: dilation_sweep refuses more, the heuristic samples above the cap
+SWEEP_EVENT_LIMIT = 40_000_000
 _SWEEP_EVENT_CAP = 2_000_000
+
+
+def one_third_floor(n: int) -> int:
+    """ceil((n+1)/3): the size every n-element set's dilation sweep reaches."""
+    return -(-(n + 1) // 3)
 
 
 def is_sum_free(A: IntegerSet, convention: SumFreeConvention = ALLOW_EQUAL) -> bool:
@@ -295,14 +302,13 @@ def dilation_sweep(A: IntegerSet) -> DilationCertificate:
     A.require_positive("dilation_sweep")
     if len(A) == 0:
         raise ValueError("dilation_sweep needs a nonempty set")
-    events = 2 * sum(A.elements)
-    if events > 40_000_000:
+    if 2 * sum(A.elements) > SWEEP_EVENT_LIMIT:
         raise ValueError("too many breakpoints for the exact sweep; use heuristic_sum_free")
     enter = np.concatenate([np.arange(1, 3 * x, 3) / (3 * x) for x in A.elements])
     enter.sort()
     leave = np.concatenate([np.arange(2, 3 * x, 3) / (3 * x) for x in A.elements])
     leave.sort()
-    # The event cap gives max(A) <= 2e7, so every key is one correctly
+    # The event limit gives max(A) <= 2e7, so every key is one correctly
     # rounded division of ints below 2^53: equal breakpoints, entry or exit,
     # give equal floats.  Every denominator 3x is <= 6e7, so two distinct
     # breakpoints differ by at least 1/3.6e15 > 2^-53.  Each key lies within
@@ -398,7 +404,8 @@ def heuristic_sum_free(
 
     The dilation stage guarantees at least ceil((|A|+1)/3) elements: the
     exact sweep certifies that floor, and when sampling is used instead the
-    sweep is run as a fallback if every sample missed the floor.
+    sweep is run as a fallback if every sample missed the floor, unless the
+    set is past SWEEP_EVENT_LIMIT: then some other candidate must reach it.
     """
     A.require_positive("heuristic_sum_free")
     if len(A) == 0:
@@ -406,7 +413,7 @@ def heuristic_sum_free(
     rng = rng_from_seed(seed, "heuristic")
     n = len(A)
     allow_eq = convention is ALLOW_EQUAL
-    floor = -(-(n + 1) // 3)
+    floor = one_third_floor(n)
 
     best_set: set[int] = set()
 
@@ -428,7 +435,7 @@ def heuristic_sum_free(
             if c > best_count:
                 best_count, best_sel = c, inside
         best_set = set(int(v) for v in arr[best_sel])
-        if best_count < floor:
+        if best_count < floor and events <= SWEEP_EVENT_LIMIT:
             cert = dilation_sweep(A)  # exact fallback restores the guarantee
             best_set = set(cert.selected.elements)
 
@@ -444,6 +451,8 @@ def heuristic_sum_free(
         count, mask = _residue_candidate(A, q)
         if count > len(best_set):
             best_set = {a for a in A.elements if (mask >> (a % q)) & 1}
+    if len(best_set) < floor:  # the sampled dilations missed and the sweep is too large
+        raise ValueError(f"heuristic_sum_free: best candidate {len(best_set)} < floor {floor}")
 
     # Local search: random add moves, falling back to 1-swaps.
     current = set(best_set)

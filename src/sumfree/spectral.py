@@ -60,26 +60,42 @@ def u2_norm(signal: CyclicSignal) -> float:
     return u2_group_norm(signal) / _interval_group_norm(signal.ref_n, signal.n_prime)
 
 
+def _self_convolution(arr: np.ndarray) -> np.ndarray:
+    """conv[m] = sum of arr[i] arr[j] over i + j = m: the mass at n + n' = m + 2.
+
+    The FFT length is a power of two >= 2N+1, so linear sums never wrap.
+    """
+    length = 1 << (2 * len(arr)).bit_length()
+    F = np.fft.rfft(arr, length)
+    return np.fft.irfft(F * F, length)
+
+
 def t_count(f: np.ndarray | list[float]) -> float:
     """(1/N^2) sum_{n,n' <= N} f(n) f(n') f(n+n'), f zero outside {1,..,N}.
 
-    The self-convolution is computed by FFT at a padded power-of-two length
-    at least 2N+1 so linear sums never wrap.  For a set indicator this is
-    N^-2 times the number of ordered pairs (n, n') of elements whose sum is
-    again an element, so it vanishes iff the set is ALLOW_EQUAL sum-free.
+    For a set indicator this is N^-2 times the number of ordered pairs
+    (n, n') of elements whose sum is again an element (ordered_triples
+    counts them exactly), so it vanishes iff the set is ALLOW_EQUAL
+    sum-free.
     """
     arr = np.asarray(f, dtype=np.float64)
     if arr.ndim != 1 or len(arr) == 0:
         raise ValueError("f must be a nonempty 1-d array")
     n = len(arr)
-    length = 1 << (2 * n).bit_length()  # power of two, >= 2N+1
-    F = np.fft.rfft(arr, length)
-    conv = np.fft.irfft(F * F, length)
-    # conv[m] = sum of f(i+1) f(j+1) over i+j = m, i.e. the mass at n+n' = m+2;
-    # it meets f again at f(m+2) = arr[m+1].
     upto = n - 1  # m ranges over 0..N-2 so that m+2 <= N
-    total = float(np.dot(conv[:upto], arr[1 : upto + 1]))
+    total = float(np.dot(_self_convolution(arr)[:upto], arr[1 : upto + 1]))
     return total / n**2
+
+
+def ordered_triples(A: IntegerSet, N: int) -> int:
+    """#{(x, y) in A^2 : x + y in A} for A inside {1,..,N}, exactly.
+
+    The pair-sum counts are the indicator's self-convolution rounded to
+    integers, as difference_counts rounds its correlation.
+    """
+    a = indicator_vector(A, N)
+    # each rounded count and their sum stay below 2^53, so the float sum is exact
+    return int(np.rint(_self_convolution(a)[: N - 1][a[1:] > 0]).sum())
 
 
 def difference_counts(A: IntegerSet, N: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import IntegerSet, JsonReport, read_grid_json
+from .core import IntegerSet, JsonReport, indicator_vector, read_grid_json
 from .spectral import popular_differences
 
 
@@ -96,32 +96,21 @@ def find_dense_progression(
     All comparisons are exact integer cross-multiplications; ties prefer
     longer windows, then earlier starts, then smaller steps.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if A.elements and (A.elements[0] < 1 or A.elements[-1] > N):
-        raise ValueError(f"set not contained in {{1,..,{N}}}")
+    member = indicator_vector(A, N)
     if not 1 <= min_length <= N:
         raise ValueError(f"min_length must lie in [1, {N}]")
     target = Fraction(target_density)
-
-    member = np.zeros(N + 1, dtype=np.int64)
-    for a in A.elements:
-        member[a] = 1
 
     max_step = N - 1 if min_length == 1 else (N - 1) // (min_length - 1)
     max_step = max(1, max_step)
     best = None
     for step in range(1, max_step + 1):
         for r in range(1, step + 1):
-            chain = member[r : N + 1 : step]
+            chain = member[r - 1 :: step]  # the points r, r + step, .. <= N
             m = len(chain)
             if m < min_length:
                 continue
-            prefix = [0] * (m + 1)
-            acc = 0
-            for k, v in enumerate(chain):
-                acc += int(v)
-                prefix[k + 1] = acc
+            prefix = [0, *np.cumsum(chain, dtype=np.int64).tolist()]
             hull: list[tuple[int, int]] = []
             for j in range(min_length, m + 1):
                 k = j - min_length
@@ -363,6 +352,9 @@ def avoid_zero_diagnostic(
     """
     if index_bound < 1:
         raise ValueError("index_bound must be >= 1")
+    mi = Fraction(min_interval)
+    if not 0 < mi <= 1:
+        raise ValueError("min_interval must lie in (0, 1]")
     q, K = A.modulus, A.cells
     if index_bound > q:
         warnings.warn(
@@ -370,9 +362,6 @@ def avoid_zero_diagnostic(
             stacklevel=2,
         )
         index_bound = q
-    mi = Fraction(min_interval)
-    if not 0 < mi <= 1:
-        raise ValueError("min_interval must lie in (0, 1]")
     j_min = math.ceil(mi * K)
     prefix = np.cumsum(A.membership, axis=1)
 

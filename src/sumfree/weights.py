@@ -35,10 +35,12 @@ from .core import (
     rng_from_seed,
     validate_seed,
 )
-from .solver import ALLOW_EQUAL, EXACT_SIZE_CAP, heuristic_sum_free, max_sum_free_subset
+from .solver import ALLOW_EQUAL, EXACT_SIZE_CAP, heuristic_sum_free, max_sum_free_subset, one_third_floor
 from .spectral import t_count
 
 MAX_GRID_CELLS = 1 << 22
+# each quadrature node costs one pass over the grid per step
+MAX_T_SAMPLES = 1 << 10
 _MEAN_TOL = 1e-12
 
 
@@ -123,8 +125,8 @@ class IterationParams(JsonReport):
             raise ValueError("modulus_factor must be >= 2")
         if not 0 < self.interval_shrink <= 1:
             raise ValueError("interval_shrink must lie in (0, 1]")
-        if self.t_samples < 2:
-            raise ValueError("t_samples must be >= 2")
+        if not 2 <= self.t_samples <= MAX_T_SAMPLES:
+            raise ValueError(f"t_samples must lie in [2, {MAX_T_SAMPLES}]")
         if self.steps is not None and self.steps < 0:
             raise ValueError("steps must be >= 0")
 
@@ -146,12 +148,17 @@ def default_step_count(eps) -> int:
 
 def _step_estimate(eps) -> tuple[int, int, int]:
     """(k, 16q - 3p, 3p) for eps = p/q, where k <= default_step_count(eps)."""
-    eps_f = Fraction(eps)
-    if not 0 < eps_f < 1:
-        raise ValueError("eps must lie in (0, 1)")
+    eps_f = _checked_eps(eps)
     gap, allowance = 16 * eps_f.denominator - 3 * eps_f.numerator, 3 * eps_f.numerator
     steps = max(0, math.floor((math.log(gap) - math.log(allowance)) / math.log(4 / 3)) - 1)
     return steps, gap, allowance
+
+
+def _checked_eps(eps) -> Fraction:
+    eps_f = Fraction(eps)
+    if not 0 < eps_f < 1:
+        raise ValueError("eps must lie in (0, 1)")
+    return eps_f
 
 
 def alpha_fixed_point(eps) -> Fraction:
@@ -222,11 +229,9 @@ def _node_values(w: GridWeight, factor: int, shrink: Fraction, t: Fraction) -> n
 
 def _push(w: GridWeight, params: IterationParams, eps, nodes) -> GridWeight:
     """Average the single-node pushforwards of w over the given t nodes."""
-    eps_f = Fraction(eps)
-    if not 0 < eps_f < 1:
-        raise ValueError("eps must lie in (0, 1)")
+    eps_f = _checked_eps(eps)
+    _check_grid_size(w.cells, params.modulus_factor, base=w.modulus)
     new_modulus = params.modulus_factor * w.modulus
-    _check_grid_size(new_modulus, w.cells)
     acc = np.zeros((new_modulus, w.cells), dtype=np.float64)
     for t in nodes:
         acc += _node_values(w, params.modulus_factor, params.interval_shrink, t)
@@ -263,15 +268,25 @@ def pushforward_step(w: GridWeight, params: IterationParams, eps) -> GridWeight:
     return _push(w, params, eps, quadrature_nodes(params.t_samples))
 
 
-def _check_grid_size(modulus: int, cells: int) -> None:
-    if modulus * cells > MAX_GRID_CELLS:
-        # a modulus past 64 bits goes by its bit length: str() of an int
-        # refuses more than 4300 digits
+def _check_grid_size(cells: int, factor: int, steps: int = 1, base: int = 1) -> None:
+    """Refuse a grid of base * factor**steps residues x cells past the cap.
+
+    Past 64 bits the modulus exceeds the cap whatever the cells, so it goes
+    by its bit length: forming it costs time that grows with steps, and
+    str() of an int refuses more than 4300 digits.
+    """
+    log_modulus = math.log2(base) + steps * math.log2(factor)
+    if log_modulus <= 64:
+        modulus = base * factor**steps
+        if modulus * cells <= MAX_GRID_CELLS:
+            return
         rows = modulus if modulus.bit_length() <= 64 else f"({modulus.bit_length()}-bit modulus)"
-        raise GridOverflowError(
-            f"grid of {rows} x {cells} cells exceeds the {MAX_GRID_CELLS}-cell cap; "
-            "reduce steps (alpha_schedule tracks the recurrence without a grid)"
-        )
+    else:
+        rows = f"({math.floor(log_modulus) + 1}-bit modulus)"
+    raise GridOverflowError(
+        f"grid of {rows} x {cells} cells exceeds the {MAX_GRID_CELLS}-cell cap; "
+        "reduce steps (alpha_schedule tracks the recurrence without a grid)"
+    )
 
 
 @dataclass(frozen=True)
@@ -293,16 +308,14 @@ def build_weight(eps, params: IterationParams, cells: int) -> WeightBuildReport:
     (3/4)^steps * (2/3 - eps/8) < eps/8, and the default step count is
     the first that satisfies it.
     """
-    eps_f = Fraction(eps)
-    if not 0 < eps_f < 1:
-        raise ValueError("eps must lie in (0, 1)")
+    eps_f = _checked_eps(eps)
     steps = params.steps
     if steps is None:
         # the estimate is at most the default, so a default past the cap is
         # refused before default_step_count forms 3^k and 4^k exactly
-        _check_grid_size(params.modulus_factor ** _step_estimate(eps_f)[0], cells)
+        _check_grid_size(cells, params.modulus_factor, _step_estimate(eps_f)[0])
         steps = default_step_count(eps_f)
-    _check_grid_size(params.modulus_factor**steps, cells)
+    _check_grid_size(cells, params.modulus_factor, steps)
     w = uniform_weight(cells)
     for _ in range(steps):
         w = pushforward_step(w, params, eps_f)
@@ -389,9 +402,9 @@ def sample_set(w: GridWeight, N: int, seed: int) -> IntegerSet:
     uniform weight has p identically 1 and returns all of {1,..,N} for
     every seed.
     """
-    validate_seed(seed)
+    rng = rng_from_seed(seed, "sample")
     p = sample_probabilities(w, N)
-    u = rng_from_seed(seed, "sample").random(N)
+    u = rng.random(N)
     elements = np.nonzero(u < p)[0] + 1
     return IntegerSet(tuple(int(x) for x in elements))
 
@@ -445,7 +458,6 @@ def density_experiment(eps, params: IterationParams, cells: int, N: int, seeds) 
             )
             continue
         heur = heuristic_sum_free(A, ALLOW_EQUAL, seed=seed)
-        floor = -(-(size + 1) // 3)
         # with no budget the exact solve always finishes exact
         exact = max_sum_free_subset(A, ALLOW_EQUAL).optimum if size <= EXACT_SIZE_CAP else None
         rows.append(
@@ -454,7 +466,7 @@ def density_experiment(eps, params: IterationParams, cells: int, N: int, seeds) 
                 set_size=size,
                 heuristic_size=heur.optimum,
                 heuristic_density=Fraction(heur.optimum, size),
-                floor_size=floor,
+                floor_size=one_third_floor(size),
                 exact_size=exact,
                 triple_count=t_count(indicator_vector(A, N)),
             )

@@ -127,6 +127,10 @@ def test_domain_errors_exit_1(capsys, tmp_path):
         ["structure", "lev", "--start", "1", "--step", "1", "--length", str(10**12),
          "--subset", fixture("lev_x.json")],
         ["structure", "avoidzero", "--grid", str(bool_q), "--index-bound", "1", "--min-interval", "1/2"],
+        # refused before the work they ask for: 10^12 quadrature nodes, and
+        # a modulus 2^(10^12) formed only to be compared with the cap
+        ["weight", "build", "--eps", "1/2", "--cells", "8", "--t-samples", str(10**12), "--steps", "1"],
+        ["weight", "build", "--eps", "1/2", "--cells", "8", "--steps", str(10**12)],
     ]
     for argv in cases:
         code, out, err = run_cli(capsys, argv)
@@ -149,6 +153,23 @@ def test_grid_cap_refused_before_the_exact_step_count(capsys):
     assert time.perf_counter() - start < 5.0
     assert code == 1 and out == ""
     assert "-cell cap" in err and "-bit modulus" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # the cap check reads k * log2(3) instead of forming 3^k, k near 8e6
+        (["weight", "build", "--eps", "1e-1000000", "--cells", "8", "--factor", "3"], "-bit modulus"),
+        # refused before Fraction builds 10^3000000
+        (["weight", "build", "--eps", "1e-3000000", "--cells", "8"], "decimal exponent"),
+    ],
+)
+def test_tiny_eps_refused_in_constant_time(capsys, argv, message):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
 
 def test_weight_build_default_steps(capsys):

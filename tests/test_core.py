@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumfree.core import (
+    MAX_SIGNAL_LENGTH,
     CyclicSignal,
     IntegerSet,
     SetFormatError,
@@ -49,6 +51,8 @@ class TestIntegerSet:
 
     def test_from_iterable_sorts(self):
         assert IntegerSet.from_iterable([9, 1, 3]).elements == (1, 3, 9)
+        with pytest.raises(ValueError, match="^duplicate element 3$"):
+            IntegerSet.from_iterable([3, 1, 3])
 
     def test_empty_allowed(self):
         assert len(IntegerSet(())) == 0
@@ -146,6 +150,22 @@ class TestSignals:
     def test_indicator_vector(self):
         v = indicator_vector(IntegerSet((2, 4)), 5)
         assert v.tolist() == [0.0, 1.0, 0.0, 1.0, 0.0]
+        assert indicator_vector(IntegerSet(()), 3).tolist() == [0.0, 0.0, 0.0]
+        for A, N, message in (
+            (IntegerSet(()), 0, "N must be >= 1"),
+            (IntegerSet((1, 6)), 5, "set not contained"),
+            (IntegerSet((-1,)), 5, "set not contained"),
+            (IntegerSet(()), MAX_SIGNAL_LENGTH + 1, "exceeds the limit"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                indicator_vector(A, N)
+
+    def test_interval_signal_checks_group_order_first(self):
+        # too small a group order was numpy's broadcast error
+        with pytest.raises(ValueError, match="^group order 3 too small for N = 10; need > 40$"):
+            interval_signal(np.ones(10), n_prime=3)
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            interval_signal(np.ones(10), n_prime=MAX_SIGNAL_LENGTH + 1)
 
 
 class TestRationals:
@@ -155,6 +175,13 @@ class TestRationals:
         assert format_rational(parse_rational("3")) == "3"
         with pytest.raises(ValueError):
             parse_rational("x")
+
+    def test_decimal_exponent_bounded(self):
+        assert parse_rational("1e-5000") == Fraction(1, 10**5000)
+        assert parse_rational("25E-1") == Fraction(5, 2)
+        for text in ("1e-1000001", "1e+1000001", "2.5e" + "9" * 5000):
+            with pytest.raises(ValueError, match="decimal exponent"):
+                parse_rational(text)
 
 
 class TestSeeds:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sumfree.equidist import (
+    LipschitzTestFunction,
     Theta,
     TrigTerm,
     constant_function,
@@ -13,7 +14,6 @@ from sumfree.equidist import (
     golden_theta,
     irrationality_check,
     torus_distance,
-    trig_function,
 )
 from sumfree.structure import Progression
 from sumfree.weights import GridWeight, riemann_error, uniform_weight
@@ -32,10 +32,6 @@ class TestTheta:
             Theta((1.0,))
         with pytest.raises(ValueError):
             Theta((-0.1,))
-
-    def test_from_iterable(self):
-        th = Theta.from_iterable([0.25, 0.75])
-        assert th.components == (0.25, 0.75)
 
     def test_torus_distance(self):
         assert torus_distance(0.3) == pytest.approx(0.3, abs=1e-15)
@@ -95,14 +91,14 @@ class TestIrrationality:
 
 
 class TestTestFunctions:
-    def test_trig_function_uses_computed_bound(self):
+    def test_lipschitz_bound_computed_from_terms(self):
         term = TrigTerm(1.0, 0, 3, (0,))
-        F = trig_function(1, 1, (term,))
+        F = LipschitzTestFunction(1, 1, (term,))
         assert F.lipschitz_bound == pytest.approx(6 * math.pi)
 
     def test_orbit_dim_checked(self):
         with pytest.raises(ValueError):
-            trig_function(1, 2, (TrigTerm(1.0, 0, 0, (1,)),))
+            LipschitzTestFunction(1, 2, (TrigTerm(1.0, 0, 0, (1,)),))
 
     def test_exact_integral_selects_constant_terms(self):
         terms = (
@@ -111,7 +107,7 @@ class TestTestFunctions:
             TrigTerm(0.5, 0, 2, (0,)),
             TrigTerm(0.25, 0, 0, (1,)),
         )
-        F = trig_function(3, 1, terms)
+        F = LipschitzTestFunction(3, 1, terms)
         assert F.exact_integral() == 2.0
 
     def test_cosine_orbit_shape(self):

@@ -154,6 +154,21 @@ class TestHeuristic:
         assert set(rep.witness.elements) <= set(A.elements)
         assert rep.optimum >= -(-(len(A) + 1) // 3)
 
+    def test_sweep_too_large_falls_to_interval_candidate(self):
+        # every sample k/99991 selects only the element 1, and the exact
+        # sweep would need about 9e9 events; A ∩ [x, 2x) holds 150 elements
+        A = IntegerSet((1, *(99_991 * k for k in range(1, 301))))
+        assert 2 * sum(A.elements) > 4 * 10**7  # the sweep's event limit
+        rep = heuristic_sum_free(A)
+        assert rep.optimum >= 150 > -(-(len(A) + 1) // 3)
+
+    def test_refuses_when_no_candidate_reaches_floor(self):
+        # multiples of 2520 * 99991 defeat the samples and every residue
+        # class mod q <= 10, and each dyadic interval holds one element
+        A = IntegerSet(tuple(2520 * 99_991 * 2**i for i in range(31)))
+        with pytest.raises(ValueError, match=r"^heuristic_sum_free: best candidate 1 < floor 11$"):
+            heuristic_sum_free(A)
+
 
 class TestCompose:
     def test_two_copies_frozen(self):

@@ -8,6 +8,7 @@ from sumfree.reference import t_count_direct
 from sumfree.spectral import (
     difference_counts,
     fourier_decompose,
+    ordered_triples,
     pollard_check,
     popular_differences,
     spectrum,
@@ -39,6 +40,19 @@ class TestTCount:
             n = int(rng.integers(2, 28))
             f = rng.uniform(-1, 1, n)
             assert t_count(f) == pytest.approx(t_count_direct(f), abs=1e-12)
+
+    def test_ordered_triples_match_a_pair_count(self):
+        # no set was found on which round(t_count * N^2) is wrong; the exact
+        # count is pinned against a direct pair count on dense sets instead
+        rng = rng_from_seed(91, "triples")
+        for N, density in ((2000, 0.9), (2000, 0.5), (1, 1.0)):
+            A = IntegerSet(tuple(int(x) + 1 for x in np.nonzero(rng.random(N) < density)[0]))
+            member = np.zeros(2 * N + 1, dtype=bool)
+            member[list(A.elements)] = True
+            a = np.array(A.elements, dtype=np.int64)
+            assert ordered_triples(A, N) == int(member[np.add.outer(a, a)].sum())
+        assert ordered_triples(IntegerSet(tuple(range(1, 1001))), 1000) == 1000 * 999 // 2
+        assert ordered_triples(IntegerSet(()), 5) == 0
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -214,6 +215,13 @@ class TestAvoidZero:
             avoid_zero_diagnostic(g, 0, Fraction(1, 2))
         with pytest.raises(ValueError):
             avoid_zero_diagnostic(g, 2, 0)
+
+    def test_refused_before_the_clamp_warning(self):
+        # a refused call prints one error line, not a warning before it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="min_interval"):
+                avoid_zero_diagnostic(GridSet.full(2, 2), 3, 0)
 
 
 class TestLev:
