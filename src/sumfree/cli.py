@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 import time
+from functools import cache
 
 from . import checks, solver, spectral, structure, weights
 from . import equidist as eqd
@@ -311,7 +312,13 @@ def _add_params_args(p):
     p.add_argument("--steps", type=int, default=None, help="iteration steps (default: first with alpha below 1/3 + eps/4)")
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use.
+
+    Reuse is safe: parse_args returns a fresh Namespace each call, and no
+    default is mutable.
+    """
     p = argparse.ArgumentParser(
         prog="sumfree",
         description="Sum-free subset bounds, spectral diagnostics, and weight iteration.",
@@ -440,11 +447,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    # by name, so a wrapper set on this module after the build is the one called
+    handler = globals()[args.handler.__name__]
     start = time.perf_counter()
     try:
-        report, note, code = args.handler(args)
+        report, note, code = handler(args)
     except (ValueError, OverflowError, OSError) as exc:
         _note(f"error: {exc}")
         return 1

@@ -93,8 +93,8 @@ class IntegerSet:
 
     Validation here enforces only "distinct and nonzero"; negative elements
     are representable so that difference sets and translated sets round-trip
-    through the same type.  Operations that need positive elements check
-    `is_positive` themselves.
+    through the same type.  Operations that need positive elements call
+    `require_positive`.
     """
 
     elements: tuple[int, ...]
@@ -122,12 +122,8 @@ class IntegerSet:
     def member_set(self) -> frozenset[int]:
         return frozenset(self.elements)
 
-    @property
-    def is_positive(self) -> bool:
-        return not self.elements or self.elements[0] > 0
-
     def require_positive(self, op: str) -> None:
-        if not self.is_positive:
+        if self.elements and self.elements[0] < 0:
             raise ValueError(f"{op} requires positive elements")
 
     def __len__(self) -> int:
@@ -215,14 +211,10 @@ def _load_set_text(text: str, path: str) -> IntegerSet:
 
 def save_set(A: IntegerSet, path: str | Path) -> None:
     """Write a set as canonical JSON; save(load(p)) is byte-stable."""
-    Path(path).write_text(set_to_json(A))
-
-
-def set_to_json(A: IntegerSet) -> str:
     obj: dict = {"name": A.name, "elements": list(A.elements)}
     if A.name is None:
         del obj["name"]
-    return json.dumps(obj, indent=2) + "\n"
+    Path(path).write_text(json.dumps(obj, indent=2) + "\n")
 
 
 def default_n_prime(ref_n: int) -> int:

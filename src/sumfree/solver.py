@@ -14,6 +14,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -295,6 +296,14 @@ def dilation_sweep(A: IntegerSet) -> DilationCertificate:
     maximising interval -- midpoints of adjacent breakpoints are never
     breakpoints themselves, so the certificate never sits on a boundary.
 
+    Only the breakpoints below 1/2 are generated.  frac((1-theta) x) =
+    1 - frac(theta x), and (1/3, 2/3) is symmetric about 1/2, so the size is
+    symmetric about 1/2; and 1/2 is never a breakpoint, since 3x/2 is never
+    3k+1 or 3k+2.  Every interval after the one holding 1/2 mirrors one
+    before it, so the first maximising interval starts below 1/2.  If no
+    exit lies between its start lo and 1/2, it is the interval holding 1/2,
+    which the mirror of lo, 1 - lo, closes; theta is then 1/2.
+
     The average selection size over theta is |A|/3, while neighbourhoods of
     0 and 1 select nothing; some interval therefore beats the average, which
     pins the guaranteed floor of ceil((|A|+1)/3).
@@ -304,9 +313,10 @@ def dilation_sweep(A: IntegerSet) -> DilationCertificate:
         raise ValueError("dilation_sweep needs a nonempty set")
     if 2 * sum(A.elements) > SWEEP_EVENT_LIMIT:
         raise ValueError("too many breakpoints for the exact sweep; use heuristic_sum_free")
-    enter = np.concatenate([np.arange(1, 3 * x, 3) / (3 * x) for x in A.elements])
+    # numerators below 3x/2 are the breakpoints below 1/2
+    enter = np.concatenate([np.arange(1, (3 * x + 1) // 2, 3) / (3 * x) for x in A.elements])
     enter.sort()
-    leave = np.concatenate([np.arange(2, 3 * x, 3) / (3 * x) for x in A.elements])
+    leave = np.concatenate([np.arange(2, (3 * x + 1) // 2, 3) / (3 * x) for x in A.elements])
     leave.sort()
     # The event limit gives max(A) <= 2e7, so every key is one correctly
     # rounded division of ints below 2^53: equal breakpoints, entry or exit,
@@ -320,7 +330,8 @@ def dilation_sweep(A: IntegerSet) -> DilationCertificate:
     # the first maximising interval starts at an entry; along a run of equal
     # entries the count rises, so argmax takes the run's last, where the
     # interval starts.  A breakpoint with no exit raises the count, so the
-    # next breakpoint after it holds an exit: leave[gone[i]].
+    # next breakpoint after it holds an exit: leave[gone[i]], or the mirror
+    # 1 - lo of the start when no exit lies between it and 1/2.
     gone = np.searchsorted(leave, enter, side="right")
     counts = np.arange(1, len(enter) + 1)
     counts -= gone
@@ -328,33 +339,31 @@ def dilation_sweep(A: IntegerSet) -> DilationCertificate:
     size = int(counts[i])
     max_den = 3 * A.elements[-1]
     lo = Fraction(float(enter[i])).limit_denominator(max_den)
-    hi = Fraction(float(leave[gone[i]])).limit_denominator(max_den)
+    if gone[i] == len(leave):
+        hi = 1 - lo
+    else:
+        hi = Fraction(float(leave[gone[i]])).limit_denominator(max_den)
     theta = (lo + hi) / 2
     return DilationCertificate(theta=theta, selected=dilation_select(A, theta), size=size)
 
 
-_RESIDUE_CACHE: dict[int, list[int]] = {}
-
-
-def _sum_free_residue_masks(q: int) -> list[int]:
+@cache
+def _sum_free_residue_masks(q: int) -> tuple[int, ...]:
     """All subsets of Z/qZ with no x + y = z mod q (x = y allowed)."""
-    masks = _RESIDUE_CACHE.get(q)
-    if masks is None:
-        masks = []
-        for mask in range(1, 1 << q):
-            bits = [r for r in range(q) if (mask >> r) & 1]
-            ok = True
-            for i, x in enumerate(bits):
-                for y in bits[i:]:
-                    if (mask >> ((x + y) % q)) & 1:
-                        ok = False
-                        break
-                if not ok:
+    masks = []
+    for mask in range(1, 1 << q):
+        bits = [r for r in range(q) if (mask >> r) & 1]
+        ok = True
+        for i, x in enumerate(bits):
+            for y in bits[i:]:
+                if (mask >> ((x + y) % q)) & 1:
+                    ok = False
                     break
-            if ok:
-                masks.append(mask)
-        _RESIDUE_CACHE[q] = masks
-    return masks
+            if not ok:
+                break
+        if ok:
+            masks.append(mask)
+    return tuple(masks)
 
 
 def _residue_candidate(A: IntegerSet, q: int) -> tuple[int, int]:

@@ -21,6 +21,9 @@ import numpy as np
 from .core import IntegerSet, JsonReport, indicator_vector, read_grid_json
 from .spectral import popular_differences
 
+# window ends find_dense_progression may visit, a few seconds of its Python loop
+PROGRESSION_WINDOW_LIMIT = 2_000_000
+
 
 @dataclass(frozen=True)
 class Progression(JsonReport):
@@ -93,8 +96,11 @@ def find_dense_progression(
     found on the lower convex hull of the prefix-sum points (window density
     is a slope), so each chain costs O(length * log).  Steps run up to
     (N-1)/(min_length-1), the largest step any qualifying window can have.
-    All comparisons are exact integer cross-multiplications; ties prefer
-    longer windows, then earlier starts, then smaller steps.
+    Each point x >= 1 + (min_length-1)*step ends windows of one chain, so
+    the scan visits the sum over steps of N - (min_length-1)*step window
+    ends; past PROGRESSION_WINDOW_LIMIT it refuses before it starts.  All
+    comparisons are exact integer cross-multiplications; ties prefer longer
+    windows, then earlier starts, then smaller steps.
     """
     member = indicator_vector(A, N)
     if not 1 <= min_length <= N:
@@ -103,6 +109,12 @@ def find_dense_progression(
 
     max_step = N - 1 if min_length == 1 else (N - 1) // (min_length - 1)
     max_step = max(1, max_step)
+    ends = max_step * N - (min_length - 1) * max_step * (max_step + 1) // 2
+    if ends > PROGRESSION_WINDOW_LIMIT:
+        raise ValueError(
+            f"progression scan would visit {ends} window ends, past the limit "
+            f"{PROGRESSION_WINDOW_LIMIT}; raise min_length or lower N"
+        )
     best = None
     for step in range(1, max_step + 1):
         for r in range(1, step + 1):
@@ -315,10 +327,6 @@ class GridSet:
             raise ValueError(
                 f"membership shape {m.shape} != ({self.modulus}, {self.cells})"
             )
-
-    @classmethod
-    def full(cls, modulus: int, cells: int) -> "GridSet":
-        return cls(modulus, cells, np.ones((modulus, cells), dtype=bool))
 
     def measure(self) -> Fraction:
         return Fraction(int(self.membership.sum()), self.modulus * self.cells)

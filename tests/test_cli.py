@@ -1,11 +1,15 @@
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
-from sumfree.cli import main
+import sumfree
+from sumfree.cli import _build_parser, main
 from sumfree.core import SCHEMA_VERSION, VERSION, load_set
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -231,3 +235,68 @@ def test_check_subcommand_passes(capsys):
     assert report["passed"] and report["failed"] == []
     assert "checks passed" in err
 
+
+
+def _first_call_report(argv):
+    """The report argv gives as the first CLI call of a new process."""
+    src = str(Path(sumfree.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-m", "sumfree.cli", *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(done.stdout)["report"]
+
+
+PLAIN_SOLVE = ["solve", "--set", fixture("deca.json")]
+
+
+@pytest.fixture(scope="module")
+def plain_solve_report():
+    return _first_call_report(PLAIN_SOLVE)
+
+
+@pytest.mark.parametrize(
+    "first, first_code",
+    [
+        # no heuristic flag or seed may carry over to the next call
+        (["solve", "--set", fixture("deca.json"), "--heuristic", "--seed", "3"], 0),
+        (["solve", "--set", fixture("deca.json"), "--no-such-flag"], 2),
+        (["--version"], 0),
+    ],
+)
+def test_reused_parser_keeps_no_state(capsys, plain_solve_report, first, first_code):
+    try:
+        code = main(first)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == first_code
+    capsys.readouterr()
+    code, out, _ = run_cli(capsys, PLAIN_SOLVE)
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert report == plain_solve_report
+    assert report["exact"] and report["nodes_explored"] > 0
+
+
+def test_parser_built_once_per_process(capsys):
+    for name in ("sweep", "solve", "solve_heuristic", "catalog"):
+        assert run_cli(capsys, COMMANDS[name])[0] == 0
+    assert _build_parser.cache_info().misses == 1
+
+
+def test_progression_scan_refused_past_its_window_limit(capsys, tmp_path):
+    # {1..2048} meets the hypothesis in {1..4096}; min length 1 would scan
+    # about 1.7e7 window ends in Python, about a minute
+    half = tmp_path / "half.json"
+    half.write_text(json.dumps({"elements": list(range(1, 2049))}))
+    argv = ["structure", "doubling", "--set", str(half), "--n", "4096",
+            "--eps", "1/10000", "--delta", "1/1000", "--min-length", "1"]
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "window ends" in err

@@ -45,9 +45,10 @@ class TestIntegerSet:
 
     def test_negatives_allowed_but_flagged(self):
         A = IntegerSet((-4, 2))
-        assert not A.is_positive
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^op requires positive elements$"):
             A.require_positive("op")
+        IntegerSet((2, 4)).require_positive("op")
+        IntegerSet(()).require_positive("op")
 
     def test_from_iterable_sorts(self):
         assert IntegerSet.from_iterable([9, 1, 3]).elements == (1, 3, 9)

@@ -76,3 +76,14 @@ def test_sweep_matches_interval_scan():
         A = IntegerSet.from_iterable(elems)
         cert = dilation_sweep(A)
         assert (cert.theta, cert.selected.elements) == dilation_sweep_direct(A), elems
+
+
+def test_sweep_at_one_half_closes_at_the_mirror():
+    # The first maximising interval holds 1/2: no exit lies between its start
+    # and 1/2 ({1} has no exit below 1/2 at all), so 1 - lo closes it.
+    odd = tuple(range(1, 32, 2))
+    for elems in ((1,), (1, 3), (3, 5, 7), (1, 2, 3, 5, 7, 9, 11), (3, 4, 5, 7, 9, 11, 13, 15), odd):
+        A = IntegerSet(elems)
+        cert = dilation_sweep(A)
+        assert cert.theta == Fraction(1, 2), elems
+        assert (cert.theta, cert.selected.elements) == dilation_sweep_direct(A), elems

@@ -173,6 +173,8 @@ class TestAlphaTilde:
 
 
 class TestAvoidZero:
+    FULL = GridSet(2, 2, np.ones((2, 2), dtype=bool))
+
     def test_empty_corner_found(self):
         g = GridSet(2, 2, np.array([[False, True], [True, True]]))
         rep = avoid_zero_diagnostic(g, 2, Fraction(1, 2))
@@ -204,13 +206,13 @@ class TestAvoidZero:
         assert rep.interval_end == Fraction(1, 2)
 
     def test_index_bound_clamped_with_warning(self):
-        g = GridSet.full(2, 2)
+        g = self.FULL
         with pytest.warns(UserWarning):
             rep = avoid_zero_diagnostic(g, 10, Fraction(1, 2))
         assert rep.mass == Fraction(1, 4)
 
     def test_validation(self):
-        g = GridSet.full(2, 2)
+        g = self.FULL
         with pytest.raises(ValueError):
             avoid_zero_diagnostic(g, 0, Fraction(1, 2))
         with pytest.raises(ValueError):
@@ -221,7 +223,7 @@ class TestAvoidZero:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="min_interval"):
-                avoid_zero_diagnostic(GridSet.full(2, 2), 3, 0)
+                avoid_zero_diagnostic(self.FULL, 3, 0)
 
 
 class TestLev:
