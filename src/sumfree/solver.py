@@ -11,10 +11,11 @@ checked against lives in `reference`.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import compress
 
 import numpy as np
 
@@ -35,15 +36,26 @@ def one_third_floor(n: int) -> int:
 
 
 def is_sum_free(A: IntegerSet, convention: SumFreeConvention = ALLOW_EQUAL) -> bool:
-    """Pair enumeration with membership lookup, O(|A|^2)."""
+    """Pair enumeration with membership lookup, at most |A|^2 / 2 lookups.
+
+    For each x only the partners y >= x (y > x under DISTINCT_ONLY) with
+    x + y <= max(A) are looked up, in one C-level `isdisjoint` pass: a larger
+    sum is not in A, whatever the signs.  That bound falls as x grows, so
+    the scan stops at the first x left with no partner.  Exact on Python
+    ints of any size.
+    """
     members = A.member_set
     elems = A.elements
-    allow_eq = convention is ALLOW_EQUAL
+    if not elems:
+        return True
+    top = elems[-1]
+    offset = 0 if convention is ALLOW_EQUAL else 1
     for i, x in enumerate(elems):
-        start = i if allow_eq else i + 1
-        for y in elems[start:]:
-            if x + y in members:
-                return False
+        end = bisect_right(elems, top - x)
+        if end <= i + offset:
+            break
+        if not members.isdisjoint(map(x.__add__, elems[i + offset : end])):
+            return False
     return True
 
 
@@ -385,15 +397,21 @@ def _residue_candidate(A: IntegerSet, q: int) -> tuple[int, int]:
 
 
 def _can_add(x: int, S: set[int], allow_eq: bool) -> bool:
+    """Whether S ∪ {x} stays sum-free, for sum-free S not holding x.
+
+    Both scans run in C.  Under DISTINCT_ONLY the pair s = x - s = x/2 is
+    no conflict; every other hit s has a distinct partner x - s, so x is
+    blocked when the hits number 2 or more once x/2 is in S.
+    """
     if allow_eq and 2 * x in S:
         return False
-    for s in S:
-        if s + x in S:
-            return False
-        d = x - s
-        if d in S and (allow_eq or d != s):
-            return False
-    return True
+    if not S.isdisjoint(map(x.__add__, S)):
+        return False
+    if S.isdisjoint(map(x.__sub__, S)):
+        return True
+    if allow_eq or x % 2 or x // 2 not in S:
+        return False
+    return sum(map(S.__contains__, map(x.__sub__, S))) < 2
 
 
 def heuristic_sum_free(
@@ -433,9 +451,10 @@ def heuristic_sum_free(
         cert = dilation_sweep(A)
         best_set = set(cert.selected.elements)
     else:
-        arr = np.asarray(A.elements, dtype=np.int64)
         q = 99_991  # prime modulus: theta = k/q evaluated in exact integer arithmetic
-        residues = arr % q  # k * residue < q^2 < 10^10 cannot overflow int64
+        # x % q on Python ints, so elements past int64 are fine;
+        # k * residue < q^2 < 10^10 cannot overflow int64
+        residues = np.array([x % q for x in A.elements], dtype=np.int64)
         best_count, best_sel = -1, None
         for k in rng.integers(1, q, size=192):
             r = (int(k) * residues) % q
@@ -443,7 +462,7 @@ def heuristic_sum_free(
             c = int(inside.sum())
             if c > best_count:
                 best_count, best_sel = c, inside
-        best_set = set(int(v) for v in arr[best_sel])
+        best_set = set(compress(A.elements, best_sel.tolist()))
         if best_count < floor and events <= SWEEP_EVENT_LIMIT:
             cert = dilation_sweep(A)  # exact fallback restores the guarantee
             best_set = set(cert.selected.elements)
@@ -464,22 +483,29 @@ def heuristic_sum_free(
         raise ValueError(f"heuristic_sum_free: best candidate {len(best_set)} < floor {floor}")
 
     # Local search: random add moves, falling back to 1-swaps.
+    # `ordered` is `current` in sorted order, kept in step with it.
     current = set(best_set)
     best = set(best_set)
     for _ in range(4):
+        ordered = sorted(current)
         for _ in range(150):
             x = int(elems[rng.integers(0, n)])
             if x in current:
                 continue
             if _can_add(x, current, allow_eq):
                 current.add(x)
+                insort(ordered, x)
             elif current:
                 # plateau 1-swap: trade a random member for x when legal
-                ordered = sorted(current)
-                pick = ordered[int(rng.integers(0, len(ordered)))]
-                trial = current - {pick}
-                if _can_add(x, trial, allow_eq):
-                    current = trial | {x}
+                j = int(rng.integers(0, len(ordered)))
+                pick = ordered[j]
+                current.remove(pick)
+                if _can_add(x, current, allow_eq):
+                    current.add(x)
+                    del ordered[j]
+                    insort(ordered, x)
+                else:
+                    current.add(pick)
             if len(current) > len(best):
                 best = set(current)
         current = set(best)

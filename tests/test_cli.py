@@ -89,6 +89,17 @@ def test_heuristic_on_elements_near_int64_limit(capsys, tmp_path):
     assert json.loads(out)["report"]["optimum"] >= 2
 
 
+def test_heuristic_on_elements_past_int64(capsys, tmp_path):
+    elements = [3, 7, 10**20, 2 * 10**20 + 1]
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"elements": elements}))
+    code, out, _ = run_cli(capsys, ["solve", "--set", str(big), "--heuristic"])
+    assert code == 0
+    witness = json.loads(out)["report"]["witness"]
+    assert witness and set(witness) <= set(elements)
+    assert not any(x + y in witness for x in witness for y in witness)
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

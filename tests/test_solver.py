@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from sumfree.reference import exhaustive_max_sum_free
 from sumfree.solver import (
     ALLOW_EQUAL,
     DISTINCT_ONLY,
+    _can_add,
     catalog,
     compose,
     compose_iterate,
@@ -37,6 +39,30 @@ class TestIsSumFree:
 
     def test_odd_numbers(self):
         assert is_sum_free(IntegerSet((1, 3, 5, 7, 9)), ALLOW_EQUAL)
+
+    @pytest.mark.parametrize("conv", [ALLOW_EQUAL, DISTINCT_ONLY], ids=lambda c: c.value)
+    def test_matches_pair_definition(self, conv):
+        # every ordered pair, no cut: sets with negative elements, the empty
+        # set, singletons, and sum-free classes 1 mod 3 with one intruder
+        def by_pairs(A):
+            members = A.member_set
+            return not any(
+                x + y in members for x in A.elements for y in A.elements if conv is ALLOW_EQUAL or x != y
+            )
+
+        rng = rng_from_seed(2024, "is-sum-free")
+        sets = [IntegerSet(()), IntegerSet((1,)), IntegerSet((-4,)), IntegerSet((-2, -1))]
+        for _ in range(150):
+            lo = int(rng.integers(-60, 20))
+            pool = [v for v in range(lo, lo + int(rng.integers(2, 90))) if v != 0]
+            size = int(rng.integers(0, min(len(pool), 25) + 1))
+            picks = sorted(int(v) for v in rng.choice(pool, size=size, replace=False))
+            sets.append(IntegerSet(tuple(picks)))
+            tame = {v for v in picks if v % 3 == 1} | {int(rng.choice(pool))}
+            sets.append(IntegerSet.from_iterable(tame))
+        verdicts = [is_sum_free(A, conv) for A in sets]
+        assert verdicts == [by_pairs(A) for A in sets]
+        assert 100 < sum(verdicts) < len(sets) - 100
 
 
 class TestExactSolver:
@@ -131,7 +157,45 @@ class TestDilation:
         assert cert.size >= 2  # floor for 3 elements
 
 
+class TestCanAdd:
+    @pytest.mark.parametrize("conv", [ALLOW_EQUAL, DISTINCT_ONLY], ids=lambda c: c.value)
+    def test_matches_is_sum_free(self, conv):
+        allow_eq = conv is ALLOW_EQUAL
+        rng = rng_from_seed(2024, "can-add")
+        # x = 6 has x/2 in both fixed sets, with a second pair 1 + 5 in one
+        sets = [{3, 10}, {1, 3, 5}]
+        for _ in range(60):
+            S: set[int] = set()
+            for v in rng.permutation(int(rng.integers(8, 60))).tolist()[: int(rng.integers(1, 30))]:
+                if is_sum_free(IntegerSet.from_iterable(S | {v + 1}), conv):
+                    S.add(v + 1)
+            sets.append(S)
+        for S in sets:
+            for x in range(1, 2 * max(S) + 2):
+                if x not in S:
+                    assert _can_add(x, S, allow_eq) == is_sum_free(IntegerSet.from_iterable(S | {x}), conv)
+
+
 class TestHeuristic:
+    # (n, max element, convention, optimum, sha256 of the witness tuple's repr).
+    # A 400-subset of [1, 4000] takes the exact sweep, a 1000-subset of
+    # [1, 10^5] the sampled dilations; both make hundreds of plateau-swap
+    # attempts, so these pin the order of the local search's draws.
+    FROZEN = [
+        (400, 4000, ALLOW_EQUAL, 209, "e3ae82c68c48ee2f50dfc4bcae13467ff4aea9641a12c8ee189d32832a14a04d"),
+        (400, 4000, DISTINCT_ONLY, 209, "e3ae82c68c48ee2f50dfc4bcae13467ff4aea9641a12c8ee189d32832a14a04d"),
+        (1000, 10**5, ALLOW_EQUAL, 518, "937038988a3b2c4babbab08e803c5113895793ce34427e6eba1700278bef82fb"),
+        (1000, 10**5, DISTINCT_ONLY, 520, "5e5b66bde3c2e35a4e0207792d3e3729b1792184edd5c6d8b3c230933c41f76f"),
+    ]
+
+    @pytest.mark.parametrize("n, top, conv, optimum, digest", FROZEN)
+    def test_frozen_witness(self, n, top, conv, optimum, digest):
+        rng = rng_from_seed(2024, "frozen-witness")
+        A = IntegerSet(tuple(sorted(int(x) for x in rng.choice(top, size=n, replace=False) + 1)))
+        rep = heuristic_sum_free(A, conv, seed=5)
+        assert rep.optimum == optimum
+        assert hashlib.sha256(repr(rep.witness.elements).encode()).hexdigest() == digest
+
     def test_reaches_floor_and_verifies(self):
         rng = rng_from_seed(2024, "heuristic")
         for _ in range(15):
