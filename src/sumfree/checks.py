@@ -19,6 +19,7 @@ from . import equidist as eq
 from . import reference, solver, spectral, structure, weights
 from .core import (
     IntegerSet,
+    default_n_prime,
     embed_signal,
     indicator_vector,
     interval_signal,
@@ -142,6 +143,34 @@ def _check_u2_fft_vs_direct(rng):
         assert abs(fast - slow) <= _REL_TOL * max(1.0, fast), (
             f"U2 group norm fft {fast} != direct {slow}"
         )
+    # a set's norm from its exact additive energy, on both count paths
+    for _ in range(10):
+        N = int(rng.integers(1, 200))
+        A = _random_set(rng, N, N)
+        for n_prime in (None, 2 * default_n_prime(N)):
+            rep = spectral.set_u2(A, N, n_prime)
+            fft = spectral.u2_group_norm(embed_signal(A, N, n_prime))
+            assert abs(rep.u2_group_norm - fft) <= 1e-12 * fft, (
+                f"{A.elements} at N'={rep.n_prime}: energy {rep.u2_group_norm} != fft {fft}"
+            )
+
+
+def _check_pairs_vs_fft(rng):
+    # set sizes straddle |A|^2 = N, with equality when N is a square; each
+    # set of two or more elements holds 1 and N
+    cases = [(IntegerSet(()), 5), (IntegerSet((1,)), 1), (IntegerSet((4,)), 4)]
+    for _ in range(8):
+        root = int(rng.integers(3, 20))
+        for N in (root * root, root * root + int(rng.integers(1, 2 * root + 1))):
+            for size in (root - 1, root, root + 1):
+                inner = _random_subset(rng, N - 2, size - 2).elements
+                cases.append((IntegerSet((1, *(x + 1 for x in inner), N)), N))
+    for A, N in cases:
+        a = indicator_vector(A, N)
+        pairs, fft = spectral._differences_by_pairs(a), spectral._differences_by_fft(a)
+        assert pairs.tolist() == fft.tolist(), f"{A.elements} in [1, {N}]: difference counts differ"
+        pairs, fft = spectral._triples_by_pairs(a), spectral._triples_by_fft(a)
+        assert pairs == fft, f"{A.elements} in [1, {N}]: ordered triples {pairs} != {fft}"
 
 
 def _check_u2_embedding_free(rng):
@@ -568,6 +597,7 @@ SUITES: dict[str, list[tuple[str, object]]] = {
     "spectral": [
         ("parseval", _check_parseval),
         ("u2_fft_vs_direct", _check_u2_fft_vs_direct),
+        ("pairs_vs_fft", _check_pairs_vs_fft),
         ("u2_embedding_free", _check_u2_embedding_free),
         ("t_count_direct", _check_t_count_direct),
         ("t_count_zero_iff_sum_free", _check_t_count_zero_iff_sum_free),

@@ -24,7 +24,6 @@ from .core import (
     VERSION,
     IntegerSet,
     SumFreeConvention,
-    embed_signal,
     format_rational,
     load_set,
     parse_rational,
@@ -166,14 +165,8 @@ def _cmd_catalog(args):
 
 def _cmd_spectral_u2(args):
     A = load_set(args.set)
-    sig = embed_signal(A, args.n, n_prime=args.n_prime)
-    report = {
-        "n": args.n,
-        "n_prime": sig.n_prime,
-        "u2_group_norm": spectral.u2_group_norm(sig),
-        "u2_norm": spectral.u2_norm(sig),
-    }
-    return report, f"u2: {report['u2_norm']:.6g} at N'={sig.n_prime}", 0
+    rep = spectral.set_u2(A, args.n, args.n_prime)
+    return rep.to_json_dict(), f"u2: {rep.u2_norm:.6g} at N'={rep.n_prime}", 0
 
 
 def _cmd_spectral_tcount(args):

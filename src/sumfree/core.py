@@ -222,6 +222,21 @@ def default_n_prime(ref_n: int) -> int:
     return 1 << (4 * ref_n).bit_length()
 
 
+def group_order(N: int, n_prime: int | None = None) -> int:
+    """N' for an interval of length N: n_prime, or the default when None.
+
+    Checked against both bounds, N' > 4N and N' <= MAX_SIGNAL_LENGTH, before
+    any signal of that length is built.
+    """
+    if n_prime is None:
+        n_prime = default_n_prime(N)
+    if n_prime <= 4 * N:
+        raise ValueError(f"group order {n_prime} too small for N = {N}; need > {4 * N}")
+    if n_prime > MAX_SIGNAL_LENGTH:
+        raise ValueError(f"group order {n_prime} exceeds the limit {MAX_SIGNAL_LENGTH}")
+    return n_prime
+
+
 @dataclass(frozen=True)
 class CyclicSignal:
     """A complex-valued function on Z/N'Z carrying a function on {1,..,N}.
@@ -269,12 +284,7 @@ def interval_signal(values: Sequence[float] | np.ndarray, n_prime: int | None = 
     if arr.ndim != 1 or len(arr) == 0:
         raise ValueError("values must be a nonempty 1-d array")
     N = len(arr)
-    if n_prime is None:
-        n_prime = default_n_prime(N)
-    if n_prime <= 4 * N:
-        raise ValueError(f"group order {n_prime} too small for N = {N}; need > {4 * N}")
-    if n_prime > MAX_SIGNAL_LENGTH:
-        raise ValueError(f"group order {n_prime} exceeds the limit {MAX_SIGNAL_LENGTH}")
+    n_prime = group_order(N, n_prime)
     out = np.zeros(n_prime, dtype=np.complex128)
     out[1 : N + 1] = arr
     return CyclicSignal(out, ref_n=N)

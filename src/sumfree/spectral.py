@@ -10,8 +10,13 @@ asserted).  The fourth-moment identity
 
 turns the quadruple average into one FFT; `reference` holds the direct
 quadruple average and triple sum that the FFT paths are checked against.
-Interval quantities use N = ref_n and the convention that array index i
-holds the value at n = i + 1.
+For a set A the quadruples are counted exactly instead: with nothing
+wrapping, ||1_A||_{U2}^4 = E(A) / N'^3 for the additive energy
+E(A) = sum_d |A ∩ (A+d)|^2, so `set_u2` builds no N'-point signal.
+The set counts (`difference_counts`, `ordered_triples`) enumerate the
+|A|^2 element pairs when |A|^2 <= N, and correlate the indicator by FFT
+otherwise.  Interval quantities use N = ref_n and the convention that
+array index i holds the value at n = i + 1.
 """
 
 from __future__ import annotations
@@ -21,7 +26,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import CyclicSignal, IntegerSet, JsonReport, indicator_vector, interval_signal
+from .core import (
+    CyclicSignal,
+    IntegerSet,
+    JsonReport,
+    group_order,
+    indicator_vector,
+    interval_signal,
+)
 
 
 def spectrum(signal: CyclicSignal) -> np.ndarray:
@@ -87,25 +99,95 @@ def t_count(f: np.ndarray | list[float]) -> float:
     return total / n**2
 
 
+def _use_pairs(A: IntegerSet, N: int) -> bool:
+    """Whether a set count enumerates element pairs instead of running an FFT.
+
+    The FFT transforms at least 2N points; with |A|^2 <= N the pair arrays
+    and the N-entry result are no larger, and the work no more.
+    """
+    return len(A) ** 2 <= N
+
+
+def _triples_by_pairs(a: np.ndarray) -> int:
+    e = np.flatnonzero(a)
+    sums = np.add.outer(e, e).ravel() + 1  # index of x + y for x = e_i + 1, y = e_j + 1
+    return int(np.count_nonzero(a[sums[sums < len(a)]]))
+
+
+def _triples_by_fft(a: np.ndarray) -> int:
+    # each rounded count and their sum stay below 2^53, so the float sum is exact
+    return int(np.rint(_self_convolution(a)[: len(a) - 1][a[1:] > 0]).sum())
+
+
 def ordered_triples(A: IntegerSet, N: int) -> int:
     """#{(x, y) in A^2 : x + y in A} for A inside {1,..,N}, exactly.
 
-    The pair-sum counts are the indicator's self-convolution rounded to
+    When |A|^2 <= N each pair sum is looked up in the indicator; otherwise
+    the pair-sum counts are the indicator's self-convolution rounded to
     integers, as difference_counts rounds its correlation.
     """
     a = indicator_vector(A, N)
-    # each rounded count and their sum stay below 2^53, so the float sum is exact
-    return int(np.rint(_self_convolution(a)[: N - 1][a[1:] > 0]).sum())
+    return (_triples_by_pairs if _use_pairs(A, N) else _triples_by_fft)(a)
+
+
+def _differences_by_pairs(a: np.ndarray) -> np.ndarray:
+    e = np.flatnonzero(a)
+    diffs = np.subtract.outer(e, e).ravel()
+    return np.bincount(diffs[diffs >= 0], minlength=len(a))
+
+
+def _differences_by_fft(a: np.ndarray) -> np.ndarray:
+    length = 1 << (2 * len(a)).bit_length()
+    F = np.fft.rfft(a, length)
+    corr = np.fft.irfft(F * np.conj(F), length)
+    return np.rint(corr[: len(a)]).astype(np.int64)
 
 
 def difference_counts(A: IntegerSet, N: int) -> np.ndarray:
-    """Exact counts |A ∩ (A+d)| for d = 0..N-1 (symmetric in d)."""
+    """Exact counts |A ∩ (A+d)| for d = 0..N-1 (symmetric in d).
+
+    From the |A|^2 pairwise differences when |A|^2 <= N, else from the
+    indicator's autocorrelation by FFT, rounded to integers.
+    """
     a = indicator_vector(A, N)
-    length = 1 << (2 * N).bit_length()
-    F = np.fft.rfft(a, length)
-    corr = np.fft.irfft(F * np.conj(F), length)
-    counts = np.rint(corr[:N]).astype(np.int64)
-    return counts
+    return (_differences_by_pairs if _use_pairs(A, N) else _differences_by_fft)(a)
+
+
+def additive_energy(A: IntegerSet, N: int) -> int:
+    """E(A) = #{(a, b, c, d) in A^4 : a - b = c - d} = c(0)^2 + 2 sum_{d>=1} c(d)^2.
+
+    Here c = difference_counts(A, N).  Each c(d)^2 is at most
+    MAX_SIGNAL_LENGTH^2 = 2^46, so a block of 2^16 squares sums below 2^62
+    in int64; the blocks add as Python ints, since E can pass 2^63.
+    """
+    squares = difference_counts(A, N) ** 2
+    step = 1 << 16
+    blocks = (int(squares[i : i + step].sum()) for i in range(1, N, step))
+    return int(squares[0]) + 2 * sum(blocks)
+
+
+@dataclass(frozen=True)
+class SetU2(JsonReport):
+    n: int
+    n_prime: int
+    u2_group_norm: float
+    u2_norm: float
+    additive_energy: int
+
+
+def set_u2(A: IntegerSet, N: int, n_prime: int | None = None) -> SetU2:
+    """U2 norms of 1_A in Z/N'Z from its exact additive energy.
+
+    N' > 4N leaves every quadruple of {1,..,N} unwrapped, so the group
+    norm is (E(A) / N'^3)^(1/4), the value u2_group_norm takes on
+    embed_signal(A, N, n_prime) up to float rounding.  N' is checked
+    before any count.  For A = {1,..,N}, E is the closed form of
+    _interval_group_norm and u2_norm is exactly 1.0.
+    """
+    n_prime = group_order(N, n_prime)
+    energy = additive_energy(A, N)
+    group = (energy / n_prime**3) ** 0.25
+    return SetU2(N, n_prime, group, group / _interval_group_norm(N, n_prime), energy)
 
 
 def popular_differences(A: IntegerSet, N: int, t) -> list[int]:

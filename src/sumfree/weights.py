@@ -483,7 +483,8 @@ def density_experiment(eps, params: IterationParams, cells: int, N: int, seeds) 
 
 
 def save_weight(w: GridWeight, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(w.to_json_dict(), indent=2) + "\n")
+    """Write a weight as compact one-line JSON, through json's C encoder."""
+    Path(path).write_text(json.dumps(w.to_json_dict(), separators=(",", ":")) + "\n")
 
 
 def load_weight(path: str | Path) -> GridWeight:

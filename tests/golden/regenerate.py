@@ -92,16 +92,16 @@ def run_report(argv: list[str]) -> tuple[int, dict]:
 
 
 def regenerate() -> None:
-    from sumfree.cli import main
+    from fractions import Fraction
 
-    # the sampling fixture weight is itself a build product
-    with contextlib.redirect_stdout(io.StringIO()):
-        with contextlib.redirect_stderr(io.StringIO()):
-            code = main(
-                ["weight", "build", "--eps", "1/2", "--cells", "8", "--steps", "2",
-                 "--out", fixture("w.json")]
-            )
-    assert code == 0
+    from sumfree.weights import IterationParams, build_weight, load_weight
+
+    # The sampling fixture weight is the build of `weight build --eps 1/2
+    # --cells 8 --steps 2`, kept in the indented layout that weight files had
+    # before `save_weight` went compact, so that the loader stays tested on
+    # both layouts.  It is checked, not rewritten.
+    want = build_weight(Fraction(1, 2), IterationParams(steps=2), 8).weight.to_json_dict()
+    assert load_weight(fixture("w.json")).to_json_dict() == want, "fixtures/w.json is stale"
     for name, argv in COMMANDS.items():
         code, report = run_report(argv)
         assert code == 0, f"{name}: exit {code}"

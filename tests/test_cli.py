@@ -229,6 +229,7 @@ def test_weight_out_round_trips(capsys, tmp_path):
          "--out", str(w_path)],
     )
     assert code == 0
+    assert w_path.read_text().count("\n") == 1 and ": " not in w_path.read_text()  # compact
     code, out, _ = run_cli(
         capsys,
         ["weight", "sample", "--weight", str(w_path), "--n", "32", "--seed", "1",
@@ -311,3 +312,29 @@ def test_progression_scan_refused_past_its_window_limit(capsys, tmp_path):
     assert time.perf_counter() - start < 1.0
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and "window ends" in err
+
+
+@pytest.mark.parametrize("n", [1, 10, 4096])
+def test_u2_of_the_full_interval_is_exactly_one(capsys, tmp_path, n):
+    # the energy of {1..N} is the closed form the interval norm divides by
+    full = tmp_path / "full.json"
+    full.write_text(json.dumps({"elements": list(range(1, n + 1))}))
+    code, out, _ = run_cli(capsys, ["spectral", "u2", "--set", str(full), "--n", str(n)])
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert report["u2_norm"] == 1.0
+    assert report["additive_energy"] == (2 * n**3 + n) // 3
+
+
+@pytest.mark.parametrize(
+    "n_prime, message",
+    [
+        ("3", "error: group order 3 too small for N = 10; need > 40\n"),
+        ("40", "error: group order 40 too small for N = 10; need > 40\n"),
+        (str((1 << 23) + 1), "error: group order 8388609 exceeds the limit 8388608\n"),
+    ],
+)
+def test_u2_group_order_checked_with_its_message(capsys, n_prime, message):
+    argv = ["spectral", "u2", "--set", fixture("deca.json"), "--n", "10", "--n-prime", n_prime]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out, err) == (1, "", message)

@@ -1,16 +1,19 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from sumfree.core import IntegerSet, indicator_vector, interval_signal, rng_from_seed
+from sumfree.core import IntegerSet, embed_signal, indicator_vector, interval_signal, rng_from_seed
 from sumfree.reference import t_count_direct
 from sumfree.spectral import (
+    additive_energy,
     difference_counts,
     fourier_decompose,
     ordered_triples,
     pollard_check,
     popular_differences,
+    set_u2,
     spectrum,
     t_count,
     t_stability_gap,
@@ -45,7 +48,8 @@ class TestTCount:
         # no set was found on which round(t_count * N^2) is wrong; the exact
         # count is pinned against a direct pair count on dense sets instead
         rng = rng_from_seed(91, "triples")
-        for N, density in ((2000, 0.9), (2000, 0.5), (1, 1.0)):
+        # the last three take the pair path, |A|^2 <= N
+        for N, density in ((2000, 0.9), (2000, 0.5), (2000, 0.02), (5000, 0.01), (1, 1.0)):
             A = IntegerSet(tuple(int(x) + 1 for x in np.nonzero(rng.random(N) < density)[0]))
             member = np.zeros(2 * N + 1, dtype=bool)
             member[list(A.elements)] = True
@@ -84,10 +88,58 @@ class TestU2:
         assert a == pytest.approx(b, abs=1e-6)
 
 
+def _sparse_and_dense_sets(seed):
+    """Seeded sets on both sides of |A|^2 = N, with their N."""
+    rng = rng_from_seed(seed, "pairs")
+    for _ in range(30):
+        N = int(rng.integers(1, 300))
+        size = int(rng.integers(0, min(N, 2 * math.isqrt(N) + 2) + 1))
+        yield IntegerSet(tuple(sorted(int(x) + 1 for x in rng.choice(N, size, replace=False)))), N
+
+
+class TestEnergy:
+    def test_full_interval_closed_form(self):
+        for N in range(1, 60):
+            assert additive_energy(IntegerSet(tuple(range(1, N + 1))), N) == (2 * N**3 + N) // 3
+
+    def test_full_interval_past_int64(self):
+        N = 2_500_000
+        energy = additive_energy(IntegerSet(tuple(range(1, N + 1))), N)
+        assert energy == (2 * N**3 + N) // 3 > 2**63
+
+    def test_matches_quadruple_count(self):
+        for A, N in _sparse_and_dense_sets(12):
+            a = np.array(A.elements, dtype=np.int64)
+            _, reps = np.unique(np.subtract.outer(a, a), return_counts=True)
+            assert additive_energy(A, N) == int((reps**2).sum())
+
+    def test_set_u2_matches_the_signal_norm(self):
+        for A, N in _sparse_and_dense_sets(13):
+            for n_prime in (None, 8 * N + 3):
+                rep = set_u2(A, N, n_prime)
+                sig = embed_signal(A, N, n_prime)
+                assert rep.n_prime == sig.n_prime
+                assert rep.u2_group_norm == pytest.approx(u2_group_norm(sig), rel=1e-12, abs=1e-300)
+                assert rep.u2_norm == pytest.approx(u2_norm(sig), rel=1e-12, abs=1e-300)
+
+    def test_set_u2_checks_group_order_first(self):
+        outside = IntegerSet((1, 99))  # not in {1..10}: the N' message comes first
+        with pytest.raises(ValueError, match="^group order 40 too small for N = 10; need > 40$"):
+            set_u2(outside, 10, 40)
+
+
 class TestDifferences:
     def test_frozen_counts(self):
         counts = difference_counts(POW2, 8)
         assert counts.tolist() == [4, 1, 1, 1, 1, 0, 1, 1]
+        # |A|^2 = N: counted from pairs
+        assert difference_counts(POW2, 16).tolist() == [4, 1, 1, 1, 1, 0, 1, 1] + [0] * 8
+
+    def test_both_paths_match_the_definition(self):
+        for A, N in _sparse_and_dense_sets(14):
+            counts = difference_counts(A, N)
+            assert counts.dtype == np.int64 and len(counts) == N
+            assert counts.tolist() == [sum(a - d in A for a in A) for d in range(N)]
 
     def test_difference_set_size(self):
         counts = difference_counts(POW2, 8)
