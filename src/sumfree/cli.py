@@ -12,7 +12,6 @@ reproducible bit for bit.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from functools import cache
@@ -28,6 +27,7 @@ from .core import (
     load_set,
     parse_rational,
     save_set,
+    write_json,
 )
 
 
@@ -456,7 +456,7 @@ def main(argv: list[str] | None = None) -> int:
         "elapsed_seconds": round(time.perf_counter() - start, 6),
         "report": report,
     }
-    json.dump(envelope, sys.stdout, indent=2)
+    write_json(envelope, sys.stdout)
     sys.stdout.write("\n")
     _note(note)
     return code

@@ -214,7 +214,9 @@ def save_set(A: IntegerSet, path: str | Path) -> None:
     obj: dict = {"name": A.name, "elements": list(A.elements)}
     if A.name is None:
         del obj["name"]
-    Path(path).write_text(json.dumps(obj, indent=2) + "\n")
+    with open(path, "w") as fh:
+        write_json(obj, fh)
+        fh.write("\n")
 
 
 def default_n_prime(ref_n: int) -> int:
@@ -349,6 +351,79 @@ def _json_value(x):
     if isinstance(x, tuple):
         return [_json_value(v) for v in x]
     return x
+
+
+# json's C encoder; JSONEncoder only uses it when there is no indent
+_C_ENCODER = json.JSONEncoder(separators=(",", ":"))
+_SCALAR_TYPES = frozenset({int, float, bool, type(None)})
+_JSON_CHUNK = 1 << 14  # list items per piece that write_json writes
+# all-float lists from this length on format each distinct bit pattern once:
+# weight lists of 128 values (13 distinct) and up write 1.4-3.2x faster so,
+# while at 32 values numpy's fixed cost loses
+JSON_DISTINCT_MIN = 128
+
+
+def write_json(obj, fp, *, compact: bool = False) -> None:
+    """Write obj to the text file fp as json.dump(obj, fp, indent=2) would.
+
+    With compact=True the text is that of separators=(",", ":") instead.
+    Containers are walked here; each list of numbers, bools and None goes
+    through json's C encoder and is re-separated (no such item holds a
+    comma).  Lists go out in pieces of _JSON_CHUNK items, so no transient
+    grows with the list, and in an all-float list of JSON_DISTINCT_MIN
+    items or more each piece formats each distinct bit pattern once, so
+    -0.0 and 0.0 keep their own text.
+    """
+    for piece in _json_pieces(obj, None if compact else "\n"):
+        fp.write(piece)
+
+
+def _json_pieces(obj, newline):
+    """Text pieces of obj; newline is "\\n" plus the current indent, None when compact."""
+    is_dict = isinstance(obj, dict)
+    if not (is_dict or isinstance(obj, (list, tuple))):
+        yield _C_ENCODER.encode(obj)
+        return
+    brackets = "{}" if is_dict else "[]"
+    if not obj:
+        yield brackets
+        return
+    inner = None if newline is None else newline + "  "
+    sep = "," if inner is None else "," + inner
+    yield brackets[0] + (inner or "")
+    if is_dict:
+        colon = ":" if inner is None else ": "
+        for i, (key, value) in enumerate(obj.items()):
+            yield (sep if i else "") + _json_key(key) + colon
+            yield from _json_pieces(value, inner)
+    elif (types := set(map(type, obj))) <= _SCALAR_TYPES:
+        yield from _json_scalars(obj, sep, types == {float} and len(obj) >= JSON_DISTINCT_MIN)
+    else:
+        for i, value in enumerate(obj):
+            yield sep if i else ""
+            yield from _json_pieces(value, inner)
+    yield (newline or "") + brackets[1]
+
+
+def _json_key(key) -> str:
+    if isinstance(key, str):
+        return _C_ENCODER.encode(key)
+    if key is None or isinstance(key, (int, float)):  # json writes these keys as strings
+        return '"' + _C_ENCODER.encode(key) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _json_scalars(xs, sep: str, floats: bool):
+    """The items of a list of int, float, bool and None, joined by sep."""
+    for s in range(0, len(xs), _JSON_CHUNK):
+        chunk = xs[s : s + _JSON_CHUNK]
+        if floats:
+            bits, inverse = np.unique(np.array(chunk).view(np.int64), return_inverse=True)
+            texts = _C_ENCODER.encode(bits.view(np.float64).tolist())[1:-1].split(",")
+            text = sep.join(np.array(texts, dtype=object)[inverse].tolist())
+        else:
+            text = _C_ENCODER.encode(chunk)[1:-1].replace(",", sep)
+        yield (sep if s else "") + text
 
 
 def read_grid_json(path: str | Path, rows_key: str, cols_key: str) -> dict:

@@ -21,7 +21,8 @@ import numpy as np
 from .core import IntegerSet, JsonReport, indicator_vector, read_grid_json
 from .spectral import popular_differences
 
-# window ends find_dense_progression may visit, a few seconds of its Python loop
+# window ends find_dense_progression may visit: its grids hold about twice as
+# many cells, and each Dinkelbach round costs a few numpy passes over them
 PROGRESSION_WINDOW_LIMIT = 2_000_000
 
 
@@ -72,83 +73,85 @@ class DenseProgressionReport(JsonReport):
     meets_target: bool
 
 
-def _candidate_beats(cand, best) -> bool:
-    # (hits, length, start, step); higher density, then longer, then earlier
-    # start, then smaller step.  Density compared by cross-multiplication.
-    ch, cl, cs, cd = cand
-    bh, bl, bs, bd = best
-    if ch * bl != bh * cl:
-        return ch * bl > bh * cl
-    if cl != bl:
-        return cl > bl
-    if cs != bs:
-        return cs < bs
-    return cd < bd
-
-
 def find_dense_progression(
     A: IntegerSet, N: int, min_length: int, target_density
 ) -> DenseProgressionReport:
     """Exhaustive scan for the densest progression window of length >= min_length.
 
-    Every progression inside {1,..,N} is some window of a residue chain
-    r, r+d, r+2d, ..; within one chain the best window ending at index j is
-    found on the lower convex hull of the prefix-sum points (window density
-    is a slope), so each chain costs O(length * log).  Steps run up to
-    (N-1)/(min_length-1), the largest step any qualifying window can have.
-    Each point x >= 1 + (min_length-1)*step ends windows of one chain, so
-    the scan visits the sum over steps of N - (min_length-1)*step window
-    ends; past PROGRESSION_WINDOW_LIMIT it refuses before it starts.  All
-    comparisons are exact integer cross-multiplications; ties prefer longer
-    windows, then earlier starts, then smaller steps.
+    Every progression inside {1,..,N} is a window of some residue chain
+    r, r+d, r+2d, .. <= N.  For each step d the indicator, padded to a
+    (rows, d) grid whose columns are the chains, gives every chain's prefix
+    sums P in one cumsum.  Steps run up to (N-1)/(min_length-1), the
+    largest step any qualifying window can have, one at a time, so memory
+    stays O(N).
+
+    The best density p/q is found by Dinkelbach iteration, from 0/1: with
+    V[i] = q*P[i] - p*i, a window (k, j] is denser than p/q exactly when
+    V[j] > V[k], so a prefix minimum of V over the starts k <= j - min_length
+    finds the best window ending at each j.  While some window of the step
+    beats p/q, the one with the largest V[j] - V[k] sets the next p/q;
+    density strictly rises and takes finitely many values, so the rounds
+    stop.  The windows with V[j] equal to that minimum are the ones at
+    density p/q, and each takes its first minimum (its longest window).
+    Since p/q only rises, the best window found at the final p/q is the
+    answer.  All arithmetic is exact in int64 (|q*P| <= N^2 <= 2^46).  Ties
+    prefer longer windows, then earlier starts, then smaller steps.
+
+    The scan is refused before it starts when its window ends, the sum over
+    steps of N - (min_length-1)*step, pass PROGRESSION_WINDOW_LIMIT.
     """
-    member = indicator_vector(A, N)
+    member = indicator_vector(A, N).astype(np.int8)
     if not 1 <= min_length <= N:
         raise ValueError(f"min_length must lie in [1, {N}]")
     target = Fraction(target_density)
 
-    max_step = N - 1 if min_length == 1 else (N - 1) // (min_length - 1)
+    L = min_length
+    max_step = N - 1 if L == 1 else (N - 1) // (L - 1)
     max_step = max(1, max_step)
-    ends = max_step * N - (min_length - 1) * max_step * (max_step + 1) // 2
+    ends = max_step * N - (L - 1) * max_step * (max_step + 1) // 2
     if ends > PROGRESSION_WINDOW_LIMIT:
         raise ValueError(
             f"progression scan would visit {ends} window ends, past the limit "
             f"{PROGRESSION_WINDOW_LIMIT}; raise min_length or lower N"
         )
-    best = None
-    for step in range(1, max_step + 1):
-        for r in range(1, step + 1):
-            chain = member[r - 1 :: step]  # the points r, r + step, .. <= N
-            m = len(chain)
-            if m < min_length:
-                continue
-            prefix = [0, *np.cumsum(chain, dtype=np.int64).tolist()]
-            hull: list[tuple[int, int]] = []
-            for j in range(min_length, m + 1):
-                k = j - min_length
-                px, py = k, prefix[k]
-                while len(hull) >= 2:
-                    x1, y1 = hull[-2]
-                    x2, y2 = hull[-1]
-                    if (y2 - y1) * (px - x2) >= (py - y2) * (x2 - x1):
-                        hull.pop()
-                    else:
-                        break
-                hull.append((px, py))
-                yj = prefix[j]
-                lo, hi = 0, len(hull) - 1
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    x1, y1 = hull[mid]
-                    x2, y2 = hull[mid + 1]
-                    if (yj - y2) * (j - x1) > (yj - y1) * (j - x2):
-                        lo = mid + 1
-                    else:
-                        hi = mid
-                x0, y0 = hull[lo]
-                cand = (yj - y0, j - x0, r + x0 * step, step)
-                if best is None or _candidate_beats(cand, best):
-                    best = cand
+    padded = np.zeros(N + max_step, dtype=np.int8)
+    padded[:N] = member
+    index = np.arange(N + 1, dtype=np.int64)[:, None]
+    p, q = 0, 1
+    best = None  # (hits, length, start, step) of the best window at density p/q
+    for d in range(1, max_step + 1):
+        rows = -(-N // d)  # the longest chain, r = 1; chains r > full are one shorter
+        full = N - (rows - 1) * d
+        P = np.zeros((rows + 1, d), dtype=np.int64)
+        np.cumsum(padded[: rows * d].reshape(rows, d), axis=0, dtype=np.int64, out=P[1:])
+        while True:  # Dinkelbach rounds on this step's windows
+            V = P * q
+            V -= p * index[: rows + 1]
+            M = np.minimum.accumulate(V[: rows + 1 - L], axis=0)
+            gain = V[L:]  # gain[j - L] = V[j] - min V[0..j - L]
+            gain -= M
+            gain[-1, full:] = -1  # ends past a chain's last point; any negative value works
+            top = int(gain.max())
+            if top <= 0:
+                break
+            i, c = divmod(int(gain.argmax()), d)
+            k = int(np.argmin(P[: i + 1, c] * q - p * index[: i + 1, 0]))
+            p, q = int(P[i + L, c] - P[k, c]), i + L - k
+            best = None
+        if top == 0:  # some windows of this step have density p/q
+            # first[i]: the first start k <= i with V[k] = M[i], so the longest window
+            first = np.zeros_like(M)
+            first[1:] = np.where(M[1:] < M[:-1], index[1 : rows + 1 - L], 0)
+            np.maximum.accumulate(first, axis=0, out=first)
+            i, c = np.nonzero(gain == 0)
+            k = first[i, c]
+            length = i + L - k
+            longest = np.flatnonzero(length == length.max())
+            t = longest[np.argmin(c[longest] + k[longest] * d)]
+            j, c, k = int(i[t]) + L, int(c[t]), int(k[t])
+            cand = (int(P[j, c] - P[k, c]), j - k, c + 1 + k * d, d)
+            if best is None or (cand[1], -cand[2]) > (best[1], -best[2]):
+                best = cand
 
     hits, length, start, step = best
     prog = Progression(start=start, step=step, length=length)

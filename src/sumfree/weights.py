@@ -14,7 +14,6 @@ and riemann_error measures that integer-to-cell map against the grid mean.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,6 +33,7 @@ from .core import (
     read_grid_json,
     rng_from_seed,
     validate_seed,
+    write_json,
 )
 from .solver import ALLOW_EQUAL, EXACT_SIZE_CAP, heuristic_sum_free, max_sum_free_subset, one_third_floor
 from .spectral import t_count
@@ -483,8 +483,10 @@ def density_experiment(eps, params: IterationParams, cells: int, N: int, seeds) 
 
 
 def save_weight(w: GridWeight, path: str | Path) -> None:
-    """Write a weight as compact one-line JSON, through json's C encoder."""
-    Path(path).write_text(json.dumps(w.to_json_dict(), separators=(",", ":")) + "\n")
+    """Write a weight as compact one-line JSON."""
+    with open(path, "w") as fh:
+        write_json(w.to_json_dict(), fh, compact=True)
+        fh.write("\n")
 
 
 def load_weight(path: str | Path) -> GridWeight:

@@ -56,6 +56,20 @@ def test_golden_report(capsys, name):
     assert err.strip(), "human summary expected on stderr"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [COMMANDS[name] for name in sorted(COMMANDS)]
+    # 2048 weight values: a float list past core.JSON_DISTINCT_MIN
+    + [["weight", "build", "--eps", "1/5", "--cells", "1024", "--steps", "1"]],
+    ids=[*sorted(COMMANDS), "weight_build_1024_cells"],
+)
+def test_stdout_is_the_stdlib_indented_text(capsys, first_difference, argv):
+    # the goldens hold re-encoded reports, so they pin no byte of what main writes
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert first_difference(out, json.dumps(json.loads(out), indent=2) + "\n") is None
+
+
 def test_envelope_shape(capsys):
     code, out, _ = run_cli(capsys, COMMANDS["solve"])
     assert code == 0

@@ -86,9 +86,10 @@ _BUILDERS = {
     "spectral popdiff": lambda d: [
         "spectral", "popdiff", "--set", SET_A, "--n", d(_INT), "--threshold", d(_RATIONAL),
     ],
-    # the progression scan is O(N^2 / min_length) Python steps, so N stays small
+    # the progression scan runs numpy passes over O(N^2 / min_length) grid
+    # cells, up to structure.PROGRESSION_WINDOW_LIMIT, so N reaches 2^11
     "structure doubling": lambda d: [
-        "structure", "doubling", "--set", SET_A, "--n", d(st.integers(-1, 128).map(str)),
+        "structure", "doubling", "--set", SET_A, "--n", d(st.integers(-1, 2048).map(str)),
         "--eps", d(_RATIONAL), "--delta", d(_RATIONAL),
     ]
     + _opt(d, "--min-length", _INT),

@@ -1,4 +1,6 @@
+import io
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumfree.core import (
+    JSON_DISTINCT_MIN,
     MAX_SIGNAL_LENGTH,
     CyclicSignal,
     IntegerSet,
@@ -22,6 +25,7 @@ from sumfree.core import (
     rng_from_seed,
     save_set,
     validate_seed,
+    write_json,
 )
 from sumfree.structure import load_alpha_grid, load_grid_set
 from sumfree.weights import load_weight
@@ -250,3 +254,67 @@ class TestGridReader:
                 assert str(exc).startswith(f"{path}: "), str(exc)
 
         check()
+
+
+# Floats json spells in its own way or at the edges of repr: signed zeros,
+# NaN, the infinities, subnormals and the extremes.
+_SPECIAL_FLOATS = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.5e-310, 1.7976931348623157e308, 1e16, 1e-7)
+_JSON_FLOATS = st.one_of(st.floats(), st.sampled_from(_SPECIAL_FLOATS))
+_JSON_NUMBERS = st.one_of(st.none(), st.booleans(), st.integers(), _JSON_FLOATS)
+_JSON_TEXT = st.one_of(st.text(), st.sampled_from(["", ",", ",[]{}", "[1,2]", "{}", "é☃", '"\\\n', "\ud800"]))
+
+
+@st.composite
+def _long_float_lists(draw):
+    """All-float lists past JSON_DISTINCT_MIN, holding both -0.0 and 0.0."""
+    cycle = [-0.0, 0.0, *draw(st.lists(_JSON_FLOATS, max_size=10))]
+    size = draw(st.integers(JSON_DISTINCT_MIN, JSON_DISTINCT_MIN + 40))
+    return (cycle * (size // len(cycle) + 1))[:size]
+
+
+_JSON_TREES = st.recursive(
+    st.one_of(
+        _JSON_NUMBERS,
+        _JSON_TEXT,
+        st.sampled_from([[], {}, ()]),
+        st.lists(_JSON_NUMBERS, min_size=1, max_size=8),
+        _long_float_lists(),
+    ),
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=3).map(tuple),
+        # json writes int, float, bool and None keys as strings
+        st.dictionaries(st.one_of(_JSON_TEXT, _JSON_NUMBERS), kids, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+def _written(obj, compact=False) -> str:
+    out = io.StringIO()
+    write_json(obj, out, compact=compact)
+    return out.getvalue()
+
+
+class TestJsonWriter:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(_JSON_TREES)
+    def test_matches_the_stdlib_in_both_forms(self, first_difference, obj):
+        assert first_difference(_written(obj), json.dumps(obj, indent=2)) is None
+        compact = json.dumps(obj, separators=(",", ":"))
+        assert first_difference(_written(obj, compact=True), compact) is None
+
+    def test_lists_longer_than_one_piece(self, first_difference):
+        floats = [(-0.0, 0.0, 0.5, math.nan, 1e-310)[i % 5] for i in range(40_000)]
+        mixed = [(1, None, True, 2.5, -0.0)[i % 5] for i in range(40_000)]
+        obj = {"floats": floats, "ints": list(range(40_000)), "mixed": mixed}
+        assert first_difference(_written(obj), json.dumps(obj, indent=2)) is None
+        compact = json.dumps(obj, separators=(",", ":"))
+        assert first_difference(_written(obj, compact=True), compact) is None
+
+    @pytest.mark.parametrize("obj", [{1: object()}, [np.int64(3)], {(1, 2): 1}], ids=["value", "numpy", "key"])
+    def test_what_json_refuses_raises_type_error(self, obj):
+        with pytest.raises(TypeError):
+            json.dumps(obj)
+        with pytest.raises(TypeError):
+            _written(obj)

@@ -85,6 +85,45 @@ class TestDenseProgression:
             )
             assert got == want
 
+    @pytest.mark.parametrize("n", [1, 2, 9, 24])
+    @pytest.mark.parametrize(
+        "kind", ["empty", "full", "even", "multiple_of_3", "odd_interval_and_evens"]
+    )
+    def test_tie_heavy_sets_match_the_oracle(self, kind, n):
+        # every window of these sets ties with many others on density
+        members = {
+            "empty": (),
+            "full": range(1, n + 1),
+            "even": range(2, n + 1, 2),
+            "multiple_of_3": range(3, n + 1, 3),
+            "odd_interval_and_evens": [x for x in range(1, n + 1) if x % 2 == 0 or x <= n // 2],
+        }[kind]
+        A = IntegerSet(tuple(members))
+        for min_length in sorted({1, min(2, n), max(1, n // 3), n}):
+            rep = find_dense_progression(A, n, min_length, Fraction(1, 2))
+            got = (rep.hits, rep.progression.length, rep.progression.start, rep.progression.step)
+            assert got == dense_progression_direct(A, n, min_length), (kind, n, min_length)
+
+    @pytest.mark.parametrize(
+        "n, min_length, members, want",
+        [
+            # step 3 from 1 and step 1 from 4 both give 4 hits in 4 terms:
+            # the earlier start wins although its step is larger
+            (14, 2, (1, 4, 5, 6, 7, 9, 10, 12), (4, 4, 1, 3)),
+            # 4 hits in 5 terms at step 3 from 1, step 1 from 4, step 2 from 5
+            (13, 4, (1, 4, 5, 7, 8, 11, 13), (4, 5, 1, 3)),
+            # steps 1, 2 and 3 from 1 all give 3 hits in 4 terms: step 1 wins
+            (12, 4, (1, 2, 3, 7, 10, 12), (3, 4, 1, 1)),
+            # steps 2, 3 and 5 from 2, and step 1 from 4: the start, then the step
+            (7, 2, (2, 4, 5, 7), (2, 2, 2, 2)),
+        ],
+    )
+    def test_steps_tying_on_density_and_length(self, n, min_length, members, want):
+        A = IntegerSet(members)
+        rep = find_dense_progression(A, n, min_length, Fraction(1, 2))
+        got = (rep.hits, rep.progression.length, rep.progression.start, rep.progression.step)
+        assert got == want == dense_progression_direct(A, n, min_length)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             find_dense_progression(IntegerSet((5,)), 0, 1, Fraction(1, 2))
