@@ -15,7 +15,7 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import compress
+from itertools import compress, islice
 
 import numpy as np
 
@@ -396,22 +396,30 @@ def _residue_candidate(A: IntegerSet, q: int) -> tuple[int, int]:
     return best_size, best_mask
 
 
-def _can_add(x: int, S: set[int], allow_eq: bool) -> bool:
-    """Whether S ∪ {x} stays sum-free, for sum-free S not holding x.
+def _can_add(x: int, S: set[int], ordered: list[int], allow_eq: bool) -> bool:
+    """Whether S ∪ {x} stays sum-free, for sum-free S of positive ints not holding x.
 
-    Both scans run in C.  Under DISTINCT_ONLY the pair s = x - s = x/2 is
-    no conflict; every other hit s has a distinct partner x - s, so x is
-    blocked when the hits number 2 or more once x/2 is in S.
+    `ordered` is S sorted.  Only partners that can close a triple are
+    looked up, in C-level scans: s with x + s <= max(S) for x + s = t, and
+    the smaller member s < x/2 for s + t = x.  Under ALLOW_EQUAL, 2x and
+    x/2 are looked up directly; under DISTINCT_ONLY, x/2 + x/2 = x is no
+    conflict.
     """
-    if allow_eq and 2 * x in S:
+    if allow_eq and (2 * x in S or (x % 2 == 0 and x // 2 in S)):
         return False
-    if not S.isdisjoint(map(x.__add__, S)):
+    if ordered and not S.isdisjoint(map(x.__add__, islice(ordered, bisect_right(ordered, ordered[-1] - x)))):
         return False
-    if S.isdisjoint(map(x.__sub__, S)):
-        return True
-    if allow_eq or x % 2 or x // 2 not in S:
-        return False
-    return sum(map(S.__contains__, map(x.__sub__, S))) < 2
+    return S.isdisjoint(map(x.__sub__, islice(ordered, bisect_left(ordered, (x + 1) // 2))))
+
+
+def _may_unblock(x: int, pick: int, S: set[int], allow_eq: bool) -> bool:
+    """Whether pick lies in a conflict of x with S, for pick in S.
+
+    Dropping pick can only make x addable when it does: x + pick, x - pick
+    or pick - x in S, or pick = 2x under ALLOW_EQUAL (pick = x/2 gives
+    x - pick = pick).
+    """
+    return x + pick in S or x - pick in S or pick - x in S or (allow_eq and pick == 2 * x)
 
 
 def heuristic_sum_free(
@@ -452,17 +460,22 @@ def heuristic_sum_free(
         best_set = set(cert.selected.elements)
     else:
         q = 99_991  # prime modulus: theta = k/q evaluated in exact integer arithmetic
+        lo, width = q // 3 + 1, (2 * q - 1) // 3 - q // 3  # q < 3r < 2q  <=>  lo <= r < lo + width
         # x % q on Python ints, so elements past int64 are fine;
         # k * residue < q^2 < 10^10 cannot overflow int64
         residues = np.array([x % q for x in A.elements], dtype=np.int64)
-        best_count, best_sel = -1, None
-        for k in rng.integers(1, q, size=192):
-            r = (int(k) * residues) % q
-            inside = (3 * r > q) & (3 * r < 2 * q)
-            c = int(inside.sum())
-            if c > best_count:
-                best_count, best_sel = c, inside
-        best_set = set(compress(A.elements, best_sel.tolist()))
+
+        def inside(k):
+            return ((k * residues) % q - lo).view(np.uint64) < width
+
+        ks = rng.integers(1, q, size=192)
+        rows = max(1, min(32, (1 << 17) // n))  # a block's int64 temporaries stay near 1 MiB
+        hits = np.concatenate(
+            [np.count_nonzero(inside(ks[i : i + rows, None]), axis=1) for i in range(0, len(ks), rows)]
+        )
+        first = int(np.argmax(hits))  # the first k with the most hits
+        best_count = int(hits[first])
+        best_set = set(compress(A.elements, inside(ks[first]).tolist()))
         if best_count < floor and events <= SWEEP_EVENT_LIMIT:
             cert = dilation_sweep(A)  # exact fallback restores the guarantee
             best_set = set(cert.selected.elements)
@@ -492,20 +505,23 @@ def heuristic_sum_free(
             x = int(elems[rng.integers(0, n)])
             if x in current:
                 continue
-            if _can_add(x, current, allow_eq):
+            if _can_add(x, current, ordered, allow_eq):
                 current.add(x)
                 insort(ordered, x)
             elif current:
                 # plateau 1-swap: trade a random member for x when legal
                 j = int(rng.integers(0, len(ordered)))
                 pick = ordered[j]
+                if not _may_unblock(x, pick, current, allow_eq):
+                    continue  # x stays blocked without pick
                 current.remove(pick)
-                if _can_add(x, current, allow_eq):
+                del ordered[j]
+                if _can_add(x, current, ordered, allow_eq):
                     current.add(x)
-                    del ordered[j]
                     insort(ordered, x)
                 else:
                     current.add(pick)
+                    ordered.insert(j, pick)
             if len(current) > len(best):
                 best = set(current)
         current = set(best)

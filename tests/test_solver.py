@@ -2,6 +2,8 @@ import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sumfree.core import IntegerSet, rng_from_seed
 from sumfree.reference import exhaustive_max_sum_free
@@ -9,6 +11,7 @@ from sumfree.solver import (
     ALLOW_EQUAL,
     DISTINCT_ONLY,
     _can_add,
+    _may_unblock,
     catalog,
     compose,
     compose_iterate,
@@ -162,8 +165,10 @@ class TestCanAdd:
     def test_matches_is_sum_free(self, conv):
         allow_eq = conv is ALLOW_EQUAL
         rng = rng_from_seed(2024, "can-add")
-        # x = 6 has x/2 in both fixed sets, with a second pair 1 + 5 in one
-        sets = [{3, 10}, {1, 3, 5}]
+        # x = 6 has x/2 in the first two fixed sets, with a second pair 1 + 5
+        # in one; x = 8 > max(S) has x/2 in {1, 4}; x = 10 and x = 3 have the
+        # one member as x/2 and as 2x; every x up to 2 max(S) + 1 is tried
+        sets = [{3, 10}, {1, 3, 5}, {1, 4}, {5}, {6}, set()]
         for _ in range(60):
             S: set[int] = set()
             for v in rng.permutation(int(rng.integers(8, 60))).tolist()[: int(rng.integers(1, 30))]:
@@ -171,21 +176,44 @@ class TestCanAdd:
                     S.add(v + 1)
             sets.append(S)
         for S in sets:
-            for x in range(1, 2 * max(S) + 2):
+            ordered = sorted(S)
+            for x in range(1, 2 * max(S, default=0) + 2):
                 if x not in S:
-                    assert _can_add(x, S, allow_eq) == is_sum_free(IntegerSet.from_iterable(S | {x}), conv)
+                    assert _can_add(x, S, ordered, allow_eq) == is_sum_free(IntegerSet.from_iterable(S | {x}), conv)
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(
+        st.sampled_from([ALLOW_EQUAL, DISTINCT_ONLY]),
+        st.lists(st.integers(1, 40), max_size=12),
+        st.integers(1, 40),
+        st.integers(0, 11),
+    )
+    def test_swap_precheck_misses_no_unblocking_pick(self, conv, draws, x, j):
+        # when the precheck says no, dropping pick leaves x blocked
+        allow_eq = conv is ALLOW_EQUAL
+        S: set[int] = set()
+        for v in draws:
+            if is_sum_free(IntegerSet.from_iterable(S | {v}), conv):
+                S.add(v)
+        assume(S and x not in S and not _can_add(x, S, sorted(S), allow_eq))
+        pick = sorted(S)[j % len(S)]
+        if not _may_unblock(x, pick, S, allow_eq):
+            assert not is_sum_free(IntegerSet.from_iterable((S - {pick}) | {x}), conv)
 
 
 class TestHeuristic:
     # (n, max element, convention, optimum, sha256 of the witness tuple's repr).
-    # A 400-subset of [1, 4000] takes the exact sweep, a 1000-subset of
-    # [1, 10^5] the sampled dilations; both make hundreds of plateau-swap
-    # attempts, so these pin the order of the local search's draws.
+    # A 400-subset of [1, 4000] takes the exact sweep; a 1000-subset of
+    # [1, 10^5] and a 3000-subset of [1, 3*10^5] take the sampled
+    # dilations.  All make hundreds of plateau-swap attempts, so these pin
+    # the order of the local search's draws.
     FROZEN = [
         (400, 4000, ALLOW_EQUAL, 209, "e3ae82c68c48ee2f50dfc4bcae13467ff4aea9641a12c8ee189d32832a14a04d"),
         (400, 4000, DISTINCT_ONLY, 209, "e3ae82c68c48ee2f50dfc4bcae13467ff4aea9641a12c8ee189d32832a14a04d"),
         (1000, 10**5, ALLOW_EQUAL, 518, "937038988a3b2c4babbab08e803c5113895793ce34427e6eba1700278bef82fb"),
         (1000, 10**5, DISTINCT_ONLY, 520, "5e5b66bde3c2e35a4e0207792d3e3729b1792184edd5c6d8b3c230933c41f76f"),
+        (3000, 3 * 10**5, ALLOW_EQUAL, 1510, "30c573dff7778620e305285e7751ff81600cd5f0e9f2679175a37b0257dd434d"),
+        (3000, 3 * 10**5, DISTINCT_ONLY, 1510, "30c573dff7778620e305285e7751ff81600cd5f0e9f2679175a37b0257dd434d"),
     ]
 
     @pytest.mark.parametrize("n, top, conv, optimum, digest", FROZEN)

@@ -7,6 +7,9 @@ import pytest
 from sumfree.core import IntegerSet, embed_signal, indicator_vector, interval_signal, rng_from_seed
 from sumfree.reference import t_count_direct
 from sumfree.spectral import (
+    _differences_by_pairs,
+    _fft_length,
+    _triples_by_pairs,
     additive_energy,
     difference_counts,
     fourier_decompose,
@@ -63,6 +66,30 @@ class TestTCount:
             t_count([])
         with pytest.raises(ValueError):
             t_count(np.ones((3, 3)))
+
+
+class TestFFTLength:
+    def test_least_five_smooth_at_most_the_power_of_two(self):
+        smooth = sorted(
+            2**a * 3**b * 5**c for a in range(14) for b in range(9) for c in range(7) if 2**a * 3**b * 5**c <= 8192
+        )
+        for n in range(1, 5001):
+            want = next(m for m in smooth if m >= n)
+            assert _fft_length(n) == want <= 1 << (n - 1).bit_length()
+
+    @pytest.mark.parametrize("N", [10**5, 3 * 10**5])
+    def test_set_counts_at_non_power_of_two_lengths(self, N):
+        length = _fft_length(2 * N + 1)
+        assert length & (length - 1)  # not a power of two
+        full = IntegerSet(tuple(range(1, N + 1)))
+        assert ordered_triples(full, N) == N * (N - 1) // 2
+        assert np.array_equal(difference_counts(full, N), np.arange(N, 0, -1))
+        rng = rng_from_seed(92, "fft-length")
+        for size in (600, 2000):  # |A|^2 > N: both counts take the FFT
+            A = IntegerSet(tuple(sorted(int(x) + 1 for x in rng.choice(N, size=size, replace=False))))
+            a = indicator_vector(A, N)
+            assert ordered_triples(A, N) == _triples_by_pairs(a)
+            assert np.array_equal(difference_counts(A, N), _differences_by_pairs(a))
 
 
 class TestU2:
