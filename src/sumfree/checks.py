@@ -15,8 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import core, reference, solver, spectral, structure, weights
 from . import equidist as eq
-from . import reference, solver, spectral, structure, weights
 from .core import (
     IntegerSet,
     default_n_prime,
@@ -119,6 +119,76 @@ def _check_catalog(rng):
         )
 
 
+def _sum_free_paths(A: IntegerSet, conv) -> dict[str, object]:
+    """is_sum_free's verdict by every path that applies to A, with pair counts.
+
+    The set scan always applies; the kernel with the residue filter when A
+    is within _PAIR_SAFE_BOUND, and with the member table when A also lies
+    in {1,..,MAX_SIGNAL_LENGTH}.  Up to 200 elements, the pairs are also
+    counted from the definition.  Each "count" entry is the kernel's or the
+    definition's number of pairs x <= y (x < y under DISTINCT_ONLY) whose
+    sum is in A.
+    """
+    distinct = conv is solver.DISTINCT_ONLY
+    out: dict[str, object] = {"is_sum_free": solver.is_sum_free(A, conv), "scan": solver._scan_sum_free(A, conv)}
+    elems = A.elements
+    if len(elems) <= 200:
+        members = A.member_set
+        count = sum(x + y in members for i, x in enumerate(elems) for y in elems[i + distinct :])
+        out["definition"], out["definition count"] = count == 0, count
+    if elems and -core._PAIR_SAFE_BOUND < elems[0] and elems[-1] < core._PAIR_SAFE_BOUND:
+        a = np.array(elems, dtype=np.int64)
+        ends = core._pair_ends(a)
+        tables = {"filter": None}
+        if core._interval_error(A, elems[-1]) is None:
+            tables["table"] = core._member_table(A, elems[-1])
+        for name, table in tables.items():
+            out[name] = not core._pair_sum_hits(a, ends, table, distinct=distinct, first=True)
+            out[name + " count"] = core._pair_sum_hits(a, ends, table, distinct=distinct, first=False)
+    return out
+
+
+def _check_sum_free_paths_agree(rng):
+    # Rounds alternate sizes below and past the set-scan cutoff (large
+    # enough that a third of the set passes it too), and positive or
+    # mixed-sign draws.  Each round draws a set; its class 1 mod 3, sum-free
+    # whatever the signs, alone, with an intruder, and with 2 max added,
+    # which only the pair (max, max) reaches; odd multiples of the
+    # filter prime plus 1 and plus 2, whose residues collide on every pair of
+    # the first kind while no sum is in the set, alone and with a sum added;
+    # and a class 1 mod 3 past the int64-safe bound, alone and with a sum.
+    p, cutoff = core._FILTER_PRIME, solver._KERNEL_MIN_SIZE
+    sets = []
+    for r in range(8):
+        size = int(rng.integers(2, cutoff) if r % 2 == 0 else rng.integers(4 * cutoff, 6 * cutoff))
+        lo = int(rng.integers(1, 1000) if r % 4 < 2 else rng.integers(-40 * size, 0))
+        picks = [int(x) for x in rng.choice(np.arange(lo, lo + 40 * size), size, replace=False) if x != 0]
+        tame = [x for x in picks if x % 3 == 1]
+        ks = [2 * int(k) + 1 for k in rng.choice(np.arange(-2000, 2000), max(size, 2), replace=False)]
+        half = len(ks) // 2
+        collide = [p * k + 1 for k in ks[:half]] + [p * k + 2 for k in ks[half:]]
+        huge = [3**41 * x + 1 for x in tame or [1]]
+        sets += [picks, tame, tame + [3 * int(rng.choice(picks))], tame + [2 * max(tame, default=1)]]
+        sets += [collide, collide + [p * (ks[0] + ks[1]) + 2]]
+        sets += [huge, huge + [huge[0] + huge[-1]]]
+    taken = set()
+    for elems in sets:
+        A = IntegerSet.from_iterable(set(elems))
+        for conv in (solver.ALLOW_EQUAL, solver.DISTINCT_ONLY):
+            paths = _sum_free_paths(A, conv)
+            verdicts = {k: v for k, v in paths.items() if "count" not in k}
+            counts = {k: v for k, v in paths.items() if "count" in k}
+            assert len(set(verdicts.values())) == 1, f"{A.elements[:8]}... {conv.value}: {verdicts}"
+            assert len(set(counts.values())) <= 1, f"{A.elements[:8]}... {conv.value}: {counts}"
+            if solver._use_kernel(A):
+                path = "table" if "table" in paths else "filter"
+            else:
+                path = "small scan" if len(A) < cutoff else "past-bound scan"
+            taken.add((path, verdicts["scan"]))
+    missed = {(path, free) for path in ("table", "filter", "small scan", "past-bound scan") for free in (True, False)} - taken
+    assert not missed, f"paths not taken: {sorted(missed)}"
+
+
 # --------------------------------------------------------------- spectral
 
 
@@ -156,8 +226,8 @@ def _check_u2_fft_vs_direct(rng):
 
 
 def _check_pairs_vs_fft(rng):
-    # set sizes straddle |A|^2 = N, with equality when N is a square; each
-    # set of two or more elements holds 1 and N
+    # difference counts: set sizes straddle |A|^2 = N, with equality when N
+    # is a square; each set of two or more elements holds 1 and N
     cases = [(IntegerSet(()), 5), (IntegerSet((1,)), 1), (IntegerSet((4,)), 4)]
     for _ in range(8):
         root = int(rng.integers(3, 20))
@@ -165,12 +235,50 @@ def _check_pairs_vs_fft(rng):
             for size in (root - 1, root, root + 1):
                 inner = _random_subset(rng, N - 2, size - 2).elements
                 cases.append((IntegerSet((1, *(x + 1 for x in inner), N)), N))
+    # ordered triples, by the kernel and the FFT against the full table of
+    # pair sums: also sizes on both sides of the kernel/FFT crossover, near
+    # 8 sqrt(N) for random sets, at N from 64 to 2000
+    for _ in range(6):
+        N = int(rng.integers(64, 2000))
+        for size in (4 * int(np.sqrt(N)), min(N, 16 * int(np.sqrt(N)))):
+            cases.append((_random_subset(rng, N, size), N))
+    taken = set()
     for A, N in cases:
         a = indicator_vector(A, N)
         pairs, fft = spectral._differences_by_pairs(a), spectral._differences_by_fft(a)
         assert pairs.tolist() == fft.tolist(), f"{A.elements} in [1, {N}]: difference counts differ"
-        pairs, fft = spectral._triples_by_pairs(a), spectral._triples_by_fft(a)
-        assert pairs == fft, f"{A.elements} in [1, {N}]: ordered triples {pairs} != {fft}"
+        want = reference.ordered_triples_direct(A)
+        paths = {"ordered_triples": spectral.ordered_triples(A, N), "fft": spectral._triples_by_fft(a)}
+        if A.elements:
+            elems = np.array(A.elements, dtype=np.int64)
+            ends = core._pair_ends(elems)
+            paths["kernel"] = spectral._triples_by_kernel(elems, ends, core._member_table(A, N))
+            taken.add(spectral._use_kernel(ends, N))
+        assert set(paths.values()) == {want}, f"{len(A)} elements in [1, {N}]: {paths} != oracle {want}"
+    assert taken == {True, False}, "ordered triples took one path only"
+
+
+def _check_triples_zero_iff_sum_free(rng):
+    # ordered_triples(A, N) == 0 exactly when A is ALLOW_EQUAL sum-free.  At
+    # each N the sizes fall below is_sum_free's set-scan cutoff and on both
+    # sides of ordered_triples' kernel/FFT crossover, near 8 sqrt(N) for
+    # random sets; each set is drawn from {1..N} and from its odd numbers,
+    # which are sum-free.  A set below the cutoff never reaches the FFT,
+    # since n^2/4 pairs > 16N would need n > 8 sqrt(N) > 64.
+    taken = set()  # (is_sum_free by the kernel, ordered_triples by the kernel, T = 0)
+    for _ in range(6):
+        N = int(rng.integers(300, 3000))
+        cross = 8 * int(np.sqrt(N))
+        for size in (int(rng.integers(1, solver._KERNEL_MIN_SIZE)), cross // 2, 2 * cross):
+            for step in (1, 2):
+                pool = np.arange(1, N + 1, step)
+                A = IntegerSet(tuple(sorted(int(x) for x in rng.choice(pool, min(size, len(pool)), replace=False))))
+                zero = spectral.ordered_triples(A, N) == 0
+                assert zero == solver.is_sum_free(A, solver.ALLOW_EQUAL), f"{len(A)} elements in [1, {N}]: T = 0 is {zero}"
+                count = spectral._use_kernel(core._pair_ends(np.array(A.elements, dtype=np.int64)), N)
+                taken.add((solver._use_kernel(A), count, zero))
+    want = {(check, count, zero) for check in (True, False) for count in (True, not check) for zero in (True, False)}
+    assert want <= taken, f"paths not taken: {sorted(want - taken)}"
 
 
 def _check_u2_embedding_free(rng):
@@ -593,6 +701,7 @@ SUITES: dict[str, list[tuple[str, object]]] = {
         ("compose_additivity", _check_compose_additivity),
         ("heuristic_bounds", _check_heuristic_bounds),
         ("catalog_verifies", _check_catalog),
+        ("sum_free_paths_agree", _check_sum_free_paths_agree),
     ],
     "spectral": [
         ("parseval", _check_parseval),
@@ -601,6 +710,7 @@ SUITES: dict[str, list[tuple[str, object]]] = {
         ("u2_embedding_free", _check_u2_embedding_free),
         ("t_count_direct", _check_t_count_direct),
         ("t_count_zero_iff_sum_free", _check_t_count_zero_iff_sum_free),
+        ("triples_zero_iff_sum_free", _check_triples_zero_iff_sum_free),
         ("t_stability", _check_t_stability),
         ("mean_envelope", _check_mean_envelope),
         ("young_bound", _check_young_bound),

@@ -31,6 +31,7 @@ from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from math import isqrt
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -292,20 +293,121 @@ def interval_signal(values: Sequence[float] | np.ndarray, n_prime: int | None = 
     return CyclicSignal(out, ref_n=N)
 
 
+def _interval_error(A: IntegerSet, N: int) -> str | None:
+    """Why no array on {1,..,N} may hold A, or None when one may.
+
+    The one check behind every array a set becomes on {1,..,N}: N >= 1,
+    containment, then MAX_SIGNAL_LENGTH, all before anything is allocated.
+    """
+    if N < 1:
+        return "N must be >= 1"
+    if A.elements and (A.elements[0] < 1 or A.elements[-1] > N):
+        return f"set not contained in {{1,..,{N}}}"
+    if N > MAX_SIGNAL_LENGTH:
+        return f"N = {N} exceeds the limit {MAX_SIGNAL_LENGTH}"
+    return None
+
+
+def _check_interval(A: IntegerSet, N: int) -> None:
+    """Raise ValueError with _interval_error's message, if it has one."""
+    error = _interval_error(A, N)
+    if error is not None:
+        raise ValueError(error)
+
+
 def indicator_vector(A: IntegerSet, N: int) -> np.ndarray:
     """Indicator of A on {1,..,N} as a float array (index i = point i+1).
 
-    The one place a set becomes an array; checked before allocating.
+    Checked by _check_interval before allocating.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if A.elements and (A.elements[0] < 1 or A.elements[-1] > N):
-        raise ValueError(f"set not contained in {{1,..,{N}}}")
-    if N > MAX_SIGNAL_LENGTH:
-        raise ValueError(f"N = {N} exceeds the limit {MAX_SIGNAL_LENGTH}")
+    _check_interval(A, N)
     out = np.zeros(N, dtype=np.float64)
     out[np.array(A.elements, dtype=np.int64) - 1] = 1.0
     return out
+
+
+def _member_table(A: IntegerSet, N: int) -> np.ndarray:
+    """Bool table t of length N + 2 with t[s] = (s in A), for A in {1,..,N}.
+
+    The last entry is False, so that a lookup with mode="clip" reads every
+    s > N as absent.  Checked by _check_interval before allocating.
+    """
+    _check_interval(A, N)
+    table = np.zeros(N + 2, dtype=bool)
+    table[list(A.elements)] = True
+    return table
+
+
+# Elements strictly inside (-2^62, 2^62) keep top - x and x + y strictly
+# inside (-2^63, 2^63), so both are exact in int64.
+_PAIR_SAFE_BOUND = 1 << 62
+_PAIR_BLOCK = 1 << 17  # pair entries a block looks up: its int64 sums take 1 MiB
+_FILTER_PRIME = 262_139  # residue filter modulus for sets that fit no member table
+# _BELOW[r, c] = c < r: a block's entries before its rows' own diagonal.  A
+# block of R > 1 rows is at least R wide, so R <= isqrt(_PAIR_BLOCK).
+_BELOW = np.tri(isqrt(_PAIR_BLOCK), k=-1, dtype=bool)
+
+
+def _pair_ends(a: np.ndarray) -> np.ndarray:
+    """ends[i] = #{j : a[j] <= max(a) - a[i]}, for sorted int64 a within _PAIR_SAFE_BOUND.
+
+    The partners y >= x of a[i] with x + y <= max(a) are a[i:ends[i]].  The
+    ends fall as i grows, so the rows with a partner form a prefix.
+    """
+    return np.searchsorted(a, a[-1] - a, side="right")
+
+
+def _pair_sum_hits(a: np.ndarray, ends: np.ndarray, table: np.ndarray | None, *, distinct: bool, first: bool) -> int:
+    """#{i <= j : a[i] + a[j] in a} (i < j when distinct), over x + y <= max(a).
+
+    `a` is sorted, strictly increasing, int64 and within _PAIR_SAFE_BOUND;
+    `ends` is _pair_ends(a).  With `first`, the count stops at the first
+    block that has a hit, so it is nonzero exactly when some pair hits.
+
+    The pairs are swept in blocks of rows i and partner columns j, about
+    _PAIR_BLOCK entries each, and every sum in a block is looked up at
+    once.  `table`, from _member_table(A, N), answers membership directly,
+    and a sum past N reads its last, False entry.  With no table, sums are
+    filtered by an indicator of a's residues mod a prime, looked up as the
+    sum of the two residues, and each filter hit is confirmed exactly by
+    searchsorted.  Entries of a block below its rows' diagonal (j < i + off)
+    repeat pairs that another row holds, and are not counted.
+    """
+    off = int(distinct)
+    lens = ends - np.arange(len(a)) - off
+    rows = int(np.count_nonzero(lens > 0))
+    exact = table is not None
+    if not exact:
+        keys = a % _FILTER_PRIME
+        table = np.zeros(2 * _FILTER_PRIME, dtype=bool)
+        table[keys] = True
+        table[keys + _FILTER_PRIME] = True
+    else:
+        keys = a
+    hits = 0
+    r0 = 0
+    while r0 < rows:
+        lo, hi = r0 + off, int(ends[r0])
+        r1 = min(rows, r0 + max(1, _PAIR_BLOCK // (hi - lo)))
+        # a block wider than _PAIR_BLOCK has one row, split into column blocks
+        for c0 in range(lo, hi, _PAIR_BLOCK):
+            c1 = min(hi, c0 + _PAIR_BLOCK)
+            found = np.take(table, keys[r0:r1, None] + keys[None, c0:c1], mode="clip")
+            if not found.any():
+                continue
+            if exact:
+                square = found[:, : r1 - r0]
+                hits += int(np.count_nonzero(found)) - int(np.count_nonzero(square & _BELOW[: r1 - r0, : r1 - r0]))
+            else:
+                r, c = np.nonzero(found)
+                keep = c >= r
+                sums = a[r0 + r[keep]] + a[c0 + c[keep]]
+                at = np.minimum(np.searchsorted(a, sums), len(a) - 1)
+                hits += int(np.count_nonzero(a[at] == sums))
+            if first and hits:
+                return hits
+        r0 = r1
+    return hits
 
 
 def parse_rational(text: str) -> Fraction:

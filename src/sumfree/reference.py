@@ -5,6 +5,7 @@ one of these: the branch-and-bound solver with an exhaustive subset
 classification, the FFT U2 norm with the quadruple average summed over
 shifts in physical space, the convex-hull progression scanner with a plain
 window enumeration, the FFT triple count with a direct double sum, the
+exact ordered triple counts with the full table of pair sums, the
 integer grid doubling table with a Fraction pair loop, the two-cell
 weight pushforward with a Fraction overlap loop, and the dilation sweep
 with a Fraction scan of every interval between breakpoints.  They are
@@ -137,6 +138,16 @@ def t_count_direct(f) -> float:
         # f(x) * sum_y f(y) f(x + y) over y = 1..N-x
         total += arr[x - 1] * float(np.dot(arr[: n - x], arr[x:]))
     return total / n**2
+
+
+def ordered_triples_direct(A: IntegerSet) -> int:
+    """#{(x, y) in A^2 : x + y in A} from the full |A|^2 table of pair sums.
+
+    Every ordered pair is summed, with no bound on the sum, and each sum is
+    matched against A by np.isin.
+    """
+    a = np.array(A.elements, dtype=np.int64)
+    return int(np.count_nonzero(np.isin(np.add.outer(a, a), a)))
 
 
 def dense_progression_direct(

@@ -1,17 +1,21 @@
 import hashlib
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sumfree.core import IntegerSet, rng_from_seed
+from sumfree.checks import _sum_free_paths
+from sumfree.core import _FILTER_PRIME, _PAIR_SAFE_BOUND, IntegerSet, rng_from_seed
 from sumfree.reference import exhaustive_max_sum_free
 from sumfree.solver import (
+    _KERNEL_MIN_SIZE,
     ALLOW_EQUAL,
     DISTINCT_ONLY,
     _can_add,
     _may_unblock,
+    _use_kernel,
     catalog,
     compose,
     compose_iterate,
@@ -66,6 +70,43 @@ class TestIsSumFree:
         verdicts = [is_sum_free(A, conv) for A in sets]
         assert verdicts == [by_pairs(A) for A in sets]
         assert 100 < sum(verdicts) < len(sets) - 100
+
+    @pytest.mark.parametrize("conv", [ALLOW_EQUAL, DISTINCT_ONLY], ids=lambda c: c.value)
+    def test_every_path_agrees(self, conv):
+        # The set scan, the kernel with the member table and the kernel with
+        # the residue filter give one verdict and one pair count on each set,
+        # the definition's, at sizes around the scan cutoff.  Draws: positive
+        # and mixed-sign sets; classes 1 mod 3 (sum-free whatever the signs);
+        # the same with 2 max(S) added, which only the pair (max, max)
+        # reaches; odd multiples of the filter prime plus 1 and 2, whose
+        # residues collide on every pair of the first kind with no sum in the
+        # set; and classes past the int64-safe bound, which take the scan.
+        rng = rng_from_seed(2025, "sum-free-paths")
+        p = _FILTER_PRIME
+        sets = []
+        for size in (2, _KERNEL_MIN_SIZE - 1, _KERNEL_MIN_SIZE, _KERNEL_MIN_SIZE + 1, 190):
+            for lo in (1, -20 * size):
+                picks = [int(x) for x in rng.choice(np.arange(lo, lo + 20 * size), size, replace=False) if x != 0]
+                tame = [x for x in range(lo, lo + 9 * size) if x % 3 == 1][:size]
+                ks = [2 * int(k) + 1 for k in rng.choice(np.arange(-1000, 1000), size, replace=False)]
+                collide = [p * k + 1 for k in ks[: (size + 1) // 2]] + [p * k + 2 for k in ks[(size + 1) // 2 :]]
+                huge = [3**41 * x + 1 for x in tame]
+                sets += [picks, tame, tame + [2 * max(tame)], collide, collide + [p * (ks[0] + ks[-1]) + 2]]
+                sets += [huge, huge + [huge[0] + huge[-1]]]
+        taken = set()
+        for elems in sets:
+            A = IntegerSet.from_iterable(set(elems))
+            paths = _sum_free_paths(A, conv)
+            verdicts = {k: v for k, v in paths.items() if "count" not in k}
+            counts = {k: v for k, v in paths.items() if "count" in k}
+            assert len(set(verdicts.values())) == 1, verdicts
+            assert len(set(counts.values())) == 1, counts
+            if max(map(abs, elems)) >= _PAIR_SAFE_BOUND:
+                assert not _use_kernel(A)
+            taken.add((_use_kernel(A), "table" in paths, "filter" in paths, verdicts["scan"]))
+        # (kernel taken, member table applies, filter applies, sum-free)
+        kinds = {(True, True, True), (True, False, True), (False, True, True), (False, False, True), (False, False, False)}
+        assert {(*kind, free) for kind in kinds for free in (True, False)} <= taken
 
 
 class TestExactSolver:

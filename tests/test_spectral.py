@@ -4,12 +4,22 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sumfree.core import IntegerSet, embed_signal, indicator_vector, interval_signal, rng_from_seed
-from sumfree.reference import t_count_direct
+from sumfree.core import (
+    IntegerSet,
+    _member_table,
+    _pair_ends,
+    embed_signal,
+    indicator_vector,
+    interval_signal,
+    rng_from_seed,
+)
+from sumfree.reference import ordered_triples_direct, t_count_direct
 from sumfree.spectral import (
     _differences_by_pairs,
     _fft_length,
-    _triples_by_pairs,
+    _triples_by_fft,
+    _triples_by_kernel,
+    _use_kernel,
     additive_energy,
     difference_counts,
     fourier_decompose,
@@ -61,6 +71,35 @@ class TestTCount:
         assert ordered_triples(IntegerSet(tuple(range(1, 1001))), 1000) == 1000 * 999 // 2
         assert ordered_triples(IntegerSet(()), 5) == 0
 
+    def test_both_triple_paths_match_the_oracle(self):
+        # sizes on both sides of the kernel/FFT crossover at each N; every
+        # set runs the kernel, the FFT and the full table of pair sums
+        rng = rng_from_seed(93, "triple-paths")
+        taken = set()
+        for N in (1, 2, 7, 64, 500, 3000):
+            for size in sorted({1, 2, N // 8, N // 3, min(N, 1000)}):
+                if not 1 <= size <= N:
+                    continue
+                A = IntegerSet(tuple(sorted(int(x) + 1 for x in rng.choice(N, size, replace=False))))
+                a = np.array(A.elements, dtype=np.int64)
+                ends = _pair_ends(a)
+                want = ordered_triples_direct(A)
+                assert _triples_by_kernel(a, ends, _member_table(A, N)) == want
+                assert _triples_by_fft(indicator_vector(A, N)) == want
+                assert ordered_triples(A, N) == want
+                taken.add(_use_kernel(ends, N))
+        assert taken == {True, False}
+
+    def test_kernel_path_refuses_before_allocating(self):
+        # a sparse set takes the kernel; N past the limit and an element
+        # outside {1..N} are refused by the indicator's own messages
+        with pytest.raises(ValueError, match="^N = 100000000000 exceeds the limit 8388608$"):
+            ordered_triples(IntegerSet((1, 2, 3)), 10**11)
+        with pytest.raises(ValueError, match=r"^set not contained in \{1,..,10\}$"):
+            ordered_triples(IntegerSet((1, 2**70)), 10)
+        with pytest.raises(ValueError, match="^N must be >= 1$"):
+            ordered_triples(IntegerSet(()), 0)
+
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
             t_count([])
@@ -85,10 +124,10 @@ class TestFFTLength:
         assert ordered_triples(full, N) == N * (N - 1) // 2
         assert np.array_equal(difference_counts(full, N), np.arange(N, 0, -1))
         rng = rng_from_seed(92, "fft-length")
-        for size in (600, 2000):  # |A|^2 > N: both counts take the FFT
+        for size in (600, 2000):  # |A|^2 > N: difference_counts takes the FFT
             A = IntegerSet(tuple(sorted(int(x) + 1 for x in rng.choice(N, size=size, replace=False))))
             a = indicator_vector(A, N)
-            assert ordered_triples(A, N) == _triples_by_pairs(a)
+            assert _triples_by_fft(a) == ordered_triples(A, N) == ordered_triples_direct(A)
             assert np.array_equal(difference_counts(A, N), _differences_by_pairs(a))
 
 
