@@ -220,6 +220,20 @@ def save_set(A: IntegerSet, path: str | Path) -> None:
         fh.write("\n")
 
 
+def _limit_error(work: str, count: int | str, limit: int) -> str | None:
+    """The one wording that refuses `count` units of `work` past `limit`; None within it.
+
+    A str count describes one too large to form, and is past the limit.
+    """
+    return None if isinstance(count, int) and count <= limit else f"{work} = {count} exceeds the limit {limit}"
+
+
+def _check_limit(work: str, count: int | str, limit: int, hint: str = "", error: type[ValueError] = ValueError) -> None:
+    """Raise `error` with _limit_error's message, then "; hint", if it has one."""
+    if (message := _limit_error(work, count, limit)) is not None:
+        raise error(f"{message}; {hint}" if hint else message)
+
+
 def default_n_prime(ref_n: int) -> int:
     """Smallest power of two strictly greater than 4 * ref_n."""
     return 1 << (4 * ref_n).bit_length()
@@ -235,8 +249,7 @@ def group_order(N: int, n_prime: int | None = None) -> int:
         n_prime = default_n_prime(N)
     if n_prime <= 4 * N:
         raise ValueError(f"group order {n_prime} too small for N = {N}; need > {4 * N}")
-    if n_prime > MAX_SIGNAL_LENGTH:
-        raise ValueError(f"group order {n_prime} exceeds the limit {MAX_SIGNAL_LENGTH}")
+    _check_limit("group order", n_prime, MAX_SIGNAL_LENGTH)
     return n_prime
 
 
@@ -303,9 +316,7 @@ def _interval_error(A: IntegerSet, N: int) -> str | None:
         return "N must be >= 1"
     if A.elements and (A.elements[0] < 1 or A.elements[-1] > N):
         return f"set not contained in {{1,..,{N}}}"
-    if N > MAX_SIGNAL_LENGTH:
-        return f"N = {N} exceeds the limit {MAX_SIGNAL_LENGTH}"
-    return None
+    return _limit_error("N", N, MAX_SIGNAL_LENGTH)
 
 
 def _check_interval(A: IntegerSet, N: int) -> None:

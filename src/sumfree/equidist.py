@@ -18,11 +18,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import MAX_SIGNAL_LENGTH, JsonReport
+from .core import MAX_SIGNAL_LENGTH, JsonReport, _check_limit
 from .structure import Progression
 
-_MAX_ENUM_VECTORS = 20_000_000
-_MAX_EXHAUSTIVE_BOUND = 1000
+# vectors irrationality_check may scan, a few Python steps each whatever the
+# dimension: the count at d = 3, a_bound = 135
+MAX_TORUS_VECTORS = 1_658_655
 
 
 @dataclass(frozen=True)
@@ -179,21 +180,47 @@ class IrrationalityReport(JsonReport):
 
 
 def _canonical_vectors(dim: int, budget: int):
-    """All nonzero q with sum |q_i| <= budget and first nonzero > 0, lex order."""
+    """All nonzero q with sum |q_i| <= budget and first nonzero > 0, lex order.
 
-    def rec(prefix: list[int], remaining: int, started: bool):
-        pos = len(prefix)
-        if pos == dim:
-            if started:
-                yield tuple(prefix)
-            return
-        lo = -remaining if started else 0
-        for v in range(lo, remaining + 1):
-            prefix.append(v)
-            yield from rec(prefix, remaining - abs(v), started or v != 0)
-            prefix.pop()
+    Each q comes as its nonzero entries, ((i, q_i), ...) by place.  The
+    recursion takes one level per entry, so neither its depth nor the cost
+    of a vector grows with dim.
+    """
 
-    yield from rec([], budget, False)
+    def rec(entries, pos, remaining):
+        # entries lie before pos.  In lex order the negatives at each place j
+        # come first (zeros before j), then no further entry, then the
+        # positives, last place first
+        if entries:
+            for j in range(pos, dim):
+                for v in range(-remaining, 0):
+                    yield from grow(entries + ((j, v),), j + 1, remaining + v)
+            yield entries
+        for j in range(dim - 1, pos - 1, -1):
+            for v in range(1, remaining + 1):
+                yield from grow(entries + ((j, v),), j + 1, remaining - v)
+
+    def grow(entries, pos, remaining):
+        # a vector with no budget or place left is its own only completion
+        return rec(entries, pos, remaining) if remaining and pos < dim else (entries,)
+
+    yield from rec((), 0, budget)
+
+
+def _vector_count(dim: int, budget: int) -> int | str:
+    """How many vectors _canonical_vectors(dim, budget) yields, none built.
+
+    Of the sum_k 2^k C(dim, k) C(budget, k) vectors with sum |q_i| <= budget
+    (k nonzero places, their sizes and signs), all but 0 pair off with their
+    negatives.  The sum stops, giving a description, once it passes the limit:
+    at k = 1 for a huge dim or budget.
+    """
+    ball = 1
+    for k in range(1, min(dim, budget) + 1):
+        ball += 2**k * math.comb(dim, k) * math.comb(budget, k)
+        if ball > 2 * MAX_TORUS_VECTORS + 1:
+            return f"more than {MAX_TORUS_VECTORS}"
+    return (ball - 1) // 2
 
 
 def irrationality_check(theta: Theta, a_bound, N: int) -> IrrationalityReport:
@@ -202,8 +229,8 @@ def irrationality_check(theta: Theta, a_bound, N: int) -> IrrationalityReport:
     Exhaustive over sum |q_i| <= a_bound (vectors identified with their
     negatives).  The verdict compares the worst torus distance against
     a_bound / N; since no distance exceeds 1/2, any a_bound / N above 1/2
-    fails automatically.  The enumeration is refused when the vector count
-    would be excessive; reduce a_bound in that case.
+    fails automatically.  The enumeration is refused before it starts when
+    its vector count passes MAX_TORUS_VECTORS; reduce a_bound in that case.
     """
     a_frac = Fraction(a_bound)
     if a_frac <= 0:
@@ -211,30 +238,22 @@ def irrationality_check(theta: Theta, a_bound, N: int) -> IrrationalityReport:
     if N < 1:
         raise ValueError("N must be >= 1")
     budget = math.floor(a_frac)
-    if budget > _MAX_EXHAUSTIVE_BOUND:
-        raise ValueError(
-            f"a_bound {a_bound} too large for exhaustive enumeration "
-            f"(cap {_MAX_EXHAUSTIVE_BOUND}); reduce it"
-        )
     d = theta.dimension
-    if (2 * budget + 1) ** d > _MAX_ENUM_VECTORS:
-        raise ValueError(
-            "vector enumeration too large for exhaustive mode; reduce a_bound"
-        )
-    worst_vec: tuple[int, ...] | None = None
-    worst_dist = math.inf
-    for vec in _canonical_vectors(d, budget):
-        combo = sum(q * t for q, t in zip(vec, theta.components))
-        dist = torus_distance(combo)
+    _check_limit("torus vectors", _vector_count(d, budget), MAX_TORUS_VECTORS, "reduce a_bound")
+    comps = theta.components
+    # budget < 1 leaves nothing to scan: vacuously irrational
+    worst, worst_dist = (), math.inf
+    for entries in _canonical_vectors(d, budget):
+        # q_i t_i = 0 for the other places, which leave the sum as it is
+        dist = torus_distance(sum(q * comps[i] for i, q in entries))
         if dist < worst_dist:
             worst_dist = dist
-            worst_vec = vec
-    threshold = float(a_frac / N)
-    if worst_vec is None:
-        # budget < 1 leaves nothing to scan; vacuously irrational
-        return IrrationalityReport(a_frac, N, True, (), math.inf, threshold)
+            worst = entries
+    worst_vec = [0] * d if worst else []
+    for i, q in worst:
+        worst_vec[i] = q
     holds = worst_dist >= float(a_frac) / N
-    return IrrationalityReport(a_frac, N, holds, worst_vec, worst_dist, threshold)
+    return IrrationalityReport(a_frac, N, holds, tuple(worst_vec), worst_dist, float(a_frac / N))
 
 
 @dataclass(frozen=True)
@@ -265,8 +284,7 @@ def equidist_error(
     P = progression if progression is not None else Progression(1, 1, N)
     if P.last > N:
         raise ValueError(f"progression reaches {P.last} > N = {N}")
-    if P.length > MAX_SIGNAL_LENGTH:
-        raise ValueError(f"{P.length} sample points exceed the limit {MAX_SIGNAL_LENGTH}")
+    _check_limit("sample points", P.length, MAX_SIGNAL_LENGTH)
     points = np.arange(P.start, P.last + 1, P.step, dtype=np.int64)
     values = F.evaluate(points, N, theta)
     empirical = complex(values.mean())

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import CyclicSignal, IntegerSet, SumFreeConvention
+from .core import CyclicSignal, IntegerSet, SumFreeConvention, _check_limit
 from .spectral import _interval_group_norm
 from .structure import AlphaGrid
 from .weights import GridWeight
@@ -50,8 +50,7 @@ def exhaustive_max_sum_free(
     """
     A.require_positive("exhaustive_max_sum_free")
     n = len(A)
-    if n > _EXHAUSTIVE_SIZE_CAP:
-        raise ValueError(f"exhaustive reference capped at {_EXHAUSTIVE_SIZE_CAP} elements")
+    _check_limit("exhaustive reference elements", n, _EXHAUSTIVE_SIZE_CAP)
     vals = A.elements
     if n == 0:
         return 0, ()
@@ -114,8 +113,7 @@ def u2_group_norm_direct(signal: CyclicSignal) -> float:
     """
     v = signal.values
     n = len(v)
-    if n > _DIRECT_SIZE_CAP:
-        raise ValueError(f"direct U2 reference capped at N' = {_DIRECT_SIZE_CAP}")
+    _check_limit("direct U2 reference group order", n, _DIRECT_SIZE_CAP)
     total = sum(abs(np.vdot(np.roll(v, -h), v)) ** 2 for h in range(n))
     return float(total / n**3) ** 0.25
 

@@ -24,6 +24,7 @@ from .core import (
     IntegerSet,
     JsonReport,
     SumFreeConvention,
+    _check_limit,
     _interval_error,
     _member_table,
     _pair_ends,
@@ -36,8 +37,7 @@ DISTINCT_ONLY = SumFreeConvention.DISTINCT_ONLY
 
 EXACT_SIZE_CAP = 64
 # is_sum_free scans sets smaller than this.  When every pair is looked up
-# the pair blocks tie the scan near 32 elements and win 2.6x at 64; their
-# fixed cost, about 30 us, is paid even by a set with no pair to look up.
+# the pair blocks tie the scan near 32 elements and win 2.6x at 64.
 _KERNEL_MIN_SIZE = 64
 # breakpoint events: dilation_sweep refuses more, the heuristic samples above the cap
 SWEEP_EVENT_LIMIT = 40_000_000
@@ -52,11 +52,12 @@ def one_third_floor(n: int) -> int:
 def _use_kernel(A: IntegerSet) -> bool:
     """Whether is_sum_free sweeps pair blocks rather than scanning the set.
 
-    Not below _KERNEL_MIN_SIZE elements, and not past _PAIR_SAFE_BOUND,
-    where the sums would leave int64.
+    Not below _KERNEL_MIN_SIZE elements, not past _PAIR_SAFE_BOUND, where
+    the sums would leave int64, and not when 2 min(A) > max(A), as in a
+    top-half set: no pair has a sum to look up, which the scan sees at once.
     """
     elems = A.elements
-    return len(elems) >= _KERNEL_MIN_SIZE and -_PAIR_SAFE_BOUND < elems[0] and elems[-1] < _PAIR_SAFE_BOUND
+    return len(elems) >= _KERNEL_MIN_SIZE and -_PAIR_SAFE_BOUND < elems[0] and 2 * elems[0] <= elems[-1] < _PAIR_SAFE_BOUND
 
 
 def is_sum_free(A: IntegerSet, convention: SumFreeConvention = ALLOW_EQUAL) -> bool:
@@ -168,8 +169,7 @@ def max_sum_free_subset(
     if budget is not None and budget < 0:
         raise ValueError("budget must be >= 0")
     n = len(A)
-    if n > EXACT_SIZE_CAP:
-        raise ValueError(f"exact solver capped at {EXACT_SIZE_CAP} elements; use heuristic_sum_free")
+    _check_limit("exact solver elements", n, EXACT_SIZE_CAP, "use heuristic_sum_free")
     tables = _conflict_tables(A.elements, convention is ALLOW_EQUAL)
     full = (1 << n) - 1
     # doll[i] bounds the optimum of vals[i:] from above; it starts at n - i
@@ -361,8 +361,8 @@ def dilation_sweep(A: IntegerSet) -> DilationCertificate:
     A.require_positive("dilation_sweep")
     if len(A) == 0:
         raise ValueError("dilation_sweep needs a nonempty set")
-    if 2 * sum(A.elements) > SWEEP_EVENT_LIMIT:
-        raise ValueError("too many breakpoints for the exact sweep; use heuristic_sum_free")
+    hint = "too many breakpoints for the exact sweep, use heuristic_sum_free"
+    _check_limit("sweep events", 2 * sum(A.elements), SWEEP_EVENT_LIMIT, hint)
     # numerators below 3x/2 are the breakpoints below 1/2
     enter = np.concatenate([np.arange(1, (3 * x + 1) // 2, 3) / (3 * x) for x in A.elements])
     enter.sort()

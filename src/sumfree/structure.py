@@ -18,12 +18,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import IntegerSet, JsonReport, indicator_vector, read_grid_json
+from .core import IntegerSet, JsonReport, _check_limit, indicator_vector, read_grid_json
 from .spectral import popular_differences
 
 # window ends find_dense_progression may visit: its grids hold about twice as
 # many cells, and each Dinkelbach round costs a few numpy passes over them
 PROGRESSION_WINDOW_LIMIT = 2_000_000
+# ordered pairs of cells above eta alpha_tilde may visit: its pair arrays
+# take about 130 MB at this many
+ALPHA_PAIR_LIMIT = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -109,11 +112,7 @@ def find_dense_progression(
     max_step = N - 1 if L == 1 else (N - 1) // (L - 1)
     max_step = max(1, max_step)
     ends = max_step * N - (L - 1) * max_step * (max_step + 1) // 2
-    if ends > PROGRESSION_WINDOW_LIMIT:
-        raise ValueError(
-            f"progression scan would visit {ends} window ends, past the limit "
-            f"{PROGRESSION_WINDOW_LIMIT}; raise min_length or lower N"
-        )
+    _check_limit("progression window ends", ends, PROGRESSION_WINDOW_LIMIT, "raise min_length or lower N")
     padded = np.zeros(N + max_step, dtype=np.int8)
     padded[:N] = member
     index = np.arange(N + 1, dtype=np.int64)[:, None]
@@ -282,6 +281,8 @@ def alpha_tilde(grid: AlphaGrid, eta) -> AlphaTildeReport:
     The values are scaled to integer numerators over their common
     denominator and each ordered pair is visited once.  The numerators are
     Python ints, since float entries can push that denominator past int64.
+    The pairs, P^2 for P cells above eta, are refused past ALPHA_PAIR_LIMIT
+    before any pair array is built.
     """
     eta_f = Fraction(eta)
     if eta_f < 0:
@@ -293,6 +294,7 @@ def alpha_tilde(grid: AlphaGrid, eta) -> AlphaTildeReport:
         dtype=object,
     )
     a, i = np.nonzero(nums * eta_f.denominator > eta_f.numerator * den)
+    _check_limit("alpha_tilde cell pairs", len(a) ** 2, ALPHA_PAIR_LIMIT)
     v = nums[a, i]
     # best[x, d + M] is the largest pair sum with a - a' = x mod q and i - i' = d
     best = np.zeros((q, 2 * M + 1), dtype=object)

@@ -27,8 +27,8 @@ from .core import (
     GridOverflowError,
     IntegerSet,
     JsonReport,
+    _check_limit,
     format_rational,
-    indicator_vector,
     parse_rational,
     read_grid_json,
     rng_from_seed,
@@ -36,7 +36,7 @@ from .core import (
     write_json,
 )
 from .solver import ALLOW_EQUAL, EXACT_SIZE_CAP, heuristic_sum_free, max_sum_free_subset, one_third_floor
-from .spectral import t_count
+from .spectral import ordered_triples
 
 MAX_GRID_CELLS = 1 << 22
 # each quadrature node costs one pass over the grid per step
@@ -277,16 +277,11 @@ def _check_grid_size(cells: int, factor: int, steps: int = 1, base: int = 1) -> 
     """
     log_modulus = math.log2(base) + steps * math.log2(factor)
     if log_modulus <= 64:
-        modulus = base * factor**steps
-        if modulus * cells <= MAX_GRID_CELLS:
-            return
-        rows = modulus if modulus.bit_length() <= 64 else f"({modulus.bit_length()}-bit modulus)"
+        count = base * factor**steps * cells
     else:
-        rows = f"({math.floor(log_modulus) + 1}-bit modulus)"
-    raise GridOverflowError(
-        f"grid of {rows} x {cells} cells exceeds the {MAX_GRID_CELLS}-cell cap; "
-        "reduce steps (alpha_schedule tracks the recurrence without a grid)"
-    )
+        count = f"({math.floor(log_modulus) + 1}-bit modulus) x {cells}"
+    hint = "reduce steps (alpha_schedule tracks the recurrence without a grid)"
+    _check_limit("grid cells", count, MAX_GRID_CELLS, hint, GridOverflowError)
 
 
 @dataclass(frozen=True)
@@ -364,8 +359,7 @@ def _cell_map(w: GridWeight, N: int) -> tuple[np.ndarray, np.ndarray]:
     Q, K = w.modulus, w.cells
     if N < Q * K:
         raise ValueError(f"N must be at least Q*K = {Q * K}")
-    if N > MAX_SIGNAL_LENGTH:
-        raise ValueError(f"N = {N} exceeds the limit {MAX_SIGNAL_LENGTH}")
+    _check_limit("N", N, MAX_SIGNAL_LENGTH)
     n = np.arange(1, N + 1, dtype=np.int64)
     return n % Q, -(-n * K // N) - 1
 
@@ -468,7 +462,7 @@ def density_experiment(eps, params: IterationParams, cells: int, N: int, seeds) 
                 heuristic_density=Fraction(heur.optimum, size),
                 floor_size=one_third_floor(size),
                 exact_size=exact,
-                triple_count=t_count(indicator_vector(A, N)),
+                triple_count=ordered_triples(A, N) / N**2,
             )
         )
     return ExperimentReport(

@@ -135,6 +135,8 @@ def test_domain_errors_exit_1(capsys, tmp_path):
     empty.write_text(json.dumps({"elements": []}))
     bool_q = tmp_path / "bool_q.json"
     bool_q.write_text(json.dumps({"q": True, "K": 2, "values": [0, 1]}))
+    tall = tmp_path / "tall.json"
+    tall.write_text(json.dumps(_TALL_GRID))
     cases = [
         ["solve", "--set", str(tmp_path / "missing.json")],
         ["sweep", "--set", str(empty)],
@@ -160,6 +162,8 @@ def test_domain_errors_exit_1(capsys, tmp_path):
         # a modulus 2^(10^12) formed only to be compared with the cap
         ["weight", "build", "--eps", "1/2", "--cells", "8", "--t-samples", str(10**12), "--steps", "1"],
         ["weight", "build", "--eps", "1/2", "--cells", "8", "--steps", str(10**12)],
+        # 2049^2 pairs of cells above eta, refused before the pair arrays
+        ["structure", "alphatilde", "--grid", str(tall), "--eta", "1/4"],
     ]
     for argv in cases:
         code, out, err = run_cli(capsys, argv)
@@ -168,11 +172,76 @@ def test_domain_errors_exit_1(capsys, tmp_path):
         assert err.startswith("error:"), argv
 
 
+# a 2049 x 1 grid of 1/2: 2049^2 = 4198401 pairs of cells above eta = 1/4
+_TALL_GRID = {"q": 2049, "M": 1, "values": ["1/2"] * 2049}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["spectral", "tcount", "--set", fixture("deca.json"), "--n", str(10**11)],
+         "N = 100000000000 exceeds the limit 8388608"),
+        (["spectral", "u2", "--set", fixture("deca.json"), "--n", "20", "--n-prime", str(10**12)],
+         "group order = 1000000000000 exceeds the limit 8388608"),
+        (["weight", "sample", "--weight", fixture("w.json"), "--n", str(10**11), "--seed", "1"],
+         "N = 100000000000 exceeds the limit 8388608"),
+        (["equidist", "error", "--theta", "0.618", "--freq", "1", "--n", str(10**12), "--progression", f"1,1,{10**11}"],
+         "sample points = 100000000000 exceeds the limit 8388608"),
+        (["solve", "--set", "{wide}"],
+         "exact solver elements = 65 exceeds the limit 64; use heuristic_sum_free"),
+        (["sweep", "--set", "{heavy}"],
+         "sweep events = 200000000 exceeds the limit 40000000; "
+         "too many breakpoints for the exact sweep, use heuristic_sum_free"),
+        (["structure", "doubling", "--set", "{half}", "--n", "4096", "--eps", "1/10000", "--delta", "1/1000",
+          "--min-length", "1"],
+         "progression window ends = 16773120 exceeds the limit 2000000; raise min_length or lower N"),
+        (["weight", "build", "--eps", "1/2", "--cells", "8", "--steps", "20"],
+         "grid cells = 8388608 exceeds the limit 4194304; "
+         "reduce steps (alpha_schedule tracks the recurrence without a grid)"),
+        (["equidist", "check", "--theta", "0.618", "--a", "1e99999", "--n", "10"],
+         "torus vectors = more than 1658655 exceeds the limit 1658655; reduce a_bound"),
+        (["equidist", "check", "--theta", ",".join(["0.1"] * 10**5), "--a", "2", "--n", "10"],
+         "torus vectors = more than 1658655 exceeds the limit 1658655; reduce a_bound"),
+        (["structure", "alphatilde", "--grid", "{tall}", "--eta", "1/4"],
+         "alpha_tilde cell pairs = 4198401 exceeds the limit 4194304"),
+    ],
+    ids=["tcount-n", "u2-group-order", "sample-n", "equidist-points", "exact-size", "sweep-events",
+         "progression-ends", "grid-cells", "vectors-a", "vectors-theta", "alpha-pairs"],
+)
+def test_each_limit_refused_at_once_in_its_wording(capsys, tmp_path, argv, message):
+    files = {
+        "wide": {"elements": list(range(1, 66))},
+        "heavy": {"elements": [10**8]},
+        "half": {"elements": list(range(1, 2049))},  # meets the hypothesis in {1..4096}
+        "tall": _TALL_GRID,
+    }
+    paths = {}
+    for name, obj in files.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(obj))
+    argv = [arg.format(**paths) if arg.startswith("{") else arg for arg in argv]
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_long_theta_at_a_bound_one_runs(capsys):
+    # one vector per place, each scanned by its one entry: no deep recursion
+    theta = ",".join(["0.5"] + ["0.25"] * 1999)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, ["equidist", "check", "--theta", theta, "--a", "1", "--n", "10"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and err.startswith("equidist check: holds")
+    report = json.loads(out)["report"]
+    assert report["worst_vector"] == [0] * 1999 + [1] and report["worst_distance"] == 0.25
+
+
 def test_grid_cap_message_for_huge_modulus(capsys):
     # about 40 000 default steps: the modulus 2^40000 has more digits than str() allows
     code, out, err = run_cli(capsys, ["weight", "build", "--eps", "1e-5000", "--cells", "8"])
     assert code == 1 and out == ""
-    assert "-cell cap" in err and "-bit modulus" in err
+    assert "grid cells = (" in err and "-bit modulus) x 8 exceeds the limit 4194304; reduce steps" in err
 
 
 def test_grid_cap_refused_before_the_exact_step_count(capsys):
@@ -181,7 +250,7 @@ def test_grid_cap_refused_before_the_exact_step_count(capsys):
     code, out, err = run_cli(capsys, ["weight", "build", "--eps", "1e-1000000", "--cells", "8"])
     assert time.perf_counter() - start < 5.0
     assert code == 1 and out == ""
-    assert "-cell cap" in err and "-bit modulus" in err
+    assert "grid cells = (" in err and "-bit modulus) x 8 exceeds the limit 4194304; reduce steps" in err
 
 
 @pytest.mark.parametrize(
@@ -345,7 +414,7 @@ def test_u2_of_the_full_interval_is_exactly_one(capsys, tmp_path, n):
     [
         ("3", "error: group order 3 too small for N = 10; need > 40\n"),
         ("40", "error: group order 40 too small for N = 10; need > 40\n"),
-        (str((1 << 23) + 1), "error: group order 8388609 exceeds the limit 8388608\n"),
+        (str((1 << 23) + 1), "error: group order = 8388609 exceeds the limit 8388608\n"),
     ],
 )
 def test_u2_group_order_checked_with_its_message(capsys, n_prime, message):

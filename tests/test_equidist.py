@@ -1,13 +1,18 @@
+import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from sumfree.equidist import (
+    MAX_TORUS_VECTORS,
     LipschitzTestFunction,
     Theta,
     TrigTerm,
+    _canonical_vectors,
+    _vector_count,
     constant_function,
     cosine_orbit,
     equidist_error,
@@ -67,10 +72,46 @@ class TestIrrationality:
         assert rep.worst_distance == math.inf
 
     def test_enumeration_caps(self):
-        with pytest.raises(ValueError, match="reduce"):
-            irrationality_check(golden_theta(), 2000, 10**6)
-        with pytest.raises(ValueError, match="reduce"):
+        limit = MAX_TORUS_VECTORS
+        message = f"^torus vectors = more than {limit} exceeds the limit {limit}; reduce a_bound$"
+        with pytest.raises(ValueError, match=message):
+            irrationality_check(golden_theta(), MAX_TORUS_VECTORS + 1, 10**6)
+        with pytest.raises(ValueError, match=message):
             irrationality_check(Theta((0.1,) * 9), 10, 100)
+        with pytest.raises(ValueError, match=message):
+            irrationality_check(Theta((0.1, 0.2, 0.3)), 136, 100)
+        # in one dimension the count is a_bound itself
+        assert irrationality_check(golden_theta(), 2000, 10**6).worst_vector != ()
+
+    def test_vector_count_is_the_enumeration_length(self):
+        for d in range(1, 5):
+            for b in range(13):
+                assert _vector_count(d, b) == len(list(_canonical_vectors(d, b))), (d, b)
+
+    def test_vectors_in_lex_order_as_their_entries(self):
+        for d in range(1, 5):
+            for b in range(6):
+                ball = itertools.product(range(-b, b + 1), repeat=d)
+                want = [q for q in ball if 0 < sum(map(abs, q)) <= b and next(filter(None, q)) > 0]
+                got = []
+                for entries in _canonical_vectors(d, b):
+                    q = [0] * d
+                    for i, v in entries:
+                        q[i] = v
+                    got.append(tuple(q))
+                assert got == want, (d, b)
+
+    def test_long_theta_neither_recurses_nor_scans_per_place(self):
+        # the enumeration goes one level per nonzero entry, not per place
+        theta = Theta(tuple((k + 1) / 8192 for k in range(4000)))
+        start = time.perf_counter()
+        rep = irrationality_check(theta, 1, 10)
+        assert time.perf_counter() - start < 1.0
+        assert rep.worst_vector == (1,) + (0,) * 3999 and rep.worst_distance == 1 / 8192
+        # the limit is the count at d = 3, a_bound = 135; d = 2 reaches a_bound = 1000
+        assert _vector_count(3, 135) == MAX_TORUS_VECTORS
+        assert _vector_count(2, 1000) == 1_001_000
+        assert _vector_count(10**6, 0) == 0
 
     def test_validation(self):
         with pytest.raises(ValueError):

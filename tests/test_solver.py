@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sumfree import solver
 from sumfree.checks import _sum_free_paths
 from sumfree.core import _FILTER_PRIME, _PAIR_SAFE_BOUND, IntegerSet, rng_from_seed
 from sumfree.reference import exhaustive_max_sum_free
@@ -107,6 +108,22 @@ class TestIsSumFree:
         # (kernel taken, member table applies, filter applies, sum-free)
         kinds = {(True, True, True), (True, False, True), (False, True, True), (False, False, True), (False, False, False)}
         assert {(*kind, free) for kind in kinds for free in (True, False)} <= taken
+
+    @pytest.mark.parametrize("conv", [ALLOW_EQUAL, DISTINCT_ONLY], ids=lambda c: c.value)
+    def test_no_table_without_a_pair_to_look_up(self, conv, monkeypatch):
+        # top-half sets, like the heuristic's witnesses A ∩ [x, 2x), have no
+        # x + y <= max(A): no member table, residue filter or pair block is built
+        built = []
+        for name in ("_member_table", "_pair_sum_hits"):
+            real = getattr(solver, name)
+            monkeypatch.setattr(solver, name, lambda *a, _real=real, _name=name, **k: built.append(_name) or _real(*a, **k))
+        for lo in (150_001, 10**14):
+            top = IntegerSet(tuple(range(lo, lo + 150_000, 100)))
+            assert len(top) == 1500
+            assert is_sum_free(top, conv) and built == []
+            assert not is_sum_free(IntegerSet.from_iterable(top.elements + (100,)), conv)
+            assert built == (["_member_table", "_pair_sum_hits"] if lo < 10**6 else ["_pair_sum_hits"])
+            built.clear()
 
 
 class TestExactSolver:

@@ -64,10 +64,7 @@ class TestTCount:
         # the last three take the pair path, |A|^2 <= N
         for N, density in ((2000, 0.9), (2000, 0.5), (2000, 0.02), (5000, 0.01), (1, 1.0)):
             A = IntegerSet(tuple(int(x) + 1 for x in np.nonzero(rng.random(N) < density)[0]))
-            member = np.zeros(2 * N + 1, dtype=bool)
-            member[list(A.elements)] = True
-            a = np.array(A.elements, dtype=np.int64)
-            assert ordered_triples(A, N) == int(member[np.add.outer(a, a)].sum())
+            assert ordered_triples(A, N) == ordered_triples_direct(A)
         assert ordered_triples(IntegerSet(tuple(range(1, 1001))), 1000) == 1000 * 999 // 2
         assert ordered_triples(IntegerSet(()), 5) == 0
 
