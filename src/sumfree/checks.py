@@ -47,7 +47,7 @@ def _check_dilation_floor(rng):
     for _ in range(30):
         A = _random_set(rng, 14, 200)
         cert = solver.dilation_sweep(A)
-        floor = -(-(len(A) + 1) // 3)
+        floor = solver.one_third_floor(len(A))
         assert cert.size >= floor, f"{A.elements}: sweep {cert.size} < floor {floor}"
 
 
@@ -102,7 +102,7 @@ def _check_heuristic_bounds(rng):
         heur = solver.heuristic_sum_free(A, seed=seed)
         again = solver.heuristic_sum_free(A, seed=seed)
         assert heur.witness == again.witness, "heuristic not reproducible"
-        floor = -(-(len(A) + 1) // 3)
+        floor = solver.one_third_floor(len(A))
         exact = solver.max_sum_free_subset(A).optimum
         assert floor <= heur.optimum <= exact, (
             f"{A.elements}: heuristic {heur.optimum} outside [{floor}, {exact}]"

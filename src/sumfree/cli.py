@@ -267,10 +267,12 @@ def _cmd_equidist_check(args):
     theta = _parse_theta(args.theta)
     rep = eqd.irrationality_check(theta, parse_rational(args.a), args.n)
     verdict = "holds" if rep.holds else "fails"
-    note = (
-        f"equidist check: {verdict}, worst vector {list(rep.worst_vector)} "
-        f"at distance {rep.worst_distance:.6g}"
+    worst = (
+        "no vector scanned"
+        if rep.worst_distance is None
+        else f"worst vector {list(rep.worst_vector)} at distance {rep.worst_distance:.6g}"
     )
+    note = f"equidist check: {verdict}, {worst}"
     return rep.to_json_dict(), note, 0
 
 
@@ -457,7 +459,6 @@ def main(argv: list[str] | None = None) -> int:
         "report": report,
     }
     write_json(envelope, sys.stdout)
-    sys.stdout.write("\n")
     _note(note)
     return code
 

@@ -217,7 +217,6 @@ def save_set(A: IntegerSet, path: str | Path) -> None:
         del obj["name"]
     with open(path, "w") as fh:
         write_json(obj, fh)
-        fh.write("\n")
 
 
 def _limit_error(work: str, count: int | str, limit: int) -> str | None:
@@ -476,67 +475,56 @@ _JSON_CHUNK = 1 << 14  # list items per piece that write_json writes
 JSON_DISTINCT_MIN = 128
 
 
-def write_json(obj, fp, *, compact: bool = False) -> None:
-    """Write obj to the text file fp as json.dump(obj, fp, indent=2) would.
+def write_json(obj, fp) -> None:
+    """Write obj to the text file fp as json.dumps(obj, separators=(",", ":")) + "\\n".
 
-    With compact=True the text is that of separators=(",", ":") instead.
-    Containers are walked here; each list of numbers, bools and None goes
-    through json's C encoder and is re-separated (no such item holds a
-    comma).  Lists go out in pieces of _JSON_CHUNK items, so no transient
+    Every document the package writes is this one line.  Containers are
+    walked here, and their keys must be str (any other key raises
+    TypeError); each list of numbers, bools and None goes through json's C
+    encoder.  Lists go out in pieces of _JSON_CHUNK items, so no transient
     grows with the list, and in an all-float list of JSON_DISTINCT_MIN
     items or more each piece formats each distinct bit pattern once, so
     -0.0 and 0.0 keep their own text.
     """
-    for piece in _json_pieces(obj, None if compact else "\n"):
+    for piece in _json_pieces(obj):
         fp.write(piece)
+    fp.write("\n")
 
 
-def _json_pieces(obj, newline):
-    """Text pieces of obj; newline is "\\n" plus the current indent, None when compact."""
-    is_dict = isinstance(obj, dict)
-    if not (is_dict or isinstance(obj, (list, tuple))):
-        yield _C_ENCODER.encode(obj)
-        return
-    brackets = "{}" if is_dict else "[]"
-    if not obj:
-        yield brackets
-        return
-    inner = None if newline is None else newline + "  "
-    sep = "," if inner is None else "," + inner
-    yield brackets[0] + (inner or "")
-    if is_dict:
-        colon = ":" if inner is None else ": "
+def _json_pieces(obj):
+    """The text of obj in write_json's layout, in pieces."""
+    if isinstance(obj, dict):
+        yield "{"
         for i, (key, value) in enumerate(obj.items()):
-            yield (sep if i else "") + _json_key(key) + colon
-            yield from _json_pieces(value, inner)
-    elif (types := set(map(type, obj))) <= _SCALAR_TYPES:
-        yield from _json_scalars(obj, sep, types == {float} and len(obj) >= JSON_DISTINCT_MIN)
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            yield ("," if i else "") + _C_ENCODER.encode(key) + ":"
+            yield from _json_pieces(value)
+        yield "}"
+    elif isinstance(obj, (list, tuple)):
+        yield "["
+        if (types := set(map(type, obj))) <= _SCALAR_TYPES:
+            yield from _json_scalars(obj, types == {float} and len(obj) >= JSON_DISTINCT_MIN)
+        else:
+            for i, value in enumerate(obj):
+                yield "," if i else ""
+                yield from _json_pieces(value)
+        yield "]"
     else:
-        for i, value in enumerate(obj):
-            yield sep if i else ""
-            yield from _json_pieces(value, inner)
-    yield (newline or "") + brackets[1]
+        yield _C_ENCODER.encode(obj)
 
 
-def _json_key(key) -> str:
-    if isinstance(key, str):
-        return _C_ENCODER.encode(key)
-    if key is None or isinstance(key, (int, float)):  # json writes these keys as strings
-        return '"' + _C_ENCODER.encode(key) + '"'
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
-def _json_scalars(xs, sep: str, floats: bool):
-    """The items of a list of int, float, bool and None, joined by sep."""
+def _json_scalars(xs, floats: bool):
+    """The items of a list of int, float, bool and None, joined by commas."""
     for s in range(0, len(xs), _JSON_CHUNK):
         chunk = xs[s : s + _JSON_CHUNK]
         if floats:
             bits, inverse = np.unique(np.array(chunk).view(np.int64), return_inverse=True)
             texts = _C_ENCODER.encode(bits.view(np.float64).tolist())[1:-1].split(",")
-            text = sep.join(np.array(texts, dtype=object)[inverse].tolist())
+            text = ",".join(np.array(texts, dtype=object)[inverse].tolist())
         else:
-            text = _C_ENCODER.encode(chunk)[1:-1].replace(",", sep)
-        yield (sep if s else "") + text
+            text = _C_ENCODER.encode(chunk)[1:-1]
+        yield ("," if s else "") + text
 
 
 def read_grid_json(path: str | Path, rows_key: str, cols_key: str) -> dict:

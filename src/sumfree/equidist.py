@@ -167,15 +167,18 @@ class IrrationalityReport(JsonReport):
     holds means every nonzero integer vector with coordinate-sum of
     absolute values at most a_bound keeps q . theta at torus distance at
     least a_bound / n.  worst_vector is the canonical (first nonzero
-    positive, lexicographically first) minimizer; threshold is
-    float(a_bound / n), the distance the verdict compares against.
+    positive, lexicographically first) minimizer and worst_distance its
+    torus distance; when a_bound < 1 leaves no vector to scan, holds is
+    vacuously true, worst_vector is () and worst_distance is None.
+    threshold is float(a_bound / n), the distance the verdict compares
+    against.
     """
 
     a_bound: Fraction
     n: int
     holds: bool
     worst_vector: tuple[int, ...]
-    worst_distance: float
+    worst_distance: float | None
     threshold: float
 
 
@@ -241,7 +244,6 @@ def irrationality_check(theta: Theta, a_bound, N: int) -> IrrationalityReport:
     d = theta.dimension
     _check_limit("torus vectors", _vector_count(d, budget), MAX_TORUS_VECTORS, "reduce a_bound")
     comps = theta.components
-    # budget < 1 leaves nothing to scan: vacuously irrational
     worst, worst_dist = (), math.inf
     for entries in _canonical_vectors(d, budget):
         # q_i t_i = 0 for the other places, which leave the sum as it is
@@ -253,7 +255,8 @@ def irrationality_check(theta: Theta, a_bound, N: int) -> IrrationalityReport:
     for i, q in worst:
         worst_vec[i] = q
     holds = worst_dist >= float(a_frac) / N
-    return IrrationalityReport(a_frac, N, holds, tuple(worst_vec), worst_dist, float(a_frac / N))
+    # budget < 1 leaves nothing to scan: vacuously irrational, at no distance
+    return IrrationalityReport(a_frac, N, holds, tuple(worst_vec), worst_dist if worst else None, float(a_frac / N))
 
 
 @dataclass(frozen=True)

@@ -136,11 +136,11 @@ def max_sum_free_subset(
     The suffixes vals[i:] of the sorted elements are solved for
     i = n-1, ..., 0.  Their optima satisfy doll[i] = doll[i+1] or
     doll[i+1] + 1, so the search for suffix i only asks for a leaf reaching
-    doll[i+1] + 1 -- one that holds vals[i] -- and stops at the first.  A
-    last search over the whole set asks for the first leaf reaching
-    doll[0].  A node with chosen set C and allowed set R, all at or after
-    index p, is cut when |C| plus either of two upper bounds on what R can
-    still add misses the target:
+    doll[i+1] + 1 -- one that holds vals[i] -- and stops at the first.  When
+    suffix 0's search finds none, a last search over the whole set asks for
+    the first leaf reaching doll[0] = doll[1].  A node with chosen set C and
+    allowed set R, all at or after index p, is cut when |C| plus either of
+    two upper bounds on what R can still add misses the target:
 
     - doll[p], since the additions form a sum-free subset of vals[p:];
     - |R| minus a greedy packing of disjoint conflicts inside R -- triples
@@ -151,14 +151,15 @@ def max_sum_free_subset(
 
     Both bounds are valid, so no cut subtree holds a leaf that reaches the
     target, and each search returns the first such leaf in search order.
-    The last one therefore returns the first optimal leaf, the
-    lexicographically smallest witness -- the one an unpruned search meets
-    first and `reference.exhaustive_max_sum_free` picks -- with no incumbent
-    and no re-selection pass.  Keeping that canonical witness makes the
+    So the search over the whole set that reaches doll[0] returns the first
+    optimal leaf, the lexicographically smallest witness -- the one an
+    unpruned search meets first and `reference.exhaustive_max_sum_free`
+    picks -- with no incumbent and no re-selection pass.  That search is
+    suffix 0's when it finds a leaf, whose allowed set and target the last
+    search would repeat; otherwise the last one, as an optimum of doll[1]
+    may still hold vals[0].  Keeping that canonical witness makes the
     report a function of the set alone: a stronger bound changes
-    nodes_explored and nothing else.  The last search is needed even though
-    suffix 0 was searched: when doll[0] = doll[1], an optimum may still hold
-    vals[0].
+    nodes_explored and nothing else.
 
     `budget` caps the nodes of all searches together.  On exhaustion the
     report has exact=False, nodes_explored = budget + 1, and the larger of
@@ -177,6 +178,7 @@ def max_sum_free_subset(
     doll = [n - i for i in range(n + 1)]
     best = 0
     nodes = 0
+    leaf = None
     for i in range(n - 1, -1, -1):
         doll[i] = doll[i + 1] + 1
         leaf, nodes = _first_leaf(full >> i << i, doll[i], doll, tables, nodes, budget)
@@ -187,9 +189,10 @@ def max_sum_free_subset(
         else:
             best = leaf
     else:
-        leaf, nodes = _first_leaf(full, doll[0], doll, tables, nodes, budget)
-        if leaf is not None:
-            best = leaf
+        if leaf is None:  # else suffix 0's leaf is the first to reach doll[0]
+            leaf, nodes = _first_leaf(full, doll[0], doll, tables, nodes, budget)
+            if leaf is not None:
+                best = leaf
     exact = budget is None or nodes <= budget
     if not exact:
         greedy, _ = _first_leaf(full, 0, doll, tables, 0, None)

@@ -477,10 +477,9 @@ def density_experiment(eps, params: IterationParams, cells: int, N: int, seeds) 
 
 
 def save_weight(w: GridWeight, path: str | Path) -> None:
-    """Write a weight as compact one-line JSON."""
+    """Write a weight as one line of JSON (core.write_json)."""
     with open(path, "w") as fh:
-        write_json(w.to_json_dict(), fh, compact=True)
-        fh.write("\n")
+        write_json(w.to_json_dict(), fh)
 
 
 def load_weight(path: str | Path) -> GridWeight:

@@ -1,3 +1,5 @@
+import functools
+import json
 import os
 
 import pytest
@@ -17,3 +19,13 @@ def _first_difference(got: str, want: str):
 @pytest.fixture(scope="session")  # session scope, so Hypothesis tests can take it
 def first_difference():
     return _first_difference
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.fixture(scope="session")
+def strict_loads():
+    """json.loads that refuses NaN, Infinity and -Infinity, which JSON does not have."""
+    return functools.partial(json.loads, parse_constant=_refuse_constant)

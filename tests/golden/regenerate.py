@@ -97,9 +97,9 @@ def regenerate() -> None:
     from sumfree.weights import IterationParams, build_weight, load_weight
 
     # The sampling fixture weight is the build of `weight build --eps 1/2
-    # --cells 8 --steps 2`, kept in the indented layout that weight files had
-    # before `save_weight` went compact, so that the loader stays tested on
-    # both layouts.  It is checked, not rewritten.
+    # --cells 8 --steps 2`, kept in an indented layout, which `write_json`
+    # does not write, so that the loader stays tested on both layouts.  It is
+    # checked, not rewritten.
     want = build_weight(Fraction(1, 2), IterationParams(steps=2), 8).weight.to_json_dict()
     assert load_weight(fixture("w.json")).to_json_dict() == want, "fixtures/w.json is stale"
     for name, argv in COMMANDS.items():

@@ -47,10 +47,10 @@ def assert_json_equal(actual, expected, path="report"):
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
-def test_golden_report(capsys, name):
+def test_golden_report(capsys, strict_loads, name):
     code, out, err = run_cli(capsys, COMMANDS[name])
     assert code == 0
-    envelope = json.loads(out)
+    envelope = strict_loads(out)
     expected = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
     assert_json_equal(envelope["report"], expected)
     assert err.strip(), "human summary expected on stderr"
@@ -63,11 +63,19 @@ def test_golden_report(capsys, name):
     + [["weight", "build", "--eps", "1/5", "--cells", "1024", "--steps", "1"]],
     ids=[*sorted(COMMANDS), "weight_build_1024_cells"],
 )
-def test_stdout_is_the_stdlib_indented_text(capsys, first_difference, argv):
+def test_stdout_is_the_stdlib_compact_text(capsys, first_difference, argv):
     # the goldens hold re-encoded reports, so they pin no byte of what main writes
     code, out, _ = run_cli(capsys, argv)
     assert code == 0
-    assert first_difference(out, json.dumps(json.loads(out), indent=2) + "\n") is None
+    assert first_difference(out, json.dumps(json.loads(out), separators=(",", ":")) + "\n") is None
+
+
+def test_vacuous_irrationality_check_prints_strict_json(capsys, strict_loads):
+    # a_bound < 1 scans no vector, so there is no worst distance to print
+    code, out, err = run_cli(capsys, ["equidist", "check", "--theta", "0.3", "--a", "1/2", "--n", "10"])
+    assert code == 0 and err == "equidist check: holds, no vector scanned\n"
+    report = strict_loads(out)["report"]
+    assert report["holds"] is True and report["worst_vector"] == [] and report["worst_distance"] is None
 
 
 def test_envelope_shape(capsys):

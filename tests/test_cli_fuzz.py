@@ -1,7 +1,8 @@
 """The CLI input contract on drawn argv.
 
-Every invocation either exits 0 with one JSON envelope on stdout, or exits
-1 or 2 without a traceback; exit 1 prints exactly one stderr line.  The
+Every invocation either exits 0 with one JSON envelope on stdout, one line
+of strict JSON (no NaN or Infinity), or exits 1 or 2 without a traceback;
+exit 1 prints exactly one stderr line.  The
 argv are drawn for every subcommand from small values (tiny set files,
 N <= 2^12, the small fixture grids) and from boundary values: 0,
 negatives, 10^12 and malformed numbers and rationals.  `check` is drawn
@@ -150,10 +151,11 @@ def run(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def assert_contract(argv: list[str]) -> None:
+def assert_contract(argv: list[str], strict_loads) -> None:
     code, out, err = run(argv)
     if code == 0:
-        envelope = json.loads(out)
+        assert out.endswith("\n") and out.count("\n") == 1, argv
+        envelope = strict_loads(out)
         assert set(envelope) == {"schema_version", "version", "command", "elapsed_seconds", "report"}
         assert envelope["command"] == argv
     else:
@@ -165,7 +167,7 @@ def assert_contract(argv: list[str]) -> None:
 
 
 @pytest.mark.filterwarnings("ignore:index bound .* exceeds modulus")
-def test_drawn_argv_keep_the_contract(tmp_path):
+def test_drawn_argv_keep_the_contract(tmp_path, strict_loads):
     paths = {SET_A: tmp_path / "a.txt", SET_B: tmp_path / "b.txt"}
 
     @settings(
@@ -179,6 +181,6 @@ def test_drawn_argv_keep_the_contract(tmp_path):
         argv, text_a, text_b = drawn
         paths[SET_A].write_text(text_a)
         paths[SET_B].write_text(text_b)
-        assert_contract([str(paths.get(arg, arg)) for arg in argv])
+        assert_contract([str(paths.get(arg, arg)) for arg in argv], strict_loads)
 
     check()

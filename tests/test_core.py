@@ -283,38 +283,43 @@ _JSON_TREES = st.recursive(
     lambda kids: st.one_of(
         st.lists(kids, max_size=4),
         st.lists(kids, max_size=3).map(tuple),
-        # json writes int, float, bool and None keys as strings
-        st.dictionaries(st.one_of(_JSON_TEXT, _JSON_NUMBERS), kids, max_size=4),
+        st.dictionaries(_JSON_TEXT, kids, max_size=4),
     ),
     max_leaves=12,
 )
 
 
-def _written(obj, compact=False) -> str:
+def _written(obj) -> str:
     out = io.StringIO()
-    write_json(obj, out, compact=compact)
+    write_json(obj, out)
     return out.getvalue()
+
+
+def _compact(obj) -> str:
+    return json.dumps(obj, separators=(",", ":")) + "\n"
 
 
 class TestJsonWriter:
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(_JSON_TREES)
-    def test_matches_the_stdlib_in_both_forms(self, first_difference, obj):
-        assert first_difference(_written(obj), json.dumps(obj, indent=2)) is None
-        compact = json.dumps(obj, separators=(",", ":"))
-        assert first_difference(_written(obj, compact=True), compact) is None
+    def test_matches_the_compact_stdlib_text(self, first_difference, obj):
+        assert first_difference(_written(obj), _compact(obj)) is None
 
     def test_lists_longer_than_one_piece(self, first_difference):
         floats = [(-0.0, 0.0, 0.5, math.nan, 1e-310)[i % 5] for i in range(40_000)]
         mixed = [(1, None, True, 2.5, -0.0)[i % 5] for i in range(40_000)]
         obj = {"floats": floats, "ints": list(range(40_000)), "mixed": mixed}
-        assert first_difference(_written(obj), json.dumps(obj, indent=2)) is None
-        compact = json.dumps(obj, separators=(",", ":"))
-        assert first_difference(_written(obj, compact=True), compact) is None
+        assert first_difference(_written(obj), _compact(obj)) is None
 
-    @pytest.mark.parametrize("obj", [{1: object()}, [np.int64(3)], {(1, 2): 1}], ids=["value", "numpy", "key"])
-    def test_what_json_refuses_raises_type_error(self, obj):
-        with pytest.raises(TypeError):
-            json.dumps(obj)
+    @pytest.mark.parametrize(
+        "obj, stdlib_refuses",
+        [({"a": object()}, True), ([np.int64(3)], True), ({(1, 2): 1}, True), ({1: 2}, False)],
+        ids=["value", "numpy", "key", "int-key"],
+    )
+    def test_what_json_refuses_raises_type_error(self, obj, stdlib_refuses):
+        # json writes the int key as "1"; every document the package writes has str keys
+        if stdlib_refuses:
+            with pytest.raises(TypeError):
+                json.dumps(obj)
         with pytest.raises(TypeError):
             _written(obj)

@@ -69,7 +69,7 @@ class TestIrrationality:
         rep = irrationality_check(golden_theta(), Fraction(1, 2), 10)
         assert rep.holds
         assert rep.worst_vector == ()
-        assert rep.worst_distance == math.inf
+        assert rep.worst_distance is None
 
     def test_enumeration_caps(self):
         limit = MAX_TORUS_VECTORS

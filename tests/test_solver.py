@@ -143,6 +143,27 @@ class TestExactSolver:
                 assert rep.exact and rep.optimum == opt
                 assert rep.witness.elements == witness
 
+    @pytest.mark.parametrize("conv", [ALLOW_EQUAL, DISTINCT_ONLY], ids=lambda c: c.value)
+    def test_no_search_runs_twice(self, conv, monkeypatch):
+        # a leaf found for suffix 0 is the whole set's first leaf reaching
+        # doll[0]: a last search would repeat suffix 0's allowed set and target
+        searches = []
+        real = solver._first_leaf
+
+        def spy(allowed, target, *rest):
+            searches.append((allowed, target))
+            return real(allowed, target, *rest)
+
+        monkeypatch.setattr(solver, "_first_leaf", spy)
+        sum_free = IntegerSet((1, 4, 7, 10))
+        rep = max_sum_free_subset(sum_free, conv)
+        assert rep.nodes_explored == 14 and rep.witness.elements == exhaustive_max_sum_free(sum_free, conv)[1]
+        rng = rng_from_seed(2024, "solver-repeat")
+        for A in [sum_free, DECADE] + [random_set(rng, 16, 40) for _ in range(20)]:
+            searches.clear()
+            max_sum_free_subset(A, conv)
+            assert len(set(searches)) == len(searches), A.elements
+
     def test_empty_set(self):
         rep = max_sum_free_subset(IntegerSet(()))
         assert rep.optimum == 0 and rep.witness.elements == ()
