@@ -6,11 +6,16 @@ classification, the FFT U2 norm with the quadruple average summed over
 shifts in physical space, the convex-hull progression scanner with a plain
 window enumeration, the FFT triple count with a direct double sum, the
 exact ordered triple counts with the full table of pair sums, the
-integer grid doubling table with a Fraction pair loop, the two-cell
-weight pushforward with a Fraction overlap loop, and the dilation sweep
-with a Fraction scan of every interval between breakpoints.  They are
-written from the definitions and share no logic with the code they
-check; they are meant for small inputs only.
+sum-free test's pair-sum count and the difference counts with loops on
+Python ints, the integer grid doubling table with a Fraction pair loop,
+the two-cell weight pushforward with a Fraction overlap loop, and the
+dilation sweep with a Fraction scan of every interval between
+breakpoints.  They are written from the definitions and are meant for
+small inputs only.  They share no logic with the code they check, with
+one exception: u2_norm_direct divides by spectral._interval_group_norm,
+the closed-form norm of 1_{1..N}, which
+tests/test_reference.py::test_interval_norm_closed_form_counts_quadruples
+checks against a direct quadruple count.
 """
 
 from __future__ import annotations
@@ -146,6 +151,24 @@ def ordered_triples_direct(A: IntegerSet) -> int:
     """
     a = np.array(A.elements, dtype=np.int64)
     return int(np.count_nonzero(np.isin(np.add.outer(a, a), a)))
+
+
+def pair_sum_count(A: IntegerSet, convention: SumFreeConvention = SumFreeConvention.ALLOW_EQUAL) -> int:
+    """#{x <= y in A : x + y in A} (x < y under DISTINCT_ONLY), on Python ints.
+
+    Every such pair is tried, with no bound on the sum; A is sum-free
+    exactly when the count is 0.
+    """
+    members = A.member_set
+    elems = A.elements
+    skip = int(convention is SumFreeConvention.DISTINCT_ONLY)
+    return sum(x + y in members for i, x in enumerate(elems) for y in elems[i + skip :])
+
+
+def difference_counts_direct(A: IntegerSet, N: int) -> list[int]:
+    """[|A ∩ (A + d)| for d = 0,..,N-1], each a membership count on Python ints."""
+    members = A.member_set
+    return [sum(a - d in members for a in A.elements) for d in range(N)]
 
 
 def dense_progression_direct(

@@ -49,15 +49,19 @@ def one_third_floor(n: int) -> int:
     return -(-(n + 1) // 3)
 
 
-def _use_kernel(A: IntegerSet) -> bool:
-    """Whether is_sum_free sweeps pair blocks rather than scanning the set.
+def _sum_free_path(A: IntegerSet) -> str:
+    """The path is_sum_free takes on A: "scan", "table" or "filter".
 
-    Not below _KERNEL_MIN_SIZE elements, not past _PAIR_SAFE_BOUND, where
-    the sums would leave int64, and not when 2 min(A) > max(A), as in a
-    top-half set: no pair has a sum to look up, which the scan sees at once.
+    The pair-block kernel ("table" with the member table when A lies in
+    {1,..,MAX_SIGNAL_LENGTH}, else "filter" with the residue filter) runs
+    from _KERNEL_MIN_SIZE elements, within _PAIR_SAFE_BOUND, where the
+    sums stay in int64, and when 2 min(A) <= max(A).  Otherwise, as in a
+    top-half set, where no pair has a sum to look up, A is scanned.
     """
     elems = A.elements
-    return len(elems) >= _KERNEL_MIN_SIZE and -_PAIR_SAFE_BOUND < elems[0] and 2 * elems[0] <= elems[-1] < _PAIR_SAFE_BOUND
+    if not (len(elems) >= _KERNEL_MIN_SIZE and -_PAIR_SAFE_BOUND < elems[0] and 2 * elems[0] <= elems[-1] < _PAIR_SAFE_BOUND):
+        return "scan"
+    return "table" if _interval_error(A, elems[-1]) is None else "filter"
 
 
 def is_sum_free(A: IntegerSet, convention: SumFreeConvention = ALLOW_EQUAL) -> bool:
@@ -65,19 +69,17 @@ def is_sum_free(A: IntegerSet, convention: SumFreeConvention = ALLOW_EQUAL) -> b
 
     Only partners with x + y <= max(A) are looked up: a larger sum is not
     in A, whatever the signs.  That bound falls as x grows, so the partners
-    run out at some x.  Sets of _KERNEL_MIN_SIZE or more int64-safe
-    elements go to core._pair_sum_hits, which stops at the first block
-    holding a hit: its table is the member table when A lies in
-    {1,..,MAX_SIGNAL_LENGTH}, and otherwise a residue filter whose hits are
-    confirmed exactly.  Smaller sets, and sets past _PAIR_SAFE_BOUND, are
-    scanned on Python ints, one C-level `isdisjoint` pass per x.  Both
-    paths are exact.
+    run out at some x.  _sum_free_path picks the path.  The kernel,
+    core._pair_sum_hits, stops at the first block holding a hit: its table
+    is the member table, or a residue filter whose hits are confirmed
+    exactly.  The scan runs on Python ints, one C-level `isdisjoint` pass
+    per x.  Every path is exact.
     """
-    if not _use_kernel(A):
+    path = _sum_free_path(A)
+    if path == "scan":
         return _scan_sum_free(A, convention)
     a = np.array(A.elements, dtype=np.int64)
-    top = A.elements[-1]
-    table = _member_table(A, top) if _interval_error(A, top) is None else None
+    table = _member_table(A, A.elements[-1]) if path == "table" else None
     return not _pair_sum_hits(a, _pair_ends(a), table, distinct=convention is DISTINCT_ONLY, first=True)
 
 

