@@ -521,7 +521,7 @@ def _check_doubling_report(rng):
 def _check_avoid_zero_mass(rng):
     for _ in range(10):
         q = int(rng.integers(1, 13))
-        K = int(rng.integers(2, 9))
+        K = int(rng.integers(1, 9))
         membership = rng.uniform(size=(q, K)) < 0.5
         grid = structure.GridSet(q, K, membership)
         report = structure.avoid_zero_diagnostic(grid, q, Fraction(1, K))

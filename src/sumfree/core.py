@@ -25,12 +25,14 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
+import operator
 import re
 import zlib
 from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from math import isqrt
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -102,7 +104,10 @@ class IntegerSet:
     name: str | None = None
 
     def __post_init__(self):
-        prev = None
+        e = self.elements
+        if set(map(type, e)) <= {int} and 0 not in e and all(map(operator.lt, e, islice(e, 1, None))):
+            return  # plain nonzero ints, strictly increasing, checked in C-level passes
+        prev = None  # the loop words the error, or accepts int subclasses
         for x in self.elements:
             if not isinstance(x, int) or isinstance(x, bool):
                 raise ValueError(f"non-integer element {x!r}")
@@ -117,7 +122,7 @@ class IntegerSet:
     @classmethod
     def from_iterable(cls, values: Iterable[int], name: str | None = None) -> "IntegerSet":
         """Build a set from unordered values; duplicates are an error."""
-        return cls(tuple(sorted(int(v) for v in values)), name)
+        return cls(tuple(sorted(map(int, values))), name)
 
     @cached_property
     def member_set(self) -> frozenset[int]:
@@ -169,17 +174,16 @@ def _load_set_json(text: str, path: str) -> IntegerSet:
     name = obj.get("name")
     if name is not None and not isinstance(name, str):
         raise SetFormatError('"name" must be a string', path=path)
-    elems: list[int] = []
-    for k, v in enumerate(raw):
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise SetFormatError(f"element at offset {k} is not an integer: {v!r}", path=path)
-        if v == 0:
-            raise SetFormatError(f"element at offset {k} is zero", path=path)
-        elems.append(v)
-    if not elems:
+    if not (set(map(type, raw)) <= {int} and 0 not in raw):
+        for k, v in enumerate(raw):
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise SetFormatError(f"element at offset {k} is not an integer: {v!r}", path=path)
+            if v == 0:
+                raise SetFormatError(f"element at offset {k} is zero", path=path)
+    if not raw:
         raise SetFormatError("empty set", path=path)
     try:
-        return IntegerSet.from_iterable(elems, name=name)
+        return IntegerSet.from_iterable(raw, name=name)
     except ValueError as exc:
         raise SetFormatError(str(exc), path=path) from exc
 

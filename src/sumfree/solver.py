@@ -42,6 +42,8 @@ _KERNEL_MIN_SIZE = 64
 # breakpoint events: dilation_sweep refuses more, the heuristic samples above the cap
 SWEEP_EVENT_LIMIT = 40_000_000
 _SWEEP_EVENT_CAP = 2_000_000
+# breakpoints a sweep block holds: its int64 keys take 1 MiB, as core._PAIR_BLOCK's sums do
+_SWEEP_BLOCK = 1 << 17
 
 
 def one_third_floor(n: int) -> int:
@@ -346,10 +348,10 @@ def dilation_sweep(A: IntegerSet) -> DilationCertificate:
     something in (2/3, 4/3) mod 1, which misses (1/3, 2/3).  As theta grows,
     x enters the selection at (3k+1)/(3x) and leaves at (3k+2)/(3x), so the
     selection size is piecewise constant between those breakpoints.  The
-    sweep sorts the entry points and the exit points, counts the selection
-    just after each entry, and returns the exact midpoint of the first
-    maximising interval -- midpoints of adjacent breakpoints are never
-    breakpoints themselves, so the certificate never sits on a boundary.
+    sweep counts the selection just after each entry, in increasing order,
+    and returns the exact midpoint of the first maximising interval --
+    midpoints of adjacent breakpoints are never breakpoints themselves, so
+    the certificate never sits on a boundary.
 
     Only the breakpoints below 1/2 are generated.  frac((1-theta) x) =
     1 - frac(theta x), and (1/3, 2/3) is symmetric about 1/2, so the size is
@@ -358,6 +360,23 @@ def dilation_sweep(A: IntegerSet) -> DilationCertificate:
     before it, so the first maximising interval starts below 1/2.  If no
     exit lies between its start lo and 1/2, it is the interval holding 1/2,
     which the mirror of lo, 1 - lo, closes; theta is then 1/2.
+
+    (0, 1/2) is swept in B blocks [b/2B, (b+1)/2B) of about _SWEEP_BLOCK
+    breakpoints each, so memory stays O(_SWEEP_BLOCK + |A|).  Block b holds
+    the numerators j of x with 3x b <= 2B j < 3x (b+1): entries j = 1 mod 3
+    and exits j = 2 mod 3, counted below a bound in closed form.  Each
+    breakpoint's key is the bit pattern of its float, shifted left once,
+    with the low bit set for an entry; the floats are positive and below
+    1/2, so the keys fit in int64 and sort in float order, with exits
+    before entries on a tie.  One sort per block and a running sum of +-1,
+    carried from block to block, give the count just after every
+    breakpoint.  A breakpoint with no entry lowers the count, so the first
+    maximising interval starts at an entry; along a run of equal entries
+    the count rises, so the first maximum is the run's last entry, where
+    the interval starts.  A later block wins only with a strictly larger
+    count.  A breakpoint with no exit raises the count, so the next
+    breakpoint after the start holds an exit: the next exit in its block or
+    in a later one, or the mirror 1 - lo when no exit lies before 1/2.
 
     The average selection size over theta is |A|/3, while neighbourhoods of
     0 and 1 select nothing; some interval therefore beats the average, which
@@ -368,43 +387,72 @@ def dilation_sweep(A: IntegerSet) -> DilationCertificate:
         raise ValueError("dilation_sweep needs a nonempty set")
     hint = "too many breakpoints for the exact sweep, use heuristic_sum_free"
     _check_limit("sweep events", 2 * sum(A.elements), SWEEP_EVENT_LIMIT, hint)
-    # numerators below 3x/2 are the breakpoints below 1/2
-    enter = np.concatenate([np.arange(1, (3 * x + 1) // 2, 3) / (3 * x) for x in A.elements])
-    enter.sort()
-    leave = np.concatenate([np.arange(2, (3 * x + 1) // 2, 3) / (3 * x) for x in A.elements])
-    leave.sort()
-    # The event limit gives max(A) <= 2e7, so every key is one correctly
-    # rounded division of ints below 2^53: equal breakpoints, entry or exit,
-    # give equal floats.  Every denominator 3x is <= 6e7, so two distinct
-    # breakpoints differ by at least 1/3.6e15 > 2^-53.  Each key lies within
-    # 2^-54 of its rational, so float order and ties are exact, and the
-    # fraction with denominator <= 3 max(A) closest to a key is its breakpoint.
-    #
-    # The count just after enter[i] is the i + 1 entries so far minus the
-    # exits at or before it.  A breakpoint with no entry lowers the count, so
-    # the first maximising interval starts at an entry; along a run of equal
-    # entries the count rises, so argmax takes the run's last, where the
-    # interval starts.  A breakpoint with no exit raises the count, so the
-    # next breakpoint after it holds an exit: leave[gone[i]], or the mirror
-    # 1 - lo of the start when no exit lies between it and 1/2.
-    gone = np.searchsorted(leave, enter, side="right")
-    counts = np.arange(1, len(enter) + 1)
-    counts -= gone
-    i = int(np.argmax(counts))
-    size = int(counts[i])
+    # The event limit gives max(A) <= 2e7, so every key's float is one
+    # correctly rounded division of ints below 2^53: equal breakpoints, entry
+    # or exit, give equal floats.  Every denominator 3x is <= 6e7, so two
+    # distinct breakpoints differ by at least 1/3.6e15 > 2^-53.  Each float
+    # lies within 2^-54 of its rational, so float order and ties are exact,
+    # and the fraction with denominator <= 3 max(A) closest to a float is its
+    # breakpoint.
+    n = len(A)
+    x3 = 3 * np.array(A.elements, dtype=np.int64)
+    den = np.concatenate([x3, x3])  # entry groups, then exit groups
+    residue = np.repeat(np.array([1, 2], dtype=np.int64), n)
+    blocks = -(-sum(A.elements) // _SWEEP_BLOCK)  # x has about x breakpoints below 1/2
+    done = np.zeros_like(den)  # per group, its numerators in earlier blocks
+    carry = best = 0
+    lo_key = hi_key = None
+    for b in range(1, blocks + 1):
+        # ceil(3x b / 2B) bounds the numerators up to block b, and
+        # (c + 2 - r) // 3 of residue r lie below c
+        upto = ((den * b + 2 * blocks - 1) // (2 * blocks) + 2 - residue) // 3
+        counts, first, done = upto - done, done, upto
+        size = int(counts.sum())
+        if not size:
+            continue
+        offsets = np.cumsum(counts) - counts
+        nums = np.arange(0, 3 * size, 3)
+        nums += np.repeat(3 * (first - offsets) + residue, counts)
+        keys = (nums / np.repeat(den, counts)).view(np.int64)
+        keys <<= 1
+        keys[: int(counts[:n].sum())] |= 1
+        keys.sort()
+        if hi_key is None and lo_key is not None:
+            hi_key = _first_exit(keys)
+        run = keys & 1
+        run <<= 1
+        run -= 1
+        np.cumsum(run, out=run)
+        i = int(np.argmax(run))
+        if carry + int(run[i]) > best:
+            best = carry + int(run[i])
+            lo_key = keys[i]
+            hi_key = _first_exit(keys[i + 1 :])
+        carry += int(run[-1])
     max_den = 3 * A.elements[-1]
-    lo = Fraction(float(enter[i])).limit_denominator(max_den)
-    if gone[i] == len(leave):
-        hi = 1 - lo
-    else:
-        hi = Fraction(float(leave[gone[i]])).limit_denominator(max_den)
+    lo = _breakpoint(lo_key, max_den)
+    hi = 1 - lo if hi_key is None else _breakpoint(hi_key, max_den)
     theta = (lo + hi) / 2
-    return DilationCertificate(theta=theta, selected=dilation_select(A, theta), size=size)
+    return DilationCertificate(theta=theta, selected=dilation_select(A, theta), size=best)
+
+
+def _first_exit(keys: np.ndarray) -> np.int64 | None:
+    """The first exit among sorted sweep keys, or None when all are entries."""
+    if len(keys):
+        k = int(np.argmin(keys & 1))
+        if not keys[k] & 1:
+            return keys[k]
+    return None
+
+
+def _breakpoint(key: np.int64, max_den: int) -> Fraction:
+    """The breakpoint a sweep key stands for: the fraction with denominator <= max_den nearest its float."""
+    return Fraction(float(np.int64(key >> 1).view(np.float64))).limit_denominator(max_den)
 
 
 @cache
-def _sum_free_residue_masks(q: int) -> tuple[int, ...]:
-    """All subsets of Z/qZ with no x + y = z mod q (x = y allowed)."""
+def _sum_free_residue_masks(q: int) -> np.ndarray:
+    """The subsets of Z/qZ with no x + y = z mod q (x = y allowed), as 0/1 rows in mask order."""
     masks = []
     for mask in range(1, 1 << q):
         bits = [r for r in range(q) if (mask >> r) & 1]
@@ -417,26 +465,10 @@ def _sum_free_residue_masks(q: int) -> tuple[int, ...]:
             if not ok:
                 break
         if ok:
-            masks.append(mask)
-    return tuple(masks)
-
-
-def _residue_candidate(A: IntegerSet, q: int) -> tuple[int, int]:
-    """Best sum-free residue selection mod q: (size, mask)."""
-    weights = [0] * q
-    for x in A.elements:
-        weights[x % q] += 1
-    best_size, best_mask = 0, 0
-    for mask in _sum_free_residue_masks(q):
-        total = 0
-        m = mask
-        while m:
-            b = m & -m
-            m ^= b
-            total += weights[b.bit_length() - 1]
-        if total > best_size:
-            best_size, best_mask = total, mask
-    return best_size, best_mask
+            masks.append([(mask >> r) & 1 for r in range(q)])
+    rows = np.array(masks, dtype=np.int64)
+    rows.flags.writeable = False
+    return rows
 
 
 def _can_add(x: int, S: set[int], ordered: list[int], allow_eq: bool) -> bool:
@@ -465,6 +497,35 @@ def _may_unblock(x: int, pick: int, S: set[int], allow_eq: bool) -> bool:
     return x + pick in S or x - pick in S or pick - x in S or (allow_eq and pick == 2 * x)
 
 
+def _draws(rng: np.random.Generator):
+    """draw(m), for 1 <= m <= 2^32, returning what int(rng.integers(0, m)) would.
+
+    numpy's bounded draw below 2^32 is Lemire's multiply-shift over the
+    generator's 32-bit stream: w * m >> 32, drawn again while the low word
+    w * m mod 2^32 is below (2^32 - m) mod m; m = 1 consumes nothing.  The
+    words are read 1024 at a time from rng.integers(0, 2**32, dtype=uint64),
+    which returns that same stream, so rng runs ahead of what is drawn.
+    """
+
+    def stream():
+        while True:
+            yield from rng.integers(0, 2**32, size=1024, dtype=np.uint64).tolist()
+
+    word = stream().__next__
+
+    def draw(m: int) -> int:
+        if m == 1:
+            return 0
+        p = word() * m
+        if p & 0xFFFFFFFF < m:  # m bounds the threshold; most draws stop here
+            threshold = (2**32 - m) % m
+            while p & 0xFFFFFFFF < threshold:
+                p = word() * m
+        return p >> 32
+
+    return draw
+
+
 def heuristic_sum_free(
     A: IntegerSet,
     convention: SumFreeConvention = ALLOW_EQUAL,
@@ -479,6 +540,10 @@ def heuristic_sum_free(
     The returned witness is re-verified; optimum is a lower bound
     (exact=False).  Output is a deterministic function of (A, convention,
     seed).
+
+    The search's draws are the values rng.integers(0, m) would give, read
+    in bulk through _draws.  The search is the generator's last consumer,
+    so the words drawn ahead and never used change nothing returned.
 
     The dilation stage guarantees at least ceil((|A|+1)/3) elements: the
     exact sweep certifies that floor, and when sampling is used instead the
@@ -504,15 +569,15 @@ def heuristic_sum_free(
     else:
         q = 99_991  # prime modulus: theta = k/q evaluated in exact integer arithmetic
         lo, width = q // 3 + 1, (2 * q - 1) // 3 - q // 3  # q < 3r < 2q  <=>  lo <= r < lo + width
-        # x % q on Python ints, so elements past int64 are fine;
-        # k * residue < q^2 < 10^10 cannot overflow int64
-        residues = np.array([x % q for x in A.elements], dtype=np.int64)
+        # x % q on Python ints, so elements past int64 are fine; k * residue
+        # < q^2 < 2^34, in uint64, whose % is faster than int64's
+        residues = np.fromiter(map(q.__rmod__, A.elements), dtype=np.uint64, count=n)
 
         def inside(k):
-            return ((k * residues) % q - lo).view(np.uint64) < width
+            return (k * residues) % q - lo < width  # below lo wraps past width
 
-        ks = rng.integers(1, q, size=192)
-        rows = max(1, min(32, (1 << 17) // n))  # a block's int64 temporaries stay near 1 MiB
+        ks = rng.integers(1, q, size=192).astype(np.uint64)
+        rows = max(1, min(32, (1 << 17) // n))  # a block's uint64 temporaries stay near 1 MiB
         hits = np.concatenate(
             [np.count_nonzero(inside(ks[i : i + rows, None]), axis=1) for i in range(0, len(ks), rows)]
         )
@@ -531,10 +596,17 @@ def heuristic_sum_free(
         i = counts.index(top)
         best_set = set(elems[i : i + top])
 
+    # Sum-free residue classes mod q <= 10.  Every such q divides 2520, so
+    # the elements are reduced once, on Python ints, and each q folds the
+    # counts; argmax keeps the first best mask.
+    r2520 = np.fromiter(map((2520).__rmod__, elems), dtype=np.int64, count=n)
+    weights = np.bincount(r2520, minlength=2520)
     for q in range(2, 11):
-        count, mask = _residue_candidate(A, q)
-        if count > len(best_set):
-            best_set = {a for a in A.elements if (mask >> (a % q)) & 1}
+        masks = _sum_free_residue_masks(q)
+        totals = masks @ weights.reshape(-1, q).sum(0)
+        i = int(np.argmax(totals))
+        if totals[i] > len(best_set):
+            best_set = set(compress(elems, masks[i][r2520 % q].tolist()))
     if len(best_set) < floor:  # the sampled dilations missed and the sweep is too large
         raise ValueError(f"heuristic_sum_free: best candidate {len(best_set)} < floor {floor}")
 
@@ -542,10 +614,11 @@ def heuristic_sum_free(
     # `ordered` is `current` in sorted order, kept in step with it.
     current = set(best_set)
     best = set(best_set)
+    draw = _draws(rng)
     for _ in range(4):
         ordered = sorted(current)
         for _ in range(150):
-            x = int(elems[rng.integers(0, n)])
+            x = elems[draw(n)]
             if x in current:
                 continue
             if _can_add(x, current, ordered, allow_eq):
@@ -553,7 +626,7 @@ def heuristic_sum_free(
                 insort(ordered, x)
             elif current:
                 # plateau 1-swap: trade a random member for x when legal
-                j = int(rng.integers(0, len(ordered)))
+                j = draw(len(ordered))
                 pick = ordered[j]
                 if not _may_unblock(x, pick, current, allow_eq):
                     continue  # x stays blocked without pick

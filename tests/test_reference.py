@@ -1,9 +1,12 @@
+import math
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 import pytest
 
+from sumfree import solver
 from sumfree.core import CyclicSignal, IntegerSet, default_n_prime, interval_signal, rng_from_seed
 from sumfree.reference import dilation_sweep_direct, pushforward_direct, u2_group_norm_direct
 from sumfree.solver import dilation_sweep
@@ -65,17 +68,51 @@ def test_pushforward_matches_fraction_loop():
         assert fast.tobytes() == pushforward_direct(w, factor, shrink, t).tobytes(), case
 
 
-def test_sweep_matches_interval_scan():
+@cache
+def _sweep_oracle_sets() -> dict[tuple[int, ...], tuple]:
+    """Small sets and their `dilation_sweep_direct` answers."""
     rng = rng_from_seed(9, "sweep-oracle")
     sets = [tuple(range(1, n + 1)) for n in range(1, 21)]
     for top in (12, 30, 60):
         for _ in range(60):
             n = int(rng.integers(1, 13))
             sets.append(tuple(int(v) for v in rng.choice(np.arange(1, top + 1), n, replace=False)))
-    for elems in sets:
-        A = IntegerSet.from_iterable(elems)
-        cert = dilation_sweep(A)
-        assert (cert.theta, cert.selected.elements) == dilation_sweep_direct(A), elems
+    return {elems: dilation_sweep_direct(IntegerSet.from_iterable(elems)) for elems in sets}
+
+
+def test_sweep_matches_interval_scan():
+    for elems, want in _sweep_oracle_sets().items():
+        cert = dilation_sweep(IntegerSet.from_iterable(elems))
+        assert (cert.theta, cert.selected.elements) == want, elems
+
+
+def _neighbours(elems, theta):
+    """The breakpoints j/(3x), j not divisible by 3, closest below and above theta."""
+    below, above = [], []
+    for x in elems:
+        j = math.ceil(3 * x * theta) - 1
+        below.append(Fraction(j - (j % 3 == 0), 3 * x))
+        j = math.floor(3 * x * theta) + 1
+        above.append(Fraction(j + (j % 3 == 0), 3 * x))
+    return max(below), min(above)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 64])
+def test_sweep_blocks_match_interval_scan(monkeypatch, block):
+    # Blocks of a few breakpoints: the interval a block starts may close in
+    # a later block, or at the mirror 1 - lo after the last one.
+    monkeypatch.setattr(solver, "_SWEEP_BLOCK", block)
+    closes = set()
+    for elems, want in _sweep_oracle_sets().items():
+        cert = dilation_sweep(IntegerSet.from_iterable(elems))
+        assert (cert.theta, cert.selected.elements) == want, elems
+        lo, hi = _neighbours(elems, cert.theta)
+        blocks = -(-sum(elems) // block)
+        if hi > Fraction(1, 2):
+            closes.add("mirror")
+        elif int(lo * 2 * blocks) < int(hi * 2 * blocks):
+            closes.add("later block")
+    assert closes == {"mirror", "later block"}
 
 
 def test_sweep_at_one_half_closes_at_the_mirror():

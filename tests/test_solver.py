@@ -1,6 +1,8 @@
 import hashlib
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from sumfree.solver import (
     ALLOW_EQUAL,
     DISTINCT_ONLY,
     _can_add,
+    _draws,
     _may_unblock,
     catalog,
     compose,
@@ -159,9 +162,17 @@ class TestDilation:
             dilation_sweep(IntegerSet(()))
 
     def test_sweep_handles_large_elements(self):
+        # 10^7 breakpoints below 1/2, swept in blocks: memory stays near one block
         A = IntegerSet((10**6, 2 * 10**6 + 1, 7 * 10**6 + 3))
-        cert = dilation_sweep(A)
-        assert cert.size >= 2  # floor for 3 elements
+        tracemalloc.start()
+        try:
+            cert = dilation_sweep(A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cert.theta == Fraction(28000013, 42000039000009)
+        assert cert.selected == A and cert.size == 3
+        assert peak < 16 * 2**20
 
 
 class TestCanAdd:
@@ -227,6 +238,19 @@ class TestHeuristic:
         rep = heuristic_sum_free(A, conv, seed=5)
         assert rep.optimum == optimum
         assert hashlib.sha256(repr(rep.witness.elements).encode()).hexdigest() == digest
+
+    def test_draws_replay_bounded_integers(self):
+        # 2^31 + 1 is rejected about half the time, 1 consumes nothing, and
+        # 2^32 takes the word itself; the odd warm-up leaves Philox holding
+        # half a 64-bit word, and 3000 draws cross several refills
+        sizes = (1, 2, 3, 7, 1000, 2**31 + 1, 2**32)
+        picks = rng_from_seed(8, "draw-sizes").integers(0, len(sizes), size=3000)
+        bulk, scalar = rng_from_seed(8, "draws"), rng_from_seed(8, "draws")
+        for rng in (bulk, scalar):
+            rng.integers(0, 2**32, size=3, dtype=np.uint64)
+        draw = _draws(bulk)
+        for i in picks.tolist():
+            assert draw(sizes[i]) == int(scalar.integers(0, sizes[i])), sizes[i]
 
     def test_deterministic_per_seed(self):
         A = IntegerSet(tuple(range(3, 60, 2)))

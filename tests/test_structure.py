@@ -46,16 +46,6 @@ class TestDifferenceSet:
         assert size == 2 * 4 - 1
         assert 0 in diffs
 
-    def test_affine_invariance(self):
-        rng = rng_from_seed(55, "diffset")
-        for _ in range(10):
-            picks = rng.choice(range(1, 80), size=9, replace=False)
-            A = IntegerSet(tuple(sorted(int(x) for x in picks)))
-            B = IntegerSet(tuple(x + 17 for x in A.elements))
-            C = IntegerSet(tuple(3 * x for x in A.elements))
-            assert difference_set(A)[1] == difference_set(B)[1]
-            assert difference_set(A)[1] == difference_set(C)[1]
-
 
 class TestDenseProgression:
     def test_half_interval_frozen(self):
@@ -203,21 +193,6 @@ class TestAvoidZero:
         assert rep.subgroup_stride == 2
         assert rep.subgroup == (0,)
         assert rep.interval_end == Fraction(1, 2)
-
-    def test_mass_recount(self):
-        rng = rng_from_seed(55, "avoidzero")
-        for _ in range(10):
-            q = int(rng.integers(1, 7))
-            K = int(rng.integers(1, 7))
-            g = GridSet(q, K, rng.random((q, K)) < 0.5)
-            rep = avoid_zero_diagnostic(g, q, Fraction(1, K))
-            direct = sum(
-                int(g.membership[a][i])
-                for a in rep.subgroup
-                for i in range(K)
-                if Fraction(i + 1, K) <= rep.interval_end
-            )
-            assert rep.mass == Fraction(direct, q * K)
 
     def test_tie_prefers_smallest_subgroup(self):
         g = GridSet(4, 2, np.zeros((4, 2), dtype=bool))
