@@ -674,6 +674,23 @@ def _check_irrationality_monotone(rng):
         prev = report.worst_distance
 
 
+def _check_scan_vs_oracle(rng):
+    # 4 000 places at a = 1, then d <= 4 with theta uniform, or in eighths
+    # and twelfths, where many vectors tie
+    cases = [(tuple(float(t) for t in rng.uniform(size=4000)), Fraction(1), 100)]
+    for _ in range(60):
+        d = int(rng.integers(1, 5))
+        den = int(rng.choice([0, 8, 12]))
+        theta = rng.uniform(size=d) if den == 0 else rng.integers(0, den, size=d) / den
+        k = int(rng.integers(1, 4))
+        a = Fraction(int(rng.integers(1, 9 * k)), k)  # floor(a) in 0..8
+        cases.append((tuple(float(t) for t in theta), a, int(rng.integers(1, 200))))
+    for theta, a, N in cases:
+        report = eq.irrationality_check(eq.Theta(theta), a, N)
+        got = (report.worst_vector, report.worst_distance, report.holds)
+        assert got == reference.irrationality_direct(theta, a, N), f"scan differs at d={len(theta)}, a={a}"
+
+
 def _check_geometric_envelope(rng):
     # the golden theta with the cosine orbit, then random theta and frequencies
     cases = [(eq.golden_theta(), eq.cosine_orbit(), 1, 1000)]
@@ -776,6 +793,7 @@ SUITES: dict[str, list[tuple[str, object]]] = {
         ("golden_fixture", _check_golden_fixture),
         ("rational_fails", _check_rational_fails),
         ("irrationality_monotone", _check_irrationality_monotone),
+        ("scan_vs_oracle", _check_scan_vs_oracle),
         ("geometric_envelope", _check_geometric_envelope),
         ("constant_exact", _check_constant_exact),
         ("zero_theta_cosine", _check_zero_theta_cosine),

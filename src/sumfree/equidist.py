@@ -21,9 +21,12 @@ import numpy as np
 from .core import MAX_SIGNAL_LENGTH, JsonReport, _check_limit
 from .structure import Progression
 
-# vectors irrationality_check may scan, a few Python steps each whatever the
-# dimension: the count at d = 3, a_bound = 135
+# vectors irrationality_check may scan: the count at d = 3, a_bound = 135.
+# The scan takes a few array operations per vector and holds one block of
+# _SCAN_BLOCK states per level (a level per nonzero entry), so this count
+# bounds its time and the block its memory.
 MAX_TORUS_VECTORS = 1_658_655
+_SCAN_BLOCK = 1 << 17  # child states a scan block holds, as many as solver._SWEEP_BLOCK's breakpoints
 
 
 @dataclass(frozen=True)
@@ -166,7 +169,7 @@ class IrrationalityReport(JsonReport):
 
     holds means every nonzero integer vector with coordinate-sum of
     absolute values at most a_bound keeps q . theta at torus distance at
-    least a_bound / n.  worst_vector is the canonical (first nonzero
+    least threshold.  worst_vector is the canonical (first nonzero
     positive, lexicographically first) minimizer and worst_distance its
     torus distance; when a_bound < 1 leaves no vector to scan, holds is
     vacuously true, worst_vector is () and worst_distance is None.
@@ -182,41 +185,15 @@ class IrrationalityReport(JsonReport):
     threshold: float
 
 
-def _canonical_vectors(dim: int, budget: int):
-    """All nonzero q with sum |q_i| <= budget and first nonzero > 0, lex order.
-
-    Each q comes as its nonzero entries, ((i, q_i), ...) by place.  The
-    recursion takes one level per entry, so neither its depth nor the cost
-    of a vector grows with dim.
-    """
-
-    def rec(entries, pos, remaining):
-        # entries lie before pos.  In lex order the negatives at each place j
-        # come first (zeros before j), then no further entry, then the
-        # positives, last place first
-        if entries:
-            for j in range(pos, dim):
-                for v in range(-remaining, 0):
-                    yield from grow(entries + ((j, v),), j + 1, remaining + v)
-            yield entries
-        for j in range(dim - 1, pos - 1, -1):
-            for v in range(1, remaining + 1):
-                yield from grow(entries + ((j, v),), j + 1, remaining - v)
-
-    def grow(entries, pos, remaining):
-        # a vector with no budget or place left is its own only completion
-        return rec(entries, pos, remaining) if remaining and pos < dim else (entries,)
-
-    yield from rec((), 0, budget)
-
-
 def _vector_count(dim: int, budget: int) -> int | str:
-    """How many vectors _canonical_vectors(dim, budget) yields, none built.
+    """How many vectors irrationality_check scans, none built.
 
-    Of the sum_k 2^k C(dim, k) C(budget, k) vectors with sum |q_i| <= budget
-    (k nonzero places, their sizes and signs), all but 0 pair off with their
-    negatives.  The sum stops, giving a description, once it passes the limit:
-    at k = 1 for a huge dim or budget.
+    The scan visits every nonzero q with sum |q_i| <= budget whose first
+    nonzero entry is positive.  Of the sum_k 2^k C(dim, k) C(budget, k)
+    vectors with sum |q_i| <= budget (k nonzero places, their sizes and
+    signs), all but 0 pair off with their negatives.  The sum stops, giving
+    a description, once it passes the limit: at k = 1 for a huge dim or
+    budget.
     """
     ball = 1
     for k in range(1, min(dim, budget) + 1):
@@ -226,14 +203,84 @@ def _vector_count(dim: int, budget: int) -> int | str:
     return (ball - 1) // 2
 
 
+def _scan_ball(theta: np.ndarray, budget: int) -> tuple[float, tuple[tuple[int, int], ...]]:
+    """Torus distance and nonzero entries ((i, q_i), ...) of the worst vector.
+
+    Level k of the scan holds the vectors with k nonzero entries: level 1
+    places a first entry 1..budget anywhere, and each later level adds one
+    entry +-1..(budget left) at a later place.  A block of a level holds,
+    for each state, its parent's row in the block above, the place and
+    value of its new entry, the budget it has left and its partial sum of
+    q_i t_i, added in place order from 0.0.  The children of a level are
+    numbered parent by parent from their closed-form counts and expanded
+    _SCAN_BLOCK at a time, depth first, so at most one block per level is
+    alive.  Children come in the lex order of their full vectors, so a
+    block's first least distance is its lex-first; across blocks, entry
+    (i, v) sorts as (i - d, v) when v < 0 and as (d - i, v) when v > 0,
+    and a vector that ends sorts as 0 there, as its zeros do.
+    """
+    d = len(theta)
+    best = [math.inf, ()]  # distance, entries
+
+    def lex_key(entries):
+        return tuple(x for i, v in entries for x in ((i - d, v) if v < 0 else (d - i, v))) + (0,)
+
+    def expand(blocks, sums, left, last, signed):
+        # Parent p has n = d - 1 - last[p] places and r = left[p] values for
+        # its child entry.  When signed, children k < n r are the negatives,
+        # place by place; the rest (all of them, unsigned) are the positives,
+        # last place first: the lex order of the full vectors.
+        half = (d - 1 - last) * left
+        counts = (1 + signed) * half
+        ends = counts.cumsum()
+        starts = ends - counts
+        if not signed:
+            starts -= half  # numbered as the positive half of a signed parent
+        for lo in range(0, int(ends[-1]), _SCAN_BLOCK):
+            child = np.arange(lo, min(lo + _SCAN_BLOCK, int(ends[-1])))
+            parent = ends.searchsorted(child, side="right")
+            k, h = child - starts[parent], half[parent]
+            del child  # each temporary goes before the next level's block is built
+            neg = k < h
+            r = left[parent]
+            place, m = np.divmod(np.where(neg, k, 2 * h - 1 - k), r)
+            del k, h
+            place += last[parent] + 1
+            value = np.where(neg, m - r, r - m)
+            del neg, m
+            r -= np.abs(value)  # the budget each child leaves
+            visit(blocks + ((parent, place, value),), sums[parent] + value * theta[place], r)
+
+    def visit(blocks, sums, left):
+        dist = np.abs(sums - np.rint(sums))
+        j = int(dist.argmin())
+        low = float(dist[j])
+        if low <= best[0]:
+            entries = []
+            for parent, place, value in reversed(blocks):
+                entries.append((int(place[j]), int(value[j])))
+                j = parent[j]
+            entries = tuple(reversed(entries))
+            if low < best[0] or lex_key(entries) < lex_key(best[1]):
+                best[:] = low, entries
+        if len(blocks) < min(d, budget):  # no vector has more nonzero entries
+            expand(blocks, sums, left, blocks[-1][1], True)
+
+    if budget > 0:
+        expand((), np.zeros(1), np.array([budget]), np.array([-1]), False)
+    return tuple(best)
+
+
 def irrationality_check(theta: Theta, a_bound, N: int) -> IrrationalityReport:
     """Scan all small integer vectors for a near-integer combination.
 
     Exhaustive over sum |q_i| <= a_bound (vectors identified with their
-    negatives).  The verdict compares the worst torus distance against
-    a_bound / N; since no distance exceeds 1/2, any a_bound / N above 1/2
-    fails automatically.  The enumeration is refused before it starts when
-    its vector count passes MAX_TORUS_VECTORS; reduce a_bound in that case.
+    negatives).  Each q . theta is summed from 0.0 in place order, one
+    IEEE addition per nonzero entry, whatever the interpreter.  The verdict
+    compares the worst torus distance against the reported threshold,
+    float(a_bound / N); since no distance exceeds 1/2, any threshold above
+    1/2 fails.  The scan is refused before it starts when its vector count
+    passes MAX_TORUS_VECTORS; reduce a_bound in that case.
     """
     a_frac = Fraction(a_bound)
     if a_frac <= 0:
@@ -243,20 +290,15 @@ def irrationality_check(theta: Theta, a_bound, N: int) -> IrrationalityReport:
     budget = math.floor(a_frac)
     d = theta.dimension
     _check_limit("torus vectors", _vector_count(d, budget), MAX_TORUS_VECTORS, "reduce a_bound")
-    comps = theta.components
-    worst, worst_dist = (), math.inf
-    for entries in _canonical_vectors(d, budget):
-        # q_i t_i = 0 for the other places, which leave the sum as it is
-        dist = torus_distance(sum(q * comps[i] for i, q in entries))
-        if dist < worst_dist:
-            worst_dist = dist
-            worst = entries
+    worst_dist, worst = _scan_ball(np.array(theta.components), budget)
     worst_vec = [0] * d if worst else []
     for i, q in worst:
         worst_vec[i] = q
-    holds = worst_dist >= float(a_frac) / N
+    threshold = float(a_frac / N)
     # budget < 1 leaves nothing to scan: vacuously irrational, at no distance
-    return IrrationalityReport(a_frac, N, holds, tuple(worst_vec), worst_dist if worst else None, float(a_frac / N))
+    return IrrationalityReport(
+        a_frac, N, worst_dist >= threshold, tuple(worst_vec), worst_dist if worst else None, threshold
+    )
 
 
 @dataclass(frozen=True)

@@ -8,12 +8,13 @@ window enumeration, the FFT triple count with a direct double sum, the
 exact ordered triple counts with the full table of pair sums, the
 sum-free test's pair-sum count and the difference counts with loops on
 Python ints, the integer grid doubling table with a Fraction pair loop,
-the two-cell weight pushforward with a Fraction overlap loop, and the
+the two-cell weight pushforward with a Fraction overlap loop, the
 dilation sweep with a Fraction scan of every interval between
-breakpoints.  They are written from the definitions and are meant for
-small inputs only.  They share no logic with the code they check, with
-one exception: u2_norm_direct divides by spectral._interval_group_norm,
-the closed-form norm of 1_{1..N}, which
+breakpoints, and the torus ball scan with a generator that yields one
+vector at a time, summed by a plain loop.  They are written from the
+definitions and are meant for small inputs only.  They share no logic
+with the code they check, with one exception: u2_norm_direct divides by
+spectral._interval_group_norm, the closed-form norm of 1_{1..N}, which
 tests/test_reference.py::test_interval_norm_closed_form_counts_quadruples
 checks against a direct quadruple count.
 """
@@ -259,3 +260,56 @@ def pushforward_direct(w: GridWeight, factor: int, shrink: Fraction, t: Fraction
                 break
             j += 1
     return out
+
+
+def canonical_vectors(dim: int, budget: int):
+    """All nonzero q with sum |q_i| <= budget and first nonzero > 0, lex order.
+
+    Each q comes as its nonzero entries, ((i, q_i), ...) by place.  The
+    recursion takes one level per entry, so neither its depth nor the cost
+    of a vector grows with dim.
+    """
+
+    def rec(entries, pos, remaining):
+        # entries lie before pos.  In lex order the negatives at each place j
+        # come first (zeros before j), then no further entry, then the
+        # positives, last place first
+        if entries:
+            for j in range(pos, dim):
+                for v in range(-remaining, 0):
+                    yield from grow(entries + ((j, v),), j + 1, remaining + v)
+            yield entries
+        for j in range(dim - 1, pos - 1, -1):
+            for v in range(1, remaining + 1):
+                yield from grow(entries + ((j, v),), j + 1, remaining - v)
+
+    def grow(entries, pos, remaining):
+        # a vector with no budget or place left is its own only completion
+        return rec(entries, pos, remaining) if remaining and pos < dim else (entries,)
+
+    yield from rec((), 0, budget)
+
+
+def irrationality_direct(theta: tuple[float, ...], a_bound, N: int):
+    """(worst_vector, worst_distance, holds) of equidist.irrationality_check, one vector at a time.
+
+    Walks canonical_vectors in lex order and keeps the first vector of
+    least torus distance.  Each q . theta is summed from 0.0 in place order
+    by an explicit loop of float additions (sum() compensates from Python
+    3.12 on).  holds compares against float(a_bound / N).
+    """
+    a_frac = Fraction(a_bound)
+    worst, worst_dist = None, math.inf
+    for entries in canonical_vectors(len(theta), math.floor(a_frac)):
+        total = 0.0
+        for i, q in entries:
+            total += q * theta[i]
+        dist = abs(total - round(total))
+        if dist < worst_dist:
+            worst, worst_dist = entries, dist
+    if worst is None:
+        return (), None, True
+    vector = [0] * len(theta)
+    for i, q in worst:
+        vector[i] = q
+    return tuple(vector), worst_dist, worst_dist >= float(a_frac / N)

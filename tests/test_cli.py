@@ -79,6 +79,14 @@ def test_vacuous_irrationality_check_prints_strict_json(capsys, strict_loads):
     assert report["holds"] is True and report["worst_vector"] == [] and report["worst_distance"] is None
 
 
+def test_irrationality_verdict_matches_the_printed_threshold(capsys):
+    argv = ["equidist", "check", "--theta", "0.1212121212121212", "--a", "4/3", "--n", "11"]
+    code, out, err = run_cli(capsys, argv)
+    report = json.loads(out)["report"]
+    assert report["worst_distance"] < report["threshold"]
+    assert code == 0 and report["holds"] is False and err.startswith("equidist check: fails")
+
+
 def test_envelope_shape(capsys):
     code, out, _ = run_cli(capsys, COMMANDS["solve"])
     assert code == 0

@@ -1,5 +1,5 @@
-import itertools
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -11,7 +11,6 @@ from sumfree.equidist import (
     LipschitzTestFunction,
     Theta,
     TrigTerm,
-    _canonical_vectors,
     _vector_count,
     cosine_orbit,
     equidist_error,
@@ -64,6 +63,22 @@ class TestIrrationality:
             rep = irrationality_check(th, 5, n)
             assert rep.holds == (dist >= 5 / n)
 
+    def test_verdict_uses_the_printed_threshold(self):
+        # float(4/3) / 11 rounds below the distance, float(4/33) above it
+        rep = irrationality_check(Theta((0.1212121212121212,)), Fraction(4, 3), 11)
+        assert rep.worst_vector == (1,) and rep.worst_distance == 0.1212121212121212
+        assert rep.threshold == 0.12121212121212122 and not rep.holds
+
+    def test_distance_is_the_plain_float_sum(self):
+        # 3*t0 + t1 + 2*t2 summed left to right, as 3.11's sum() does; the
+        # compensated sum() of 3.12 on rounds it as math.fsum does, one ulp off
+        rng = random.Random(3)
+        t = tuple(rng.random() for _ in range(3))
+        rep = irrationality_check(Theta(t), 6, 1000)
+        assert rep.worst_vector == (3, 1, 2) and rep.worst_distance == 0.001966560332215428
+        exact = math.fsum((3 * t[0], t[1], 2 * t[2]))
+        assert abs(exact - round(exact)) == 0.00196656033221565
+
     def test_fractional_budget_vacuous(self):
         rep = irrationality_check(golden_theta(), Fraction(1, 2), 10)
         assert rep.holds
@@ -81,24 +96,6 @@ class TestIrrationality:
             irrationality_check(Theta((0.1, 0.2, 0.3)), 136, 100)
         # in one dimension the count is a_bound itself
         assert irrationality_check(golden_theta(), 2000, 10**6).worst_vector != ()
-
-    def test_vector_count_is_the_enumeration_length(self):
-        for d in range(1, 5):
-            for b in range(13):
-                assert _vector_count(d, b) == len(list(_canonical_vectors(d, b))), (d, b)
-
-    def test_vectors_in_lex_order_as_their_entries(self):
-        for d in range(1, 5):
-            for b in range(6):
-                ball = itertools.product(range(-b, b + 1), repeat=d)
-                want = [q for q in ball if 0 < sum(map(abs, q)) <= b and next(filter(None, q)) > 0]
-                got = []
-                for entries in _canonical_vectors(d, b):
-                    q = [0] * d
-                    for i, v in entries:
-                        q[i] = v
-                    got.append(tuple(q))
-                assert got == want, (d, b)
 
     def test_long_theta_neither_recurses_nor_scans_per_place(self):
         # the enumeration goes one level per nonzero entry, not per place

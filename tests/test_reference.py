@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 from functools import cache
@@ -6,9 +8,16 @@ from functools import cache
 import numpy as np
 import pytest
 
-from sumfree import solver
+from sumfree import equidist, solver
 from sumfree.core import CyclicSignal, IntegerSet, default_n_prime, interval_signal, rng_from_seed
-from sumfree.reference import dilation_sweep_direct, pushforward_direct, u2_group_norm_direct
+from sumfree.equidist import Theta, _vector_count, irrationality_check
+from sumfree.reference import (
+    canonical_vectors,
+    dilation_sweep_direct,
+    irrationality_direct,
+    pushforward_direct,
+    u2_group_norm_direct,
+)
 from sumfree.solver import dilation_sweep
 from sumfree.spectral import _interval_group_norm
 from sumfree.weights import GridWeight, _node_values
@@ -124,3 +133,36 @@ def test_sweep_at_one_half_closes_at_the_mirror():
         cert = dilation_sweep(A)
         assert cert.theta == Fraction(1, 2), elems
         assert (cert.theta, cert.selected.elements) == dilation_sweep_direct(A), elems
+
+
+def test_vector_count_is_the_enumeration_length():
+    for d in range(1, 5):
+        for b in range(13):
+            assert _vector_count(d, b) == len(list(canonical_vectors(d, b))), (d, b)
+
+
+def test_vectors_in_lex_order_as_their_entries():
+    for d in range(1, 5):
+        for b in range(6):
+            ball = itertools.product(range(-b, b + 1), repeat=d)
+            want = [q for q in ball if 0 < sum(map(abs, q)) <= b and next(filter(None, q)) > 0]
+            got = []
+            for entries in canonical_vectors(d, b):
+                q = [0] * d
+                for i, v in entries:
+                    q[i] = v
+                got.append(tuple(q))
+            assert got == want, (d, b)
+
+
+@pytest.mark.parametrize("block", [1, 3, 64])
+def test_scan_blocks_match_the_vector_walk(monkeypatch, block):
+    # Blocks of a few states split one parent's children, and one block
+    # spans several parents; eighths tie many vectors at each distance.
+    monkeypatch.setattr(equidist, "_SCAN_BLOCK", block)
+    rng = random.Random(block)
+    for _ in range(40):
+        d, a = rng.randint(1, 4), rng.randint(1, 5)
+        theta = tuple(rng.randrange(8) / 8 if rng.random() < 0.5 else rng.random() for _ in range(d))
+        rep = irrationality_check(Theta(theta), a, 100)
+        assert (rep.worst_vector, rep.worst_distance, rep.holds) == irrationality_direct(theta, a, 100), theta
