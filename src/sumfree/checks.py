@@ -545,6 +545,26 @@ def _check_lev_random(rng):
         assert structure.lev_check(P, X), f"lev failed: |P|={size}, |X|={len(X)}"
 
 
+def _check_lev_cover_vs_oracle(rng):
+    # X of any size in [0, L), so that the cover fails as well as holds;
+    # every other X spans [0, top], whose 5X - 4X ends at 5 top, and the
+    # range ends there or one past it
+    seen = set()
+    for case in range(80):
+        if case % 2:
+            length = int(rng.integers(1, 41))
+            size = int(rng.integers(1, length + 1))
+            xs = sorted(int(x) for x in rng.choice(length, size=size, replace=False))
+        else:
+            top = int(rng.integers(0, 9))
+            xs = sorted({0, top, *(int(x) for x in rng.integers(0, top + 1, size=top))})
+            length = 5 * top + 1 + int(rng.integers(0, 2))
+        want = reference.lev_cover_direct(xs, length)
+        assert structure._lev_covers(xs, length) == want, f"cover differs: L={length}, X={xs}"
+        seen.add(want)
+    assert seen == {True, False}, f"only {seen} drawn"
+
+
 # ---------------------------------------------------------------- weights
 
 
@@ -691,6 +711,35 @@ def _check_scan_vs_oracle(rng):
         assert got == reference.irrationality_direct(theta, a, N), f"scan differs at d={len(theta)}, a={a}"
 
 
+def _check_evaluate_vs_direct(rng):
+    # Each term after the first is fresh, or negates the previous term's
+    # frequencies (a conjugate pair), repeats them, or is all zero.  The
+    # points include 0 and negatives, theta is uniform or in eighths, so
+    # zero phases occur, and coefficients are complex, real or 0.
+    for _ in range(40):
+        d, q = int(rng.integers(0, 4)), int(rng.integers(1, 8))
+        terms = []
+        for _ in range(int(rng.integers(1, 7))):
+            kind = int(rng.integers(0, 4)) if terms else 0
+            if kind == 0:
+                key = tuple(int(f) for f in rng.integers(-4, 5, size=d + 2))
+            elif kind == 1:
+                key = tuple(-f for f in key)
+            elif kind == 3:
+                key = (0,) * (d + 2)
+            # kind 2 keeps the key: a repeated term
+            coef = (complex(rng.normal(), rng.normal()), float(rng.normal()), 0j)[int(rng.integers(0, 3))]
+            terms.append(eq.TrigTerm(coef, key[0], key[1], key[2:]))
+        F = eq.LipschitzTestFunction(q, d, terms)
+        raw = rng.uniform(size=max(d, 1)) if rng.random() < 0.5 else rng.integers(0, 8, size=max(d, 1)) / 8
+        theta = tuple(float(t) for t in raw)
+        N = int(rng.integers(1, 3000))
+        n = rng.integers(-N, 2 * N, size=int(rng.integers(1, 400)))
+        got = F.evaluate(n, N, eq.Theta(theta))
+        want = reference.evaluate_direct(F, n, N, theta)
+        assert got.tobytes() == want.tobytes(), f"evaluate differs from the per-term loop: {terms}"
+
+
 def _check_geometric_envelope(rng):
     # the golden theta with the cosine orbit, then random theta and frequencies
     cases = [(eq.golden_theta(), eq.cosine_orbit(), 1, 1000)]
@@ -778,6 +827,7 @@ SUITES: dict[str, list[tuple[str, object]]] = {
         ("doubling_report", _check_doubling_report),
         ("avoid_zero_mass", _check_avoid_zero_mass),
         ("lev_random", _check_lev_random),
+        ("lev_cover_vs_oracle", _check_lev_cover_vs_oracle),
     ],
     "weights": [
         ("weight_mean_floor", _check_weight_mean_floor),
@@ -794,6 +844,7 @@ SUITES: dict[str, list[tuple[str, object]]] = {
         ("rational_fails", _check_rational_fails),
         ("irrationality_monotone", _check_irrationality_monotone),
         ("scan_vs_oracle", _check_scan_vs_oracle),
+        ("evaluate_vs_direct", _check_evaluate_vs_direct),
         ("geometric_envelope", _check_geometric_envelope),
         ("constant_exact", _check_constant_exact),
         ("zero_theta_cosine", _check_zero_theta_cosine),

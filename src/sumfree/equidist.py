@@ -125,7 +125,20 @@ class LipschitzTestFunction:
         return total
 
     def evaluate(self, n: np.ndarray, N: int, theta: Theta) -> np.ndarray:
-        """F at the orbit points of the integers n (shape preserved, complex)."""
+        """F at the orbit points of the integers n (shape preserved, complex).
+
+        Terms are added in order, each as coefficient * e(phase).  A term
+        whose frequencies (residue, interval, orbit) repeat the previous
+        term's reuses its wave, and one whose frequencies negate them (the
+        second half of a cosine) takes the wave's conjugate: one exponential
+        per pair, and one wave kept from a term to the next.  The sum is bit for
+        bit the per-term one.  Negated frequencies negate the phase exactly,
+        since every operation on it is sign-symmetric, except that a zero
+        phase stays +0; 2j*pi*phase then has real part +-0, and
+        np.exp(conj z) is conj(np.exp z) in every bit.  So a reused wave
+        differs from the computed one at most in the sign of a zero, and
+        out, which starts at +0 and so never holds -0, absorbs that sign.
+        """
         if theta.dimension != self.orbit_dim and self.orbit_dim > 0:
             raise ValueError(
                 f"theta has {theta.dimension} components, function expects {self.orbit_dim}"
@@ -133,12 +146,21 @@ class LipschitzTestFunction:
         arr = np.asarray(n, dtype=np.float64)
         res = np.asarray(n, dtype=np.int64) % self.modulus
         out = np.zeros(arr.shape, dtype=np.complex128)
+        last, wave = (), None  # the previous term's frequencies and wave
         for t in self.terms:
-            phase = t.residue_freq * res / self.modulus + t.interval_freq * arr / N
-            for k, m in enumerate(t.orbit_freq):
-                if m != 0:
-                    phase = phase + m * theta.components[k] * arr
-            out += t.coefficient * np.exp(2j * np.pi * phase)
+            key = (t.residue_freq, t.interval_freq, *t.orbit_freq)
+            if key != last:
+                if key == tuple(-f for f in last):
+                    wave = np.conj(wave)
+                else:
+                    wave = None  # freed before the next one is built
+                    phase = t.residue_freq * res / self.modulus + t.interval_freq * arr / N
+                    for k, m in enumerate(t.orbit_freq):
+                        if m != 0:
+                            phase = phase + m * theta.components[k] * arr
+                    wave = np.exp(2j * np.pi * phase)
+                last = key
+            out += t.coefficient * wave
         return out
 
 

@@ -10,11 +10,13 @@ sum-free test's pair-sum count and the difference counts with loops on
 Python ints, the integer grid doubling table with a Fraction pair loop,
 the two-cell weight pushforward with a Fraction overlap loop, the
 dilation sweep with a Fraction scan of every interval between
-breakpoints, and the torus ball scan with a generator that yields one
-vector at a time, summed by a plain loop.  They are written from the
-definitions and are meant for small inputs only.  They share no logic
-with the code they check, with one exception: u2_norm_direct divides by
-spectral._interval_group_norm, the closed-form norm of 1_{1..N}, which
+breakpoints, the torus ball scan with a generator that yields one
+vector at a time, summed by a plain loop, the test-function evaluation
+with one exponential per term, and Lev's bitmask cover with Python sets
+of sums.  They are written from the definitions and are meant for small
+inputs only.  They share no logic with the code they check, with one
+exception: u2_norm_direct divides by spectral._interval_group_norm, the
+closed-form norm of 1_{1..N}, which
 tests/test_reference.py::test_interval_norm_closed_form_counts_quadruples
 checks against a direct quadruple count.
 """
@@ -313,3 +315,30 @@ def irrationality_direct(theta: tuple[float, ...], a_bound, N: int):
     for i, q in worst:
         vector[i] = q
     return tuple(vector), worst_dist, worst_dist >= float(a_frac / N)
+
+
+def evaluate_direct(F, n, N: int, theta: tuple[float, ...]) -> np.ndarray:
+    """equidist.LipschitzTestFunction.evaluate, one exponential per term.
+
+    Each term's phase is built and exponentiated afresh, with no wave shared
+    between terms, and the terms are added in order from 0.
+    """
+    arr = np.asarray(n, dtype=np.float64)
+    res = np.asarray(n, dtype=np.int64) % F.modulus
+    out = np.zeros(arr.shape, dtype=np.complex128)
+    for t in F.terms:
+        phase = t.residue_freq * res / F.modulus + t.interval_freq * arr / N
+        for k, m in enumerate(t.orbit_freq):
+            if m != 0:
+                phase = phase + m * theta[k] * arr
+        out += t.coefficient * np.exp(2j * np.pi * phase)
+    return out
+
+
+def lev_cover_direct(xs, length: int) -> bool:
+    """Is {0,..,length-1} inside 5X - 4X?  Python sets of every k-fold sum."""
+    folds = [{0}]
+    for _ in range(5):
+        folds.append({s + x for s in folds[-1] for x in xs})
+    cover = {s - t for s in folds[5] for t in folds[4]}
+    return set(range(length)) <= cover

@@ -15,7 +15,8 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import compress, islice
+from itertools import compress, islice, repeat
+from operator import sub
 
 import numpy as np
 
@@ -590,7 +591,9 @@ def heuristic_sum_free(
 
     # A ∩ [x, 2x) is sum-free; the first x with the most elements wins
     elems = A.elements
-    counts = [bisect_left(elems, 2 * x) - i for i, x in enumerate(elems)]
+    # each bisect_left runs at C speed, on Python ints exact past int64
+    ends = map(bisect_left, repeat(elems), map((2).__mul__, elems))
+    counts = list(map(sub, ends, range(n)))
     top = max(counts)
     if top > len(best_set):
         i = counts.index(top)

@@ -235,14 +235,19 @@ class AlphaGrid:
         for row in self.values:
             if len(row) != self.levels:
                 raise ValueError("value row length must match the level count")
-            for v in row:
-                if not 0 <= v <= 1:
-                    raise ValueError(f"grid value {v} outside [0, 1]")
+        for v in dict.fromkeys(v for row in self.values for v in row):  # each distinct value once
+            if not 0 <= v <= 1:
+                raise ValueError(f"grid value {v} outside [0, 1]")
 
     @classmethod
     def from_values(cls, modulus: int, levels: int, values) -> "AlphaGrid":
-        """Build from row-major values (numbers, floats, or 'a/b' strings)."""
-        flat = [Fraction(v) for v in values]
+        """Build from row-major values (numbers, floats, or 'a/b' strings).
+
+        Each distinct value is parsed once.
+        """
+        values = list(values)
+        parsed = {v: Fraction(v) for v in dict.fromkeys(values)}
+        flat = [parsed[v] for v in values]
         if len(flat) != modulus * levels:
             raise ValueError(f"expected {modulus * levels} values, got {len(flat)}")
         rows = tuple(
@@ -372,23 +377,23 @@ def avoid_zero_diagnostic(
     j_min = math.ceil(mi * K)
     prefix = np.cumsum(A.membership, axis=1)
 
-    best = None  # (mass, subgroup size, j, stride)
+    # every mass is count / (q*K): compare the counts.  Strides run from the
+    # smallest subgroup up, and argmin takes the shortest interval, so a
+    # strict improvement keeps both tie-breaks
+    best = None  # (count, j, stride)
     for stride in range(q, 0, -1):
         if q % stride != 0 or stride > index_bound:
             continue
-        rows = prefix[0:q:stride]
-        counts = rows.sum(axis=0)
-        for j in range(j_min, K + 1):
-            mass = Fraction(int(counts[j - 1]), q * K)
-            cand = (mass, q // stride, j, stride)
-            if best is None or cand[:3] < best[:3]:
-                best = cand
-    mass, _, j, stride = best
+        counts = prefix[0:q:stride, j_min - 1 :].sum(axis=0)
+        k = int(counts.argmin())
+        if best is None or counts[k] < best[0]:
+            best = (int(counts[k]), j_min + k, stride)
+    count, j, stride = best
     return AvoidZeroReport(
         subgroup_stride=stride,
         subgroup=tuple(range(0, q, stride)),
         interval_end=Fraction(j, K),
-        mass=mass,
+        mass=Fraction(count, q * K),
     )
 
 
@@ -398,19 +403,28 @@ def lev_check(P: Progression, X: IntegerSet) -> bool:
     Requires |P| > 12, X contained in P, and |X| > |P| / 2; under those
     hypotheses coverage always holds (a theorem), so False indicates a bug
     rather than an interesting input.  X is affinely normalized to
-    {0,..,|P|-1} first, and the iterated sumsets run on integer bitmasks.
+    {0,..,|P|-1} first, and _lev_covers tests the cover on integer
+    bitmasks with one shift per point of P.
     """
     if P.length <= 12:
         raise ValueError("covering check requires |P| > 12")
     if 2 * len(X) <= P.length:
         raise ValueError("X must fill more than half of P")
-    if not all(P.start <= x <= P.last and (x - P.start) % P.step == 0 for x in X.elements):
+    start, last, step = P.start, P.last, P.step
+    if not all(start <= x <= last and (x - start) % step == 0 for x in X.elements):
         raise ValueError("X must be contained in P")
-    xs = [(x - P.start) // P.step for x in X.elements]
+    return _lev_covers([(x - start) // step for x in X.elements], P.length)
 
-    mask = 0
-    for v in xs:
-        mask |= 1 << v
+
+def _lev_covers(xs: list[int], length: int) -> bool:
+    """Is {0,..,length-1} inside 5X - 4X, for X = xs in [0, length)?
+
+    The k-fold sumsets are bitmasks, each built from the last by one shift
+    per point of X.  Point m of the range is covered when some b in 4X has
+    m + b in 5X, that is when (5X >> m) & 4X is nonzero: one shift per
+    point of the range, where testing 5X - b for each b in 4X would take
+    one per point of 4X, up to four times as many.
+    """
     folds = [1]  # bitmask of the k-fold sumset, starting with {0}
     for _ in range(5):
         acc = 0
@@ -419,14 +433,7 @@ def lev_check(P: Progression, X: IntegerSet) -> bool:
             acc |= cur << v
         folds.append(acc)
     five, four = folds[5], folds[4]
-    cover = 0
-    rem = four
-    while rem:
-        bit = rem & -rem
-        rem ^= bit
-        cover |= five >> (bit.bit_length() - 1)
-    want = (1 << P.length) - 1
-    return cover & want == want
+    return all((five >> m) & four for m in range(length))
 
 
 def load_alpha_grid(path: str | Path) -> AlphaGrid:

@@ -14,6 +14,7 @@ and riemann_error measures that integer-to-cell map against the grid mean.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,6 +42,9 @@ from .spectral import ordered_triples
 MAX_GRID_CELLS = 1 << 22
 # each quadrature node costs one pass over the grid per step
 MAX_T_SAMPLES = 1 << 10
+# node-cells of node maps a build keeps across its steps: at most about
+# 40 bytes each, so about 10 MB
+_MAP_CACHE_CELLS = 1 << 18
 _MEAN_TOL = 1e-12
 
 
@@ -200,46 +204,78 @@ def quadrature_nodes(t_samples: int) -> tuple[Fraction, ...]:
     )
 
 
-def _node_values(w: GridWeight, factor: int, shrink: Fraction, t: Fraction) -> np.ndarray:
-    """Single-node pushforward: 3/4 of the mass lands on the image, 1/4 is flat.
+def _node_map(cells: int, factor: int, width: Fraction) -> tuple[np.ndarray, ...]:
+    """Where y -> width*y puts each source cell's image mass, and how much.
 
-    Under y -> t*shrink*y = (a/b)*y with a <= b, the image of a cell is at
-    most one cell long, so it meets at most two destination cells.  In
-    units of 1/(K*b), source cell i is (i*a, (i+1)*a] and destination cell
-    j is (j*b, (j+1)*b]; the share (cut - i*a)/a of cell i's mass lands in
-    j0 = i*a // b and the rest in j0 + 1, all in exact Python integers.
-    Residues map r -> factor*r, so only every factor-th residue receives
-    image mass.  Each destination is summed in increasing source order.
+    With width = a/b <= 1 the image of a cell is at most one cell long, so
+    it meets at most two destination cells.  In units of 1/(K*b), source
+    cell i is (i*a, (i+1)*a] and destination cell j is (j*b, (j+1)*b]; the
+    share (cut - i*a)/a of cell i's mass lands in j0 = i*a // b and the
+    rest, if any, in j0 + 1, all in exact Python integers.  Returns j0, the
+    first shares, the sources that spill, their destinations and their
+    second shares, each share scaled by 3/4 * factor.
     """
-    Q, K = w.modulus, w.cells
-    width = t * shrink
     if not 0 < width <= 1:
         raise ValueError("t * interval_shrink must lie in (0, 1]")
     a, b = width.numerator, width.denominator
-    lo = np.arange(K, dtype=object) * a  # Python ints: b may pass 2^63
+    lo = np.arange(cells, dtype=object) * a  # Python ints: b may pass 2^63
     j0 = lo // b
     cut = np.minimum(lo + a, (j0 + 1) * b)
     scale = 0.75 * factor
     first = scale * ((cut - lo) / a).astype(np.float64)
     second = scale * ((lo + a - cut) / a).astype(np.float64)
     j0 = j0.astype(np.int64)
-    out = np.full((factor * Q, K), 0.25, dtype=np.float64)
-    rows = factor * np.arange(Q)[:, None]
-    # a destination's second parts come from lower sources than its first parts
     spill = np.nonzero(second)[0]
-    np.add.at(out, (rows, j0[spill] + 1), second[spill] * w.values[:, spill])
-    np.add.at(out, (rows, j0), first * w.values)
+    node_map = j0, first, spill, j0[spill] + 1, second[spill]
+    for part in node_map:
+        part.flags.writeable = False  # _build_maps hands the same arrays to every build
+    return node_map
+
+
+@functools.lru_cache(maxsize=1)
+def _build_maps(cells: int, factor: int, shrink: Fraction, nodes: tuple[Fraction, ...]) -> tuple:
+    """Every node's _node_map, kept while the steps of one build reuse them."""
+    return tuple(_node_map(cells, factor, t * shrink) for t in nodes)
+
+
+def _node_values(w: GridWeight, factor: int, node_map: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Single-node pushforward: 3/4 of the mass lands on the image, 1/4 is flat.
+
+    Residues map r -> factor*r, so only every factor-th residue receives
+    image mass.  Both adds run on the flat grid, whose np.add.at takes
+    numpy's fast one-dimensional path, and apply their terms in order: each
+    destination sums its parts in increasing source order, since its
+    second part comes from a lower source than its first parts.
+    """
+    Q, K = w.modulus, w.cells
+    j0, first, spill, j1, second = node_map
+    out = np.full((factor * Q, K), 0.25, dtype=np.float64)
+    rows = factor * K * np.arange(Q)[:, None]  # flat offset of each image row
+    flat = out.reshape(-1)
+    np.add.at(flat, (rows + j1).ravel(), (second * w.values[:, spill]).ravel())
+    np.add.at(flat, (rows + j0).ravel(), (first * w.values).ravel())
     return out
 
 
 def _push(w: GridWeight, params: IterationParams, eps, nodes) -> GridWeight:
-    """Average the single-node pushforwards of w over the given t nodes."""
+    """Average the single-node pushforwards of w over the given t nodes.
+
+    The node maps depend on K, the factor, the shrink and t only, so a
+    build computes them at its first step and reuses them, unless they
+    would hold more than _MAP_CACHE_CELLS cells; then each step maps each
+    node afresh.
+    """
     eps_f = _checked_eps(eps)
     _check_grid_size(w.cells, params.modulus_factor, base=w.modulus)
-    new_modulus = params.modulus_factor * w.modulus
+    factor, shrink = params.modulus_factor, params.interval_shrink
+    if len(nodes) * w.cells <= _MAP_CACHE_CELLS:
+        maps = _build_maps(w.cells, factor, shrink, tuple(nodes))
+    else:
+        maps = (_node_map(w.cells, factor, t * shrink) for t in nodes)
+    new_modulus = factor * w.modulus
     acc = np.zeros((new_modulus, w.cells), dtype=np.float64)
-    for t in nodes:
-        acc += _node_values(w, params.modulus_factor, params.interval_shrink, t)
+    for node_map in maps:
+        acc += _node_values(w, factor, node_map)
     acc /= len(nodes)
     return GridWeight(
         modulus=new_modulus,

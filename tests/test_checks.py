@@ -24,7 +24,7 @@ def test_suite_names():
 
 def test_check_names_unique():
     labels = [f"{owner}.{name}" for owner, name, _ in CHECKS]
-    assert len(labels) == len(set(labels)) == 46
+    assert len(labels) == len(set(labels)) == 48
 
 
 def test_unknown_suite_rejected():

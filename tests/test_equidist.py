@@ -159,6 +159,26 @@ class TestTestFunctions:
         with pytest.raises(ValueError):
             F.evaluate(np.arange(1, 5), 4, golden_theta())
 
+    def test_exp_conjugation_symmetric_bitwise(self):
+        # evaluate takes a conjugate pair's second wave as np.conj of the
+        # first: that needs np.exp(conj z) == conj(np.exp z) in every bit,
+        # and the sign of a zero real part not to matter
+        rng = np.random.default_rng(24)
+        im = np.concatenate([
+            2 * np.pi * rng.uniform(-1, 1, 50_000),
+            2 * np.pi * rng.uniform(-1e6, 1e6, 50_000),  # n * theta * m at the largest N
+            rng.uniform(-1e15, 1e15, 10_000),
+            [0.0, -0.0, np.pi, -np.pi, 1e300],
+        ])
+        for re in (0.0, -0.0, rng.uniform(-5, 5, len(im))):
+            z = np.empty(len(im), dtype=np.complex128)
+            z.real, z.imag = re, im
+            assert np.exp(np.conj(z)).tobytes() == np.conj(np.exp(z)).tobytes()
+        plus, minus = np.empty(len(im), dtype=np.complex128), np.empty(len(im), dtype=np.complex128)
+        plus.real, minus.real = 0.0, -0.0
+        plus.imag = minus.imag = im
+        assert np.exp(plus).tobytes() == np.exp(minus).tobytes()
+
 
 class TestEquidistError:
     def test_golden_cosine_frozen(self):
