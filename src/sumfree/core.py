@@ -355,11 +355,11 @@ def _member_table(A: IntegerSet, N: int) -> np.ndarray:
 # Elements strictly inside (-2^62, 2^62) keep top - x and x + y strictly
 # inside (-2^63, 2^63), so both are exact in int64.
 _PAIR_SAFE_BOUND = 1 << 62
-_PAIR_BLOCK = 1 << 17  # pair entries a block looks up: its int64 sums take 1 MiB
+_BLOCK = 1 << 17  # entries of every numpy block (pair sums, sweep keys, samples, scan states): 1 MiB at 64 bits
 _FILTER_PRIME = 262_139  # residue filter modulus for sets that fit no member table
 # _BELOW[r, c] = c < r: a block's entries before its rows' own diagonal.  A
-# block of R > 1 rows is at least R wide, so R <= isqrt(_PAIR_BLOCK).
-_BELOW = np.tri(isqrt(_PAIR_BLOCK), k=-1, dtype=bool)
+# block of R > 1 rows is at least R wide, so R <= isqrt(_BLOCK).
+_BELOW = np.tri(isqrt(_BLOCK), k=-1, dtype=bool)
 
 
 def _pair_ends(a: np.ndarray) -> np.ndarray:
@@ -379,7 +379,7 @@ def _pair_sum_hits(a: np.ndarray, ends: np.ndarray, table: np.ndarray | None, *,
     block that has a hit, so it is nonzero exactly when some pair hits.
 
     The pairs are swept in blocks of rows i and partner columns j, about
-    _PAIR_BLOCK entries each, and every sum in a block is looked up at
+    _BLOCK entries each, and every sum in a block is looked up at
     once.  `table`, from _member_table(A, N), answers membership directly,
     and a sum past N reads its last, False entry.  With no table, sums are
     filtered by an indicator of a's residues mod a prime, looked up as the
@@ -402,10 +402,10 @@ def _pair_sum_hits(a: np.ndarray, ends: np.ndarray, table: np.ndarray | None, *,
     r0 = 0
     while r0 < rows:
         lo, hi = r0 + off, int(ends[r0])
-        r1 = min(rows, r0 + max(1, _PAIR_BLOCK // (hi - lo)))
-        # a block wider than _PAIR_BLOCK has one row, split into column blocks
-        for c0 in range(lo, hi, _PAIR_BLOCK):
-            c1 = min(hi, c0 + _PAIR_BLOCK)
+        r1 = min(rows, r0 + max(1, _BLOCK // (hi - lo)))
+        # a block wider than _BLOCK has one row, split into column blocks
+        for c0 in range(lo, hi, _BLOCK):
+            c1 = min(hi, c0 + _BLOCK)
             found = np.take(table, keys[r0:r1, None] + keys[None, c0:c1], mode="clip")
             if not found.any():
                 continue

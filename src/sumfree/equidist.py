@@ -18,15 +18,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import MAX_SIGNAL_LENGTH, JsonReport, _check_limit
+from .core import _BLOCK, MAX_SIGNAL_LENGTH, JsonReport, _check_limit
 from .structure import Progression
 
 # vectors irrationality_check may scan: the count at d = 3, a_bound = 135.
 # The scan takes a few array operations per vector and holds one block of
-# _SCAN_BLOCK states per level (a level per nonzero entry), so this count
+# _BLOCK states per level (a level per nonzero entry), so this count
 # bounds its time and the block its memory.
 MAX_TORUS_VECTORS = 1_658_655
-_SCAN_BLOCK = 1 << 17  # child states a scan block holds, as many as solver._SWEEP_BLOCK's breakpoints
 
 
 @dataclass(frozen=True)
@@ -235,7 +234,7 @@ def _scan_ball(theta: np.ndarray, budget: int) -> tuple[float, tuple[tuple[int, 
     value of its new entry, the budget it has left and its partial sum of
     q_i t_i, added in place order from 0.0.  The children of a level are
     numbered parent by parent from their closed-form counts and expanded
-    _SCAN_BLOCK at a time, depth first, so at most one block per level is
+    _BLOCK at a time, depth first, so at most one block per level is
     alive.  Children come in the lex order of their full vectors, so a
     block's first least distance is its lex-first; across blocks, entry
     (i, v) sorts as (i - d, v) when v < 0 and as (d - i, v) when v > 0,
@@ -258,8 +257,8 @@ def _scan_ball(theta: np.ndarray, budget: int) -> tuple[float, tuple[tuple[int, 
         starts = ends - counts
         if not signed:
             starts -= half  # numbered as the positive half of a signed parent
-        for lo in range(0, int(ends[-1]), _SCAN_BLOCK):
-            child = np.arange(lo, min(lo + _SCAN_BLOCK, int(ends[-1])))
+        for lo in range(0, int(ends[-1]), _BLOCK):
+            child = np.arange(lo, min(lo + _BLOCK, int(ends[-1])))
             parent = ends.searchsorted(child, side="right")
             k, h = child - starts[parent], half[parent]
             del child  # each temporary goes before the next level's block is built

@@ -21,6 +21,7 @@ from operator import sub
 import numpy as np
 
 from .core import (
+    _BLOCK,
     _PAIR_SAFE_BOUND,
     IntegerSet,
     JsonReport,
@@ -43,8 +44,6 @@ _KERNEL_MIN_SIZE = 64
 # breakpoint events: dilation_sweep refuses more, the heuristic samples above the cap
 SWEEP_EVENT_LIMIT = 40_000_000
 _SWEEP_EVENT_CAP = 2_000_000
-# breakpoints a sweep block holds: its int64 keys take 1 MiB, as core._PAIR_BLOCK's sums do
-_SWEEP_BLOCK = 1 << 17
 
 
 def one_third_floor(n: int) -> int:
@@ -362,8 +361,8 @@ def dilation_sweep(A: IntegerSet) -> DilationCertificate:
     exit lies between its start lo and 1/2, it is the interval holding 1/2,
     which the mirror of lo, 1 - lo, closes; theta is then 1/2.
 
-    (0, 1/2) is swept in B blocks [b/2B, (b+1)/2B) of about _SWEEP_BLOCK
-    breakpoints each, so memory stays O(_SWEEP_BLOCK + |A|).  Block b holds
+    (0, 1/2) is swept in B blocks [b/2B, (b+1)/2B) of about _BLOCK
+    breakpoints each, so memory stays O(_BLOCK + |A|).  Block b holds
     the numerators j of x with 3x b <= 2B j < 3x (b+1): entries j = 1 mod 3
     and exits j = 2 mod 3, counted below a bound in closed form.  Each
     breakpoint's key is the bit pattern of its float, shifted left once,
@@ -399,7 +398,7 @@ def dilation_sweep(A: IntegerSet) -> DilationCertificate:
     x3 = 3 * np.array(A.elements, dtype=np.int64)
     den = np.concatenate([x3, x3])  # entry groups, then exit groups
     residue = np.repeat(np.array([1, 2], dtype=np.int64), n)
-    blocks = -(-sum(A.elements) // _SWEEP_BLOCK)  # x has about x breakpoints below 1/2
+    blocks = -(-sum(A.elements) // _BLOCK)  # x has about x breakpoints below 1/2
     done = np.zeros_like(den)  # per group, its numerators in earlier blocks
     carry = best = 0
     lo_key = hi_key = None
@@ -534,22 +533,23 @@ def heuristic_sum_free(
 ) -> SolveReport:
     """Verified lower bound from a candidate portfolio plus local search.
 
-    Candidates: the exact dilation sweep (or exact-rational sampled
-    dilations when the full sweep would be too large), dyadic intervals
-    A ∩ [x, 2x), and sum-free residue classes mod q <= 10.  The best
-    candidate is improved by four rounds of seeded add/swap local search.
-    The returned witness is re-verified; optimum is a lower bound
-    (exact=False).  Output is a deterministic function of (A, convention,
-    seed).
+    Candidates: dilation selections, dyadic intervals A ∩ [x, 2x), and
+    sum-free residue classes mod q <= 10.  The best candidate is improved
+    by four rounds of seeded add/swap local search.  The returned witness
+    is re-verified; optimum is a lower bound (exact=False).  Output is a
+    deterministic function of (A, convention, seed).
+
+    Past _SWEEP_EVENT_CAP events, 192 dilations k/q are sampled.  The exact
+    sweep runs once when the best so far misses the floor ceil((|A|+1)/3)
+    within SWEEP_EVENT_LIMIT: always within the cap, as a fallback past it.
+    Only where it did not run are the intervals scanned: each theta in
+    (1/(3x), 2/(3(2x-1))) puts theta·a in (1/3, 2/3) for every a in [x, 2x),
+    so no interval count, which must beat the best strictly, beats the
+    sweep.  Past the limit, a set no candidate lifts to the floor is refused.
 
     The search's draws are the values rng.integers(0, m) would give, read
     in bulk through _draws.  The search is the generator's last consumer,
     so the words drawn ahead and never used change nothing returned.
-
-    The dilation stage guarantees at least ceil((|A|+1)/3) elements: the
-    exact sweep certifies that floor, and when sampling is used instead the
-    sweep is run as a fallback if every sample missed the floor, unless the
-    set is past SWEEP_EVENT_LIMIT: then some other candidate must reach it.
     """
     A.require_positive("heuristic_sum_free")
     if len(A) == 0:
@@ -558,46 +558,39 @@ def heuristic_sum_free(
     n = len(A)
     allow_eq = convention is ALLOW_EQUAL
     floor = one_third_floor(n)
-
-    best_set: set[int] = set()
+    elems = A.elements
 
     # Dilation candidates select sum-free sets under ALLOW_EQUAL hence both
     # conventions (an ALLOW_EQUAL-sum-free set is DISTINCT_ONLY-sum-free).
-    events = 2 * sum(A.elements)
-    if events <= _SWEEP_EVENT_CAP:
-        cert = dilation_sweep(A)
-        best_set = set(cert.selected.elements)
-    else:
+    events = 2 * sum(elems)
+    best_set: set[int] = set()
+    if events > _SWEEP_EVENT_CAP:
         q = 99_991  # prime modulus: theta = k/q evaluated in exact integer arithmetic
         lo, width = q // 3 + 1, (2 * q - 1) // 3 - q // 3  # q < 3r < 2q  <=>  lo <= r < lo + width
         # x % q on Python ints, so elements past int64 are fine; k * residue
         # < q^2 < 2^34, in uint64, whose % is faster than int64's
-        residues = np.fromiter(map(q.__rmod__, A.elements), dtype=np.uint64, count=n)
+        residues = np.fromiter(map(q.__rmod__, elems), dtype=np.uint64, count=n)
 
         def inside(k):
             return (k * residues) % q - lo < width  # below lo wraps past width
 
         ks = rng.integers(1, q, size=192).astype(np.uint64)
-        rows = max(1, min(32, (1 << 17) // n))  # a block's uint64 temporaries stay near 1 MiB
+        rows = max(1, min(32, _BLOCK // n))  # a block's uint64 temporaries stay near 1 MiB
         hits = np.concatenate(
             [np.count_nonzero(inside(ks[i : i + rows, None]), axis=1) for i in range(0, len(ks), rows)]
         )
-        first = int(np.argmax(hits))  # the first k with the most hits
-        best_count = int(hits[first])
-        best_set = set(compress(A.elements, inside(ks[first]).tolist()))
-        if best_count < floor and events <= SWEEP_EVENT_LIMIT:
-            cert = dilation_sweep(A)  # exact fallback restores the guarantee
-            best_set = set(cert.selected.elements)
-
-    # A ∩ [x, 2x) is sum-free; the first x with the most elements wins
-    elems = A.elements
-    # each bisect_left runs at C speed, on Python ints exact past int64
-    ends = map(bisect_left, repeat(elems), map((2).__mul__, elems))
-    counts = list(map(sub, ends, range(n)))
-    top = max(counts)
-    if top > len(best_set):
-        i = counts.index(top)
-        best_set = set(elems[i : i + top])
+        best_set = set(compress(elems, inside(ks[np.argmax(hits)]).tolist()))  # the first k with the most hits
+    if len(best_set) < floor and events <= SWEEP_EVENT_LIMIT:
+        best_set = set(dilation_sweep(A).selected.elements)
+    else:
+        # A ∩ [x, 2x) is sum-free; the first x with the most elements wins.
+        # Each bisect_left runs at C speed, on Python ints exact past int64.
+        ends = map(bisect_left, repeat(elems), map((2).__mul__, elems))
+        counts = list(map(sub, ends, range(n)))
+        top = max(counts)
+        if top > len(best_set):
+            i = counts.index(top)
+            best_set = set(elems[i : i + top])
 
     # Sum-free residue classes mod q <= 10.  Every such q divides 2520, so
     # the elements are reduced once, on Python ints, and each q folds the

@@ -110,7 +110,7 @@ def _neighbours(elems, theta):
 def test_sweep_blocks_match_interval_scan(monkeypatch, block):
     # Blocks of a few breakpoints: the interval a block starts may close in
     # a later block, or at the mirror 1 - lo after the last one.
-    monkeypatch.setattr(solver, "_SWEEP_BLOCK", block)
+    monkeypatch.setattr(solver, "_BLOCK", block)
     closes = set()
     for elems, want in _sweep_oracle_sets().items():
         cert = dilation_sweep(IntegerSet.from_iterable(elems))
@@ -159,7 +159,7 @@ def test_vectors_in_lex_order_as_their_entries():
 def test_scan_blocks_match_the_vector_walk(monkeypatch, block):
     # Blocks of a few states split one parent's children, and one block
     # spans several parents; eighths tie many vectors at each distance.
-    monkeypatch.setattr(equidist, "_SCAN_BLOCK", block)
+    monkeypatch.setattr(equidist, "_BLOCK", block)
     rng = random.Random(block)
     for _ in range(40):
         d, a = rng.randint(1, 4), rng.randint(1, 5)

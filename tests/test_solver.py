@@ -218,13 +218,18 @@ class TestCanAdd:
 
 class TestHeuristic:
     # (n, max element, convention, optimum, sha256 of the witness tuple's repr).
-    # A 400-subset of [1, 4000] takes the exact sweep; a 1000-subset of
-    # [1, 10^5] and a 3000-subset of [1, 3*10^5] take the sampled
-    # dilations.  All make hundreds of plateau-swap attempts, so these pin
-    # the order of the local search's draws.
+    # A 400-subset of [1, 4000] takes the exact sweep; a 500-subset of
+    # [1, 10^4] (5 069 458 events, within the sweep's limit), a 1000-subset
+    # of [1, 10^5] and a 3000-subset of [1, 3*10^5] take the sampled
+    # dilations, whose best reaches the floor, so no sweep runs (the sweep
+    # would give the 500-subset 263 under both conventions).  All make
+    # hundreds of plateau-swap attempts, so these pin the order of the
+    # local search's draws.
     FROZEN = [
         (400, 4000, ALLOW_EQUAL, 209, "e3ae82c68c48ee2f50dfc4bcae13467ff4aea9641a12c8ee189d32832a14a04d"),
         (400, 4000, DISTINCT_ONLY, 209, "e3ae82c68c48ee2f50dfc4bcae13467ff4aea9641a12c8ee189d32832a14a04d"),
+        (500, 10**4, ALLOW_EQUAL, 262, "fb1488212d8a6bf1464e513550d5b48e1417e0579736ff611ae5ea667bb758f0"),
+        (500, 10**4, DISTINCT_ONLY, 263, "9e0e000fb19fd9032c81b3be5b659f86a68c8379cf41e33c8dd09285ee238a1f"),
         (1000, 10**5, ALLOW_EQUAL, 518, "937038988a3b2c4babbab08e803c5113895793ce34427e6eba1700278bef82fb"),
         (1000, 10**5, DISTINCT_ONLY, 520, "5e5b66bde3c2e35a4e0207792d3e3729b1792184edd5c6d8b3c230933c41f76f"),
         (3000, 3 * 10**5, ALLOW_EQUAL, 1510, "30c573dff7778620e305285e7751ff81600cd5f0e9f2679175a37b0257dd434d"),
@@ -265,13 +270,23 @@ class TestHeuristic:
         assert set(rep.witness.elements) <= set(A.elements)
         assert rep.optimum >= -(-(len(A) + 1) // 3)
 
-    def test_sweep_too_large_falls_to_interval_candidate(self):
-        # every sample k/99991 selects only the element 1, and the exact
-        # sweep would need about 9e9 events; A ∩ [x, 2x) holds 150 elements
-        A = IntegerSet((1, *(99_991 * k for k in range(1, 301))))
-        assert 2 * sum(A.elements) > 4 * 10**7  # the sweep's event limit
-        rep = heuristic_sum_free(A)
-        assert rep.optimum >= 150 > -(-(len(A) + 1) // 3)
+    @pytest.mark.parametrize(
+        "A, within, want",
+        [
+            # every sample k/99991 selects nothing; the fallback sweep's
+            # 99991·{7..12} wins, where the intervals alone give 99991·{6..11}
+            (IntegerSet(tuple(99_991 * k for k in range(1, 13))), True, tuple(99_991 * k for k in range(7, 13))),
+            # every sample selects only the element 1, and the exact sweep
+            # would need about 9e9 events; A ∩ [x, 2x) holds 150 elements
+            # and the odd residue class 151
+            (IntegerSet((1, *(99_991 * k for k in range(1, 301)))), False, (1, *(99_991 * k for k in range(1, 301, 2)))),
+        ],
+        ids=["fallback-sweep", "past-the-limit"],
+    )
+    def test_every_sample_below_the_floor(self, A, within, want):
+        events = 2 * sum(A.elements)
+        assert events > solver._SWEEP_EVENT_CAP and (events <= solver.SWEEP_EVENT_LIMIT) == within
+        assert heuristic_sum_free(A).witness.elements == want
 
     def test_refuses_when_no_candidate_reaches_floor(self):
         # multiples of 2520 * 99991 defeat the samples and every residue
