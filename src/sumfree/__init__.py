@@ -81,10 +81,21 @@ from .equidist import (
     golden_theta,
     irrationality_check,
 )
-from .reference import exhaustive_max_sum_free
-from .checks import SUITE_NAMES, run_suite
-
 __version__ = VERSION
+
+# The oracle and the property suites load on first use (PEP 562), so that
+# importing the package, or the CLI, does not compile them.
+_LAZY = {"exhaustive_max_sum_free": "reference", "SUITE_NAMES": "checks", "run_suite": "checks"}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
 
 __all__ = [
     "ALLOW_EQUAL",

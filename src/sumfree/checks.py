@@ -120,6 +120,32 @@ def _check_heuristic_bounds(rng):
         )
 
 
+def _check_sampled_dilations_exact(rng):
+    # The heuristic's float64 middle-third test against k x mod q on Python
+    # ints: drawn k and x, the k that put k x mod q next to q/3 and 2q/3 for
+    # residues 1 and q - 1, and elements past 2^63, whose residues are taken
+    # on Python ints.  Then the sampled candidate, for each k alone and for
+    # all of them, whose winner is the first k with the most hits.
+    q = solver._SAMPLE_MODULUS
+    edges = [q // 3, q // 3 + 1, 2 * q // 3, 2 * q // 3 + 1]
+    ks = [int(k) for k in rng.integers(1, q, size=40)] + [1, q - 1] + edges + [q - k for k in edges]
+    elems = [int(x) for x in rng.integers(1, 10**12, size=60)]
+    elems += [m * q + r for m in (0, 1, int(rng.integers(2, 10**9))) for r in (1, 2, q - 2, q - 1)]
+    elems += [2**63 + int(x) for x in rng.integers(0, 2**62, size=20)] + [q * 2**70, 3**90 + 1]
+    elems = sorted(set(elems))
+    want = [[q < 3 * (k * x % q) < 2 * q for x in elems] for k in ks]
+    fracs = np.array([x % q for x in elems], dtype=np.float64) / q
+    shape = (len(ks), len(elems))
+    buffers = np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
+    got = solver._middle_third(np.array(ks, dtype=np.float64), fracs, *buffers)
+    assert got.tolist() == want, "the float64 middle-third test differs from k x mod q"
+    picks = [[x for x, inside in zip(elems, row) if inside] for row in want]
+    for k, pick in zip(ks, picks):
+        assert solver._sampled_dilation(tuple(elems), np.array([k])) == pick, f"dilation {k}/{q} selects otherwise"
+    best = max(picks, key=len)  # the first of the longest
+    assert solver._sampled_dilation(tuple(elems), np.array(ks)) == best, "sampled candidate differs"
+
+
 def _check_catalog(rng):
     del rng
     for entry in solver.catalog():
@@ -809,6 +835,7 @@ SUITES: dict[str, list[tuple[str, object]]] = {
         ("top_interval_bound", _check_top_interval),
         ("compose_additivity", _check_compose_additivity),
         ("heuristic_bounds", _check_heuristic_bounds),
+        ("sampled_dilations_exact", _check_sampled_dilations_exact),
         ("catalog_verifies", _check_catalog),
         ("sum_free_paths_agree", _check_sum_free_paths_agree),
     ],

@@ -44,6 +44,8 @@ _KERNEL_MIN_SIZE = 64
 # breakpoint events: dilation_sweep refuses more, the heuristic samples above the cap
 SWEEP_EVENT_LIMIT = 40_000_000
 _SWEEP_EVENT_CAP = 2_000_000
+# prime modulus of the heuristic's sampled dilations theta = k/q
+_SAMPLE_MODULUS = 99_991
 
 
 def one_third_floor(n: int) -> int:
@@ -361,22 +363,31 @@ def dilation_sweep(A: IntegerSet) -> DilationCertificate:
     exit lies between its start lo and 1/2, it is the interval holding 1/2,
     which the mirror of lo, 1 - lo, closes; theta is then 1/2.
 
-    (0, 1/2) is swept in B blocks [b/2B, (b+1)/2B) of about _BLOCK
-    breakpoints each, so memory stays O(_BLOCK + |A|).  Block b holds
-    the numerators j of x with 3x b <= 2B j < 3x (b+1): entries j = 1 mod 3
-    and exits j = 2 mod 3, counted below a bound in closed form.  Each
-    breakpoint's key is the bit pattern of its float, shifted left once,
-    with the low bit set for an entry; the floats are positive and below
-    1/2, so the keys fit in int64 and sort in float order, with exits
-    before entries on a tie.  One sort per block and a running sum of +-1,
-    carried from block to block, give the count just after every
-    breakpoint.  A breakpoint with no entry lowers the count, so the first
-    maximising interval starts at an entry; along a run of equal entries
-    the count rises, so the first maximum is the run's last entry, where
-    the interval starts.  A later block wins only with a strictly larger
-    count.  A breakpoint with no exit raises the count, so the next
-    breakpoint after the start holds an exit: the next exit in its block or
-    in a later one, or the mirror 1 - lo when no exit lies before 1/2.
+    (0, 1/2) is swept in B = ceil(sum(A)/_BLOCK) blocks [b/2B, (b+1)/2B).
+    Block b holds the numerators j of x with 3x b <= 2B j < 3x (b+1):
+    entries j = 1 mod 3 and exits j = 2 mod 3, counted below a bound in
+    closed form.  Each breakpoint's key is the bit pattern of its float,
+    shifted left once, with the low bit set for an entry; the floats are
+    positive and below 1/2, so the keys fit in int64 and sort in float
+    order, with exits before entries on a tie.  One sort per block and a
+    running sum of +-1, carried from block to block, give the count just
+    after every breakpoint.  A breakpoint with no entry lowers the count,
+    so the first maximising interval starts at an entry; along a run of
+    equal entries the count rises, so the first maximum is the run's last
+    entry, where the interval starts.  A later block wins only with a
+    strictly larger count.  An entry raises the count, so the key right
+    after the start is an exit, the next breakpoint: the next key in its
+    block, else the first key of the next nonempty block, or the mirror
+    1 - lo when no key follows before 1/2.
+
+    Each of the 2|A| groups (x, residue) has at most x/2B + 1 numerators
+    in a block, so a block holds at most _BLOCK + 2|A| breakpoints.  The
+    keys are divided in place from float numerators, exact below 2^53,
+    beside one np.repeat; then the keys and their running sum are live.
+    So at most three block arrays exist at once, and the loop's memory is
+    24·_BLOCK bytes plus O(|A|), whatever sum(A) is.  The certificate's
+    is_sum_free check adds its own pair blocks and, on its table path, a
+    member table of max(A) + 2 bytes.
 
     The average selection size over theta is |A|/3, while neighbourhoods of
     0 and 1 select nothing; some interval therefore beats the average, which
@@ -411,14 +422,16 @@ def dilation_sweep(A: IntegerSet) -> DilationCertificate:
         if not size:
             continue
         offsets = np.cumsum(counts) - counts
-        nums = np.arange(0, 3 * size, 3)
-        nums += np.repeat(3 * (first - offsets) + residue, counts)
-        keys = (nums / np.repeat(den, counts)).view(np.int64)
+        # numerators as floats, exact below 2^53, divided in place
+        keys = np.arange(0.0, 3 * size, 3)
+        keys += np.repeat(3 * (first - offsets) + residue, counts)
+        keys /= np.repeat(den, counts)
+        keys = keys.view(np.int64)
         keys <<= 1
         keys[: int(counts[:n].sum())] |= 1
         keys.sort()
         if hi_key is None and lo_key is not None:
-            hi_key = _first_exit(keys)
+            hi_key = keys[0]  # an exit, or an entry that lifts this block past best
         run = keys & 1
         run <<= 1
         run -= 1
@@ -427,22 +440,13 @@ def dilation_sweep(A: IntegerSet) -> DilationCertificate:
         if carry + int(run[i]) > best:
             best = carry + int(run[i])
             lo_key = keys[i]
-            hi_key = _first_exit(keys[i + 1 :])
+            hi_key = keys[i + 1] if i + 1 < size else None  # the count falls after its maximum
         carry += int(run[-1])
     max_den = 3 * A.elements[-1]
     lo = _breakpoint(lo_key, max_den)
     hi = 1 - lo if hi_key is None else _breakpoint(hi_key, max_den)
     theta = (lo + hi) / 2
     return DilationCertificate(theta=theta, selected=dilation_select(A, theta), size=best)
-
-
-def _first_exit(keys: np.ndarray) -> np.int64 | None:
-    """The first exit among sorted sweep keys, or None when all are entries."""
-    if len(keys):
-        k = int(np.argmin(keys & 1))
-        if not keys[k] & 1:
-            return keys[k]
-    return None
 
 
 def _breakpoint(key: np.int64, max_den: int) -> Fraction:
@@ -469,6 +473,51 @@ def _sum_free_residue_masks(q: int) -> np.ndarray:
     rows = np.array(masks, dtype=np.int64)
     rows.flags.writeable = False
     return rows
+
+
+def _sampled_dilation(elems: tuple[int, ...], ks: np.ndarray) -> list[int]:
+    """What the first k in ks with the most hits selects: {x : q < 3 (k x mod q) < 2q}, q = _SAMPLE_MODULUS.
+
+    `ks` holds integers 1 <= k < q.  The elements are reduced mod q on
+    Python ints, so any size is fine, and _middle_third tests them.  The
+    ks go in blocks of rows through three row buffers of at most _BLOCK
+    entries, allocated once: two of float64 and one of bool, 17·_BLOCK
+    bytes; the rest of the memory is O(|A| + len(ks)).
+    """
+    n = len(elems)
+    fracs = np.fromiter(map(_SAMPLE_MODULUS.__rmod__, elems), dtype=np.float64, count=n)
+    fracs /= _SAMPLE_MODULUS
+    ks = ks.astype(np.float64)
+    rows = max(1, min(len(ks), _BLOCK // n))
+    dist, near, inside = np.empty((rows, n)), np.empty((rows, n)), np.empty((rows, n), dtype=bool)
+    hits = np.concatenate(
+        [
+            np.count_nonzero(_middle_third(ks[i : i + rows], fracs, dist, near, inside), axis=1)
+            for i in range(0, len(ks), rows)
+        ]
+    )
+    picked = _middle_third(ks[np.argmax(hits)][None], fracs, dist, near, inside)[0]
+    return list(compress(elems, picked.tolist()))
+
+
+def _middle_third(ks: np.ndarray, fracs: np.ndarray, dist: np.ndarray, near: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[i, j] = (q < 3 (k_i x_j mod q) < 2q), q = _SAMPLE_MODULUS, in out's first len(ks) rows.
+
+    `ks` holds integers 1 <= k < q and `fracs` the floats of r_j/q, with
+    r_j = x_j mod q, all float64; dist and near are float buffers of out's
+    shape.  The test is exact.  k_i·fracs[j] lies within 2^-36 of
+    k_i r_j/q, as k_i < q < 2^17, and its distance to the nearest integer,
+    min(s, q - s)/q with s = k_i r_j mod q, exceeds 1/3 exactly when
+    q < 3s < 2q.  That distance is never within 1/(3q) > 2^-19 of 1/3, as
+    3 min(s, q - s) is never the prime q.
+    """
+    h = len(ks)
+    dist, near, out = dist[:h], near[:h], out[:h]
+    np.multiply(ks[:, None], fracs, out=dist)
+    np.rint(dist, out=near)
+    dist -= near
+    np.abs(dist, out=dist)
+    return np.greater(dist, 1 / 3, out=out)
 
 
 def _can_add(x: int, S: set[int], ordered: list[int], allow_eq: bool) -> bool:
@@ -539,7 +588,8 @@ def heuristic_sum_free(
     is re-verified; optimum is a lower bound (exact=False).  Output is a
     deterministic function of (A, convention, seed).
 
-    Past _SWEEP_EVENT_CAP events, 192 dilations k/q are sampled.  The exact
+    Past _SWEEP_EVENT_CAP events, 192 dilations k/q are sampled
+    (_sampled_dilation), and the best starts the portfolio.  The exact
     sweep runs once when the best so far misses the floor ceil((|A|+1)/3)
     within SWEEP_EVENT_LIMIT: always within the cap, as a fallback past it.
     Only where it did not run are the intervals scanned: each theta in
@@ -565,21 +615,7 @@ def heuristic_sum_free(
     events = 2 * sum(elems)
     best_set: set[int] = set()
     if events > _SWEEP_EVENT_CAP:
-        q = 99_991  # prime modulus: theta = k/q evaluated in exact integer arithmetic
-        lo, width = q // 3 + 1, (2 * q - 1) // 3 - q // 3  # q < 3r < 2q  <=>  lo <= r < lo + width
-        # x % q on Python ints, so elements past int64 are fine; k * residue
-        # < q^2 < 2^34, in uint64, whose % is faster than int64's
-        residues = np.fromiter(map(q.__rmod__, elems), dtype=np.uint64, count=n)
-
-        def inside(k):
-            return (k * residues) % q - lo < width  # below lo wraps past width
-
-        ks = rng.integers(1, q, size=192).astype(np.uint64)
-        rows = max(1, min(32, _BLOCK // n))  # a block's uint64 temporaries stay near 1 MiB
-        hits = np.concatenate(
-            [np.count_nonzero(inside(ks[i : i + rows, None]), axis=1) for i in range(0, len(ks), rows)]
-        )
-        best_set = set(compress(elems, inside(ks[np.argmax(hits)]).tolist()))  # the first k with the most hits
+        best_set = set(_sampled_dilation(elems, rng.integers(1, _SAMPLE_MODULUS, size=192)))
     if len(best_set) < floor and events <= SWEEP_EVENT_LIMIT:
         best_set = set(dilation_sweep(A).selected.elements)
     else:

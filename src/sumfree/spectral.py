@@ -31,6 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (
+    _BLOCK,
     CyclicSignal,
     IntegerSet,
     JsonReport,
@@ -132,8 +133,9 @@ def t_count(f: np.ndarray | list[float]) -> float:
 def _use_pairs(A: IntegerSet, N: int) -> bool:
     """Whether difference_counts enumerates element pairs instead of running an FFT.
 
-    The FFT transforms at least 2N points; with |A|^2 <= N the pair arrays
-    and the N-entry result are no larger, and the work no more.
+    The FFT transforms at least 2N points; with |A|^2 <= N the pairs, taken
+    in blocks of about _BLOCK, are no more work, and the N-entry result is
+    the only array of length N.
     """
     return len(A) ** 2 <= N
 
@@ -182,9 +184,17 @@ def ordered_triples(A: IntegerSet, N: int) -> int:
 
 
 def _differences_by_pairs(a: np.ndarray) -> np.ndarray:
+    # rows x of the support against partners y from the block's first row
+    # on, about _BLOCK differences a block; the negative ones repeat a pair
     e = np.flatnonzero(a)
-    diffs = np.subtract.outer(e, e).ravel()
-    return np.bincount(diffs[diffs >= 0], minlength=len(a))
+    counts = np.zeros(len(a), dtype=np.int64)
+    r0 = 0
+    while r0 < len(e):
+        r1 = min(len(e), r0 + max(1, _BLOCK // (len(e) - r0)))
+        diffs = e[r0:] - e[r0:r1, None]
+        np.add.at(counts, diffs[diffs >= 0], 1)
+        r0 = r1
+    return counts
 
 
 def _differences_by_fft(a: np.ndarray) -> np.ndarray:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from sumfree import checks
+from sumfree import checks, cli
 from sumfree.checks import SUITE_NAMES, SUITES, run_suite
 from sumfree.cli import main
 from sumfree.core import rng_from_seed
@@ -22,9 +22,16 @@ def test_suite_names():
     assert SUITE_NAMES == ("solver", "spectral", "structure", "weights", "equidist", "all")
 
 
+def test_cli_offers_every_suite():
+    assert cli.SUITE_NAMES == SUITE_NAMES
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--suite", "nonsense"])
+    assert exc.value.code == 2
+
+
 def test_check_names_unique():
     labels = [f"{owner}.{name}" for owner, name, _ in CHECKS]
-    assert len(labels) == len(set(labels)) == 48
+    assert len(labels) == len(set(labels)) == 49
 
 
 def test_unknown_suite_rejected():

@@ -349,17 +349,36 @@ def test_check_subcommand_passes(capsys):
 
 
 
-def _new_process(argv, check=False):
-    """argv run by the CLI in a new process, under Python's own warning filters."""
+def _python(args, check=False):
+    """python run with args in a new process that imports this sumfree, under Python's own warning filters."""
     src = str(Path(sumfree.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, "-m", "sumfree.cli", *argv],
+        [sys.executable, *args],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         check=check,
     )
+
+
+def _new_process(argv, check=False):
+    """argv run by the CLI in a new process."""
+    return _python(["-m", "sumfree.cli", *argv], check)
+
+
+def test_cli_import_leaves_the_suites_unloaded():
+    # the suites and their oracle load when first used, through the package too
+    script = """if True:
+        import json, sys
+        import sumfree.cli
+        lazy = ("sumfree.checks", "sumfree.reference")
+        before = [m for m in lazy if m in sys.modules]
+        from sumfree import SUITE_NAMES, exhaustive_max_sum_free, run_suite
+        print(json.dumps([before, [m for m in lazy if m in sys.modules]]))
+    """
+    out = _python(["-c", script], check=True).stdout
+    assert json.loads(out) == [[], ["sumfree.checks", "sumfree.reference"]]
 
 
 def _first_call_report(argv):

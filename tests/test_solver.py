@@ -175,6 +175,32 @@ class TestDilation:
         assert peak < 16 * 2**20
 
 
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBlockMemory:
+    # Each kernel's docstring bounds its memory as a multiple of
+    # core._BLOCK's 8-byte entries plus O(|A|); 512 and 64 bytes an element
+    # are the O(|A|) allowance here.
+    def test_sweep_keeps_three_block_arrays(self):
+        rng = rng_from_seed(2024, "sweep-memory")
+        A = IntegerSet(tuple(sorted(int(x) for x in rng.choice(2000, size=1000, replace=False) + 1)))
+        assert 1.9e6 < 2 * sum(A.elements) <= solver._SWEEP_EVENT_CAP
+        assert _traced_peak(dilation_sweep, A) <= 3 * 8 * solver._BLOCK + 512 * len(A)
+
+    def test_sampled_dilations_keep_their_row_buffers(self):
+        rng = rng_from_seed(2024, "sampled-memory")
+        elems = tuple(sorted(int(x) for x in rng.choice(3 * 10**5, size=3000, replace=False) + 1))
+        ks = rng.integers(1, solver._SAMPLE_MODULUS, size=192)
+        assert _traced_peak(solver._sampled_dilation, elems, ks) <= 17 * solver._BLOCK + 64 * len(elems)
+
+
 class TestCanAdd:
     @pytest.mark.parametrize("conv", [ALLOW_EQUAL, DISTINCT_ONLY], ids=lambda c: c.value)
     def test_matches_is_sum_free(self, conv):
@@ -218,8 +244,13 @@ class TestCanAdd:
 
 class TestHeuristic:
     # (n, max element, convention, optimum, sha256 of the witness tuple's repr).
-    # A 400-subset of [1, 4000] takes the exact sweep; a 500-subset of
-    # [1, 10^4] (5 069 458 events, within the sweep's limit), a 1000-subset
+    # A 400-subset of [1, 4000] takes the exact sweep, but the local search
+    # reaches the same witness without it.  A 100-subset of [1, 19000]
+    # (1 954 030 events) takes it too: the sweep's 56 elements tie the best
+    # interval in another set, from which the search reaches another
+    # witness of 92, so this row changes when the sweep does not run.  A
+    # 500-subset of [1, 10^4] (5 069 458 events, within the sweep's limit),
+    # a 1000-subset
     # of [1, 10^5] and a 3000-subset of [1, 3*10^5] take the sampled
     # dilations, whose best reaches the floor, so no sweep runs (the sweep
     # would give the 500-subset 263 under both conventions).  All make
@@ -228,6 +259,8 @@ class TestHeuristic:
     FROZEN = [
         (400, 4000, ALLOW_EQUAL, 209, "e3ae82c68c48ee2f50dfc4bcae13467ff4aea9641a12c8ee189d32832a14a04d"),
         (400, 4000, DISTINCT_ONLY, 209, "e3ae82c68c48ee2f50dfc4bcae13467ff4aea9641a12c8ee189d32832a14a04d"),
+        (100, 19000, ALLOW_EQUAL, 92, "a9e67bea0923e5f3968b15a6d039ca2918671c671e7425dc65b37f431630f514"),
+        (100, 19000, DISTINCT_ONLY, 92, "a9e67bea0923e5f3968b15a6d039ca2918671c671e7425dc65b37f431630f514"),
         (500, 10**4, ALLOW_EQUAL, 262, "fb1488212d8a6bf1464e513550d5b48e1417e0579736ff611ae5ea667bb758f0"),
         (500, 10**4, DISTINCT_ONLY, 263, "9e0e000fb19fd9032c81b3be5b659f86a68c8379cf41e33c8dd09285ee238a1f"),
         (1000, 10**5, ALLOW_EQUAL, 518, "937038988a3b2c4babbab08e803c5113895793ce34427e6eba1700278bef82fb"),

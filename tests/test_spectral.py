@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from sumfree import spectral
 from sumfree.core import (
     IntegerSet,
     indicator_vector,
@@ -12,6 +13,7 @@ from sumfree.core import (
 )
 from sumfree.reference import difference_counts_direct, ordered_triples_direct
 from sumfree.spectral import (
+    _differences_by_fft,
     _differences_by_pairs,
     _fft_length,
     _triples_by_fft,
@@ -82,6 +84,18 @@ class TestFFTLength:
             a = indicator_vector(A, N)
             assert _triples_by_fft(a) == ordered_triples(A, N) == ordered_triples_direct(A)
             assert np.array_equal(difference_counts(A, N), _differences_by_pairs(a))
+
+
+@pytest.mark.parametrize("block", [1, 3, 64])
+def test_pair_difference_blocks_match_the_fft(monkeypatch, block):
+    # blocks of a few differences split one row, and one block spans several rows
+    monkeypatch.setattr(spectral, "_BLOCK", block)
+    rng = rng_from_seed(block, "difference-blocks")
+    for N in (1, 2, 17, 300):
+        for size in {1, min(N, 5), min(N, 17)}:
+            A = IntegerSet(tuple(sorted(int(x) + 1 for x in rng.choice(N, size=size, replace=False))))
+            a = indicator_vector(A, N)
+            assert np.array_equal(_differences_by_pairs(a), _differences_by_fft(a)), (N, A.elements)
 
 
 class TestU2:
