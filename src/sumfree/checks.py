@@ -146,6 +146,26 @@ def _check_sampled_dilations_exact(rng):
     assert solver._sampled_dilation(tuple(elems), np.array(ks)) == best, "sampled candidate differs"
 
 
+def _check_local_search_vs_oracle(rng):
+    # The heuristic's local search, with its kept conflicts and skipped
+    # swaps, against the oracle that tests every move with is_sum_free, both
+    # from the same start and on two copies of one draw stream.  Small dense
+    # sets draw each x again and again, and compositions and sets scaled past
+    # 2^63 take the upper scan ranges and Python ints.
+    sets = [_random_subset(rng, 2 * n, n) for n in rng.integers(6, 30, size=14).tolist()]
+    sets += [solver.compose_iterate(_random_set(rng, 6, 16), 3) for _ in range(5)]
+    sets += [IntegerSet.from_iterable((2**63 + 1) * x for x in _random_subset(rng, 40, 20).elements) for _ in range(3)]
+    for A in sets:
+        start = set(solver.dilation_select(A, Fraction(int(rng.integers(1, 1009)), 1009)).elements)
+        seed = int(rng.integers(0, 2**32))
+        for allow_eq in (True, False):
+            fast, slow = (
+                search(A.elements, start, solver._draws(rng_from_seed(seed, "local-search")), allow_eq)
+                for search in (solver._local_search, reference.local_search)
+            )
+            assert fast == slow, f"{A.elements} allow_eq={allow_eq} seed {seed}: {sorted(fast)} != oracle {sorted(slow)}"
+
+
 def _check_catalog(rng):
     del rng
     for entry in solver.catalog():
@@ -836,6 +856,7 @@ SUITES: dict[str, list[tuple[str, object]]] = {
         ("compose_additivity", _check_compose_additivity),
         ("heuristic_bounds", _check_heuristic_bounds),
         ("sampled_dilations_exact", _check_sampled_dilations_exact),
+        ("local_search_vs_oracle", _check_local_search_vs_oracle),
         ("catalog_verifies", _check_catalog),
         ("sum_free_paths_agree", _check_sum_free_paths_agree),
     ],

@@ -12,13 +12,17 @@ the two-cell weight pushforward with a Fraction overlap loop, the
 dilation sweep with a Fraction scan of every interval between
 breakpoints, the torus ball scan with a generator that yields one
 vector at a time, summed by a plain loop, the test-function evaluation
-with one exponential per term, and Lev's bitmask cover with Python sets
-of sums.  They are written from the definitions and are meant for small
-inputs only.  They share no logic with the code they check, with one
-exception: u2_norm_direct divides by spectral._interval_group_norm, the
-closed-form norm of 1_{1..N}, which
+with one exponential per term, Lev's bitmask cover with Python sets of
+sums, and the heuristic's local search, whose kept conflicts and
+skipped swaps are replaced by an is_sum_free test of every move.  They are written
+from the definitions and are meant for small inputs only.  They share no
+logic with the code they check, with two exceptions: u2_norm_direct
+divides by spectral._interval_group_norm, the closed-form norm of
+1_{1..N}, which
 tests/test_reference.py::test_interval_norm_closed_form_counts_quadruples
-checks against a direct quadruple count.
+checks against a direct quadruple count; and local_search tests moves
+with solver.is_sum_free, which the search it checks does not call and
+the solver suite checks against pair_sum_count.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import CyclicSignal, IntegerSet, SumFreeConvention, _check_limit
+from .solver import is_sum_free
 from .spectral import _interval_group_norm
 from .structure import AlphaGrid
 from .weights import GridWeight
@@ -342,3 +347,35 @@ def lev_cover_direct(xs, length: int) -> bool:
         folds.append({s + x for s in folds[-1] for x in xs})
     cover = {s - t for s in folds[5] for t in folds[4]}
     return set(range(length)) <= cover
+
+
+def local_search(elems: tuple[int, ...], start: set[int], draw, allow_eq: bool) -> set[int]:
+    """The heuristic's add/swap local search with every move judged by is_sum_free.
+
+    Four rounds of 150 moves, each from the best set so far.  A move draws
+    x = elems[draw(n)] and skips a member; it adds x when S ∪ {x} is
+    sum-free, and otherwise draws pick = sorted(S)[draw(|S|)] and trades
+    it for x when (S - {pick}) ∪ {x} is.  Nothing is kept between moves.
+    """
+    conv = SumFreeConvention.ALLOW_EQUAL if allow_eq else SumFreeConvention.DISTINCT_ONLY
+
+    def sum_free(members) -> bool:
+        return is_sum_free(IntegerSet.from_iterable(members), conv)
+
+    current = set(start)
+    best = set(start)
+    for _ in range(4):
+        for _ in range(150):
+            x = elems[draw(len(elems))]
+            if x in current:
+                continue
+            if sum_free(current | {x}):
+                current.add(x)
+            else:
+                pick = sorted(current)[draw(len(current))]
+                if sum_free((current - {pick}) | {x}):
+                    current = (current - {pick}) | {x}
+            if len(current) > len(best):
+                best = set(current)
+        current = set(best)
+    return best

@@ -520,30 +520,41 @@ def _middle_third(ks: np.ndarray, fracs: np.ndarray, dist: np.ndarray, near: np.
     return np.greater(dist, 1 / 3, out=out)
 
 
-def _can_add(x: int, S: set[int], ordered: list[int], allow_eq: bool) -> bool:
-    """Whether S ∪ {x} stays sum-free, for sum-free S of positive ints not holding x.
+def _conflict(x: int, S: set[int], ordered: list[int], allow_eq: bool) -> tuple[int, ...] | None:
+    """The members of one conflict of x with S, or None when S ∪ {x} stays sum-free.
 
-    `ordered` is S sorted.  Only partners that can close a triple are
-    looked up, in C-level scans: s with x + s <= max(S) for x + s = t, and
-    the smaller member s < x/2 for s + t = x.  Under ALLOW_EQUAL, 2x and
-    x/2 are looked up directly; under DISTINCT_ONLY, x/2 + x/2 = x is no
-    conflict.
+    S is a sum-free set of positive ints not holding x, and `ordered` is S
+    sorted.  A conflict is (s, x+s) for x + s = t, (s, x-s) with s < x/2
+    for s + t = x, or, under ALLOW_EQUAL, (2x,) or (x/2,); under
+    DISTINCT_ONLY, x/2 + x/2 = x is none.  Each kind of pair is scanned
+    over the shorter of two ranges that list the same pairs, in C-level
+    scans: for x + s = t, s in [min S, max S - x] or t in [x + min S, max S];
+    for s + t = x, s below x/2 or t in (x/2, x - min S].
     """
-    if allow_eq and (2 * x in S or (x % 2 == 0 and x // 2 in S)):
-        return False
-    if ordered and not S.isdisjoint(map(x.__add__, islice(ordered, bisect_right(ordered, ordered[-1] - x)))):
-        return False
-    return S.isdisjoint(map(x.__sub__, islice(ordered, bisect_left(ordered, (x + 1) // 2))))
-
-
-def _may_unblock(x: int, pick: int, S: set[int], allow_eq: bool) -> bool:
-    """Whether pick lies in a conflict of x with S, for pick in S.
-
-    Dropping pick can only make x addable when it does: x + pick, x - pick
-    or pick - x in S, or pick = 2x under ALLOW_EQUAL (pick = x/2 gives
-    x - pick = pick).
-    """
-    return x + pick in S or x - pick in S or pick - x in S or (allow_eq and pick == 2 * x)
+    if allow_eq:
+        if 2 * x in S:
+            return (2 * x,)
+        if x % 2 == 0 and x // 2 in S:
+            return (x // 2,)
+    if not ordered:
+        return None
+    low, top, n = ordered[0], ordered[-1], len(ordered)
+    # next(filter(S.__contains__, ...)) is the first partner looked up that is in S
+    end, start = bisect_right(ordered, top - x), bisect_left(ordered, x + low)
+    if end <= n - start:
+        t = next(filter(S.__contains__, map(x.__add__, islice(ordered, end))), None)
+        if t is not None:
+            return (t - x, t)
+    else:
+        s = next(filter(S.__contains__, map(x.__rsub__, islice(ordered, start, None))), None)
+        if s is not None:
+            return (s, x + s)
+    end, start, stop = bisect_left(ordered, (x + 1) // 2), bisect_right(ordered, x // 2), bisect_right(ordered, x - low)
+    if end <= stop - start:
+        t = next(filter(S.__contains__, map(x.__sub__, islice(ordered, end))), None)
+        return None if t is None else (x - t, t)
+    s = next(filter(S.__contains__, map(x.__sub__, islice(ordered, start, stop))), None)
+    return None if s is None else (s, x - s)
 
 
 def _draws(rng: np.random.Generator):
@@ -575,6 +586,51 @@ def _draws(rng: np.random.Generator):
     return draw
 
 
+def _local_search(elems: tuple[int, ...], start: set[int], draw, allow_eq: bool) -> set[int]:
+    """The largest set met by four rounds of 150 add/swap moves from `start`.
+
+    Each move draws x = elems[draw(n)]; a member x is skipped.  x is added
+    when no conflict blocks it.  Otherwise a member pick = sorted(S)[draw(|S|)]
+    is dropped for x when (S - {pick}) ∪ {x} is sum-free.  Each round starts
+    from the best set so far.  `start` must be sum-free, and the result is.
+    """
+    n = len(elems)
+    current = set(start)
+    best = set(start)
+    conflicts: dict[int, tuple[int, ...] | None] = {}  # x -> its last conflict
+    for _ in range(4):
+        ordered = sorted(current)  # current in sorted order, kept in step with it
+        for _ in range(150):
+            x = elems[draw(n)]
+            if x in current:
+                continue
+            w = conflicts.get(x)
+            if w is None or not current.issuperset(w):
+                w = conflicts[x] = _conflict(x, current, ordered, allow_eq)
+            if w is None:
+                current.add(x)
+                insort(ordered, x)
+            else:
+                # plateau 1-swap: trade a random member for x when legal
+                j = draw(len(ordered))
+                pick = ordered[j]
+                if pick not in w:
+                    continue  # w still blocks x without pick
+                current.remove(pick)
+                del ordered[j]
+                w = conflicts[x] = _conflict(x, current, ordered, allow_eq)
+                if w is None:
+                    current.add(x)
+                    insort(ordered, x)
+                else:
+                    current.add(pick)
+                    ordered.insert(j, pick)
+            if len(current) > len(best):
+                best = set(current)
+        current = set(best)
+    return best
+
+
 def heuristic_sum_free(
     A: IntegerSet,
     convention: SumFreeConvention = ALLOW_EQUAL,
@@ -600,6 +656,21 @@ def heuristic_sum_free(
     The search's draws are the values rng.integers(0, m) would give, read
     in bulk through _draws.  The search is the generator's last consumer,
     so the words drawn ahead and never used change nothing returned.
+
+    _local_search tests each drawn x by _conflict, which names the members
+    of one conflict of x with the current set, and keeps that conflict per
+    x.  A conflict is a relation between x and its members alone, so it
+    blocks x as long as every member is in the set.  Adds never remove a
+    member; only a swap or a round's reset does.  So a drawn x whose kept
+    members are all still present is blocked with no scan.  A swap drops
+    a drawn member pick for x; when pick is not in x's conflict, that
+    conflict blocks x without pick too, so the swap is skipped once pick
+    is drawn, and the draws stay as they were.  _conflict scans each kind
+    of pair over the shorter of two ranges that hold the same pairs:
+    x + s = t by s <= max S - x or by t >= x + min S, and s + t = x by
+    s < x/2 or by t in (x/2, x - min S].  On a composition, sums never
+    cross copies, so for x in an upper copy the upper ranges hold only
+    members of that copy, where the lower ones hold every lower copy.
     """
     A.require_positive("heuristic_sum_free")
     if len(A) == 0:
@@ -642,38 +713,7 @@ def heuristic_sum_free(
     if len(best_set) < floor:  # the sampled dilations missed and the sweep is too large
         raise ValueError(f"heuristic_sum_free: best candidate {len(best_set)} < floor {floor}")
 
-    # Local search: random add moves, falling back to 1-swaps.
-    # `ordered` is `current` in sorted order, kept in step with it.
-    current = set(best_set)
-    best = set(best_set)
-    draw = _draws(rng)
-    for _ in range(4):
-        ordered = sorted(current)
-        for _ in range(150):
-            x = elems[draw(n)]
-            if x in current:
-                continue
-            if _can_add(x, current, ordered, allow_eq):
-                current.add(x)
-                insort(ordered, x)
-            elif current:
-                # plateau 1-swap: trade a random member for x when legal
-                j = draw(len(ordered))
-                pick = ordered[j]
-                if not _may_unblock(x, pick, current, allow_eq):
-                    continue  # x stays blocked without pick
-                current.remove(pick)
-                del ordered[j]
-                if _can_add(x, current, ordered, allow_eq):
-                    current.add(x)
-                    insort(ordered, x)
-                else:
-                    current.add(pick)
-                    ordered.insert(j, pick)
-            if len(current) > len(best):
-                best = set(current)
-        current = set(best)
-
+    best = _local_search(elems, best_set, _draws(rng), allow_eq)
     witness = IntegerSet.from_iterable(best)
     return SolveReport(
         input_size=n,

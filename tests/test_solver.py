@@ -13,9 +13,8 @@ from sumfree.reference import exhaustive_max_sum_free
 from sumfree.solver import (
     ALLOW_EQUAL,
     DISTINCT_ONLY,
-    _can_add,
+    _conflict,
     _draws,
-    _may_unblock,
     catalog,
     compose,
     compose_iterate,
@@ -201,6 +200,14 @@ class TestBlockMemory:
         assert _traced_peak(solver._sampled_dilation, elems, ks) <= 17 * solver._BLOCK + 64 * len(elems)
 
 
+def _greedy_sum_free(elems, conv):
+    S: set[int] = set()
+    for v in elems:
+        if is_sum_free(IntegerSet.from_iterable(S | {v}), conv):
+            S.add(v)
+    return S
+
+
 class TestCanAdd:
     @pytest.mark.parametrize("conv", [ALLOW_EQUAL, DISTINCT_ONLY], ids=lambda c: c.value)
     def test_matches_is_sum_free(self, conv):
@@ -209,18 +216,30 @@ class TestCanAdd:
         # x = 6 has x/2 in the first two fixed sets, with a second pair 1 + 5
         # in one; x = 8 > max(S) has x/2 in {1, 4}; x = 10 and x = 3 have the
         # one member as x/2 and as 2x; every x up to 2 max(S) + 1 is tried
-        sets = [{3, 10}, {1, 3, 5}, {1, 4}, {5}, {6}, set()]
+        cases = [(S, range(1, 2 * max(S, default=0) + 2)) for S in [{3, 10}, {1, 3, 5}, {1, 4}, {5}, {6}, set()]]
         for _ in range(60):
-            S: set[int] = set()
-            for v in rng.permutation(int(rng.integers(8, 60))).tolist()[: int(rng.integers(1, 30))]:
-                if is_sum_free(IntegerSet.from_iterable(S | {v + 1}), conv):
-                    S.add(v + 1)
-            sets.append(S)
-        for S in sets:
+            S = _greedy_sum_free((rng.permutation(int(rng.integers(8, 60))) + 1).tolist()[: int(rng.integers(1, 30))], conv)
+            cases.append((S, range(1, 2 * max(S) + 2)))
+        # Compositions, where the upper ranges are the shorter for x in an
+        # upper copy, and sets scaled past 2^63; x runs over the set and the
+        # sums, differences, doubles and halves of the members.
+        for scale, copies in [(1, 3)] * 8 + [(2**63 + 1, 1)] * 4 + [(2**64 - 1, 2)] * 2:
+            part = IntegerSet(tuple(sorted(int(v) + 1 for v in rng.choice(24, size=int(rng.integers(3, 9)), replace=False))))
+            A = [scale * v for v in compose_iterate(part, copies).elements]
+            S = _greedy_sum_free(rng.permutation(A).tolist(), conv)
+            xs = {*A, *(s + t for s in S for t in S), *(t - s for s in S for t in S if t > s), *(s // 2 for s in S if s > 1)}
+            cases.append((S, sorted(xs)))
+        for S, xs in cases:
             ordered = sorted(S)
-            for x in range(1, 2 * max(S, default=0) + 2):
-                if x not in S:
-                    assert _can_add(x, S, ordered, allow_eq) == is_sum_free(IntegerSet.from_iterable(S | {x}), conv)
+            for x in xs:
+                if x in S:
+                    continue
+                w = _conflict(x, S, ordered, allow_eq)
+                if is_sum_free(IntegerSet.from_iterable(S | {x}), conv):
+                    assert w is None, (S, x)
+                else:  # w names members of S that close a forbidden triple with x
+                    assert w is not None and set(w) <= S, (S, x, w)
+                    assert not is_sum_free(IntegerSet.from_iterable({*w, x}), conv), (S, x, w)
 
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(
@@ -230,49 +249,57 @@ class TestCanAdd:
         st.integers(0, 11),
     )
     def test_swap_precheck_misses_no_unblocking_pick(self, conv, draws, x, j):
-        # when the precheck says no, dropping pick leaves x blocked
-        allow_eq = conv is ALLOW_EQUAL
-        S: set[int] = set()
-        for v in draws:
-            if is_sum_free(IntegerSet.from_iterable(S | {v}), conv):
-                S.add(v)
-        assume(S and x not in S and not _can_add(x, S, sorted(S), allow_eq))
+        # a pick outside x's conflict leaves x blocked once it is dropped
+        S = _greedy_sum_free(draws, conv)
+        w = _conflict(x, S, sorted(S), conv is ALLOW_EQUAL) if x not in S else None
+        assume(w is not None)
         pick = sorted(S)[j % len(S)]
-        if not _may_unblock(x, pick, S, allow_eq):
+        if pick not in w:
             assert not is_sum_free(IntegerSet.from_iterable((S - {pick}) | {x}), conv)
 
 
 class TestHeuristic:
-    # (n, max element, convention, optimum, sha256 of the witness tuple's repr).
-    # A 400-subset of [1, 4000] takes the exact sweep, but the local search
-    # reaches the same witness without it.  A 100-subset of [1, 19000]
-    # (1 954 030 events) takes it too: the sweep's 56 elements tie the best
-    # interval in another set, from which the search reaches another
-    # witness of 92, so this row changes when the sweep does not run.  A
-    # 500-subset of [1, 10^4] (5 069 458 events, within the sweep's limit),
-    # a 1000-subset
-    # of [1, 10^5] and a 3000-subset of [1, 3*10^5] take the sampled
-    # dilations, whose best reaches the floor, so no sweep runs (the sweep
-    # would give the 500-subset 263 under both conventions).  All make
-    # hundreds of plateau-swap attempts, so these pin the order of the
-    # local search's draws.
+    # (n, max element, convention, optimum, sha256 of the witness tuple's
+    # repr, copies): the set is compose_iterate of a random n-subset of
+    # [1, max element].  A 400-subset of [1, 4000] takes the exact sweep,
+    # but the local search reaches the same witness without it.  A
+    # 100-subset of [1, 19000] (1 954 030 events) takes it too: the sweep's
+    # 56 elements tie the best interval in another set, from which the
+    # search reaches another witness of 92, so this row changes when the
+    # sweep does not run.  A 500-subset of [1, 10^4] (5 069 458 events,
+    # within the sweep's limit), a 1000-subset of [1, 10^5] and a
+    # 3000-subset of [1, 3*10^5] take the sampled dilations, whose best
+    # reaches the floor, so no sweep runs (the sweep would give the
+    # 500-subset 263 under both conventions).  So does a 200-subset of
+    # [1, 3000] in 4 copies (800 elements up to 6.3e14, the large corpus's
+    # compose200_3000x4 shape), whose search scans the upper ranges for x
+    # in an upper copy.  All make hundreds of plateau-swap attempts, so
+    # these pin the order of the local search's draws.
     FROZEN = [
-        (400, 4000, ALLOW_EQUAL, 209, "e3ae82c68c48ee2f50dfc4bcae13467ff4aea9641a12c8ee189d32832a14a04d"),
-        (400, 4000, DISTINCT_ONLY, 209, "e3ae82c68c48ee2f50dfc4bcae13467ff4aea9641a12c8ee189d32832a14a04d"),
-        (100, 19000, ALLOW_EQUAL, 92, "a9e67bea0923e5f3968b15a6d039ca2918671c671e7425dc65b37f431630f514"),
-        (100, 19000, DISTINCT_ONLY, 92, "a9e67bea0923e5f3968b15a6d039ca2918671c671e7425dc65b37f431630f514"),
-        (500, 10**4, ALLOW_EQUAL, 262, "fb1488212d8a6bf1464e513550d5b48e1417e0579736ff611ae5ea667bb758f0"),
-        (500, 10**4, DISTINCT_ONLY, 263, "9e0e000fb19fd9032c81b3be5b659f86a68c8379cf41e33c8dd09285ee238a1f"),
-        (1000, 10**5, ALLOW_EQUAL, 518, "937038988a3b2c4babbab08e803c5113895793ce34427e6eba1700278bef82fb"),
-        (1000, 10**5, DISTINCT_ONLY, 520, "5e5b66bde3c2e35a4e0207792d3e3729b1792184edd5c6d8b3c230933c41f76f"),
-        (3000, 3 * 10**5, ALLOW_EQUAL, 1510, "30c573dff7778620e305285e7751ff81600cd5f0e9f2679175a37b0257dd434d"),
-        (3000, 3 * 10**5, DISTINCT_ONLY, 1510, "30c573dff7778620e305285e7751ff81600cd5f0e9f2679175a37b0257dd434d"),
+        (400, 4000, ALLOW_EQUAL, 209, "e3ae82c68c48ee2f50dfc4bcae13467ff4aea9641a12c8ee189d32832a14a04d", 1),
+        (400, 4000, DISTINCT_ONLY, 209, "e3ae82c68c48ee2f50dfc4bcae13467ff4aea9641a12c8ee189d32832a14a04d", 1),
+        (100, 19000, ALLOW_EQUAL, 92, "a9e67bea0923e5f3968b15a6d039ca2918671c671e7425dc65b37f431630f514", 1),
+        (100, 19000, DISTINCT_ONLY, 92, "a9e67bea0923e5f3968b15a6d039ca2918671c671e7425dc65b37f431630f514", 1),
+        (500, 10**4, ALLOW_EQUAL, 262, "fb1488212d8a6bf1464e513550d5b48e1417e0579736ff611ae5ea667bb758f0", 1),
+        (500, 10**4, DISTINCT_ONLY, 263, "9e0e000fb19fd9032c81b3be5b659f86a68c8379cf41e33c8dd09285ee238a1f", 1),
+        (1000, 10**5, ALLOW_EQUAL, 518, "937038988a3b2c4babbab08e803c5113895793ce34427e6eba1700278bef82fb", 1),
+        (1000, 10**5, DISTINCT_ONLY, 520, "5e5b66bde3c2e35a4e0207792d3e3729b1792184edd5c6d8b3c230933c41f76f", 1),
+        (3000, 3 * 10**5, ALLOW_EQUAL, 1510, "30c573dff7778620e305285e7751ff81600cd5f0e9f2679175a37b0257dd434d", 1),
+        (3000, 3 * 10**5, DISTINCT_ONLY, 1510, "30c573dff7778620e305285e7751ff81600cd5f0e9f2679175a37b0257dd434d", 1),
+        (200, 3000, ALLOW_EQUAL, 372, "7cffa16472f370ea4e31c4efdfe3d6c74dafdb4162710322c7203038061704e9", 4),
+        (200, 3000, DISTINCT_ONLY, 372, "7cffa16472f370ea4e31c4efdfe3d6c74dafdb4162710322c7203038061704e9", 4),
     ]
 
-    @pytest.mark.parametrize("n, top, conv, optimum, digest", FROZEN)
-    def test_frozen_witness(self, n, top, conv, optimum, digest):
+    # ids: the row's values, with the copies only when there are several
+    @pytest.mark.parametrize(
+        "n, top, conv, optimum, digest, copies",
+        FROZEN,
+        ids=["-".join(map(str, row[:5])) + (f"-x{row[5]}" if row[5] > 1 else "") for row in FROZEN],
+    )
+    def test_frozen_witness(self, n, top, conv, optimum, digest, copies):
         rng = rng_from_seed(2024, "frozen-witness")
         A = IntegerSet(tuple(sorted(int(x) for x in rng.choice(top, size=n, replace=False) + 1)))
+        A = compose_iterate(A, copies)
         rep = heuristic_sum_free(A, conv, seed=5)
         assert rep.optimum == optimum
         assert hashlib.sha256(repr(rep.witness.elements).encode()).hexdigest() == digest
