@@ -166,6 +166,38 @@ def _check_local_search_vs_oracle(rng):
             assert fast == slow, f"{A.elements} allow_eq={allow_eq} seed {seed}: {sorted(fast)} != oracle {sorted(slow)}"
 
 
+def _check_packing_vs_oracle(rng):
+    # The branch and bound's greedy packing against the oracle written from
+    # the values, at every node of one unpruned suffix search, for every need
+    # from 1 to free/2.  Each node's opened masks and active set are rebuilt
+    # from the tables and its chosen set.  Dense sets hold many triples and
+    # pairs, and compositions hold them within each copy only.
+    sets = [_random_subset(rng, 2 * n, n) for n in rng.integers(8, 14, size=6).tolist()]
+    sets += [solver.compose_iterate(_random_set(rng, 5, 12), 3) for _ in range(3)]
+    for A in sets:
+        vals, n, i = A.elements, len(A), int(rng.integers(0, 3))
+        suffix = ((1 << n) - 1) >> i << i
+        for allow_eq in (True, False):
+            double, opens, reach, triples, grouped = solver._conflict_tables(vals, allow_eq)
+            stack = [(0, suffix)]
+            while stack:
+                chosen, allowed = stack.pop()
+                opened, active = list(double), grouped
+                for c in range(n):
+                    if (chosen >> c) & 1:
+                        for d, bit in opens[c]:
+                            opened[d] |= bit
+                        active |= reach[c]
+                packed = len(reference.greedy_packing(vals, chosen, allowed, allow_eq))
+                for need in range(1, allowed.bit_count() // 2 + 1):
+                    got = solver._packs(allowed, need, opened, active, triples)
+                    assert got == (packed >= need), f"{vals} allow_eq={allow_eq} chosen {chosen:#x} allowed {allowed:#x}: need {need}, oracle packs {packed}"
+                if allowed:
+                    low = allowed & -allowed
+                    rest = allowed ^ low
+                    stack += [(chosen, rest), (chosen | low, rest & ~opened[low.bit_length() - 1])]
+
+
 def _check_catalog(rng):
     del rng
     for entry in solver.catalog():
@@ -857,6 +889,7 @@ SUITES: dict[str, list[tuple[str, object]]] = {
         ("heuristic_bounds", _check_heuristic_bounds),
         ("sampled_dilations_exact", _check_sampled_dilations_exact),
         ("local_search_vs_oracle", _check_local_search_vs_oracle),
+        ("packing_vs_oracle", _check_packing_vs_oracle),
         ("catalog_verifies", _check_catalog),
         ("sum_free_paths_agree", _check_sum_free_paths_agree),
     ],

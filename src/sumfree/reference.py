@@ -13,8 +13,10 @@ dilation sweep with a Fraction scan of every interval between
 breakpoints, the torus ball scan with a generator that yields one
 vector at a time, summed by a plain loop, the test-function evaluation
 with one exponential per term, Lev's bitmask cover with Python sets of
-sums, and the heuristic's local search, whose kept conflicts and
-skipped swaps are replaced by an is_sum_free test of every move.  They are written
+sums, the heuristic's local search, whose kept conflicts and
+skipped swaps are replaced by an is_sum_free test of every move, and the
+branch and bound's greedy packing, whose per-node bitmasks are replaced
+by a scan of the element values.  They are written
 from the definitions and are meant for small inputs only.  They share no
 logic with the code they check, with two exceptions: u2_norm_direct
 divides by spectral._interval_group_norm, the closed-form norm of
@@ -379,3 +381,38 @@ def local_search(elems: tuple[int, ...], start: set[int], draw, allow_eq: bool) 
                 best = set(current)
         current = set(best)
     return best
+
+
+def greedy_packing(vals: tuple[int, ...], chosen: int, allowed: int, allow_eq: bool) -> list[tuple[int, ...]]:
+    """The branch and bound's greedy packing of disjoint conflicts inside `allowed`.
+
+    chosen and allowed are disjoint index bitmasks into the sorted `vals`.
+    The indices a in allowed are taken in increasing order, and each not
+    yet in a group starts one: the pair {a, b} with vals[d] + vals[a] =
+    vals[b] for the least d < a in chosen, or d = a under ALLOW_EQUAL, whose
+    b is still free; else the triple {a, d, b} with vals[a] + vals[d] =
+    vals[b] for the least d > a with d and b both free.  Returns the groups
+    in the order taken, each as its indices.
+    """
+    index_of = {v: i for i, v in enumerate(vals)}
+    n = len(vals)
+    free = {i for i in range(n) if (allowed >> i) & 1}
+    groups: list[tuple[int, ...]] = []
+    for a in range(n):
+        if a not in free:
+            continue
+        free.discard(a)
+        partners = [d for d in range(a) if (chosen >> d) & 1] + ([a] if allow_eq else [])
+        pairs = [index_of.get(vals[a] + vals[d]) for d in partners]
+        b = next((b for b in pairs if b in free), None)
+        if b is not None:
+            free.discard(b)
+            groups.append((a, b))
+            continue
+        for d in range(a + 1, n):
+            b = index_of.get(vals[a] + vals[d])
+            if d in free and b in free:
+                free -= {d, b}
+                groups.append((a, d, b))
+                break
+    return groups

@@ -155,6 +155,18 @@ def max_sum_free_subset(
       The packing is only tried when it could cut (it has at most |R|/2
       groups) and stops as soon as it does.
 
+    A node costs bitmask work only.  Its stack entry carries opened[a] for
+    each element a: the bits b with vals[c] + vals[a] = vals[b] for a
+    chosen c, or c = a under ALLOW_EQUAL.  Including x blocks opened[x],
+    with no scan of sums.  The packing takes a's pair as the lowest bit of
+    opened[a] among the free elements.  That is the pair of least c, which
+    a scan in c order takes first, as b grows with c.  And the packing
+    visits only the elements with a triple or a pair of their own.  No
+    group is missed, since a group's members all sit at or after its
+    lowest index, so an element with no group of its own neither starts
+    a group nor blocks one.  So the nodes, the cuts and the witness are
+    those of the list scan that `reference.greedy_packing` keeps.
+
     Both bounds are valid, so no cut subtree holds a leaf that reaches the
     target, and each search returns the first such leaf in search order.
     So the search over the whole set that reaches doll[0] returns the first
@@ -217,27 +229,37 @@ def max_sum_free_subset(
 
 
 def _conflict_tables(vals: tuple[int, ...], allow_eq: bool):
-    """Index bitmasks of the forbidden triples, bucketed by lowest index.
+    """Index bitmasks of the conflicts, bucketed by lowest index.
 
-    For each vals[a] + vals[d] = vals[b]: when d < a, or d = a under
-    ALLOW_EQUAL, sums[a] holds (bit d, bit b) -- including a blocks b once
-    d is chosen, and {a, b} is then a conflicting pair; when d > a,
-    triples[a] holds bit d | bit b.
+    For each vals[a] + vals[d] = vals[b] with a <= d (so d < b, as the
+    elements are positive and sorted):
+    - d = a, under ALLOW_EQUAL: double[a] = bit b, the pair {a, b};
+    - d > a: opens[a] holds (d, bit b), as choosing a makes {d, b} a
+      conflicting pair, and triples[a] holds bit d | bit b.
+    Each list runs in increasing d, so in increasing b.  For a fixed a,
+    the pairs {a, b} come from partners c <= a, chosen or a itself, and b
+    grows with c, so double[a] lies above every b a chosen c opens for a.
+    `grouped` has the bit of each a with a triple or a doubling pair, and
+    reach[a] the bit of each d that opens[a] names.
     """
     index_of = {v: i for i, v in enumerate(vals)}
     n = len(vals)
-    sums: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    double = [0] * n
+    opens: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     triples: list[list[int]] = [[] for _ in range(n)]
     for a in range(n):
-        for d in range(n):
+        for d in range(a, n):
             b = index_of.get(vals[a] + vals[d])
-            if b is None or (d == a and not allow_eq):
+            if b is None:
                 continue
-            if d <= a:
-                sums[a].append((1 << d, 1 << b))
-            else:
+            if d > a:
+                opens[a].append((d, 1 << b))
                 triples[a].append((1 << d) | (1 << b))
-    return sums, triples
+            elif allow_eq:
+                double[a] = 1 << b
+    grouped = sum(1 << a for a in range(n) if double[a] or triples[a])
+    reach = [sum(1 << d for d, _ in row) for row in opens]
+    return double, opens, reach, triples, grouped
 
 
 def _first_leaf(allowed, target, doll, tables, nodes, budget):
@@ -245,11 +267,22 @@ def _first_leaf(allowed, target, doll, tables, nodes, budget):
 
     Returns (leaf mask or None, node count); the count goes on from `nodes`
     and the search gives up, with no leaf, once it passes `budget`.
+
+    Each stack entry carries, beside the chosen and allowed masks, a list
+    `opened` of one bitmask per element and a mask `active`.  opened[a]
+    holds the bits b that close a pair with a: double[a], and each b with
+    vals[c] + vals[a] = vals[b] for a chosen c.  The search takes the lowest allowed index
+    first, so every chosen c lies below every allowed a.  Including pos
+    therefore blocks exactly opened[pos], and no list of sums is scanned.
+    The include child copies the list and ORs in opens[pos]; the exclude
+    child shares it, as no entry is changed once pushed.  `active` has the
+    bit of each element with a triple or a pair of its own: `grouped`,
+    plus reach[c] for each chosen c.
     """
-    sums, triples = tables
-    stack = [(0, allowed)]
+    double, opens, reach, triples, grouped = tables
+    stack = [(0, allowed, double, grouped)]
     while stack:
-        chosen, allowed = stack.pop()
+        chosen, allowed, opened, active = stack.pop()
         nodes += 1
         if budget is not None and nodes > budget:
             return None, nodes
@@ -261,51 +294,58 @@ def _first_leaf(allowed, target, doll, tables, nodes, budget):
         low = allowed & -allowed
         pos = low.bit_length() - 1
         free = allowed.bit_count()
-        if size + min(free, doll[pos]) < target:
+        if size + free < target or size + doll[pos] < target:
             continue
         need = size + free - target + 1  # disjoint conflicts that would cut
-        if 2 * need <= free and _packs(allowed, chosen, need, sums, triples):
+        if 2 * need <= free and _packs(allowed, need, opened, active, triples):
             continue
         rest = allowed ^ low
-        stack.append((chosen, rest))  # exclude branch, explored second
-        chosen |= low
-        blocked = 0
-        for c, s in sums[pos]:
-            if c & chosen:
-                blocked |= s
-        stack.append((chosen, rest & ~blocked))
+        stack.append((chosen, rest, opened, active))  # exclude branch, explored second
+        grown = opened.copy()
+        for d, bit in opens[pos]:
+            grown[d] |= bit
+        stack.append((chosen | low, rest & ~opened[pos], grown, active | reach[pos]))
     return None, nodes
 
 
-def _packs(allowed: int, chosen: int, need: int, sums, triples) -> bool:
+def _packs(allowed: int, need: int, opened: list[int], active: int, triples) -> bool:
     """Whether a greedy packing finds `need` disjoint conflicts inside `allowed`.
 
     Lowest indices a are taken in increasing order, each with its first
-    pair {a, b}, else its first triple, that still fits.  Every conflict
-    holding a has its lowest index at or below a, so a is done once passed.
+    pair {a, b}, else its first triple, that still fits: the packing that
+    `reference.greedy_packing` writes out from the values.  A pair {a, b}
+    comes from vals[d] + vals[a] = vals[b] with d chosen or d = a.  For a
+    fixed a, vals[b] = vals[a] + vals[d] grows with d, so b does, and the
+    first free pair in d order is the lowest bit of opened[a] & free.
+    Only the elements in `active` are visited.  Every member of a group
+    sits at or after the group's lowest index, so an element a with no
+    triple and no pair starts no group, and no later group holds it:
+    passing over a changes nothing that the walk takes after it.
     """
+    walk = allowed & active
+    if walk.bit_count() < need:  # each group starts at an element of walk
+        return False
     free = allowed
     groups = 0
-    while free:
-        low = free & -free
-        free ^= low
+    while walk:
+        low = walk & -walk
+        walk ^= low
         a = low.bit_length() - 1
-        context = chosen | low
-        take = 0
-        for d, b in sums[a]:
-            if d & context and b & free:
-                take = b
-                break
+        take = opened[a] & free
+        if take:
+            take &= -take
         else:
             for t in triples[a]:
                 if t & free == t:
                     take = t
                     break
-        if take:
-            free ^= take
-            groups += 1
-            if groups >= need:
-                return True
+            else:
+                continue
+        free ^= take
+        walk &= free
+        groups += 1
+        if groups >= need:
+            return True
     return False
 
 
@@ -593,13 +633,22 @@ def _local_search(elems: tuple[int, ...], start: set[int], draw, allow_eq: bool)
     when no conflict blocks it.  Otherwise a member pick = sorted(S)[draw(|S|)]
     is dropped for x when (S - {pick}) ∪ {x} is sum-free.  Each round starts
     from the best set so far.  `start` must be sum-free, and the result is.
+
+    An add grows the set and a swap keeps its size, so every add sets a
+    record, and the best set so far is the set as it was right after the
+    last add.  It is copied only when a swap first leaves it: `best` is None
+    while the current set is the best, and a round that ends with no swap
+    since its last add needs no reset and no sort.
     """
     n = len(elems)
     current = set(start)
-    best = set(start)
+    ordered = sorted(current)  # current in sorted order, kept in step with it
+    best: set[int] | None = None  # the best set so far, once a swap has left it
     conflicts: dict[int, tuple[int, ...] | None] = {}  # x -> its last conflict
     for _ in range(4):
-        ordered = sorted(current)  # current in sorted order, kept in step with it
+        if best is not None:
+            current, best = best, None
+            ordered = sorted(current)
         for _ in range(150):
             x = elems[draw(n)]
             if x in current:
@@ -610,6 +659,7 @@ def _local_search(elems: tuple[int, ...], start: set[int], draw, allow_eq: bool)
             if w is None:
                 current.add(x)
                 insort(ordered, x)
+                best = None
             else:
                 # plateau 1-swap: trade a random member for x when legal
                 j = draw(len(ordered))
@@ -620,15 +670,14 @@ def _local_search(elems: tuple[int, ...], start: set[int], draw, allow_eq: bool)
                 del ordered[j]
                 w = conflicts[x] = _conflict(x, current, ordered, allow_eq)
                 if w is None:
+                    if best is None:
+                        best = current | {pick}  # the set before this swap
                     current.add(x)
                     insort(ordered, x)
                 else:
                     current.add(pick)
                     ordered.insert(j, pick)
-            if len(current) > len(best):
-                best = set(current)
-        current = set(best)
-    return best
+    return current if best is None else best
 
 
 def heuristic_sum_free(

@@ -91,6 +91,45 @@ class TestExactSolver:
             max_sum_free_subset(A, conv)
             assert len(set(searches)) == len(searches), A.elements
 
+    # (kind, n, convention, budget, optimum, nodes_explored, exact, witness).
+    # "dense" is a seeded n-subset of [1, 4n]; "random" is 5 copies of one
+    # (compose_iterate); a catalog name is n copies of that set.  The
+    # 5-copy row takes the exact corpus's node budget, which it does not
+    # reach; the 48-subset runs out of a smaller one, so its witness is the
+    # best leaf found by then.  Any change to the packing bound or to the
+    # order of the search moves nodes_explored.
+    FROZEN = [
+        ("dense", 24, ALLOW_EQUAL, None, 18, 219, True, (1, 3, 13, 15, 17, 23, 29, 31, 47, 59, 67, 69, 71, 73, 77, 87, 89, 95)),
+        ("dense", 24, DISTINCT_ONLY, None, 18, 221, True, (1, 3, 13, 15, 17, 23, 29, 31, 47, 59, 67, 69, 71, 73, 77, 87, 89, 95)),
+        ("dense", 30, ALLOW_EQUAL, None, 18, 458, True, (6, 7, 33, 37, 46, 57, 58, 61, 73, 77, 85, 87, 97, 99, 100, 108, 112, 117)),
+        ("dense", 30, DISTINCT_ONLY, None, 18, 640, True, (6, 7, 26, 30, 42, 46, 57, 58, 60, 61, 73, 75, 77, 85, 97, 108, 110, 112)),
+        ("dense", 36, ALLOW_EQUAL, None, 21, 1617, True, (2, 5, 8, 17, 20, 26, 38, 39, 45, 51, 54, 67, 73, 79, 82, 100, 101, 113, 125, 129, 144)),
+        ("dense", 36, DISTINCT_ONLY, None, 22, 1161, True, (2, 5, 8, 16, 17, 20, 26, 38, 39, 45, 49, 67, 73, 79, 82, 100, 101, 113, 125, 134, 137, 144)),
+        ("klarner", 3, ALLOW_EQUAL, None, 9, 150, True, (2, 3, 8, 42, 63, 168, 842, 1263, 3368)),
+        ("klarner", 3, DISTINCT_ONLY, None, 12, 202, True, (2, 3, 4, 8, 42, 63, 84, 168, 842, 1263, 1684, 3368)),
+        ("malouf", 3, ALLOW_EQUAL, None, 12, 291, True, (1, 3, 5, 9, 37, 111, 185, 333, 1333, 3999, 6665, 11997)),
+        ("malouf", 3, DISTINCT_ONLY, None, 18, 876, True, (2, 3, 4, 8, 9, 18, 74, 111, 148, 296, 333, 666, 2666, 3999, 5332, 10664, 11997, 23994)),
+        ("random", 8, ALLOW_EQUAL, 100_000, 25, 519, True, (4, 5, 11, 18, 19, 244, 305, 671, 1098, 1159, 14644, 18305, 40271, 65898, 69559, 878644, 1098305, 2416271, 3953898, 4173559, 52718644, 65898305, 144976271, 237233898, 250413559)),
+        ("random", 8, DISTINCT_ONLY, 100_000, 30, 666, True, (5, 9, 11, 18, 19, 22, 305, 549, 671, 1098, 1159, 1342, 18305, 32949, 40271, 65898, 69559, 80542, 1098305, 1976949, 2416271, 3953898, 4173559, 4832542, 65898305, 118616949, 144976271, 237233898, 250413559, 289952542)),
+        ("dense", 48, ALLOW_EQUAL, 5_000, 27, 5001, False, (82, 89, 91, 102, 104, 105, 107, 112, 115, 119, 124, 134, 135, 142, 146, 147, 148, 150, 156, 160, 166, 172, 174, 177, 181, 183, 185)),
+        ("dense", 48, DISTINCT_ONLY, 5_000, 27, 5001, False, (82, 89, 91, 102, 104, 105, 107, 112, 115, 119, 124, 134, 135, 142, 146, 147, 148, 150, 156, 160, 166, 172, 174, 177, 181, 183, 185)),
+    ]
+
+    @pytest.mark.parametrize(
+        "kind, n, conv, budget, optimum, nodes, exact, witness",
+        FROZEN,
+        ids=[f"{row[0]}{row[1]}-{row[2].value}" for row in FROZEN],
+    )
+    def test_frozen_nodes(self, kind, n, conv, budget, optimum, nodes, exact, witness):
+        if kind in ("klarner", "malouf"):
+            A = compose_iterate(next(e.elements for e in catalog() if e.name == kind), n)
+        else:
+            rng = rng_from_seed(2024, "frozen-nodes", kind, n)
+            A = IntegerSet(tuple(sorted(int(x) for x in rng.choice(4 * n, size=n, replace=False) + 1)))
+            A = A if kind == "dense" else compose_iterate(A, 5)
+        rep = max_sum_free_subset(A, conv, budget=budget)
+        assert (rep.optimum, rep.nodes_explored, rep.exact, rep.witness.elements) == (optimum, nodes, exact, witness)
+
     def test_empty_set(self):
         rep = max_sum_free_subset(IntegerSet(()))
         assert rep.optimum == 0 and rep.witness.elements == ()
