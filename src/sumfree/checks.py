@@ -98,17 +98,22 @@ def _check_compose_additivity(rng):
 
 
 def _check_heuristic_bounds(rng):
-    # The sweep runs once within 2·10^6 events (_SWEEP_EVENT_CAP, pinned here)
-    # and on multiples of 99991, which every sample misses.  On the other
-    # draws past the cap, all 192 samples miss the floor with odds near 10^-24.
+    # The sweep runs once within 2·10^6 events (_SWEEP_EVENT_CAP, pinned
+    # here) and never past them.  Multiples of 99991, which every sample
+    # misses, take the intervals, and multiples of 2520·99991, which every
+    # residue class misses too, the prime candidate when they miss the floor:
+    # 99991·{1..12} and 2520·99991·{2^0..2^11} among them.
     from unittest.mock import patch  # here, as it imports asyncio: 6 MB every CLI start would pay
     sets = [_random_set(rng, s, e) for s, e in [(14, 60)] * 10 + [(20, 400)] * 15 + [(20, 10**6)] * 15]
     sets += [IntegerSet.from_iterable(99_991 * (rng.choice(10, size=5, replace=False) + 1)) for _ in range(2)]
+    sets += [IntegerSet.from_iterable(2520 * 99_991 * (rng.choice(40, size=8, replace=False) + 1)) for _ in range(3)]
+    sets += [IntegerSet(tuple(99_991 * k for k in range(1, 13)))]
+    sets += [IntegerSet(tuple(2520 * 99_991 * 2**i for i in range(12)))]
     for A in sets:
         seed = int(rng.integers(0, 2**32))
         with patch.object(solver, "dilation_sweep", wraps=solver.dilation_sweep) as sweep:
             heur = solver.heuristic_sum_free(A, seed=seed)
-        want = 2 * sum(A.elements) <= 2 * 10**6 or A.elements[0] % 99_991 == 0
+        want = 2 * sum(A.elements) <= 2 * 10**6
         assert sweep.call_count == want, f"{A.elements}: the heuristic ran the sweep {sweep.call_count} times"
         again = solver.heuristic_sum_free(A, seed=seed)
         assert heur.witness == again.witness, "heuristic not reproducible"
@@ -121,29 +126,76 @@ def _check_heuristic_bounds(rng):
 
 
 def _check_sampled_dilations_exact(rng):
-    # The heuristic's float64 middle-third test against k x mod q on Python
-    # ints: drawn k and x, the k that put k x mod q next to q/3 and 2q/3 for
-    # residues 1 and q - 1, and elements past 2^63, whose residues are taken
-    # on Python ints.  Then the sampled candidate, for each k alone and for
-    # all of them, whose winner is the first k with the most hits.
-    q = solver._SAMPLE_MODULUS
-    edges = [q // 3, q // 3 + 1, 2 * q // 3, 2 * q // 3 + 1]
-    ks = [int(k) for k in rng.integers(1, q, size=40)] + [1, q - 1] + edges + [q - k for k in edges]
-    elems = [int(x) for x in rng.integers(1, 10**12, size=60)]
-    elems += [m * q + r for m in (0, 1, int(rng.integers(2, 10**9))) for r in (1, 2, q - 2, q - 1)]
-    elems += [2**63 + int(x) for x in rng.integers(0, 2**62, size=20)] + [q * 2**70, 3**90 + 1]
-    elems = sorted(set(elems))
-    want = [[q < 3 * (k * x % q) < 2 * q for x in elems] for k in ks]
-    fracs = np.array([x % q for x in elems], dtype=np.float64) / q
-    shape = (len(ks), len(elems))
-    buffers = np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
-    got = solver._middle_third(np.array(ks, dtype=np.float64), fracs, *buffers)
-    assert got.tolist() == want, "the float64 middle-third test differs from k x mod q"
-    picks = [[x for x, inside in zip(elems, row) if inside] for row in want]
-    for k, pick in zip(ks, picks):
-        assert solver._sampled_dilation(tuple(elems), np.array([k])) == pick, f"dilation {k}/{q} selects otherwise"
-    best = max(picks, key=len)  # the first of the longest
-    assert solver._sampled_dilation(tuple(elems), np.array(ks)) == best, "sampled candidate differs"
+    # The float64 middle-third test against k x mod q on Python ints, for
+    # the sampled modulus and the prime candidate's moduli 2, 5, 11 and 59:
+    # drawn k, and the k that put k x mod q next to q/3 and 2q/3 for
+    # residues 1 and q - 1, or every k for a small q; drawn x, x next to
+    # multiples of q, and elements past 2^63, whose residues are taken on
+    # Python ints.  Then the dilations, for each k alone and for all of
+    # them, whose winner is the first k with the most hits.
+    base = [int(x) for x in rng.integers(1, 10**12, size=60)]
+    base += [2**63 + int(x) for x in rng.integers(0, 2**62, size=20)] + [3**90 + 1]
+    big = int(rng.integers(2, 10**9))
+    for q in (solver._SAMPLE_MODULUS, 2, 5, 11, 59):
+        if q == solver._SAMPLE_MODULUS:
+            edges = [q // 3, q // 3 + 1, 2 * q // 3, 2 * q // 3 + 1]
+            ks = [int(k) for k in rng.integers(1, q, size=40)] + [1, q - 1] + edges + [q - k for k in edges]
+        else:
+            ks = list(range(1, q))
+        near = {m * q + r for m in (0, 1, big) for r in (1, 2, q - 2, q - 1)}
+        elems = sorted({*base, *near, q * 2**70} - {0})
+        want = [[q < 3 * (k * x % q) < 2 * q for x in elems] for k in ks]
+        fracs = np.array([x % q for x in elems], dtype=np.float64) / q
+        shape = (len(ks), len(elems))
+        buffers = np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
+        got = solver._middle_third(np.array(ks, dtype=np.float64), fracs, *buffers)
+        assert got.tolist() == want, f"the float64 middle-third test differs from k x mod {q}"
+        picks = [[x for x, inside in zip(elems, row) if inside] for row in want]
+        for k, pick in zip(ks, picks):
+            assert solver._sampled_dilation(tuple(elems), np.array([k]), q) == pick, f"{k}/{q} selects otherwise"
+        best = max(picks, key=len)  # the first of the longest
+        assert solver._sampled_dilation(tuple(elems), np.array(ks), q) == best, f"dilations mod {q} differ"
+
+
+def _check_prime_floor(rng):
+    # Erdős's prime candidate against a replay by brute force: the first
+    # prime p = 2 (mod 3), by trial division, with z_p·(p+1) < 2n, z_p the
+    # multiples of p, and the first x in 1..p-1 whose dilation x/p selects
+    # the most.  Each built set has every element divisible by the primes
+    # before its p and exactly 2n/(p+1) of them by p, so that
+    # z_p·(p+1) = 2n; drawn sets take multiples of products of 2, 5, 11
+    # and 17, and multiples of 2520·99991, which defeat the heuristic's
+    # other candidates.  The candidate is sum-free and reaches the floor.
+    small = (2, 5, 11, 17)
+    sets = []
+    for i, p in enumerate(small * 3):
+        lower = int(np.prod(small[: i % 4]))  # divides every element
+        m = int(rng.integers(1, 4))
+        n = 3 * m if p == 2 else m * (p + 1) // 2  # so that z = 2n/(p+1) is an integer
+        z = 2 * n // (p + 1)
+        ks = [k for k in rng.choice(10**4, size=4 * n, replace=False).tolist() if k % p]
+        elems = [lower * p * k for k in ks[:z]] + [lower * k for k in ks[z:n]]
+        sets.append(IntegerSet.from_iterable(elems))
+    for _ in range(12):
+        n = int(rng.integers(3, 40))
+        factors = [int(np.prod([p for p in small if rng.random() < 0.5])) for _ in range(n)]
+        ks = rng.choice(10**5, size=n, replace=False) + 1
+        sets.append(IntegerSet.from_iterable(f * k for f, k in zip(factors, ks)))
+    for _ in range(4):
+        ks = rng.choice(10**3, size=int(rng.integers(3, 30)), replace=False) + 1
+        sets.append(IntegerSet.from_iterable(2520 * 99_991 * ks))
+    sets.append(IntegerSet(tuple(2520 * 99_991 * 2**i for i in range(31))))
+    for A in sets:
+        n = len(A)
+        p = next(
+            p for p in range(2, 10**4)
+            if p % 3 == 2 and all(p % d for d in range(2, p)) and sum(a % p == 0 for a in A.elements) * (p + 1) < 2 * n
+        )
+        sizes = [len(solver.dilation_select(A, Fraction(x, p))) for x in range(1, p)]
+        want = solver.dilation_select(A, Fraction(sizes.index(max(sizes)) + 1, p))
+        got = IntegerSet(tuple(solver._prime_dilation(A.elements)))
+        assert got == want, f"{A.elements}: the prime candidate selects {got.elements}, not {want.elements} by x/{p}"
+        assert solver.is_sum_free(got) and len(got) >= solver.one_third_floor(n), f"{A.elements}: {got.elements}"
 
 
 def _check_local_search_vs_oracle(rng):
@@ -888,6 +940,7 @@ SUITES: dict[str, list[tuple[str, object]]] = {
         ("compose_additivity", _check_compose_additivity),
         ("heuristic_bounds", _check_heuristic_bounds),
         ("sampled_dilations_exact", _check_sampled_dilations_exact),
+        ("prime_floor", _check_prime_floor),
         ("local_search_vs_oracle", _check_local_search_vs_oracle),
         ("packing_vs_oracle", _check_packing_vs_oracle),
         ("catalog_verifies", _check_catalog),

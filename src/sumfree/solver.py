@@ -15,7 +15,8 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import compress, islice, repeat
+from itertools import compress, count, islice, repeat
+from math import isqrt
 from operator import sub
 
 import numpy as np
@@ -46,6 +47,8 @@ SWEEP_EVENT_LIMIT = 40_000_000
 _SWEEP_EVENT_CAP = 2_000_000
 # prime modulus of the heuristic's sampled dilations theta = k/q
 _SAMPLE_MODULUS = 99_991
+# residues and scanned dilations of the heuristic's prime candidate
+PRIME_DILATION_LIMIT = 1 << 17
 
 
 def one_third_floor(n: int) -> int:
@@ -515,18 +518,19 @@ def _sum_free_residue_masks(q: int) -> np.ndarray:
     return rows
 
 
-def _sampled_dilation(elems: tuple[int, ...], ks: np.ndarray) -> list[int]:
-    """What the first k in ks with the most hits selects: {x : q < 3 (k x mod q) < 2q}, q = _SAMPLE_MODULUS.
+def _sampled_dilation(elems: tuple[int, ...], ks: np.ndarray, q: int) -> list[int]:
+    """What the first k in ks with the most hits selects: {x : q < 3 (k x mod q) < 2q}.
 
-    `ks` holds integers 1 <= k < q.  The elements are reduced mod q on
-    Python ints, so any size is fine, and _middle_third tests them.  The
-    ks go in blocks of rows through three row buffers of at most _BLOCK
-    entries, allocated once: two of float64 and one of bool, 17·_BLOCK
-    bytes; the rest of the memory is O(|A| + len(ks)).
+    `ks` holds integers 1 <= k < q, for a prime q != 3 below 2^17.  The
+    elements are reduced mod q on Python ints, so any size is fine, and
+    _middle_third tests them.  The ks go in blocks of rows through three
+    row buffers of at most _BLOCK entries, allocated once: two of float64
+    and one of bool, 17·_BLOCK bytes; the rest of the memory is
+    O(|A| + len(ks)).
     """
     n = len(elems)
-    fracs = np.fromiter(map(_SAMPLE_MODULUS.__rmod__, elems), dtype=np.float64, count=n)
-    fracs /= _SAMPLE_MODULUS
+    fracs = np.fromiter(map(q.__rmod__, elems), dtype=np.float64, count=n)
+    fracs /= q
     ks = ks.astype(np.float64)
     rows = max(1, min(len(ks), _BLOCK // n))
     dist, near, inside = np.empty((rows, n)), np.empty((rows, n)), np.empty((rows, n), dtype=bool)
@@ -541,15 +545,16 @@ def _sampled_dilation(elems: tuple[int, ...], ks: np.ndarray) -> list[int]:
 
 
 def _middle_third(ks: np.ndarray, fracs: np.ndarray, dist: np.ndarray, near: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out[i, j] = (q < 3 (k_i x_j mod q) < 2q), q = _SAMPLE_MODULUS, in out's first len(ks) rows.
+    """out[i, j] = (q < 3 (k_i x_j mod q) < 2q), in out's first len(ks) rows.
 
-    `ks` holds integers 1 <= k < q and `fracs` the floats of r_j/q, with
-    r_j = x_j mod q, all float64; dist and near are float buffers of out's
+    q is a prime other than 3 below 2^17; it enters only through `fracs`,
+    the floats of r_j/q with r_j = x_j mod q.  `ks` holds integers
+    1 <= k < q, all float64; dist and near are float buffers of out's
     shape.  The test is exact.  k_i·fracs[j] lies within 2^-36 of
     k_i r_j/q, as k_i < q < 2^17, and its distance to the nearest integer,
     min(s, q - s)/q with s = k_i r_j mod q, exceeds 1/3 exactly when
     q < 3s < 2q.  That distance is never within 1/(3q) > 2^-19 of 1/3, as
-    3 min(s, q - s) is never the prime q.
+    3 min(s, q - s) is a multiple of 3 and so never q.
     """
     h = len(ks)
     dist, near, out = dist[:h], near[:h], out[:h]
@@ -558,6 +563,42 @@ def _middle_third(ks: np.ndarray, fracs: np.ndarray, dist: np.ndarray, near: np.
     dist -= near
     np.abs(dist, out=dist)
     return np.greater(dist, 1 / 3, out=out)
+
+
+def _prime_dilation(elems: tuple[int, ...]) -> list[int]:
+    """Erdős's candidate: the best dilation x/p for the first prime p = 3k + 2 with z_p·(p+1) < 2n.
+
+    z_p counts the elements divisible by p.  x/p selects
+    {a : x a mod p in [k+1, 2k+1]}, which is sum-free, as two residues of
+    [k+1, 2k+1] add to one of [2k+2, 4k+2], that is, of [2k+2, 3k+1] or
+    [0, k] mod p.  For each of the n - z_p elements a not divisible by p,
+    x a mod p runs once over the nonzero residues as x runs over
+    1..p-1, so exactly k+1 of the 3k+1 values of x select a.  The mean
+    selection is (n - z_p)(k+1)/(3k+1), which exceeds n/3 exactly when
+    z_p·(p+1) < 2n, so the best x reaches ceil((n+1)/3), the least integer
+    above n/3.  Such a p exists, as z_p = 0 once p > max(A).  x and p - x
+    select the same set, so x runs over 1..p//2, and p = 2 selects the odd
+    elements.
+
+    The work is n residues per prime tried plus n·(p//2) for the scan,
+    refused past PRIME_DILATION_LIMIT before it is done.  The heuristic
+    calls this with n >= 3, so p//2 <= PRIME_DILATION_LIMIT/3 and p stays
+    below 2^17, as _middle_third needs.
+    """
+    n = len(elems)
+    hint = "every other candidate misses the floor"
+    for tried, p in enumerate(_primes_2_mod_3(), 1):
+        _check_limit("prime dilation steps", n * (tried + p // 2), PRIME_DILATION_LIMIT, hint)
+        if sum(a % p == 0 for a in elems) * (p + 1) < 2 * n:
+            return _sampled_dilation(elems, np.arange(1, p // 2 + 1), p)
+
+
+def _primes_2_mod_3():
+    """The primes p = 2 (mod 3) in increasing order: 2, 5, 11, 17, 23, ..."""
+    yield 2
+    for p in count(5, 6):  # an odd p = 2 (mod 3) is 5 (mod 6)
+        if all(p % d for d in range(5, isqrt(p) + 1, 2)):
+            yield p
 
 
 def _conflict(x: int, S: set[int], ordered: list[int], allow_eq: bool) -> tuple[int, ...] | None:
@@ -693,14 +734,15 @@ def heuristic_sum_free(
     is re-verified; optimum is a lower bound (exact=False).  Output is a
     deterministic function of (A, convention, seed).
 
-    Past _SWEEP_EVENT_CAP events, 192 dilations k/q are sampled
-    (_sampled_dilation), and the best starts the portfolio.  The exact
-    sweep runs once when the best so far misses the floor ceil((|A|+1)/3)
-    within SWEEP_EVENT_LIMIT: always within the cap, as a fallback past it.
-    Only where it did not run are the intervals scanned: each theta in
-    (1/(3x), 2/(3(2x-1))) puts theta·a in (1/3, 2/3) for every a in [x, 2x),
-    so no interval count, which must beat the best strictly, beats the
-    sweep.  Past the limit, a set no candidate lifts to the floor is refused.
+    Within _SWEEP_EVENT_CAP events the exact sweep starts the portfolio.
+    Past it, 192 dilations k/q are sampled (_sampled_dilation), then the
+    intervals are scanned; they are not scanned after the sweep, as each
+    theta in (1/(3x), 2/(3(2x-1))) puts theta·a in (1/3, 2/3) for every a
+    in [x, 2x), so no interval count, which must beat the best strictly,
+    beats the sweep.  The residue classes follow on both paths.  Only when
+    the best so far misses the floor ceil((|A|+1)/3) does Erdős's prime
+    candidate (_prime_dilation) run, which reaches it; past
+    PRIME_DILATION_LIMIT its work is refused.
 
     The search's draws are the values rng.integers(0, m) would give, read
     in bulk through _draws.  The search is the generator's last consumer,
@@ -732,13 +774,10 @@ def heuristic_sum_free(
 
     # Dilation candidates select sum-free sets under ALLOW_EQUAL hence both
     # conventions (an ALLOW_EQUAL-sum-free set is DISTINCT_ONLY-sum-free).
-    events = 2 * sum(elems)
-    best_set: set[int] = set()
-    if events > _SWEEP_EVENT_CAP:
-        best_set = set(_sampled_dilation(elems, rng.integers(1, _SAMPLE_MODULUS, size=192)))
-    if len(best_set) < floor and events <= SWEEP_EVENT_LIMIT:
+    if 2 * sum(elems) <= _SWEEP_EVENT_CAP:
         best_set = set(dilation_sweep(A).selected.elements)
     else:
+        best_set = set(_sampled_dilation(elems, rng.integers(1, _SAMPLE_MODULUS, size=192), _SAMPLE_MODULUS))
         # A ∩ [x, 2x) is sum-free; the first x with the most elements wins.
         # Each bisect_left runs at C speed, on Python ints exact past int64.
         ends = map(bisect_left, repeat(elems), map((2).__mul__, elems))
@@ -759,8 +798,8 @@ def heuristic_sum_free(
         i = int(np.argmax(totals))
         if totals[i] > len(best_set):
             best_set = set(compress(elems, masks[i][r2520 % q].tolist()))
-    if len(best_set) < floor:  # the sampled dilations missed and the sweep is too large
-        raise ValueError(f"heuristic_sum_free: best candidate {len(best_set)} < floor {floor}")
+    if len(best_set) < floor:  # past the sweep, which reaches it; an interval holds 1, so n >= 3
+        best_set = set(_prime_dilation(elems))
 
     best = _local_search(elems, best_set, _draws(rng), allow_eq)
     witness = IntegerSet.from_iterable(best)

@@ -31,7 +31,7 @@ def test_cli_offers_every_suite():
 
 def test_check_names_unique():
     labels = [f"{owner}.{name}" for owner, name, _ in CHECKS]
-    assert len(labels) == len(set(labels)) == 51
+    assert len(labels) == len(set(labels)) == 52
 
 
 def test_unknown_suite_rejected():

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -191,6 +192,10 @@ def test_domain_errors_exit_1(capsys, tmp_path):
 
 # a 2049 x 1 grid of 1/2: 2049^2 = 4198401 pairs of cells above eta = 1/4
 _TALL_GRID = {"q": 2049, "M": 1, "values": ["1/2"] * 2049}
+# 100 multiples of 2520·99991 and of each prime p = 2 (mod 3) below 3000,
+# one per dyadic interval: every candidate misses the floor 34, and the
+# primes tried pass the limit before one is admissible
+_PRIMED = 2520 * 99_991 * math.prod(p for p in range(2, 3000) if p % 3 == 2 and all(p % d for d in range(2, p)))
 
 
 @pytest.mark.parametrize(
@@ -221,9 +226,11 @@ _TALL_GRID = {"q": 2049, "M": 1, "values": ["1/2"] * 2049}
          "torus vectors = more than 1658655 exceeds the limit 1658655; reduce a_bound"),
         (["structure", "alphatilde", "--grid", "{tall}", "--eta", "1/4"],
          "alpha_tilde cell pairs = 4198401 exceeds the limit 4194304"),
+        (["solve", "--set", "{primed}", "--heuristic"],
+         "prime dilation steps = 132100 exceeds the limit 131072; every other candidate misses the floor"),
     ],
     ids=["tcount-n", "u2-group-order", "sample-n", "equidist-points", "exact-size", "sweep-events",
-         "progression-ends", "grid-cells", "vectors-a", "vectors-theta", "alpha-pairs"],
+         "progression-ends", "grid-cells", "vectors-a", "vectors-theta", "alpha-pairs", "prime-steps"],
 )
 def test_each_limit_refused_at_once_in_its_wording(capsys, tmp_path, argv, message):
     files = {
@@ -231,6 +238,7 @@ def test_each_limit_refused_at_once_in_its_wording(capsys, tmp_path, argv, messa
         "heavy": {"elements": [10**8]},
         "half": {"elements": list(range(1, 2049))},  # meets the hypothesis in {1..4096}
         "tall": _TALL_GRID,
+        "primed": {"elements": [_PRIMED << i for i in range(100)]},
     }
     paths = {}
     for name, obj in files.items():

@@ -23,6 +23,7 @@ from sumfree.solver import (
     heuristic_sum_free,
     is_sum_free,
     max_sum_free_subset,
+    one_third_floor,
 )
 
 DECADE = IntegerSet(tuple(range(1, 11)))
@@ -236,7 +237,8 @@ class TestBlockMemory:
         rng = rng_from_seed(2024, "sampled-memory")
         elems = tuple(sorted(int(x) for x in rng.choice(3 * 10**5, size=3000, replace=False) + 1))
         ks = rng.integers(1, solver._SAMPLE_MODULUS, size=192)
-        assert _traced_peak(solver._sampled_dilation, elems, ks) <= 17 * solver._BLOCK + 64 * len(elems)
+        peak = _traced_peak(solver._sampled_dilation, elems, ks, solver._SAMPLE_MODULUS)
+        assert peak <= 17 * solver._BLOCK + 64 * len(elems)
 
 
 def _greedy_sum_free(elems, conv):
@@ -372,9 +374,10 @@ class TestHeuristic:
     @pytest.mark.parametrize(
         "A, within, want",
         [
-            # every sample k/99991 selects nothing; the fallback sweep's
-            # 99991·{7..12} wins, where the intervals alone give 99991·{6..11}
-            (IntegerSet(tuple(99_991 * k for k in range(1, 13))), True, tuple(99_991 * k for k in range(7, 13))),
+            # every sample k/99991 selects nothing, and past the sweep's cap
+            # the interval 99991·{6..11} reaches the floor 5: no sweep runs
+            # (heuristic_bounds counts its calls), though it would within its limit
+            (IntegerSet(tuple(99_991 * k for k in range(1, 13))), True, tuple(99_991 * k for k in range(6, 12))),
             # every sample selects only the element 1, and the exact sweep
             # would need about 9e9 events; A ∩ [x, 2x) holds 150 elements
             # and the odd residue class 151
@@ -387,12 +390,16 @@ class TestHeuristic:
         assert events > solver._SWEEP_EVENT_CAP and (events <= solver.SWEEP_EVENT_LIMIT) == within
         assert heuristic_sum_free(A).witness.elements == want
 
-    def test_refuses_when_no_candidate_reaches_floor(self):
+    @pytest.mark.parametrize("conv, optimum", [(ALLOW_EQUAL, 13), (DISTINCT_ONLY, 31)], ids=["allow-equal", "distinct"])
+    def test_prime_candidate_reaches_floor(self, conv, optimum):
         # multiples of 2520 * 99991 defeat the samples and every residue
-        # class mod q <= 10, and each dyadic interval holds one element
+        # class mod q <= 10, and each dyadic interval holds one element;
+        # 2 and 5 divide every element, 11 none, so 11 is the first
+        # admissible prime, and its best dilation 4/11 starts the search
         A = IntegerSet(tuple(2520 * 99_991 * 2**i for i in range(31)))
-        with pytest.raises(ValueError, match=r"^heuristic_sum_free: best candidate 1 < floor 11$"):
-            heuristic_sum_free(A)
+        assert solver._prime_dilation(A.elements) == list(dilation_select(A, Fraction(4, 11)).elements)
+        rep = heuristic_sum_free(A, conv)
+        assert rep.optimum == optimum >= one_third_floor(len(A)) == 11
 
 
 class TestCompose:
