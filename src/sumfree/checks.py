@@ -12,7 +12,7 @@ identical instances.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 
 import numpy as np
 
@@ -99,10 +99,9 @@ def _check_compose_additivity(rng):
 
 def _check_heuristic_bounds(rng):
     # The sweep runs once within 2·10^6 events (_SWEEP_EVENT_CAP, pinned
-    # here) and never past them.  Multiples of 99991, which every sample
-    # misses, take the intervals, and multiples of 2520·99991, which every
-    # residue class misses too, the prime candidate when they miss the floor:
-    # 99991·{1..12} and 2520·99991·{2^0..2^11} among them.
+    # here) and never past them.  Multiples of 99991 are past that cap, and
+    # multiples of 2520·99991, which every residue class misses, take the
+    # prime dilations: 99991·{1..12} and 2520·99991·{2^0..2^11} among them.
     from unittest.mock import patch  # here, as it imports asyncio: 6 MB every CLI start would pay
     sets = [_random_set(rng, s, e) for s, e in [(14, 60)] * 10 + [(20, 400)] * 15 + [(20, 10**6)] * 15]
     sets += [IntegerSet.from_iterable(99_991 * (rng.choice(10, size=5, replace=False) + 1)) for _ in range(2)]
@@ -126,76 +125,77 @@ def _check_heuristic_bounds(rng):
 
 
 def _check_sampled_dilations_exact(rng):
-    # The float64 middle-third test against k x mod q on Python ints, for
-    # the sampled modulus and the prime candidate's moduli 2, 5, 11 and 59:
-    # drawn k, and the k that put k x mod q next to q/3 and 2q/3 for
-    # residues 1 and q - 1, or every k for a small q; drawn x, x next to
-    # multiples of q, and elements past 2^63, whose residues are taken on
-    # Python ints.  Then the dilations, for each k alone and for all of
-    # them, whose winner is the first k with the most hits.
+    # The float64 middle-third test and the histogram scorer against
+    # k x mod q on Python ints, for the scanned primes 11..83, with every k,
+    # and for 65537, with drawn k and the k that put k x mod q next to q/3
+    # and 2q/3 for residues 1 and q - 1: drawn x, x next to multiples of q,
+    # and elements past 2^63, reduced on Python ints.  The scorer counts,
+    # for each k <= q/2, the elements k/q selects.
     base = [int(x) for x in rng.integers(1, 10**12, size=60)]
     base += [2**63 + int(x) for x in rng.integers(0, 2**62, size=20)] + [3**90 + 1]
     big = int(rng.integers(2, 10**9))
-    for q in (solver._SAMPLE_MODULUS, 2, 5, 11, 59):
-        if q == solver._SAMPLE_MODULUS:
+    for q in [q for q in range(11, 84) if q % 3 == 2 and all(q % d for d in range(2, q))] + [65_537]:
+        ks = list(range(1, q))
+        if q == 65_537:
             edges = [q // 3, q // 3 + 1, 2 * q // 3, 2 * q // 3 + 1]
             ks = [int(k) for k in rng.integers(1, q, size=40)] + [1, q - 1] + edges + [q - k for k in edges]
-        else:
-            ks = list(range(1, q))
         near = {m * q + r for m in (0, 1, big) for r in (1, 2, q - 2, q - 1)}
         elems = sorted({*base, *near, q * 2**70} - {0})
         want = [[q < 3 * (k * x % q) < 2 * q for x in elems] for k in ks]
-        fracs = np.array([x % q for x in elems], dtype=np.float64) / q
-        shape = (len(ks), len(elems))
+        residues = [x % q for x in elems]
+        shape = (len(ks), len(residues))
         buffers = np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
-        got = solver._middle_third(np.array(ks, dtype=np.float64), fracs, *buffers)
+        got = solver._middle_third(np.array(ks, dtype=np.float64), np.array(residues) / q, *buffers)
         assert got.tolist() == want, f"the float64 middle-third test differs from k x mod {q}"
-        picks = [[x for x, inside in zip(elems, row) if inside] for row in want]
-        for k, pick in zip(ks, picks):
-            assert solver._sampled_dilation(tuple(elems), np.array([k]), q) == pick, f"{k}/{q} selects otherwise"
-        best = max(picks, key=len)  # the first of the longest
-        assert solver._sampled_dilation(tuple(elems), np.array(ks), q) == best, f"dilations mod {q} differ"
+        hits = solver._dilation_hits(np.bincount(residues, minlength=q), q)
+        assert len(hits) == q // 2, f"the scorer mod {q} has {len(hits)} rows"
+        assert all(hits[min(k, q - k) - 1] == sum(row) for k, row in zip(ks, want)), f"the scorer mod {q} differs"
 
 
 def _check_prime_floor(rng):
-    # Erdős's prime candidate against a replay by brute force: the first
-    # prime p = 2 (mod 3), by trial division, with z_p·(p+1) < 2n, z_p the
-    # multiples of p, and the first x in 1..p-1 whose dilation x/p selects
-    # the most.  Each built set has every element divisible by the primes
-    # before its p and exactly 2n/(p+1) of them by p, so that
-    # z_p·(p+1) = 2n; drawn sets take multiples of products of 2, 5, 11
-    # and 17, and multiples of 2520·99991, which defeat the heuristic's
-    # other candidates.  The candidate is sum-free and reaches the floor.
-    small = (2, 5, 11, 17)
-    sets = []
-    for i, p in enumerate(small * 3):
-        lower = int(np.prod(small[: i % 4]))  # divides every element
-        m = int(rng.integers(1, 4))
-        n = 3 * m if p == 2 else m * (p + 1) // 2  # so that z = 2n/(p+1) is an integer
-        z = 2 * n // (p + 1)
-        ks = [k for k in rng.choice(10**4, size=4 * n, replace=False).tolist() if k % p]
-        elems = [lower * p * k for k in ks[:z]] + [lower * k for k in ks[z:n]]
-        sets.append(IntegerSet.from_iterable(elems))
-    for _ in range(12):
-        n = int(rng.integers(3, 40))
-        factors = [int(np.prod([p for p in small if rng.random() < 0.5])) for _ in range(n)]
+    # Erdős's prime dilations against a replay by brute force: for each
+    # prime p = 2 (mod 3) from 11, by trial division, every x in 1..p-1
+    # through p = 83, and past it, while the best misses the floor, the
+    # first p with z_p·(p+1) < 2n, z_p the multiples of p.  The first x/p
+    # with the most elements wins if it beats the size given, and reaches
+    # the floor if that size misses it.  Built sets have every prime through
+    # 83 in each element and 2n/(p+1) multiples of p = 89 or 101, which is
+    # then not admissible; or every prime but 83, from the floor, which only
+    # x/83 can beat; or residues 1, 3, 8 and 10 mod 11, all of which 5/11,
+    # the last row of 11, selects.  Drawn sets take multiples of products
+    # of 11, 17, 23 and 29, and of 2520·99991, which every residue class misses.
+    below_83 = prod(p for p in range(11, 83) if p % 3 == 2 and all(p % d for d in range(2, p)))
+    cases = []
+    for p, lower in ((89, below_83 * 83), (101, below_83 * 83 * 89)):
+        ks = [k for k in rng.choice(10**4, size=p, replace=False).tolist() if k % p][: (p + 1) // 2]
+        cases.append((IntegerSet.from_iterable([lower * p * ks[0]] + [lower * k for k in ks[1:]]), 0))
+    ks = [k for k in rng.choice(10**4, size=60, replace=False).tolist() if k % 83][:40]
+    cases.append((IntegerSet.from_iterable(below_83 * k for k in ks), solver.one_third_floor(40)))
+    ks = rng.choice(10**4, size=20, replace=False).tolist()
+    cases.append((IntegerSet.from_iterable(11 * k + (1, 3, 8, 10)[k % 4] for k in ks), 0))
+    for _ in range(8):
+        n = int(rng.integers(3, 30))
+        factors = [prod(p for p in (11, 17, 23, 29) if rng.random() < 0.5) for _ in range(n)]
         ks = rng.choice(10**5, size=n, replace=False) + 1
-        sets.append(IntegerSet.from_iterable(f * k for f, k in zip(factors, ks)))
-    for _ in range(4):
+        cases.append((IntegerSet.from_iterable(f * int(k) for f, k in zip(factors, ks)), int(rng.integers(0, n))))
+    for _ in range(3):
         ks = rng.choice(10**3, size=int(rng.integers(3, 30)), replace=False) + 1
-        sets.append(IntegerSet.from_iterable(2520 * 99_991 * ks))
-    sets.append(IntegerSet(tuple(2520 * 99_991 * 2**i for i in range(31))))
-    for A in sets:
-        n = len(A)
-        p = next(
-            p for p in range(2, 10**4)
-            if p % 3 == 2 and all(p % d for d in range(2, p)) and sum(a % p == 0 for a in A.elements) * (p + 1) < 2 * n
-        )
-        sizes = [len(solver.dilation_select(A, Fraction(x, p))) for x in range(1, p)]
-        want = solver.dilation_select(A, Fraction(sizes.index(max(sizes)) + 1, p))
-        got = IntegerSet(tuple(solver._prime_dilation(A.elements)))
-        assert got == want, f"{A.elements}: the prime candidate selects {got.elements}, not {want.elements} by x/{p}"
-        assert solver.is_sum_free(got) and len(got) >= solver.one_third_floor(n), f"{A.elements}: {got.elements}"
+        cases.append((IntegerSet.from_iterable(2520 * 99_991 * int(k) for k in ks), int(rng.integers(0, 3))))
+    cases.append((IntegerSet(tuple(2520 * 99_991 * 2**i for i in range(31))), 1))
+    for A, start in cases:
+        n, floor, size, want = len(A), solver.one_third_floor(len(A)), start, None
+        for p in (p for p in range(11, 10**5) if p % 3 == 2 and all(p % d for d in range(2, isqrt(p) + 1))):
+            if p > 83 and size >= floor:
+                break
+            if p <= 83 or sum(a % p == 0 for a in A.elements) * (p + 1) < 2 * n:
+                sizes = [sum(p < 3 * (x * a % p) < 2 * p for a in A.elements) for x in range(1, p)]
+                if max(sizes) > size:
+                    size, want = max(sizes), Fraction(sizes.index(max(sizes)) + 1, p)
+        got = solver._prime_scan(A.elements, start, floor)
+        assert got == want, f"{A.elements} from {start}: the scan takes {got}, not {want}"
+        if start < floor:
+            picked = solver.dilation_select(A, got)
+            assert solver.is_sum_free(picked) and len(picked) >= floor, f"{A.elements}: {picked.elements}"
 
 
 def _check_local_search_vs_oracle(rng):

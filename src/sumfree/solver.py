@@ -42,12 +42,13 @@ EXACT_SIZE_CAP = 64
 # is_sum_free scans sets smaller than this.  When every pair is looked up
 # the pair blocks tie the scan near 32 elements and win 2.6x at 64.
 _KERNEL_MIN_SIZE = 64
-# breakpoint events: dilation_sweep refuses more, the heuristic samples above the cap
+# breakpoint events: dilation_sweep refuses more, the heuristic scans primes above the cap
 SWEEP_EVENT_LIMIT = 40_000_000
 _SWEEP_EVENT_CAP = 2_000_000
-# prime modulus of the heuristic's sampled dilations theta = k/q
-_SAMPLE_MODULUS = 99_991
-# residues and scanned dilations of the heuristic's prime candidate
+# the primes p = 2 (mod 3) from 11 through 83, whose dilations x/p the
+# heuristic always scans; their product, 4 429 079 517 334 813, is below 2^53
+_SCAN_MODULUS = 11 * 17 * 23 * 29 * 41 * 47 * 53 * 59 * 71 * 83
+# residues and scanned dilations of the heuristic's primes past 83
 PRIME_DILATION_LIMIT = 1 << 17
 
 
@@ -518,34 +519,8 @@ def _sum_free_residue_masks(q: int) -> np.ndarray:
     return rows
 
 
-def _sampled_dilation(elems: tuple[int, ...], ks: np.ndarray, q: int) -> list[int]:
-    """What the first k in ks with the most hits selects: {x : q < 3 (k x mod q) < 2q}.
-
-    `ks` holds integers 1 <= k < q, for a prime q != 3 below 2^17.  The
-    elements are reduced mod q on Python ints, so any size is fine, and
-    _middle_third tests them.  The ks go in blocks of rows through three
-    row buffers of at most _BLOCK entries, allocated once: two of float64
-    and one of bool, 17·_BLOCK bytes; the rest of the memory is
-    O(|A| + len(ks)).
-    """
-    n = len(elems)
-    fracs = np.fromiter(map(q.__rmod__, elems), dtype=np.float64, count=n)
-    fracs /= q
-    ks = ks.astype(np.float64)
-    rows = max(1, min(len(ks), _BLOCK // n))
-    dist, near, inside = np.empty((rows, n)), np.empty((rows, n)), np.empty((rows, n), dtype=bool)
-    hits = np.concatenate(
-        [
-            np.count_nonzero(_middle_third(ks[i : i + rows], fracs, dist, near, inside), axis=1)
-            for i in range(0, len(ks), rows)
-        ]
-    )
-    picked = _middle_third(ks[np.argmax(hits)][None], fracs, dist, near, inside)[0]
-    return list(compress(elems, picked.tolist()))
-
-
 def _middle_third(ks: np.ndarray, fracs: np.ndarray, dist: np.ndarray, near: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out[i, j] = (q < 3 (k_i x_j mod q) < 2q), in out's first len(ks) rows.
+    """out[i, j] = (q < 3 (k_i x_j mod q) < 2q), in out's first len(ks) rows; out may be `near`.
 
     q is a prime other than 3 below 2^17; it enters only through `fracs`,
     the floats of r_j/q with r_j = x_j mod q.  `ks` holds integers
@@ -558,45 +533,78 @@ def _middle_third(ks: np.ndarray, fracs: np.ndarray, dist: np.ndarray, near: np.
     """
     h = len(ks)
     dist, near, out = dist[:h], near[:h], out[:h]
-    np.multiply(ks[:, None], fracs, out=dist)
+    np.matmul(ks[:, None], fracs[None], out=dist)  # the outer product, one rounding an entry, no ufunc buffers
     np.rint(dist, out=near)
     dist -= near
     np.abs(dist, out=dist)
     return np.greater(dist, 1 / 3, out=out)
 
 
-def _prime_dilation(elems: tuple[int, ...]) -> list[int]:
-    """Erdős's candidate: the best dilation x/p for the first prime p = 3k + 2 with z_p·(p+1) < 2n.
+def _prime_scan(elems: tuple[int, ...], size: int, floor: int) -> Fraction | None:
+    """Erdős's dilations x/p, p = 3k + 2 prime: the first with the most hits, if it selects more than `size`.
 
-    z_p counts the elements divisible by p.  x/p selects
-    {a : x a mod p in [k+1, 2k+1]}, which is sum-free, as two residues of
-    [k+1, 2k+1] add to one of [2k+2, 4k+2], that is, of [2k+2, 3k+1] or
-    [0, k] mod p.  For each of the n - z_p elements a not divisible by p,
-    x a mod p runs once over the nonzero residues as x runs over
-    1..p-1, so exactly k+1 of the 3k+1 values of x select a.  The mean
-    selection is (n - z_p)(k+1)/(3k+1), which exceeds n/3 exactly when
-    z_p·(p+1) < 2n, so the best x reaches ceil((n+1)/3), the least integer
-    above n/3.  Such a p exists, as z_p = 0 once p > max(A).  x and p - x
-    select the same set, so x runs over 1..p//2, and p = 2 selects the odd
-    elements.
+    x/p selects {a : x a mod p in [k+1, 2k+1]}, which is sum-free, as two
+    residues of [k+1, 2k+1] add to one of [2k+2, 4k+2], that is, of
+    [2k+2, 3k+1] or [0, k] mod p.  As x runs over 1..p-1, exactly k+1 of
+    its 3k+1 values select each of the n - z_p elements not divisible by
+    p, so the mean selection exceeds n/3 exactly when z_p·(p+1) < 2n.  Such
+    an admissible p exists, as z_p = 0 once p > max(A), and its best x
+    reaches ceil((n+1)/3).  x and p - x select the same set.
 
-    The work is n residues per prime tried plus n·(p//2) for the scan,
-    refused past PRIME_DILATION_LIMIT before it is done.  The heuristic
-    calls this with n >= 3, so p//2 <= PRIME_DILATION_LIMIT/3 and p stays
-    below 2^17, as _middle_third needs.
+    The x <= p/2 are scanned for each prime from 11 through 83, the factors
+    of _SCAN_MODULUS (212 rows), and past 83 only while the best misses
+    `floor`, up to the first admissible prime.  That work, n residues per
+    prime tried past 83 plus n·(p//2), is refused past PRIME_DILATION_LIMIT
+    before it is done; as the heuristic goes past 83 only with n >= 3, p
+    stays below 2^17, as _middle_third needs.  The elements are reduced
+    mod _SCAN_MODULUS, or mod p past 83, on Python ints, so any size is fine.
     """
     n = len(elems)
+    reduced = np.fromiter(map(_SCAN_MODULUS.__rmod__, elems), dtype=np.int64, count=n)
     hint = "every other candidate misses the floor"
-    for tried, p in enumerate(_primes_2_mod_3(), 1):
-        _check_limit("prime dilation steps", n * (tried + p // 2), PRIME_DILATION_LIMIT, hint)
-        if sum(a % p == 0 for a in elems) * (p + 1) < 2 * n:
-            return _sampled_dilation(elems, np.arange(1, p // 2 + 1), p)
+    best = None
+    tried = 0
+    for p in _primes_2_mod_3():
+        if _SCAN_MODULUS % p == 0:
+            counts = np.bincount(reduced % p, minlength=p)
+        elif size < floor:
+            tried += 1
+            _check_limit("prime dilation steps", n * (tried + p // 2), PRIME_DILATION_LIMIT, hint)
+            counts = np.bincount(np.fromiter(map(p.__rmod__, elems), dtype=np.int64, count=n), minlength=p)
+            if counts[0] * (p + 1) >= 2 * n:  # not admissible
+                continue
+        else:
+            return best
+        hits = _dilation_hits(counts, p)
+        x = int(np.argmax(hits))
+        if hits[x] > size:
+            size, best = int(hits[x]), Fraction(x + 1, p)
+
+
+def _dilation_hits(counts: np.ndarray, p: int) -> np.ndarray:
+    """hits[x - 1]: the elements x/p selects, for x in 1..p//2, from counts[r] = |{a : a = r mod p}|.
+
+    _middle_third tests each distinct residue once, as 0.0 or 1.0, and a
+    row's tests are summed against the counts, exactly, as the sums are at
+    most n < 2^53.  The rows go in blocks through two float64 row buffers
+    of at most _BLOCK entries, allocated once, 16·_BLOCK bytes; the rest
+    of the memory is O(p).
+    """
+    residues = np.flatnonzero(counts)
+    weights = counts[residues].astype(np.float64)
+    fracs = residues / p
+    xs = np.arange(1.0, p // 2 + 1)
+    rows = max(1, min(len(xs), _BLOCK // len(residues)))
+    dist, tests = np.empty((rows, len(residues))), np.empty((rows, len(residues)))
+    hits = np.empty(len(xs))
+    for i in range(0, len(xs), rows):
+        hits[i : i + rows] = _middle_third(xs[i : i + rows], fracs, dist, tests, tests) @ weights
+    return hits
 
 
 def _primes_2_mod_3():
-    """The primes p = 2 (mod 3) in increasing order: 2, 5, 11, 17, 23, ..."""
-    yield 2
-    for p in count(5, 6):  # an odd p = 2 (mod 3) is 5 (mod 6)
+    """The primes p = 2 (mod 3) from 11 in increasing order: 11, 17, 23, 29, 41, ..."""
+    for p in count(11, 6):  # an odd p = 2 (mod 3) is 5 (mod 6)
         if all(p % d for d in range(5, isqrt(p) + 1, 2)):
             yield p
 
@@ -610,7 +618,8 @@ def _conflict(x: int, S: set[int], ordered: list[int], allow_eq: bool) -> tuple[
     DISTINCT_ONLY, x/2 + x/2 = x is none.  Each kind of pair is scanned
     over the shorter of two ranges that list the same pairs, in C-level
     scans: for x + s = t, s in [min S, max S - x] or t in [x + min S, max S];
-    for s + t = x, s below x/2 or t in (x/2, x - min S].
+    for s + t = x, s below x/2 or t in (x/2, x - min S].  On a composition,
+    for x in an upper copy, the upper ranges hold only that copy.
     """
     if allow_eq:
         if 2 * x in S:
@@ -680,6 +689,12 @@ def _local_search(elems: tuple[int, ...], start: set[int], draw, allow_eq: bool)
     last add.  It is copied only when a swap first leaves it: `best` is None
     while the current set is the best, and a round that ends with no swap
     since its last add needs no reset and no sort.
+
+    Each drawn x keeps the conflict _conflict names.  A conflict is a
+    relation between x and its members alone, and only a swap or a reset
+    removes a member, so a drawn x whose kept members are all present is
+    blocked with no scan.  When pick is not in x's conflict, that conflict
+    blocks x without pick too, so the swap is skipped once pick is drawn.
     """
     n = len(elems)
     current = set(start)
@@ -734,34 +749,16 @@ def heuristic_sum_free(
     is re-verified; optimum is a lower bound (exact=False).  Output is a
     deterministic function of (A, convention, seed).
 
-    Within _SWEEP_EVENT_CAP events the exact sweep starts the portfolio.
-    Past it, 192 dilations k/q are sampled (_sampled_dilation), then the
-    intervals are scanned; they are not scanned after the sweep, as each
-    theta in (1/(3x), 2/(3(2x-1))) puts theta·a in (1/3, 2/3) for every a
-    in [x, 2x), so no interval count, which must beat the best strictly,
-    beats the sweep.  The residue classes follow on both paths.  Only when
-    the best so far misses the floor ceil((|A|+1)/3) does Erdős's prime
-    candidate (_prime_dilation) run, which reaches it; past
-    PRIME_DILATION_LIMIT its work is refused.
-
-    The search's draws are the values rng.integers(0, m) would give, read
-    in bulk through _draws.  The search is the generator's last consumer,
-    so the words drawn ahead and never used change nothing returned.
-
-    _local_search tests each drawn x by _conflict, which names the members
-    of one conflict of x with the current set, and keeps that conflict per
-    x.  A conflict is a relation between x and its members alone, so it
-    blocks x as long as every member is in the set.  Adds never remove a
-    member; only a swap or a round's reset does.  So a drawn x whose kept
-    members are all still present is blocked with no scan.  A swap drops
-    a drawn member pick for x; when pick is not in x's conflict, that
-    conflict blocks x without pick too, so the swap is skipped once pick
-    is drawn, and the draws stay as they were.  _conflict scans each kind
-    of pair over the shorter of two ranges that hold the same pairs:
-    x + s = t by s <= max S - x or by t >= x + min S, and s + t = x by
-    s < x/2 or by t in (x/2, x - min S].  On a composition, sums never
-    cross copies, so for x in an upper copy the upper ranges hold only
-    members of that copy, where the lower ones hold every lower copy.
+    Within _SWEEP_EVENT_CAP events the exact sweep starts the portfolio,
+    and the residue classes follow.  Past it, the intervals start it, then
+    come the residue classes and Erdős's prime dilations (_prime_scan),
+    which reach the floor ceil((|A|+1)/3) and past PRIME_DILATION_LIMIT
+    are refused.  A later candidate replaces the best only when strictly
+    larger.  No interval or x/p beats the sweep: each theta in
+    (1/(3x), 2/(3(2x-1))) selects all of [x, 2x).  So the search starts
+    from a function of A alone, and the seed drives the search alone.  Its
+    draws are the values rng.integers(0, m) would give, read in bulk
+    through _draws, so the words drawn ahead change nothing returned.
     """
     A.require_positive("heuristic_sum_free")
     if len(A) == 0:
@@ -774,18 +771,17 @@ def heuristic_sum_free(
 
     # Dilation candidates select sum-free sets under ALLOW_EQUAL hence both
     # conventions (an ALLOW_EQUAL-sum-free set is DISTINCT_ONLY-sum-free).
-    if 2 * sum(elems) <= _SWEEP_EVENT_CAP:
+    swept = 2 * sum(elems) <= _SWEEP_EVENT_CAP
+    if swept:
         best_set = set(dilation_sweep(A).selected.elements)
     else:
-        best_set = set(_sampled_dilation(elems, rng.integers(1, _SAMPLE_MODULUS, size=192), _SAMPLE_MODULUS))
         # A ∩ [x, 2x) is sum-free; the first x with the most elements wins.
         # Each bisect_left runs at C speed, on Python ints exact past int64.
         ends = map(bisect_left, repeat(elems), map((2).__mul__, elems))
         counts = list(map(sub, ends, range(n)))
         top = max(counts)
-        if top > len(best_set):
-            i = counts.index(top)
-            best_set = set(elems[i : i + top])
+        i = counts.index(top)
+        best_set = set(elems[i : i + top])
 
     # Sum-free residue classes mod q <= 10.  Every such q divides 2520, so
     # the elements are reduced once, on Python ints, and each q folds the
@@ -798,8 +794,10 @@ def heuristic_sum_free(
         i = int(np.argmax(totals))
         if totals[i] > len(best_set):
             best_set = set(compress(elems, masks[i][r2520 % q].tolist()))
-    if len(best_set) < floor:  # past the sweep, which reaches it; an interval holds 1, so n >= 3
-        best_set = set(_prime_dilation(elems))
+    if not swept:
+        theta = _prime_scan(elems, len(best_set), floor)
+        if theta is not None:
+            best_set = set(dilation_select(A, theta).elements)
 
     best = _local_search(elems, best_set, _draws(rng), allow_eq)
     witness = IntegerSet.from_iterable(best)

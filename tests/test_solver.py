@@ -1,6 +1,7 @@
 import hashlib
 import tracemalloc
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -233,12 +234,12 @@ class TestBlockMemory:
         assert 1.9e6 < 2 * sum(A.elements) <= solver._SWEEP_EVENT_CAP
         assert _traced_peak(dilation_sweep, A) <= 3 * 8 * solver._BLOCK + 512 * len(A)
 
-    def test_sampled_dilations_keep_their_row_buffers(self):
+    def test_dilation_scan_keeps_its_row_buffers(self):
+        # 3000 elements hit nearly every residue mod 1013, so the 506 rows
+        # x/1013 take 16 blocks of 32 rows
         rng = rng_from_seed(2024, "sampled-memory")
-        elems = tuple(sorted(int(x) for x in rng.choice(3 * 10**5, size=3000, replace=False) + 1))
-        ks = rng.integers(1, solver._SAMPLE_MODULUS, size=192)
-        peak = _traced_peak(solver._sampled_dilation, elems, ks, solver._SAMPLE_MODULUS)
-        assert peak <= 17 * solver._BLOCK + 64 * len(elems)
+        counts = np.bincount(rng.choice(3 * 10**5, size=3000, replace=False) % 1013, minlength=1013)
+        assert _traced_peak(solver._dilation_hits, counts, 1013) <= 16 * solver._BLOCK + 64 * 1013
 
 
 def _greedy_sum_free(elems, conv):
@@ -309,22 +310,23 @@ class TestHeuristic:
     # search reaches another witness of 92, so this row changes when the
     # sweep does not run.  A 500-subset of [1, 10^4] (5 069 458 events,
     # within the sweep's limit), a 1000-subset of [1, 10^5] and a
-    # 3000-subset of [1, 3*10^5] take the sampled dilations, whose best
-    # reaches the floor, so no sweep runs (the sweep would give the
-    # 500-subset 263 under both conventions).  So does a 200-subset of
-    # [1, 3000] in 4 copies (800 elements up to 6.3e14, the large corpus's
-    # compose200_3000x4 shape), whose search scans the upper ranges for x
-    # in an upper copy.  All make hundreds of plateau-swap attempts, so
-    # these pin the order of the local search's draws.
+    # 3000-subset of [1, 3*10^5] are past the sweep's cap, so no sweep runs
+    # (it would give the 500-subset 263 under both conventions); the odd
+    # class starts their search, as no prime dilation x/p beats it.  So
+    # does a 200-subset of [1, 3000] in 4 copies (800 elements up to
+    # 6.3e14, the large corpus's compose200_3000x4 shape), whose search
+    # scans the upper ranges for x in an upper copy.  All make hundreds of
+    # plateau-swap attempts, so these pin the order of the local search's
+    # draws.
     FROZEN = [
         (400, 4000, ALLOW_EQUAL, 209, "e3ae82c68c48ee2f50dfc4bcae13467ff4aea9641a12c8ee189d32832a14a04d", 1),
         (400, 4000, DISTINCT_ONLY, 209, "e3ae82c68c48ee2f50dfc4bcae13467ff4aea9641a12c8ee189d32832a14a04d", 1),
         (100, 19000, ALLOW_EQUAL, 92, "a9e67bea0923e5f3968b15a6d039ca2918671c671e7425dc65b37f431630f514", 1),
         (100, 19000, DISTINCT_ONLY, 92, "a9e67bea0923e5f3968b15a6d039ca2918671c671e7425dc65b37f431630f514", 1),
-        (500, 10**4, ALLOW_EQUAL, 262, "fb1488212d8a6bf1464e513550d5b48e1417e0579736ff611ae5ea667bb758f0", 1),
-        (500, 10**4, DISTINCT_ONLY, 263, "9e0e000fb19fd9032c81b3be5b659f86a68c8379cf41e33c8dd09285ee238a1f", 1),
-        (1000, 10**5, ALLOW_EQUAL, 518, "937038988a3b2c4babbab08e803c5113895793ce34427e6eba1700278bef82fb", 1),
-        (1000, 10**5, DISTINCT_ONLY, 520, "5e5b66bde3c2e35a4e0207792d3e3729b1792184edd5c6d8b3c230933c41f76f", 1),
+        (500, 10**4, ALLOW_EQUAL, 261, "3c238295d148ff8ad790d50a97ab6a83075368273f50e60957349f5c526d77bc", 1),
+        (500, 10**4, DISTINCT_ONLY, 261, "3c238295d148ff8ad790d50a97ab6a83075368273f50e60957349f5c526d77bc", 1),
+        (1000, 10**5, ALLOW_EQUAL, 518, "58e52ee7bc29e1f5789060c33f4e9822f5d5d647c00f84986ab7fade7f1c0567", 1),
+        (1000, 10**5, DISTINCT_ONLY, 520, "0e35c35aae8016a9a3010e18ec99919a79381df9f47475d7821e8bcd5448c6ee", 1),
         (3000, 3 * 10**5, ALLOW_EQUAL, 1510, "30c573dff7778620e305285e7751ff81600cd5f0e9f2679175a37b0257dd434d", 1),
         (3000, 3 * 10**5, DISTINCT_ONLY, 1510, "30c573dff7778620e305285e7751ff81600cd5f0e9f2679175a37b0257dd434d", 1),
         (200, 3000, ALLOW_EQUAL, 372, "7cffa16472f370ea4e31c4efdfe3d6c74dafdb4162710322c7203038061704e9", 4),
@@ -374,13 +376,13 @@ class TestHeuristic:
     @pytest.mark.parametrize(
         "A, within, want",
         [
-            # every sample k/99991 selects nothing, and past the sweep's cap
-            # the interval 99991·{6..11} reaches the floor 5: no sweep runs
-            # (heuristic_bounds counts its calls), though it would within its limit
+            # past the sweep's cap the interval 99991·{6..11} reaches the
+            # floor 5, and no residue class or prime dilation beats it: no
+            # sweep runs (heuristic_bounds counts its calls), though it would
+            # within its limit
             (IntegerSet(tuple(99_991 * k for k in range(1, 13))), True, tuple(99_991 * k for k in range(6, 12))),
-            # every sample selects only the element 1, and the exact sweep
-            # would need about 9e9 events; A ∩ [x, 2x) holds 150 elements
-            # and the odd residue class 151
+            # the exact sweep would need about 9e9 events; A ∩ [x, 2x) holds
+            # 150 elements and the odd residue class 151
             (IntegerSet((1, *(99_991 * k for k in range(1, 301)))), False, (1, *(99_991 * k for k in range(1, 301, 2)))),
         ],
         ids=["fallback-sweep", "past-the-limit"],
@@ -390,16 +392,44 @@ class TestHeuristic:
         assert events > solver._SWEEP_EVENT_CAP and (events <= solver.SWEEP_EVENT_LIMIT) == within
         assert heuristic_sum_free(A).witness.elements == want
 
-    @pytest.mark.parametrize("conv, optimum", [(ALLOW_EQUAL, 13), (DISTINCT_ONLY, 31)], ids=["allow-equal", "distinct"])
+    @pytest.mark.parametrize("conv, optimum", [(ALLOW_EQUAL, 16), (DISTINCT_ONLY, 31)], ids=["allow-equal", "distinct"])
     def test_prime_candidate_reaches_floor(self, conv, optimum):
-        # multiples of 2520 * 99991 defeat the samples and every residue
-        # class mod q <= 10, and each dyadic interval holds one element;
-        # 2 and 5 divide every element, 11 none, so 11 is the first
-        # admissible prime, and its best dilation 4/11 starts the search
+        # multiples of 2520 * 99991 defeat every residue class mod q <= 10,
+        # and each dyadic interval holds one element; of the 212 dilations
+        # x/p for p = 11..83, 2/17 is the first to select the most, and it
+        # starts the search
         A = IntegerSet(tuple(2520 * 99_991 * 2**i for i in range(31)))
-        assert solver._prime_dilation(A.elements) == list(dilation_select(A, Fraction(4, 11)).elements)
+        assert solver._prime_scan(A.elements, 1, 11) == Fraction(2, 17)
+        assert len(dilation_select(A, Fraction(2, 17))) >= one_third_floor(len(A)) == 11
         rep = heuristic_sum_free(A, conv)
-        assert rep.optimum == optimum >= one_third_floor(len(A)) == 11
+        assert rep.optimum == optimum
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_residue_classes_that_are_no_dilation(self, seed):
+        # {1} mod 3 and {3, 4, 5} mod 10 lie under no middle-third row of
+        # their own modulus, and both sets are past the sweep's cap
+        for A in (IntegerSet(tuple(range(1, 3000, 3))), IntegerSet.from_iterable(10 * k + r for k in range(400) for r in (3, 4, 5))):
+            assert 2 * sum(A.elements) > solver._SWEEP_EVENT_CAP
+            assert heuristic_sum_free(A, seed=seed).witness == A
+
+    def test_start_reads_no_seed(self):
+        # 5 copies of the klarner set are past the sweep's cap; with the
+        # search cut out, every seed must give one start, as every candidate
+        # reads A alone
+        A = compose_iterate(catalog()[0].elements, 5)
+        assert 2 * sum(A.elements) > solver._SWEEP_EVENT_CAP
+        with patch.object(solver, "_local_search", lambda elems, start, draw, allow_eq: start):
+            witnesses = {heuristic_sum_free(A, seed=seed).witness for seed in (0, 1, 2**64 - 1)}
+        assert len(witnesses) == 1
+
+    def test_prime_steps_count_past_83(self):
+        # 16 385 multiples of 2520·99991, spread evenly over five octaves, so
+        # that each dyadic interval holds at most 3 277 < n/3; 11 is
+        # admissible, and scanned with no limit, as every prime through 83 is
+        n = 16_385
+        A = IntegerSet(tuple(2520 * 99_991 * int(2 ** (14 + 5 * i / n)) for i in range(n)))
+        assert len(A) == n and 12 * sum(a % 11 == 0 for a in A.elements) < 2 * n
+        assert heuristic_sum_free(A).optimum >= one_third_floor(n) == 5462
 
 
 class TestCompose:
