@@ -124,32 +124,29 @@ def _check_heuristic_bounds(rng):
         )
 
 
-def _check_sampled_dilations_exact(rng):
-    # The float64 middle-third test and the histogram scorer against
-    # k x mod q on Python ints, for the scanned primes 11..83, with every k,
-    # and for 65537, with drawn k and the k that put k x mod q next to q/3
-    # and 2q/3 for residues 1 and q - 1: drawn x, x next to multiples of q,
-    # and elements past 2^63, reduced on Python ints.  The scorer counts,
-    # for each k <= q/2, the elements k/q selects.
+def _check_dilation_hits_exact(rng):
+    # The histogram scorer against its definition, p < 3 (x a mod p) < 2p
+    # on Python ints for each x <= p/2, for the scanned primes 11..83 and
+    # for two drawn primes p = 2 (mod 3) past 83 whose n·(p//2) steps are
+    # within PRIME_DILATION_LIMIT.  The elements are drawn, taken next to
+    # multiples of p (residues 1, 2, p - 2 and p - 1, three times each) or
+    # past 2^63, and reduced as _prime_scan reduces them: mod _SCAN_MODULUS
+    # on Python ints, then mod p in int64, through 83, and mod p past it.
     base = [int(x) for x in rng.integers(1, 10**12, size=60)]
     base += [2**63 + int(x) for x in rng.integers(0, 2**62, size=20)] + [3**90 + 1]
     big = int(rng.integers(2, 10**9))
-    for q in [q for q in range(11, 84) if q % 3 == 2 and all(q % d for d in range(2, q))] + [65_537]:
-        ks = list(range(1, q))
-        if q == 65_537:
-            edges = [q // 3, q // 3 + 1, 2 * q // 3, 2 * q // 3 + 1]
-            ks = [int(k) for k in rng.integers(1, q, size=40)] + [1, q - 1] + edges + [q - k for k in edges]
-        near = {m * q + r for m in (0, 1, big) for r in (1, 2, q - 2, q - 1)}
-        elems = sorted({*base, *near, q * 2**70} - {0})
-        want = [[q < 3 * (k * x % q) < 2 * q for x in elems] for k in ks]
-        residues = [x % q for x in elems]
-        shape = (len(ks), len(residues))
-        buffers = np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
-        got = solver._middle_third(np.array(ks, dtype=np.float64), np.array(residues) / q, *buffers)
-        assert got.tolist() == want, f"the float64 middle-third test differs from k x mod {q}"
-        hits = solver._dilation_hits(np.bincount(residues, minlength=q), q)
-        assert len(hits) == q // 2, f"the scorer mod {q} has {len(hits)} rows"
-        assert all(hits[min(k, q - k) - 1] == sum(row) for k, row in zip(ks, want)), f"the scorer mod {q} differs"
+    n = len(base) + 13  # at most: the near multiples and p·2^70 added
+    top = 2 * (solver.PRIME_DILATION_LIMIT // n) + 1  # the largest p with n·(p//2) within the limit
+    primes = [p for p in range(11, top + 1) if p % 3 == 2 and all(p % d for d in range(2, isqrt(p) + 1))]
+    for p in primes[:10] + rng.choice(primes[10:], size=2, replace=False).tolist():
+        elems = sorted({*base, *(m * p + r for m in (0, 1, big) for r in (1, 2, p - 2, p - 1)), p * 2**70})
+        if p <= 83:
+            residues = np.fromiter(map(solver._SCAN_MODULUS.__rmod__, elems), dtype=np.int64, count=len(elems)) % p
+        else:
+            residues = np.array([x % p for x in elems])
+        hits = solver._dilation_hits(np.bincount(residues, minlength=p), p)
+        want = [sum(p < 3 * (x * a % p) < 2 * p for a in elems) for x in range(1, p // 2 + 1)]
+        assert hits.tolist() == want, f"the scorer mod {p} differs from x a mod p"
 
 
 def _check_prime_floor(rng):
@@ -939,7 +936,7 @@ SUITES: dict[str, list[tuple[str, object]]] = {
         ("top_interval_bound", _check_top_interval),
         ("compose_additivity", _check_compose_additivity),
         ("heuristic_bounds", _check_heuristic_bounds),
-        ("sampled_dilations_exact", _check_sampled_dilations_exact),
+        ("dilation_hits_exact", _check_dilation_hits_exact),
         ("prime_floor", _check_prime_floor),
         ("local_search_vs_oracle", _check_local_search_vs_oracle),
         ("packing_vs_oracle", _check_packing_vs_oracle),

@@ -355,11 +355,11 @@ def _member_table(A: IntegerSet, N: int) -> np.ndarray:
 # Elements strictly inside (-2^62, 2^62) keep top - x and x + y strictly
 # inside (-2^63, 2^63), so both are exact in int64.
 _PAIR_SAFE_BOUND = 1 << 62
-# Entries of every numpy block (pair sums, sweep keys, prime dilations,
-# pair differences, scan states).  The sweep keeps at most three block
-# arrays live and the pair kernels two, and three of 2^15 entries at 64
-# bits (768 KiB) stay inside a 2 MiB L2 cache; 2^14 slows the sweep of a
-# dense set near its event limit by 10-20%.
+# Entries of every numpy block (pair sums, sweep keys, pair differences,
+# scan states).  The sweep keeps at most three block arrays live and the
+# pair kernels two, and three of 2^15 entries at 64 bits (768 KiB) stay
+# inside a 2 MiB L2 cache; 2^14 slows the sweep of a dense set near its
+# event limit by 10-20%.
 _BLOCK = 1 << 15
 _FILTER_PRIME = 262_139  # residue filter modulus for sets that fit no member table
 # _BELOW[r, c] = c < r: a block's entries before its rows' own diagonal.  A

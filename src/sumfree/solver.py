@@ -48,7 +48,8 @@ _SWEEP_EVENT_CAP = 2_000_000
 # the primes p = 2 (mod 3) from 11 through 83, whose dilations x/p the
 # heuristic always scans; their product, 4 429 079 517 334 813, is below 2^53
 _SCAN_MODULUS = 11 * 17 * 23 * 29 * 41 * 47 * 53 * 59 * 71 * 83
-# residues and scanned dilations of the heuristic's primes past 83
+# the heuristic's steps past 83: n residues per prime tried, and the
+# n·(p//2) entries of the scored prime's test matrix
 PRIME_DILATION_LIMIT = 1 << 17
 
 
@@ -519,27 +520,6 @@ def _sum_free_residue_masks(q: int) -> np.ndarray:
     return rows
 
 
-def _middle_third(ks: np.ndarray, fracs: np.ndarray, dist: np.ndarray, near: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out[i, j] = (q < 3 (k_i x_j mod q) < 2q), in out's first len(ks) rows; out may be `near`.
-
-    q is a prime other than 3 below 2^17; it enters only through `fracs`,
-    the floats of r_j/q with r_j = x_j mod q.  `ks` holds integers
-    1 <= k < q, all float64; dist and near are float buffers of out's
-    shape.  The test is exact.  k_i·fracs[j] lies within 2^-36 of
-    k_i r_j/q, as k_i < q < 2^17, and its distance to the nearest integer,
-    min(s, q - s)/q with s = k_i r_j mod q, exceeds 1/3 exactly when
-    q < 3s < 2q.  That distance is never within 1/(3q) > 2^-19 of 1/3, as
-    3 min(s, q - s) is a multiple of 3 and so never q.
-    """
-    h = len(ks)
-    dist, near, out = dist[:h], near[:h], out[:h]
-    np.matmul(ks[:, None], fracs[None], out=dist)  # the outer product, one rounding an entry, no ufunc buffers
-    np.rint(dist, out=near)
-    dist -= near
-    np.abs(dist, out=dist)
-    return np.greater(dist, 1 / 3, out=out)
-
-
 def _prime_scan(elems: tuple[int, ...], size: int, floor: int) -> Fraction | None:
     """Erdős's dilations x/p, p = 3k + 2 prime: the first with the most hits, if it selects more than `size`.
 
@@ -555,9 +535,9 @@ def _prime_scan(elems: tuple[int, ...], size: int, floor: int) -> Fraction | Non
     of _SCAN_MODULUS (212 rows), and past 83 only while the best misses
     `floor`, up to the first admissible prime.  That work, n residues per
     prime tried past 83 plus n·(p//2), is refused past PRIME_DILATION_LIMIT
-    before it is done; as the heuristic goes past 83 only with n >= 3, p
-    stays below 2^17, as _middle_third needs.  The elements are reduced
-    mod _SCAN_MODULUS, or mod p past 83, on Python ints, so any size is fine.
+    before it is done, which also bounds _dilation_hits' matrix past 83
+    to n·(p//2) entries.  The elements are reduced mod _SCAN_MODULUS, or
+    mod p past 83, on Python ints, so any size is fine.
     """
     n = len(elems)
     reduced = np.fromiter(map(_SCAN_MODULUS.__rmod__, elems), dtype=np.int64, count=n)
@@ -584,22 +564,14 @@ def _prime_scan(elems: tuple[int, ...], size: int, floor: int) -> Fraction | Non
 def _dilation_hits(counts: np.ndarray, p: int) -> np.ndarray:
     """hits[x - 1]: the elements x/p selects, for x in 1..p//2, from counts[r] = |{a : a = r mod p}|.
 
-    _middle_third tests each distinct residue once, as 0.0 or 1.0, and a
-    row's tests are summed against the counts, exactly, as the sums are at
-    most n < 2^53.  The rows go in blocks through two float64 row buffers
-    of at most _BLOCK entries, allocated once, 16·_BLOCK bytes; the rest
-    of the memory is O(p).
+    Each distinct residue r is tested once, p < 3 (x r mod p) < 2p, on
+    the exact int64 products x r < p^2, and a row's tests are summed
+    against the counts.  The test matrix has p//2 rows and one column per
+    distinct residue.
     """
     residues = np.flatnonzero(counts)
-    weights = counts[residues].astype(np.float64)
-    fracs = residues / p
-    xs = np.arange(1.0, p // 2 + 1)
-    rows = max(1, min(len(xs), _BLOCK // len(residues)))
-    dist, tests = np.empty((rows, len(residues))), np.empty((rows, len(residues)))
-    hits = np.empty(len(xs))
-    for i in range(0, len(xs), rows):
-        hits[i : i + rows] = _middle_third(xs[i : i + rows], fracs, dist, tests, tests) @ weights
-    return hits
+    s = np.outer(np.arange(1, p // 2 + 1, dtype=np.int64), residues) % p
+    return ((p < 3 * s) & (3 * s < 2 * p)) @ counts[residues]
 
 
 def _primes_2_mod_3():

@@ -2,9 +2,11 @@ import contextlib
 import functools
 import importlib.util
 import io
+import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -259,6 +261,23 @@ def test_each_limit_refused_at_once_in_its_wording(capsys, tmp_path, argv, messa
     code, out, err = run_cli(capsys, argv)
     assert time.perf_counter() - start < 1.0
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_readme_limits_are_the_constants():
+    # each row of README's limits table names a module constant, `module.NAME`,
+    # and its value, as 2^23, 4·10^7 or 1 658 655
+    lines = (GOLDEN_DIR.parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index("| Stage | Work unit | Count | Constant | Value |") + 2
+    rows = list(itertools.takewhile(lambda line: line.startswith("|"), lines[start:]))
+    assert rows
+    for row in rows:
+        *_, constant, value = (cell.strip() for cell in re.split(r"(?<!\\)\|", row)[1:-1])
+        module, name = constant.strip("`").split(".")
+        want = 1
+        for factor in value.replace(" ", "").split("·"):
+            base, _, exponent = factor.partition("^")
+            want *= int(base) ** int(exponent or 1)
+        assert getattr(importlib.import_module(f"sumfree.{module}"), name) == want, row
 
 
 def test_long_theta_at_a_bound_one_runs(capsys):

@@ -1,6 +1,7 @@
 import hashlib
 import tracemalloc
 from fractions import Fraction
+from math import isqrt, prod
 from unittest.mock import patch
 
 import numpy as np
@@ -225,21 +226,25 @@ def _traced_peak(fn, *args):
 
 
 class TestBlockMemory:
-    # Each kernel's docstring bounds its memory as a multiple of
-    # core._BLOCK's 8-byte entries plus O(|A|); 512 and 64 bytes an element
-    # are the O(|A|) allowance here.
+    # The sweep's docstring bounds its memory as a multiple of core._BLOCK's
+    # 8-byte entries, and the prime scorer's by PRIME_DILATION_LIMIT's
+    # entries, plus O(|A|); 512 and 64 bytes an element are the O(|A|)
+    # allowance here.
     def test_sweep_keeps_three_block_arrays(self):
         rng = rng_from_seed(2024, "sweep-memory")
         A = IntegerSet(tuple(sorted(int(x) for x in rng.choice(2000, size=1000, replace=False) + 1)))
         assert 1.9e6 < 2 * sum(A.elements) <= solver._SWEEP_EVENT_CAP
         assert _traced_peak(dilation_sweep, A) <= 3 * 8 * solver._BLOCK + 512 * len(A)
 
-    def test_dilation_scan_keeps_its_row_buffers(self):
-        # 3000 elements hit nearly every residue mod 1013, so the 506 rows
-        # x/1013 take 16 blocks of 32 rows
-        rng = rng_from_seed(2024, "sampled-memory")
-        counts = np.bincount(rng.choice(3 * 10**5, size=3000, replace=False) % 1013, minlength=1013)
-        assert _traced_peak(solver._dilation_hits, counts, 1013) <= 16 * solver._BLOCK + 64 * 1013
+    def test_dilation_hits_within_the_prime_limit(self):
+        # 129 residues mod 2027 are the widest matrix the limit admits, 1013
+        # rows x/2027 of 129 int64 entries, with 24 bytes an entry for the
+        # products, their residues and one temporary; a full 1013 x 2027
+        # matrix, 37 MB at its peak, is 16 times as wide
+        rng = rng_from_seed(2024, "dilation-hits-memory")
+        counts = np.bincount(rng.choice(2027, size=129, replace=False), minlength=2027)
+        assert np.count_nonzero(counts) * (2027 // 2) <= solver.PRIME_DILATION_LIMIT
+        assert _traced_peak(solver._dilation_hits, counts, 2027) <= 24 * solver.PRIME_DILATION_LIMIT + 64 * 2027
 
 
 def _greedy_sum_free(elems, conv):
@@ -421,6 +426,16 @@ class TestHeuristic:
         with patch.object(solver, "_local_search", lambda elems, start, draw, allow_eq: start):
             witnesses = {heuristic_sum_free(A, seed=seed).witness for seed in (0, 1, 2**64 - 1)}
         assert len(witnesses) == 1
+
+    def test_widest_prime_scored(self):
+        # M holds every prime p = 2 (mod 3) below 2^15, so no residue class,
+        # interval or x/p through 83 reaches the floor of 2 on 2520·M·{1, 4,
+        # 16}, and the first admissible prime, 32771, is scored on all its
+        # 16 385 rows
+        M = prod(p for p in range(2, 2**15) if p % 3 == 2 and all(p % d for d in range(2, isqrt(p) + 1)))
+        A = IntegerSet(tuple(2520 * M * k for k in (1, 4, 16)))
+        assert solver._prime_scan(A.elements, 1, 2) == Fraction(1, 32771)
+        assert heuristic_sum_free(A).optimum == 3
 
     def test_prime_steps_count_past_83(self):
         # 16 385 multiples of 2520·99991, spread evenly over five octaves, so
