@@ -493,7 +493,10 @@ def write_json(obj, fp) -> None:
     encoder.  Lists go out in pieces of _JSON_CHUNK items, so no transient
     grows with the list, and in an all-float list of JSON_DISTINCT_MIN
     items or more each piece formats each distinct bit pattern once, so
-    -0.0 and 0.0 keep their own text.
+    -0.0 and 0.0 keep their own text.  That is why it is not plain
+    json.dumps: on the 2.2 MB envelope of `weight build --eps 1/2 --cells
+    1024 --steps 8`, write_json took 34-38 ms and json.dumps 91-95 ms
+    (best of 9 and of 5, 2-core x86-64, Python 3.11).
     """
     for piece in _json_pieces(obj):
         fp.write(piece)

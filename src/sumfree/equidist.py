@@ -238,7 +238,9 @@ def _scan_ball(theta: np.ndarray, budget: int) -> tuple[float, tuple[tuple[int, 
     alive.  Children come in the lex order of their full vectors, so a
     block's first least distance is its lex-first; across blocks, entry
     (i, v) sorts as (i - d, v) when v < 0 and as (d - i, v) when v > 0,
-    and a vector that ends sorts as 0 there, as its zeros do.
+    and a vector that ends sorts as 0 there, as its zeros do.  A vector
+    costs a few array operations whatever d, which enters only to write
+    out the worst vector.
     """
     d = len(theta)
     best = [math.inf, ()]  # distance, entries
@@ -297,7 +299,8 @@ def irrationality_check(theta: Theta, a_bound, N: int) -> IrrationalityReport:
 
     Exhaustive over sum |q_i| <= a_bound (vectors identified with their
     negatives).  Each q . theta is summed from 0.0 in place order, one
-    IEEE addition per nonzero entry, whatever the interpreter.  The verdict
+    IEEE addition per nonzero entry, whatever the interpreter (Python's
+    sum() compensates from 3.12 on).  The verdict
     compares the worst torus distance against the reported threshold,
     float(a_bound / N); since no distance exceeds 1/2, any threshold above
     1/2 fails.  The scan is refused before it starts when its vector count

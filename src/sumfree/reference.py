@@ -1,31 +1,4 @@
-"""Slow reference oracles.
-
-Each fast path that tests and the `check` suites certify is compared with
-one of these: the branch-and-bound solver with an exhaustive subset
-classification, the FFT U2 norm with the quadruple average summed over
-shifts in physical space, the convex-hull progression scanner with a plain
-window enumeration, the FFT triple count with a direct double sum, the
-exact ordered triple counts with the full table of pair sums, the
-sum-free test's pair-sum count and the difference counts with loops on
-Python ints, the integer grid doubling table with a Fraction pair loop,
-the two-cell weight pushforward with a Fraction overlap loop, the
-dilation sweep with a Fraction scan of every interval between
-breakpoints, the torus ball scan with a generator that yields one
-vector at a time, summed by a plain loop, the test-function evaluation
-with one exponential per term, Lev's bitmask cover with Python sets of
-sums, the heuristic's local search, whose kept conflicts and
-skipped swaps are replaced by an is_sum_free test of every move, and the
-branch and bound's greedy packing, whose per-node bitmasks are replaced
-by a scan of the element values.  They are written
-from the definitions and are meant for small inputs only.  They share no
-logic with the code they check, with two exceptions: u2_norm_direct
-divides by spectral._interval_group_norm, the closed-form norm of
-1_{1..N}, which
-tests/test_reference.py::test_interval_norm_closed_form_counts_quadruples
-checks against a direct quadruple count; and local_search tests moves
-with solver.is_sum_free, which the search it checks does not call and
-the solver suite checks against pair_sum_count.
-"""
+"""Slow oracles, one per fast path; each docstring names its path and any logic they share."""
 
 from __future__ import annotations
 
@@ -55,7 +28,7 @@ def exhaustive_max_sum_free(
     A: IntegerSet,
     convention: SumFreeConvention = SumFreeConvention.ALLOW_EQUAL,
 ) -> tuple[int, tuple[int, ...]]:
-    """Independent reference solver classifying all 2^|A| subsets.
+    """solver.max_sum_free_subset's oracle, classifying all 2^|A| subsets.
 
     A subset is sum-free iff dropping its largest element leaves a sum-free
     set and no remaining pair sums to that element, so one vectorised pass
@@ -98,7 +71,7 @@ def exhaustive_max_sum_free(
 
 
 def dilation_sweep_direct(A: IntegerSet) -> tuple[Fraction, tuple[int, ...]]:
-    """First maximising dilation (theta, selection), scanning every interval.
+    """solver.dilation_sweep's (theta, selection), scanning every interval.
 
     x is selected at theta = p/q when 1/3 < frac(theta x) < 2/3, that is
     q < 3 (p x mod q) < 2q; the selection can only change at the exact
@@ -120,7 +93,7 @@ def dilation_sweep_direct(A: IntegerSet) -> tuple[Fraction, tuple[int, ...]]:
 
 
 def u2_group_norm_direct(signal: CyclicSignal) -> float:
-    """Group U2 norm from the quadruple average, O(N'^2) reference.
+    """spectral.u2_group_norm from the quadruple average, O(N'^2).
 
     Substituting y = x + h2 in E_{x,h1,h2} f(x) conj(f(x+h1) f(x+h2))
     f(x+h1+h2) factors the average as E_h |E_x f(x) conj f(x+h)|^2, an
@@ -134,16 +107,18 @@ def u2_group_norm_direct(signal: CyclicSignal) -> float:
 
 
 def u2_norm_direct(signal: CyclicSignal) -> float:
-    """Interval-normalised U2 norm with the group norm computed directly.
+    """spectral.u2_norm with the group norm computed directly.
 
-    The normaliser is the closed-form norm of 1_{1..N} that
-    spectral.u2_norm divides by as well.
+    The normaliser is the closed-form norm of 1_{1..N} that u2_norm
+    divides by as well, the one logic the two share;
+    tests/test_reference.py::test_interval_norm_closed_form_counts_quadruples
+    checks it against a direct quadruple count.
     """
     return u2_group_norm_direct(signal) / _interval_group_norm(signal.ref_n, signal.n_prime)
 
 
 def t_count_direct(f) -> float:
-    """(1/N^2) sum_{x + y <= N} f(x) f(y) f(x+y) by direct summation, O(N^2)."""
+    """spectral.t_count's (1/N^2) sum_{x + y <= N} f(x) f(y) f(x+y), summed directly in O(N^2)."""
     arr = np.asarray(f, dtype=np.float64)
     n = len(arr)
     total = 0.0
@@ -154,10 +129,10 @@ def t_count_direct(f) -> float:
 
 
 def ordered_triples_direct(A: IntegerSet) -> int:
-    """#{(x, y) in A^2 : x + y in A} from the full |A|^2 table of pair sums.
+    """spectral.ordered_triples from the full |A|^2 table of pair sums.
 
-    Every ordered pair is summed, with no bound on the sum, and each sum is
-    matched against A by np.isin.
+    #{(x, y) in A^2 : x + y in A}: every ordered pair is summed, with no
+    bound on the sum, and each sum is matched against A by np.isin.
     """
     a = np.array(A.elements, dtype=np.int64)
     return int(np.count_nonzero(np.isin(np.add.outer(a, a), a)))
@@ -167,7 +142,7 @@ def pair_sum_count(A: IntegerSet, convention: SumFreeConvention = SumFreeConvent
     """#{x <= y in A : x + y in A} (x < y under DISTINCT_ONLY), on Python ints.
 
     Every such pair is tried, with no bound on the sum; A is sum-free
-    exactly when the count is 0.
+    exactly when the count is 0, solver.is_sum_free's oracle.
     """
     members = A.member_set
     elems = A.elements
@@ -176,7 +151,7 @@ def pair_sum_count(A: IntegerSet, convention: SumFreeConvention = SumFreeConvent
 
 
 def difference_counts_direct(A: IntegerSet, N: int) -> list[int]:
-    """[|A ∩ (A + d)| for d = 0,..,N-1], each a membership count on Python ints."""
+    """spectral.difference_counts, each |A ∩ (A + d)| a membership count on Python ints."""
     members = A.member_set
     return [sum(a - d in members for a in A.elements) for d in range(N)]
 
@@ -184,7 +159,7 @@ def difference_counts_direct(A: IntegerSet, N: int) -> list[int]:
 def dense_progression_direct(
     A: IntegerSet, N: int, min_length: int
 ) -> tuple[int, int, int, int]:
-    """Densest progression window in {1,..,N} by enumerating every window.
+    """structure.find_dense_progression's window, by enumerating every window.
 
     Walks each chain start, start+step, .. <= N and scores each of its
     prefixes of length >= min_length.  Returns (hits, length, start, step)
@@ -343,7 +318,7 @@ def evaluate_direct(F, n, N: int, theta: tuple[float, ...]) -> np.ndarray:
 
 
 def lev_cover_direct(xs, length: int) -> bool:
-    """Is {0,..,length-1} inside 5X - 4X?  Python sets of every k-fold sum."""
+    """structure._lev_covers' test of {0,..,length-1} inside 5X - 4X, on Python sets of sums."""
     folds = [{0}]
     for _ in range(5):
         folds.append({s + x for s in folds[-1] for x in xs})
@@ -357,7 +332,10 @@ def local_search(elems: tuple[int, ...], start: set[int], draw, allow_eq: bool) 
     Four rounds of 150 moves, each from the best set so far.  A move draws
     x = elems[draw(n)] and skips a member; it adds x when S ∪ {x} is
     sum-free, and otherwise draws pick = sorted(S)[draw(|S|)] and trades
-    it for x when (S - {pick}) ∪ {x} is.  Nothing is kept between moves.
+    it for x when (S - {pick}) ∪ {x} is.  Nothing is kept between moves,
+    where solver._local_search keeps conflicts and skips swaps.  The moves
+    are tested with solver.is_sum_free, which the search checked here does
+    not call and the solver suite checks against pair_sum_count.
     """
     conv = SumFreeConvention.ALLOW_EQUAL if allow_eq else SumFreeConvention.DISTINCT_ONLY
 

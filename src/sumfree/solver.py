@@ -537,7 +537,10 @@ def _prime_scan(elems: tuple[int, ...], size: int, floor: int) -> Fraction | Non
     prime tried past 83 plus n·(p//2), is refused past PRIME_DILATION_LIMIT
     before it is done, which also bounds _dilation_hits' matrix past 83
     to n·(p//2) entries.  The elements are reduced mod _SCAN_MODULUS, or
-    mod p past 83, on Python ints, so any size is fine.
+    mod p past 83, on Python ints, so any size is fine.  A set is refused
+    even when a dilation outside the scan reaches the floor, as
+    2520·M·{2^0, ..., 2^99} does, M the product of the primes p = 2
+    (mod 3) below 3000.
     """
     n = len(elems)
     reduced = np.fromiter(map(_SCAN_MODULUS.__rmod__, elems), dtype=np.int64, count=n)

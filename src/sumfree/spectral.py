@@ -13,14 +13,9 @@ quadruple average and triple sum that the FFT paths are checked against.
 For a set A the quadruples are counted exactly instead: with nothing
 wrapping, ||1_A||_{U2}^4 = E(A) / N'^3 for the additive energy
 E(A) = sum_d |A ∩ (A+d)|^2, so `set_u2` builds no N'-point signal.
-The exact set counts choose their path from the input.  `difference_counts`
-enumerates the |A|^2 element pairs when |A|^2 <= N, and correlates the
-indicator by FFT otherwise.  `ordered_triples` counts the pairs x <= y with
-x + y <= max(A) in blocks looked up in a bool member table
-(`core._pair_sum_hits`, the kernel `solver.is_sum_free` shares) when there
-are at most _PAIRS_PER_FFT_POINT of them per point of the FFT, and
-convolves the indicator by FFT otherwise.  Interval quantities use N = ref_n
-and the convention that array index i holds the value at n = i + 1.
+The exact set counts pick pairs or an FFT from the input (`_use_pairs`,
+`_use_kernel`).  Interval quantities use N = ref_n and the convention
+that array index i holds the value at n = i + 1.
 """
 
 from __future__ import annotations
@@ -208,9 +203,9 @@ def difference_counts(A: IntegerSet, N: int) -> np.ndarray:
     """Exact counts |A ∩ (A+d)| for d = 0..N-1 (symmetric in d).
 
     From the |A|^2 pairwise differences when |A|^2 <= N (_use_pairs), else
-    from the indicator's autocorrelation by FFT, rounded to integers.  The
-    differences have no bound like ordered_triples' x + y <= max(A), so
-    they keep the |A|^2 rule.
+    from the indicator's autocorrelation by an FFT of _fft_length(2N+1)
+    points, rounded to integers.  The differences have no bound like
+    ordered_triples' x + y <= max(A), so they keep the |A|^2 rule.
     """
     a = indicator_vector(A, N)
     return (_differences_by_pairs if _use_pairs(A, N) else _differences_by_fft)(a)

@@ -75,6 +75,37 @@ class DenseProgressionReport(JsonReport):
     meets_target: bool
 
 
+def _max_step(N: int, min_length: int) -> int:
+    """The largest step of a window of length >= min_length in {1,..,N}, at least 1."""
+    return max(1, N - 1 if min_length == 1 else (N - 1) // (min_length - 1))
+
+
+def _window_ends(N: int, min_length: int) -> int:
+    """The window ends find_dense_progression visits: the sum over steps d of N - (min_length-1)*d.
+
+    Every term is positive, and each falls as min_length grows while the
+    steps get fewer, so the count never rises with min_length.
+    """
+    m = _max_step(N, min_length)
+    return m * N - (min_length - 1) * m * (m + 1) // 2
+
+
+def _default_min_length(N: int) -> int:
+    """The least min_length >= max(1, N // 10) whose scan fits PROGRESSION_WINDOW_LIMIT.
+
+    _window_ends never rises with min_length and is 1 at N, so bisection
+    finds it.  It is N // 10 wherever that length fits.
+    """
+    lo, hi = max(1, N // 10), max(1, N)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _window_ends(N, mid) <= PROGRESSION_WINDOW_LIMIT:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def find_dense_progression(
     A: IntegerSet, N: int, min_length: int, target_density
 ) -> DenseProgressionReport:
@@ -108,10 +139,8 @@ def find_dense_progression(
     target = Fraction(target_density)
 
     L = min_length
-    max_step = N - 1 if L == 1 else (N - 1) // (L - 1)
-    max_step = max(1, max_step)
-    ends = max_step * N - (L - 1) * max_step * (max_step + 1) // 2
-    _check_limit("progression window ends", ends, PROGRESSION_WINDOW_LIMIT, "raise min_length or lower N")
+    max_step = _max_step(N, L)
+    _check_limit("progression window ends", _window_ends(N, L), PROGRESSION_WINDOW_LIMIT, "raise min_length or lower N")
     padded = np.zeros(N + max_step, dtype=np.int8)
     padded[:N] = member
     index = np.arange(N + 1, dtype=np.int64)[:, None]
@@ -184,16 +213,19 @@ def check_doubling_hypothesis(
     D_delta(A) is the set of delta-popular differences.  When the count
     stays under the allowance, the structural prediction is a progression
     of density at least 1/2 + eps/5 somewhere in {1,..,N}; the scanner then
-    reports the best window of length >= min_length (default N // 10, since
-    the predicted length constant is not effective) together with whether
-    it meets that target.  The popular count uses exact thresholding, and
+    reports the best window of length >= min_length together with whether
+    it meets that target.  The default min_length is _default_min_length(N):
+    N // 10, since the predicted length constant is not effective, raised
+    where needed until the scan fits its limit.  An explicit min_length is
+    checked against the limit only when the scan runs, after the popular
+    differences.  The popular count uses exact thresholding, and
     the allowance comparison is exact rational arithmetic.
     """
     eps_f = Fraction(eps)
     if not 0 < eps_f <= 1:
         raise ValueError("eps must lie in (0, 1]")
     if min_length is None:
-        min_length = max(1, N // 10)
+        min_length = _default_min_length(N)
     popular = popular_differences(A, N, delta)
     allowance = 4 * len(A) - eps_f * N
     met = len(popular) <= allowance
@@ -220,7 +252,8 @@ class AlphaGrid:
     """[0,1]-valued function on Z/qZ x {1,..,M}, stored exactly.
 
     Entries are Fractions (floats convert exactly), so the doubling
-    inequality below is decided with no rounding anywhere.
+    inequality below is decided with no rounding anywhere.  Construction
+    range-checks each distinct value once.
     """
 
     modulus: int
@@ -366,7 +399,9 @@ def avoid_zero_diagnostic(
     l = j/K with l >= min_interval.  Ties prefer the smallest subgroup,
     then the shortest interval, so the reported box is deterministic.  An
     index_bound above the modulus admits the same strides as the modulus
-    itself, since no larger stride divides it.
+    itself, since no larger stride divides it.  Every mass is a cell count
+    over q*K, so the counts are compared as integers, one argmin over the
+    interval ends per subgroup.
     """
     if index_bound < 1:
         raise ValueError("index_bound must be >= 1")
@@ -402,9 +437,10 @@ def lev_check(P: Progression, X: IntegerSet) -> bool:
 
     Requires |P| > 12, X contained in P, and |X| > |P| / 2; under those
     hypotheses coverage always holds (a theorem), so False indicates a bug
-    rather than an interesting input.  X is affinely normalized to
-    {0,..,|P|-1} first, and _lev_covers tests the cover on integer
-    bitmasks with one shift per point of P.
+    rather than an interesting input.  The sizes are checked first and
+    membership in P arithmetically, so a huge |P| is refused at once.  X
+    is affinely normalized to {0,..,|P|-1}, and _lev_covers tests the
+    cover on integer bitmasks with one shift per point of P.
     """
     if P.length <= 12:
         raise ValueError("covering check requires |P| > 12")
@@ -452,10 +488,13 @@ def load_alpha_grid(path: str | Path) -> AlphaGrid:
 
 
 def load_grid_set(path: str | Path) -> GridSet:
-    """Read a GridSet from JSON {q, K, values row-major} with 0/1 entries."""
+    """Read a GridSet from JSON {q, K, values row-major} with 0/1 entries.
+
+    Each entry is the integer 0 or 1: JSON's true, false, 1.0 and 0.0 are refused.
+    """
     raw = read_grid_json(path, "q", "K")
     q, K, values = raw["q"], raw["K"], raw["values"]
-    for v in values:
-        if v not in (0, 1):
-            raise ValueError(f"{path}: membership values must be 0 or 1, got {v!r}")
+    if not set(map(type, values)) <= {int} or not set(values) <= {0, 1}:  # JSON gives exact types
+        bad = next(v for v in values if type(v) is not int or v not in (0, 1))
+        raise ValueError(f"{path}: membership values must be 0 or 1, got {bad!r}")
     return GridSet(modulus=q, cells=K, membership=np.array(values, dtype=bool).reshape(q, K))

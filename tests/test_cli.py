@@ -6,7 +6,9 @@ import itertools
 import json
 import math
 import os
+import random
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -90,6 +92,65 @@ def test_vacuous_irrationality_check_prints_strict_json(capsys, strict_loads):
     assert code == 0 and err == "equidist check: holds, no vector scanned\n"
     report = strict_loads(out)["report"]
     assert report["holds"] is True and report["worst_vector"] == [] and report["worst_distance"] is None
+
+
+_M_PAST_83 = math.prod(p for p in range(2, 2**11) if p % 3 == 2 and all(p % d for d in range(2, p)))
+# set files for the strict-JSON commands below, by name
+_STRICT_SETS = {
+    "lev_x": [*range(1, 601, 2), 600],
+    "past_cap_interval": [99_991 * k for k in range(1, 13)],
+    "one_mod_three": list(range(1, 3000, 3)),
+    "prime_floor": [2520 * 99_991 * 2**i for i in range(31)],
+    "past_83": [2520 * _M_PAST_83 * k for k in (1, 4, 16)],
+    "past_int64": [2**63 * k for k in range(1, 41)],
+    "part": sorted(random.Random(3).sample(range(1, 3001), 200)),
+    "dense36": sorted(random.Random(36).sample(range(1, 145), 36)),
+    "klarner": [2, 3, 4, 5, 6, 8, 10],
+}
+# id: argv, and the optimum its report must hold (None for no check)
+_STRICT_COMMANDS = {
+    "catalog": (["catalog", "--verify"], None),
+    "weight-build": (["weight", "build", "--eps", "1/2", "--cells", "8", "--steps", "2"], None),
+    "equidist-vacuous": (["equidist", "check", "--theta", "0.3", "--a", "1/2", "--n", "10"], None),
+    "equidist-check-at-the-limit": (["equidist", "check", "--theta", "0.1,0.2,0.3", "--a", "135", "--n", "1000"], None),
+    "equidist-error": (["equidist", "error", "--theta", "0.1,0.2,0.3", "--freq", "cos:1;2;3", "--n", "1000"], None),
+    "lev": (["structure", "lev", "--start", "1", "--step", "1", "--length", "600", "--subset", "{lev_x}"], None),
+    "past-cap-interval": (["solve", "--set", "{past_cap_interval}", "--heuristic"], None),
+    "one-mod-three": (["solve", "--set", "{one_mod_three}", "--heuristic"], 1000),
+    "prime-floor": (["solve", "--set", "{prime_floor}", "--heuristic"], None),
+    "past-83": (["solve", "--set", "{past_83}", "--heuristic"], 3),
+    "past-int64": (["solve", "--set", "{past_int64}", "--heuristic"], None),
+    "compose": (["compose", "--set-a", "{part}", "--copies", "3", "--out", "{composed}"], None),
+    "composed-heuristic": (["solve", "--set", "{composed}", "--heuristic"], None),
+    "dense36-allow-equal": (["solve", "--set", "{dense36}", "--convention", "allow-equal"], None),
+    "dense36-distinct": (["solve", "--set", "{dense36}", "--convention", "distinct"], None),
+    "compose-klarner": (["compose", "--set-a", "{klarner}", "--copies", "5", "--out", "{klarner5}"], None),
+    "klarner5-budget": (["solve", "--set", "{klarner5}", "--budget", "20000"], None),
+}
+
+
+@pytest.fixture(scope="module")
+def strict_paths(tmp_path_factory):
+    """The set files of _STRICT_SETS, and the two that the compose commands write."""
+    root = tmp_path_factory.mktemp("strict")
+    paths = {name: str(root / f"{name}.json") for name in (*_STRICT_SETS, "composed", "klarner5")}
+    for name, elements in _STRICT_SETS.items():
+        Path(paths[name]).write_text(json.dumps({"elements": elements}))
+    for name in ("compose", "compose-klarner"):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main([arg.format(**paths) for arg in _STRICT_COMMANDS[name][0]]) == 0
+    return paths
+
+
+@pytest.mark.parametrize("name", _STRICT_COMMANDS)
+def test_envelope_is_one_line_of_strict_json(capsys, strict_loads, strict_paths, name):
+    argv, optimum = _STRICT_COMMANDS[name]
+    code, out, _ = run_cli(capsys, [arg.format(**strict_paths) for arg in argv])
+    assert code == 0
+    assert out.endswith("\n") and out.count("\n") == 1
+    report = strict_loads(out)["report"]
+    if optimum is not None:
+        assert report["optimum"] == optimum
 
 
 def test_irrationality_verdict_matches_the_printed_threshold(capsys):
@@ -202,6 +263,16 @@ def test_domain_errors_exit_1(capsys, tmp_path):
         assert err.startswith("error:"), argv
 
 
+@pytest.mark.parametrize("values, shown", [([True, False], "True"), ([1.0, 0], "1.0")], ids=["true", "float-one"])
+def test_grid_set_entries_are_the_integers_0_and_1(capsys, tmp_path, values, shown):
+    # the alpha-grid and weight loaders refuse booleans by exact type too
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"q": 1, "K": 2, "values": values}))
+    argv = ["structure", "avoidzero", "--grid", str(grid), "--index-bound", "1", "--min-interval", "1/2"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out, err) == (1, "", f"error: {grid}: membership values must be 0 or 1, got {shown}\n")
+
+
 # a 2049 x 1 grid of 1/2: 2049^2 = 4198401 pairs of cells above eta = 1/4
 _TALL_GRID = {"q": 2049, "M": 1, "values": ["1/2"] * 2049}
 # 100 multiples of 2520·99991 and of each prime p = 2 (mod 3) below 3000,
@@ -278,6 +349,16 @@ def test_readme_limits_are_the_constants():
             base, _, exponent = factor.partition("^")
             want *= int(base) ** int(exponent or 1)
         assert getattr(importlib.import_module(f"sumfree.{module}"), name) == want, row
+
+
+def test_readme_commands_parse():
+    # each `sumfree ...` line of README's command block, up to a pipe or a
+    # comment, is an argv the parser accepts
+    text = (GOLDEN_DIR.parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = [line for line in text.splitlines() if line.startswith("sumfree ")]
+    assert lines
+    for line in lines:
+        _build_parser().parse_args(shlex.split(line.partition("|")[0], comments=True)[1:])
 
 
 def test_long_theta_at_a_bound_one_runs(capsys):
@@ -493,6 +574,19 @@ def test_progression_scan_refused_past_its_window_limit(capsys, tmp_path):
     assert time.perf_counter() - start < 1.0
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and "window ends" in err
+
+
+def test_default_min_length_fits_the_window_limit(capsys, tmp_path):
+    # N // 10 = 45 000 would scan 2 025 055 window ends, past the limit; the
+    # default is the least longer length that fits
+    half = tmp_path / "half.json"
+    half.write_text(json.dumps({"elements": list(range(1, 225_001))}))
+    argv = ["structure", "doubling", "--set", str(half), "--n", "450000", "--eps", "1/10", "--delta", "1/5"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert report["hypothesis_met"] and report["min_length"] == 45_557
+    assert report["progression"]["progression"] == {"start": 1, "step": 1, "length": 225_000}
 
 
 @pytest.mark.parametrize("n", [1, 10, 4096])

@@ -255,7 +255,7 @@ def _greedy_sum_free(elems, conv):
     return S
 
 
-class TestCanAdd:
+class TestConflict:
     @pytest.mark.parametrize("conv", [ALLOW_EQUAL, DISTINCT_ONLY], ids=lambda c: c.value)
     def test_matches_is_sum_free(self, conv):
         allow_eq = conv is ALLOW_EQUAL
@@ -371,7 +371,7 @@ class TestHeuristic:
         b = heuristic_sum_free(A, seed=11)
         assert a.witness.elements == b.witness.elements
 
-    def test_sampled_dilations_near_int64_limit(self):
+    def test_large_elements_past_the_sweep_cap_reach_the_floor(self):
         A = IntegerSet(tuple(10**15 * x for x in (17, 28, 31, 38, 48)))
         rep = heuristic_sum_free(A, seed=4)
         assert is_sum_free(rep.witness, ALLOW_EQUAL)
@@ -390,9 +390,9 @@ class TestHeuristic:
             # 150 elements and the odd residue class 151
             (IntegerSet((1, *(99_991 * k for k in range(1, 301)))), False, (1, *(99_991 * k for k in range(1, 301, 2)))),
         ],
-        ids=["fallback-sweep", "past-the-limit"],
+        ids=["within-the-limit", "past-the-limit"],
     )
-    def test_every_sample_below_the_floor(self, A, within, want):
+    def test_witness_past_the_sweep_cap(self, A, within, want):
         events = 2 * sum(A.elements)
         assert events > solver._SWEEP_EVENT_CAP and (events <= solver.SWEEP_EVENT_LIMIT) == within
         assert heuristic_sum_free(A).witness.elements == want
