@@ -124,44 +124,56 @@ def _check_heuristic_bounds(rng):
         )
 
 
-def _check_dilation_hits_exact(rng):
-    # The histogram scorer against its definition, p < 3 (x a mod p) < 2p
-    # on Python ints for each x <= p/2, for the scanned primes 11..83 and
-    # for two drawn primes p = 2 (mod 3) past 83 whose n·(p//2) steps are
-    # within PRIME_DILATION_LIMIT.  The elements are drawn, taken next to
-    # multiples of p (residues 1, 2, p - 2 and p - 1, three times each) or
-    # past 2^63, and reduced as _prime_scan reduces them: mod _SCAN_MODULUS
-    # on Python ints, then mod p in int64, through 83, and mod p past it.
-    base = [int(x) for x in rng.integers(1, 10**12, size=60)]
-    base += [2**63 + int(x) for x in rng.integers(0, 2**62, size=20)] + [3**90 + 1]
+def _primes_2_mod_3(lo: int, hi: int):
+    """The primes p = 2 (mod 3) in [lo, hi], lo > 2, in increasing order, by trial division."""
+    return (p for p in range(lo, hi + 1) if p % 3 == 2 and all(p % d for d in range(2, isqrt(p) + 1)))
+
+
+def _residue_rows_direct(q: int, classes: bool) -> list[list[bool]]:
+    """Rows over Z/qZ by definition: the masks with no x + y = z mod q (x = y allowed) in order, or x/q for x = 1..q//2."""
+    if not classes:
+        return [[q < 3 * (x * r % q) < 2 * q for r in range(q)] for x in range(1, q // 2 + 1)]
+    sets = [{r for r in range(q) if mask >> r & 1} for mask in range(1, 2**q)]
+    return [[r in S for r in range(q)] for S in sets if not any((x + y) % q in S for x in S for y in S)]
+
+
+def _check_residue_rows_exact(rng):
+    # The heuristic's residue rows against their definitions, for q = 2..10,
+    # where all 2^q - 1 masks are tested (176 are sum-free, 22 of them middle
+    # thirds), and the primes p = 2 (mod 3) through 83, read at the residues
+    # of _row_residues' one reduction; and _middle_thirds for two drawn
+    # primes past 83.  The elements hold every residue mod 83, are drawn,
+    # past 2^64, and next to multiples of each modulus.
+    assert solver._ROW_MODULI == (*range(2, 11), *_primes_2_mod_3(11, 83)), f"moduli {solver._ROW_MODULI}"
+    primes = rng.choice(list(_primes_2_mod_3(89, 600)), size=2, replace=False).tolist()
     big = int(rng.integers(2, 10**9))
-    n = len(base) + 13  # at most: the near multiples and p·2^70 added
-    top = 2 * (solver.PRIME_DILATION_LIMIT // n) + 1  # the largest p with n·(p//2) within the limit
-    primes = [p for p in range(11, top + 1) if p % 3 == 2 and all(p % d for d in range(2, isqrt(p) + 1))]
-    for p in primes[:10] + rng.choice(primes[10:], size=2, replace=False).tolist():
-        elems = sorted({*base, *(m * p + r for m in (0, 1, big) for r in (1, 2, p - 2, p - 1)), p * 2**70})
-        if p <= 83:
-            residues = np.fromiter(map(solver._SCAN_MODULUS.__rmod__, elems), dtype=np.int64, count=len(elems)) % p
-        else:
-            residues = np.array([x % p for x in elems])
-        hits = solver._dilation_hits(np.bincount(residues, minlength=p), p)
-        want = [sum(p < 3 * (x * a % p) < 2 * p for a in elems) for x in range(1, p // 2 + 1)]
-        assert hits.tolist() == want, f"the scorer mod {p} differs from x a mod p"
+    elems = [*range(1, 84), *rng.integers(1, 10**12, size=60).tolist()]
+    elems += [2**64 + x for x in rng.integers(0, 2**62, size=20).tolist()]
+    elems += [m * q + r for q in (*solver._ROW_MODULI, *primes) for m in (2, big, 2**70) for r in (-2, -1, 1, 2)]
+    reduced = solver._row_residues(elems)
+    for q in solver._ROW_MODULI:
+        rows = _residue_rows_direct(q, q <= 10)
+        got = solver._residue_rows(q)[:, reduced % q].tolist()
+        assert got == [[row[a % q] for a in elems] for row in rows], f"the rows mod {q} differ from their definition"
+    classes = [(q, row) for q in range(2, 11) for row in _residue_rows_direct(q, True)]
+    assert len(classes) == 176 and sum(row in _residue_rows_direct(q, False) for q, row in classes) == 22
+    for p in primes:
+        got = solver._middle_thirds(p, np.array([a % p for a in elems])).tolist()
+        assert got == [[p < 3 * (x * a % p) < 2 * p for a in elems] for x in range(1, p // 2 + 1)], f"mod {p}"
 
 
 def _check_prime_floor(rng):
-    # Erdős's prime dilations against a replay by brute force: for each
-    # prime p = 2 (mod 3) from 11, by trial division, every x in 1..p-1
-    # through p = 83, and past it, while the best misses the floor, the
-    # first p with z_p·(p+1) < 2n, z_p the multiples of p.  The first x/p
-    # with the most elements wins if it beats the size given, and reaches
-    # the floor if that size misses it.  Built sets have every prime through
-    # 83 in each element and 2n/(p+1) multiples of p = 89 or 101, which is
-    # then not admissible; or every prime but 83, from the floor, which only
-    # x/83 can beat; or residues 1, 3, 8 and 10 mod 11, all of which 5/11,
-    # the last row of 11, selects.  Drawn sets take multiples of products
-    # of 11, 17, 23 and 29, and of 2520·99991, which every residue class misses.
-    below_83 = prod(p for p in range(11, 83) if p % 3 == 2 and all(p % d for d in range(2, p)))
+    # The residue rows and the prime dilations past 83 against a replay: the
+    # first row with the most elements wins if it beats the size given, and
+    # while that misses the floor, the first prime p past 83 with
+    # z_p·(p+1) < 2n (z_p multiples of p) gives its first x in 1..p-1 with
+    # the most.  Built sets, multiples of 2520, which every class mod q <= 10
+    # misses, have every prime through 83 in each element and 2n/(p+1)
+    # multiples of p = 89 or 101, then not admissible; or every prime but 83,
+    # from the floor, which only x/83 can beat; or residues 1, 3, 8 and 10
+    # mod 11, all selected by 5/11, the last row of 11.  Drawn sets take
+    # multiples of products of 11, 17, 23 and 29, and of 2520·99991.
+    below_83 = 2520 * prod(_primes_2_mod_3(11, 71))
     cases = []
     for p, lower in ((89, below_83 * 83), (101, below_83 * 83 * 89)):
         ks = [k for k in rng.choice(10**4, size=p, replace=False).tolist() if k % p][: (p + 1) // 2]
@@ -179,20 +191,23 @@ def _check_prime_floor(rng):
         ks = rng.choice(10**3, size=int(rng.integers(3, 30)), replace=False) + 1
         cases.append((IntegerSet.from_iterable(2520 * 99_991 * int(k) for k in ks), int(rng.integers(0, 3))))
     cases.append((IntegerSet(tuple(2520 * 99_991 * 2**i for i in range(31))), 1))
+    rows = {q: _residue_rows_direct(q, q <= 10) for q in (*range(2, 11), *_primes_2_mod_3(11, 83))}
     for A, start in cases:
         n, floor, size, want = len(A), solver.one_third_floor(len(A)), start, None
-        for p in (p for p in range(11, 10**5) if p % 3 == 2 and all(p % d for d in range(2, isqrt(p) + 1))):
-            if p > 83 and size >= floor:
-                break
-            if p <= 83 or sum(a % p == 0 for a in A.elements) * (p + 1) < 2 * n:
-                sizes = [sum(p < 3 * (x * a % p) < 2 * p for a in A.elements) for x in range(1, p)]
-                if max(sizes) > size:
-                    size, want = max(sizes), Fraction(sizes.index(max(sizes)) + 1, p)
-        got = solver._prime_scan(A.elements, start, floor)
-        assert got == want, f"{A.elements} from {start}: the scan takes {got}, not {want}"
-        if start < floor:
-            picked = solver.dilation_select(A, got)
-            assert solver.is_sum_free(picked) and len(picked) >= floor, f"{A.elements}: {picked.elements}"
+        for q, table in rows.items():
+            sizes = [sum(row[a % q] for a in A.elements) for row in table]
+            if max(sizes) > size:
+                size, want = max(sizes), (q, sizes.index(max(sizes)))
+        got = solver._residue_winner(solver._row_residues(A.elements), start)
+        assert got == want, f"{A.elements} from {start}: the rows take {got}, not {want}"
+        if size >= floor:
+            continue
+        p = next(p for p in _primes_2_mod_3(89, 10**5) if sum(a % p == 0 for a in A.elements) * (p + 1) < 2 * n)
+        sizes = [sum(p < 3 * (x * a % p) < 2 * p for a in A.elements) for x in range(1, p)]
+        got, want = solver._prime_floor(A.elements), Fraction(sizes.index(max(sizes)) + 1, p)
+        assert got == want, f"{A.elements}: the tail takes {got}, not {want}"
+        picked = solver.dilation_select(A, got)
+        assert solver.is_sum_free(picked) and len(picked) >= floor, f"{A.elements}: {picked.elements}"
 
 
 def _check_local_search_vs_oracle(rng):
@@ -936,7 +951,7 @@ SUITES: dict[str, list[tuple[str, object]]] = {
         ("top_interval_bound", _check_top_interval),
         ("compose_additivity", _check_compose_additivity),
         ("heuristic_bounds", _check_heuristic_bounds),
-        ("dilation_hits_exact", _check_dilation_hits_exact),
+        ("residue_rows_exact", _check_residue_rows_exact),
         ("prime_floor", _check_prime_floor),
         ("local_search_vs_oracle", _check_local_search_vs_oracle),
         ("packing_vs_oracle", _check_packing_vs_oracle),

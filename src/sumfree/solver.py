@@ -3,10 +3,11 @@
 A set is sum-free when no equation x + y = z holds inside it; the two
 conventions differ on whether x = y counts (see core.SumFreeConvention).
 This module provides an exact branch-and-bound solver with a deterministic
-witness, an exact sweep over dilation parameters, a verified heuristic
-portfolio for sets too large to solve exactly, and a composition that
-glues two sets so their optima add.  The exhaustive solver the search is
-checked against lives in `reference`.
+witness, an exact sweep over dilation parameters, a verified heuristic for
+sets too large to solve exactly, whose start is the first largest of its
+candidates (the sweep or an interval, the residue rows, and Erdős's prime
+dilation), and a composition that glues two sets so their optima add.  The
+exhaustive solver the search is checked against lives in `reference`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import compress, count, islice, repeat
-from math import isqrt
+from math import isqrt, lcm
 from operator import sub
 
 import numpy as np
@@ -42,12 +43,13 @@ EXACT_SIZE_CAP = 64
 # is_sum_free scans sets smaller than this.  When every pair is looked up
 # the pair blocks tie the scan near 32 elements and win 2.6x at 64.
 _KERNEL_MIN_SIZE = 64
-# breakpoint events: dilation_sweep refuses more, the heuristic scans primes above the cap
+# breakpoint events: dilation_sweep refuses more, the heuristic skips it above the cap
 SWEEP_EVENT_LIMIT = 40_000_000
 _SWEEP_EVENT_CAP = 2_000_000
-# the primes p = 2 (mod 3) from 11 through 83, whose dilations x/p the
-# heuristic always scans; their product, 4 429 079 517 334 813, is below 2^53
-_SCAN_MODULUS = 11 * 17 * 23 * 29 * 41 * 47 * 53 * 59 * 71 * 83
+# the moduli of the heuristic's residue rows, q <= 10 and the primes p = 2 (mod 3)
+# through 83; their lcm, 2520·4 429 079 517 334 813, is below 2^64
+_ROW_MODULI = (*range(2, 11), 11, 17, 23, 29, 41, 47, 53, 59, 71, 83)
+_ROW_MODULUS = lcm(*_ROW_MODULI)
 # the heuristic's steps past 83: n residues per prime tried, and the
 # n·(p//2) entries of the scored prime's test matrix
 PRIME_DILATION_LIMIT = 1 << 17
@@ -500,88 +502,77 @@ def _breakpoint(key: np.int64, max_den: int) -> Fraction:
 
 
 @cache
-def _sum_free_residue_masks(q: int) -> np.ndarray:
-    """The subsets of Z/qZ with no x + y = z mod q (x = y allowed), as 0/1 rows in mask order."""
-    masks = []
-    for mask in range(1, 1 << q):
-        bits = [r for r in range(q) if (mask >> r) & 1]
-        ok = True
-        for i, x in enumerate(bits):
-            for y in bits[i:]:
-                if (mask >> ((x + y) % q)) & 1:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            masks.append([(mask >> r) & 1 for r in range(q)])
-    rows = np.array(masks, dtype=np.int64)
+def _residue_rows(q: int) -> np.ndarray:
+    """The heuristic's read-only bool rows over Z/qZ: row i selects the a with a mod q in it.
+
+    For q <= 10, the sum-free classes (no x + y = z mod q, x = y allowed),
+    in increasing order of their masks; for a prime p, _middle_thirds.
+    """
+    if q > 10:
+        rows = _middle_thirds(q, np.arange(q))
+    else:
+        subsets = ((np.arange(1, 1 << q)[:, None] >> np.arange(q)) & 1) == 1  # in mask order
+        x, y = np.divmod(np.arange(q * q), q)
+        rows = subsets[~(subsets[:, x] & subsets[:, y] & subsets[:, (x + y) % q]).any(1)]
     rows.flags.writeable = False
     return rows
 
 
-def _prime_scan(elems: tuple[int, ...], size: int, floor: int) -> Fraction | None:
-    """Erdős's dilations x/p, p = 3k + 2 prime: the first with the most hits, if it selects more than `size`.
+def _middle_thirds(p: int, residues: np.ndarray) -> np.ndarray:
+    """Whether Erdős's dilation x/p selects residue r: p < 3 (x r mod p) < 2p, for x = 1..p//2 by each r.
 
-    x/p selects {a : x a mod p in [k+1, 2k+1]}, which is sum-free, as two
-    residues of [k+1, 2k+1] add to one of [2k+2, 4k+2], that is, of
-    [2k+2, 3k+1] or [0, k] mod p.  As x runs over 1..p-1, exactly k+1 of
-    its 3k+1 values select each of the n - z_p elements not divisible by
-    p, so the mean selection exceeds n/3 exactly when z_p·(p+1) < 2n.  Such
-    an admissible p exists, as z_p = 0 once p > max(A), and its best x
-    reaches ceil((n+1)/3).  x and p - x select the same set.
+    For p = 3k + 2 prime, x/p selects {a : x a mod p in [k+1, 2k+1]}, which
+    is sum-free, as two residues of [k+1, 2k+1] add to one of [2k+2, 4k+2],
+    that is, of [2k+2, 3k+1] or [0, k] mod p.  x and p - x select the same
+    set.  The products x r < p^2 are exact in int64.
+    """
+    s = np.outer(np.arange(1, p // 2 + 1, dtype=np.int64), residues) % p
+    return (p < 3 * s) & (3 * s < 2 * p)
 
-    The x <= p/2 are scanned for each prime from 11 through 83, the factors
-    of _SCAN_MODULUS (212 rows), and past 83 only while the best misses
-    `floor`, up to the first admissible prime.  That work, n residues per
-    prime tried past 83 plus n·(p//2), is refused past PRIME_DILATION_LIMIT
-    before it is done, which also bounds _dilation_hits' matrix past 83
-    to n·(p//2) entries.  The elements are reduced mod _SCAN_MODULUS, or
-    mod p past 83, on Python ints, so any size is fine.  A set is refused
-    even when a dilation outside the scan reaches the floor, as
-    2520·M·{2^0, ..., 2^99} does, M the product of the primes p = 2
-    (mod 3) below 3000.
+
+def _row_residues(elems: tuple[int, ...]) -> np.ndarray:
+    """The elements mod _ROW_MODULUS, reduced once on Python ints, so any size is fine."""
+    return np.fromiter(map(_ROW_MODULUS.__rmod__, elems), dtype=np.uint64, count=len(elems))
+
+
+def _residue_winner(reduced: np.ndarray, size: int) -> tuple[int, int] | None:
+    """The first (q, i) whose row _residue_rows(q)[i] holds the most elements, if more than `size`.
+
+    `reduced` is _row_residues(A.elements); q runs in _ROW_MODULI's order.
+    """
+    winner = None
+    for q in _ROW_MODULI:
+        totals = _residue_rows(q) @ np.bincount((reduced % q).astype(np.intp), minlength=q)
+        i = int(np.argmax(totals))
+        if totals[i] > size:
+            size, winner = int(totals[i]), (q, i)
+    return winner
+
+
+def _prime_floor(elems: tuple[int, ...]) -> Fraction:
+    """Erdős's x/p for the first admissible prime p = 2 (mod 3) past 83: its first x with the most elements.
+
+    As x runs over 1..p-1, exactly k+1 of its 3k+1 values select each of
+    the n - z_p elements not divisible by p = 3k + 2, so the mean selection
+    exceeds n/3 exactly when z_p·(p+1) < 2n: p is then admissible, and its
+    best x reaches ceil((n+1)/3).  Such a p exists, as z_p = 0 once
+    p > max(A).  The x <= p/2 are scored on the distinct residues.  The
+    work, n residues per prime tried plus n·(p//2) tests, is refused past
+    PRIME_DILATION_LIMIT before it is done, even where another dilation
+    reaches the floor, as for 2520·M·{2^0, ..., 2^99}, M the product of
+    the primes p = 2 (mod 3) below 3000.
     """
     n = len(elems)
-    reduced = np.fromiter(map(_SCAN_MODULUS.__rmod__, elems), dtype=np.int64, count=n)
     hint = "every other candidate misses the floor"
-    best = None
-    tried = 0
-    for p in _primes_2_mod_3():
-        if _SCAN_MODULUS % p == 0:
-            counts = np.bincount(reduced % p, minlength=p)
-        elif size < floor:
-            tried += 1
-            _check_limit("prime dilation steps", n * (tried + p // 2), PRIME_DILATION_LIMIT, hint)
-            counts = np.bincount(np.fromiter(map(p.__rmod__, elems), dtype=np.int64, count=n), minlength=p)
-            if counts[0] * (p + 1) >= 2 * n:  # not admissible
-                continue
-        else:
-            return best
-        hits = _dilation_hits(counts, p)
-        x = int(np.argmax(hits))
-        if hits[x] > size:
-            size, best = int(hits[x]), Fraction(x + 1, p)
-
-
-def _dilation_hits(counts: np.ndarray, p: int) -> np.ndarray:
-    """hits[x - 1]: the elements x/p selects, for x in 1..p//2, from counts[r] = |{a : a = r mod p}|.
-
-    Each distinct residue r is tested once, p < 3 (x r mod p) < 2p, on
-    the exact int64 products x r < p^2, and a row's tests are summed
-    against the counts.  The test matrix has p//2 rows and one column per
-    distinct residue.
-    """
-    residues = np.flatnonzero(counts)
-    s = np.outer(np.arange(1, p // 2 + 1, dtype=np.int64), residues) % p
-    return ((p < 3 * s) & (3 * s < 2 * p)) @ counts[residues]
-
-
-def _primes_2_mod_3():
-    """The primes p = 2 (mod 3) from 11 in increasing order: 11, 17, 23, 29, 41, ..."""
-    for p in count(11, 6):  # an odd p = 2 (mod 3) is 5 (mod 6)
-        if all(p % d for d in range(5, isqrt(p) + 1, 2)):
-            yield p
+    primes = (p for p in count(89, 6) if all(p % d for d in range(5, isqrt(p) + 1, 2)))  # odd, 2 (mod 3)
+    for tried, p in enumerate(primes, 1):
+        _check_limit("prime dilation steps", n * (tried + p // 2), PRIME_DILATION_LIMIT, hint)
+        counts = np.bincount(np.fromiter(map(p.__rmod__, elems), dtype=np.int64, count=n), minlength=p)
+        if counts[0] * (p + 1) >= 2 * n:  # not admissible
+            continue
+        residues = np.flatnonzero(counts)
+        hits = _middle_thirds(p, residues) @ counts[residues]
+        return Fraction(int(np.argmax(hits)) + 1, p)
 
 
 def _conflict(x: int, S: set[int], ordered: list[int], allow_eq: bool) -> tuple[int, ...] | None:
@@ -718,22 +709,22 @@ def heuristic_sum_free(
 ) -> SolveReport:
     """Verified lower bound from a candidate portfolio plus local search.
 
-    Candidates: dilation selections, dyadic intervals A ∩ [x, 2x), and
-    sum-free residue classes mod q <= 10.  The best candidate is improved
-    by four rounds of seeded add/swap local search.  The returned witness
-    is re-verified; optimum is a lower bound (exact=False).  Output is a
-    deterministic function of (A, convention, seed).
-
-    Within _SWEEP_EVENT_CAP events the exact sweep starts the portfolio,
-    and the residue classes follow.  Past it, the intervals start it, then
-    come the residue classes and Erdős's prime dilations (_prime_scan),
-    which reach the floor ceil((|A|+1)/3) and past PRIME_DILATION_LIMIT
-    are refused.  A later candidate replaces the best only when strictly
+    Candidates, in order: the exact sweep within _SWEEP_EVENT_CAP events,
+    else the first dyadic interval A ∩ [x, 2x) with the most elements; the
+    residue rows of _residue_winner, the sum-free classes mod q <= 10 and
+    Erdős's x/p for p = 11..83; and, only while the best misses the floor
+    ceil((|A|+1)/3), _prime_floor's x/p, which reaches it or is refused
+    past PRIME_DILATION_LIMIT.  A later candidate wins only when strictly
     larger.  No interval or x/p beats the sweep: each theta in
-    (1/(3x), 2/(3(2x-1))) selects all of [x, 2x).  So the search starts
-    from a function of A alone, and the seed drives the search alone.  Its
-    draws are the values rng.integers(0, m) would give, read in bulk
-    through _draws, so the words drawn ahead change nothing returned.
+    (1/(3x), 2/(3(2x-1))) selects all of [x, 2x).  Four rounds of seeded
+    add/swap local search improve the winner.  The witness is re-verified;
+    optimum is a lower bound (exact=False).
+
+    So the search starts from a function of A alone, and the seed drives
+    the search alone.  Its draws are the values rng.integers(0, m) would
+    give, read in bulk through _draws, so the words drawn ahead change
+    nothing returned.  Output is a deterministic function of (A,
+    convention, seed).
     """
     A.require_positive("heuristic_sum_free")
     if len(A) == 0:
@@ -741,13 +732,11 @@ def heuristic_sum_free(
     rng = rng_from_seed(seed, "heuristic")
     n = len(A)
     allow_eq = convention is ALLOW_EQUAL
-    floor = one_third_floor(n)
     elems = A.elements
 
     # Dilation candidates select sum-free sets under ALLOW_EQUAL hence both
     # conventions (an ALLOW_EQUAL-sum-free set is DISTINCT_ONLY-sum-free).
-    swept = 2 * sum(elems) <= _SWEEP_EVENT_CAP
-    if swept:
+    if 2 * sum(elems) <= _SWEEP_EVENT_CAP:
         best_set = set(dilation_sweep(A).selected.elements)
     else:
         # A ∩ [x, 2x) is sum-free; the first x with the most elements wins.
@@ -758,21 +747,13 @@ def heuristic_sum_free(
         i = counts.index(top)
         best_set = set(elems[i : i + top])
 
-    # Sum-free residue classes mod q <= 10.  Every such q divides 2520, so
-    # the elements are reduced once, on Python ints, and each q folds the
-    # counts; argmax keeps the first best mask.
-    r2520 = np.fromiter(map((2520).__rmod__, elems), dtype=np.int64, count=n)
-    weights = np.bincount(r2520, minlength=2520)
-    for q in range(2, 11):
-        masks = _sum_free_residue_masks(q)
-        totals = masks @ weights.reshape(-1, q).sum(0)
-        i = int(np.argmax(totals))
-        if totals[i] > len(best_set):
-            best_set = set(compress(elems, masks[i][r2520 % q].tolist()))
-    if not swept:
-        theta = _prime_scan(elems, len(best_set), floor)
-        if theta is not None:
-            best_set = set(dilation_select(A, theta).elements)
+    reduced = _row_residues(elems)
+    winner = _residue_winner(reduced, len(best_set))
+    if winner is not None:
+        q, i = winner
+        best_set = set(compress(elems, _residue_rows(q)[i][reduced % q].tolist()))
+    if len(best_set) < one_third_floor(n):
+        best_set = set(dilation_select(A, _prime_floor(elems)).elements)
 
     best = _local_search(elems, best_set, _draws(rng), allow_eq)
     witness = IntegerSet.from_iterable(best)

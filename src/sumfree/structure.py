@@ -216,16 +216,18 @@ def check_doubling_hypothesis(
     reports the best window of length >= min_length together with whether
     it meets that target.  The default min_length is _default_min_length(N):
     N // 10, since the predicted length constant is not effective, raised
-    where needed until the scan fits its limit.  An explicit min_length is
-    checked against the limit only when the scan runs, after the popular
-    differences.  The popular count uses exact thresholding, and
-    the allowance comparison is exact rational arithmetic.
+    where needed until the scan fits its limit.  An explicit min_length
+    outside [1, N] is refused first; against the limit it is checked only
+    when the scan runs, after the popular differences.  The popular count
+    uses exact thresholding, and the allowance comparison exact rationals.
     """
     eps_f = Fraction(eps)
     if not 0 < eps_f <= 1:
         raise ValueError("eps must lie in (0, 1]")
     if min_length is None:
         min_length = _default_min_length(N)
+    elif not 1 <= min_length <= N:
+        raise ValueError(f"min_length must lie in [1, {N}]")
     popular = popular_differences(A, N, delta)
     allowance = 4 * len(A) - eps_f * N
     met = len(popular) <= allowance

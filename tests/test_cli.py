@@ -589,6 +589,16 @@ def test_default_min_length_fits_the_window_limit(capsys, tmp_path):
     assert report["progression"]["progression"] == {"start": 1, "step": 1, "length": 225_000}
 
 
+@pytest.mark.parametrize("min_length", [-5, 1001])
+def test_explicit_min_length_outside_1_to_n_refused(capsys, min_length):
+    # the hypothesis fails here, so no scan runs; the length is still refused
+    argv = ["structure", "doubling", "--set", _golden.fixture("deca.json"), "--n", "1000",
+            "--eps", "1/2", "--delta", "1/2", "--min-length", str(min_length)]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1 and out == ""
+    assert err == "error: min_length must lie in [1, 1000]\n"
+
+
 @pytest.mark.parametrize("n", [1, 10, 4096])
 def test_u2_of_the_full_interval_is_exactly_one(capsys, tmp_path, n):
     # the energy of {1..N} is the closed form the interval norm divides by

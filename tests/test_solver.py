@@ -243,8 +243,13 @@ class TestBlockMemory:
         # matrix, 37 MB at its peak, is 16 times as wide
         rng = rng_from_seed(2024, "dilation-hits-memory")
         counts = np.bincount(rng.choice(2027, size=129, replace=False), minlength=2027)
-        assert np.count_nonzero(counts) * (2027 // 2) <= solver.PRIME_DILATION_LIMIT
-        assert _traced_peak(solver._dilation_hits, counts, 2027) <= 24 * solver.PRIME_DILATION_LIMIT + 64 * 2027
+        residues = np.flatnonzero(counts)
+        assert len(residues) * (2027 // 2) <= solver.PRIME_DILATION_LIMIT
+
+        def hits():
+            return solver._middle_thirds(2027, residues) @ counts[residues]
+
+        assert _traced_peak(hits) <= 24 * solver.PRIME_DILATION_LIMIT + 64 * 2027
 
 
 def _greedy_sum_free(elems, conv):
@@ -401,10 +406,10 @@ class TestHeuristic:
     def test_prime_candidate_reaches_floor(self, conv, optimum):
         # multiples of 2520 * 99991 defeat every residue class mod q <= 10,
         # and each dyadic interval holds one element; of the 212 dilations
-        # x/p for p = 11..83, 2/17 is the first to select the most, and it
-        # starts the search
+        # x/p for p = 11..83, 2/17, row 1 of 17, is the first to select the
+        # most, and it starts the search
         A = IntegerSet(tuple(2520 * 99_991 * 2**i for i in range(31)))
-        assert solver._prime_scan(A.elements, 1, 11) == Fraction(2, 17)
+        assert solver._residue_winner(solver._row_residues(A.elements), 1) == (17, 1)
         assert len(dilation_select(A, Fraction(2, 17))) >= one_third_floor(len(A)) == 11
         rep = heuristic_sum_free(A, conv)
         assert rep.optimum == optimum
@@ -434,7 +439,8 @@ class TestHeuristic:
         # 16 385 rows
         M = prod(p for p in range(2, 2**15) if p % 3 == 2 and all(p % d for d in range(2, isqrt(p) + 1)))
         A = IntegerSet(tuple(2520 * M * k for k in (1, 4, 16)))
-        assert solver._prime_scan(A.elements, 1, 2) == Fraction(1, 32771)
+        assert solver._residue_winner(solver._row_residues(A.elements), 1) is None
+        assert solver._prime_floor(A.elements) == Fraction(1, 32771)
         assert heuristic_sum_free(A).optimum == 3
 
     def test_prime_steps_count_past_83(self):

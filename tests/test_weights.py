@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
+from sumfree import weights
 from sumfree.core import GridOverflowError
 from sumfree.solver import ALLOW_EQUAL, heuristic_sum_free, is_sum_free
 from sumfree.weights import (
@@ -97,6 +98,16 @@ class TestPushforward:
             Fraction(163, 192),
             Fraction(565, 768),
         )
+
+    def test_uncached_node_maps_match_the_cached_build(self, monkeypatch):
+        # past _MAP_CACHE_CELLS nodes x cells, _push maps each node afresh at
+        # every step; that path must give the cached build's values bit for bit
+        params = IterationParams(interval_shrink=Fraction(2, 3), t_samples=5, steps=3)
+        cached = build_weight(Fraction(1, 2), params, 16).weight
+        monkeypatch.setattr(weights, "_MAP_CACHE_CELLS", 0)
+        monkeypatch.setattr(weights, "_build_maps", None)  # any use of the cache would raise
+        fresh = build_weight(Fraction(1, 2), params, 16).weight
+        assert fresh.values.tobytes() == cached.values.tobytes()
 
     def test_zero_steps_is_uniform(self):
         rep = build_weight(Fraction(1, 2), IterationParams(steps=0), 4)
