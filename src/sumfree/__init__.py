@@ -10,152 +10,43 @@ equidistribution checks behind its error terms.  `reference` holds the
 slow oracles the fast paths are checked against.  `sumfree.cli:main` is
 the command line entry point and `checks.run_suite` the randomized
 property suites.
+
+`import sumfree` loads no submodule: a submodule, or the module that
+defines one of the names below, is loaded when it is first used (PEP 562).
 """
 
-from .core import (
-    SCHEMA_VERSION,
-    VERSION,
-    CyclicSignal,
-    GridOverflowError,
-    IntegerSet,
-    SetFormatError,
-    SumFreeConvention,
-    embed_signal,
-    indicator_vector,
-    interval_signal,
-    load_set,
-    rng_from_seed,
-    save_set,
-)
-from .solver import (
-    ALLOW_EQUAL,
-    DISTINCT_ONLY,
-    catalog,
-    compose,
-    compose_iterate,
-    dilation_select,
-    dilation_sweep,
-    heuristic_sum_free,
-    is_sum_free,
-    max_sum_free_subset,
-)
-from .spectral import (
-    fourier_decompose,
-    pollard_check,
-    popular_differences,
-    t_count,
-    t_stability_gap,
-    u2_group_norm,
-    u2_norm,
-)
-from .structure import (
-    AlphaGrid,
-    GridSet,
-    Progression,
-    alpha_tilde,
-    avoid_zero_diagnostic,
-    check_doubling_hypothesis,
-    difference_set,
-    find_dense_progression,
-    lev_check,
-)
-from .weights import (
-    GridWeight,
-    IterationParams,
-    alpha_schedule,
-    build_weight,
-    density_experiment,
-    load_weight,
-    pushforward_step,
-    riemann_error,
-    sample_probabilities,
-    sample_set,
-    save_weight,
-    uniform_weight,
-)
-from .equidist import (
-    LipschitzTestFunction,
-    Theta,
-    TrigTerm,
-    equidist_error,
-    golden_theta,
-    irrationality_check,
-)
-__version__ = VERSION
+from importlib import import_module
 
-# The oracle and the property suites load on first use (PEP 562), so that
-# importing the package, or the CLI, does not compile them.
-_LAZY = {"exhaustive_max_sum_free": "reference", "SUITE_NAMES": "checks", "run_suite": "checks"}
+# Each submodule, with each public name it defines listed once.
+_EXPORTS = {
+    "core": """SCHEMA_VERSION VERSION CyclicSignal GridOverflowError IntegerSet SetFormatError
+        SumFreeConvention embed_signal indicator_vector interval_signal load_set rng_from_seed save_set""",
+    "solver": """ALLOW_EQUAL DISTINCT_ONLY catalog compose compose_iterate dilation_select dilation_sweep
+        heuristic_sum_free is_sum_free max_sum_free_subset""",
+    "spectral": "fourier_decompose pollard_check popular_differences t_count t_stability_gap u2_group_norm u2_norm",
+    "structure": """AlphaGrid GridSet Progression alpha_tilde avoid_zero_diagnostic check_doubling_hypothesis
+        difference_set find_dense_progression lev_check""",
+    "weights": """GridWeight IterationParams alpha_schedule build_weight density_experiment load_weight
+        pushforward_step riemann_error sample_probabilities sample_set save_weight uniform_weight""",
+    "equidist": "LipschitzTestFunction Theta TrigTerm equidist_error golden_theta irrationality_check",
+    "reference": "exhaustive_max_sum_free",
+    "checks": "SUITE_NAMES run_suite",
+    "cli": "",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name):
-    if name not in _LAZY:
+    # not cached here: a name reads its module's binding of the moment, patched or not
+    if name in _EXPORTS:
+        return import_module(f".{name}", __name__)
+    if name == "__version__":
+        name = "VERSION"
+    if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
+    return getattr(import_module(f".{_HOME[name]}", __name__), name)
 
-    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
-    globals()[name] = value
-    return value
 
-__all__ = [
-    "ALLOW_EQUAL",
-    "AlphaGrid",
-    "CyclicSignal",
-    "DISTINCT_ONLY",
-    "GridOverflowError",
-    "GridSet",
-    "GridWeight",
-    "IntegerSet",
-    "IterationParams",
-    "LipschitzTestFunction",
-    "Progression",
-    "SCHEMA_VERSION",
-    "SUITE_NAMES",
-    "SetFormatError",
-    "SumFreeConvention",
-    "Theta",
-    "TrigTerm",
-    "VERSION",
-    "alpha_schedule",
-    "alpha_tilde",
-    "avoid_zero_diagnostic",
-    "build_weight",
-    "catalog",
-    "check_doubling_hypothesis",
-    "compose",
-    "compose_iterate",
-    "density_experiment",
-    "difference_set",
-    "dilation_select",
-    "dilation_sweep",
-    "embed_signal",
-    "equidist_error",
-    "exhaustive_max_sum_free",
-    "find_dense_progression",
-    "fourier_decompose",
-    "golden_theta",
-    "heuristic_sum_free",
-    "indicator_vector",
-    "interval_signal",
-    "irrationality_check",
-    "is_sum_free",
-    "lev_check",
-    "load_set",
-    "load_weight",
-    "max_sum_free_subset",
-    "pollard_check",
-    "popular_differences",
-    "pushforward_step",
-    "riemann_error",
-    "rng_from_seed",
-    "run_suite",
-    "sample_probabilities",
-    "sample_set",
-    "save_set",
-    "save_weight",
-    "t_count",
-    "t_stability_gap",
-    "u2_group_norm",
-    "u2_norm",
-    "uniform_weight",
-]
+def __dir__():
+    return sorted({*globals(), *_EXPORTS, *__all__, "__version__"})

@@ -102,18 +102,27 @@ def _check_heuristic_bounds(rng):
     # here) and never past them.  Multiples of 99991 are past that cap, and
     # multiples of 2520·99991, which every residue class misses, take the
     # prime dilations: 99991·{1..12} and 2520·99991·{2^0..2^11} among them.
-    from unittest.mock import patch  # here, as it imports asyncio: 6 MB every CLI start would pay
     sets = [_random_set(rng, s, e) for s, e in [(14, 60)] * 10 + [(20, 400)] * 15 + [(20, 10**6)] * 15]
     sets += [IntegerSet.from_iterable(99_991 * (rng.choice(10, size=5, replace=False) + 1)) for _ in range(2)]
     sets += [IntegerSet.from_iterable(2520 * 99_991 * (rng.choice(40, size=8, replace=False) + 1)) for _ in range(3)]
     sets += [IntegerSet(tuple(99_991 * k for k in range(1, 13)))]
     sets += [IntegerSet(tuple(2520 * 99_991 * 2**i for i in range(12)))]
+    sweep, calls = solver.dilation_sweep, []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return sweep(*args, **kwargs)
+
     for A in sets:
         seed = int(rng.integers(0, 2**32))
-        with patch.object(solver, "dilation_sweep", wraps=solver.dilation_sweep) as sweep:
+        calls.clear()
+        solver.dilation_sweep = counted
+        try:
             heur = solver.heuristic_sum_free(A, seed=seed)
+        finally:
+            solver.dilation_sweep = sweep
         want = 2 * sum(A.elements) <= 2 * 10**6
-        assert sweep.call_count == want, f"{A.elements}: the heuristic ran the sweep {sweep.call_count} times"
+        assert len(calls) == want, f"{A.elements}: the heuristic ran the sweep {len(calls)} times"
         again = solver.heuristic_sum_free(A, seed=seed)
         assert heur.witness == again.witness, "heuristic not reproducible"
         assert not heur.exact and solver.is_sum_free(heur.witness), f"{A.elements}: bad heuristic witness"

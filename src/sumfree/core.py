@@ -90,6 +90,16 @@ class SumFreeConvention(Enum):
         raise ValueError(f"unknown convention {text!r}; use 'allow-equal' or 'distinct'")
 
 
+def _as_int(x) -> int:
+    """x as an int when its type is an integer type other than bool."""
+    if not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise ValueError(f"non-integer element {x!r}")
+
+
 @dataclass(frozen=True)
 class IntegerSet:
     """Finite set of distinct nonzero integers, stored strictly increasing.
@@ -121,8 +131,15 @@ class IntegerSet:
 
     @classmethod
     def from_iterable(cls, values: Iterable[int], name: str | None = None) -> "IntegerSet":
-        """Build a set from unordered values; duplicates are an error."""
-        return cls(tuple(sorted(map(int, values))), name)
+        """Build a set from unordered values; duplicates are an error.
+
+        Integer types, numpy's among them, become ints; a bool, float or str
+        is refused as the constructor refuses it, not truncated or parsed.
+        """
+        values = list(values)
+        if not set(map(type, values)) <= {int}:
+            values = list(map(_as_int, values))
+        return cls(tuple(sorted(values)), name)
 
     @cached_property
     def member_set(self) -> frozenset[int]:

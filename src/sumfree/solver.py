@@ -661,6 +661,9 @@ def _local_search(elems: tuple[int, ...], start: set[int], draw, allow_eq: bool)
     removes a member, so a drawn x whose kept members are all present is
     blocked with no scan.  When pick is not in x's conflict, that conflict
     blocks x without pick too, so the swap is skipped once pick is drawn.
+    So the result reads whether x has a conflict, never which one
+    _conflict names: a kept conflict only skips a swap that would fail
+    anyway, and a full rescan decides every other swap.
     """
     n = len(elems)
     current = set(start)

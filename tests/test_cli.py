@@ -1,6 +1,7 @@
 import contextlib
 import functools
 import importlib.util
+import inspect
 import io
 import itertools
 import json
@@ -497,6 +498,34 @@ def test_cli_import_leaves_the_suites_unloaded():
     """
     out = _python(["-c", script], check=True).stdout
     assert json.loads(out) == [[], ["sumfree.checks", "sumfree.reference"]]
+
+
+def test_package_import_loads_no_submodule_and_no_numpy():
+    # a submodule, or a name's defining module, loads when first used
+    script = """if True:
+        import json, sys
+        import sumfree
+        loaded = sorted(m for m in sys.modules if m.startswith("sumfree.") or m.split(".")[0] == "numpy")
+        print(json.dumps([loaded, sumfree.solver.__name__, sumfree.__version__]))
+    """
+    out = _python(["-c", script], check=True).stdout
+    assert json.loads(out) == [[], "sumfree.solver", "0.1.0"]
+
+
+def test_every_public_name_resolves_through_the_package():
+    namespace = {}
+    exec("from sumfree import *", namespace)
+    del namespace["__builtins__"]
+    assert len(sumfree.__all__) == 60 and sumfree.__all__ == sorted(namespace)
+    assert {*sumfree.__all__, "__version__", "solver", "cli"} <= set(dir(sumfree))
+    for module, names in sumfree._EXPORTS.items():
+        for name in names.split():  # each name is listed under the module that defines it
+            value = getattr(sumfree, name)
+            assert namespace[name] is value is getattr(importlib.import_module(f"sumfree.{module}"), name)
+            if inspect.isclass(value) or inspect.isfunction(value):
+                assert value.__module__ == f"sumfree.{module}", name
+    with pytest.raises(AttributeError, match="has no attribute 'missing'"):
+        sumfree.missing
 
 
 def _first_call_report(argv):

@@ -59,6 +59,16 @@ class TestIntegerSet:
         with pytest.raises(ValueError, match="^duplicate element 3$"):
             IntegerSet.from_iterable([3, 1, 3])
 
+    @pytest.mark.parametrize("values, bad", [([1.5, 2.7], "1.5"), ([True, 3], "True"), ([2, "3"], "'3'")])
+    def test_from_iterable_refuses_what_the_constructor_refuses(self, values, bad):
+        # converting with int() once turned these into (1, 2), (1, 3) and (2, 3)
+        with pytest.raises(ValueError, match=f"^non-integer element {bad}$"):
+            IntegerSet.from_iterable(values)
+
+    def test_from_iterable_takes_numpy_integers_as_ints(self):
+        A = IntegerSet.from_iterable(np.array([9, 2**63], dtype=np.uint64))
+        assert A.elements == (9, 2**63) and set(map(type, A.elements)) == {int}
+
     def test_empty_allowed(self):
         assert len(IntegerSet(())) == 0
 

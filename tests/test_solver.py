@@ -310,6 +310,23 @@ class TestConflict:
             assert not is_sum_free(IntegerSet.from_iterable((S - {pick}) | {x}), conv)
 
 
+def _frozen_set(n, top, copies):
+    """compose_iterate of the first random n-subset of [1, top] drawn at TestHeuristic.FROZEN's seed."""
+    rng = rng_from_seed(2024, "frozen-witness")
+    A = IntegerSet(tuple(sorted(int(x) for x in rng.choice(top, size=n, replace=False) + 1)))
+    return compose_iterate(A, copies)
+
+
+def _largest_conflict(x, S, ordered, allow_eq):
+    """The conflict of x with S, in _conflict's form, whose largest member is largest, by a plain scan."""
+    found = [(t - x, t) for t in ordered if t - x in S] + [(x - t, t) for t in ordered if 2 * t > x and x - t in S]
+    if allow_eq and 2 * x in S:
+        found.append((2 * x,))
+    if allow_eq and x % 2 == 0 and x // 2 in S:
+        found.append((x // 2,))
+    return max(found, key=max, default=None)
+
+
 class TestHeuristic:
     # (n, max element, convention, optimum, sha256 of the witness tuple's
     # repr, copies): the set is compose_iterate of a random n-subset of
@@ -350,12 +367,30 @@ class TestHeuristic:
         ids=["-".join(map(str, row[:5])) + (f"-x{row[5]}" if row[5] > 1 else "") for row in FROZEN],
     )
     def test_frozen_witness(self, n, top, conv, optimum, digest, copies):
-        rng = rng_from_seed(2024, "frozen-witness")
-        A = IntegerSet(tuple(sorted(int(x) for x in rng.choice(top, size=n, replace=False) + 1)))
-        A = compose_iterate(A, copies)
-        rep = heuristic_sum_free(A, conv, seed=5)
+        rep = heuristic_sum_free(_frozen_set(n, top, copies), conv, seed=5)
         assert rep.optimum == optimum
         assert hashlib.sha256(repr(rep.witness.elements).encode()).hexdigest() == digest
+
+    def test_witness_reads_only_whether_a_conflict_exists(self, monkeypatch):
+        # A scan that names another conflict, the one with the largest
+        # member, must leave every witness as it is: on the FROZEN inputs,
+        # and on compositions, where the two scans search other ranges
+        scan, other = _conflict, []
+
+        def largest_conflict(x, S, ordered, allow_eq):
+            w, first = _largest_conflict(x, S, ordered, allow_eq), scan(x, S, ordered, allow_eq)
+            assert (w is None) == (first is None), (x, ordered)
+            other.append(w != first)
+            return w
+
+        klarner = catalog()[0].elements
+        runs = [(_frozen_set(n, top, copies), conv, 5) for n, top, conv, _, _, copies in self.FROZEN]
+        runs += [(compose_iterate(klarner, 5), conv, seed) for conv in (ALLOW_EQUAL, DISTINCT_ONLY) for seed in (0, 1)]
+        runs += [(compose_iterate(_frozen_set(30, 90, 1), 3), ALLOW_EQUAL, seed) for seed in (2, 3)]
+        witnesses = [heuristic_sum_free(A, conv, seed).witness for A, conv, seed in runs]
+        monkeypatch.setattr(solver, "_conflict", largest_conflict)
+        assert [heuristic_sum_free(A, conv, seed).witness for A, conv, seed in runs] == witnesses
+        assert sum(other) > len(other) // 10, "the two scans seldom differ"
 
     def test_draws_replay_bounded_integers(self):
         # 2^31 + 1 is rejected about half the time, 1 consumes nothing, and
