@@ -98,8 +98,10 @@ def _check_compose_additivity(rng):
 
 
 def _check_heuristic_bounds(rng):
-    # The sweep runs once within 2·10^6 events (_SWEEP_EVENT_CAP, pinned
-    # here) and never past them.  Multiples of 99991 are past that cap, and
+    # The sweep runs within 2·10^6 events (_SWEEP_EVENT_CAP) and never past
+    # them; which side a set takes is pinned by tests/test_solver.py's FROZEN
+    # rows for the 100- and 500-subsets, test_witness_past_the_sweep_cap and
+    # the solve_heuristic golden.  Multiples of 99991 are past that cap, and
     # multiples of 2520·99991, which every residue class misses, take the
     # prime dilations: 99991·{1..12} and 2520·99991·{2^0..2^11} among them.
     sets = [_random_set(rng, s, e) for s, e in [(14, 60)] * 10 + [(20, 400)] * 15 + [(20, 10**6)] * 15]
@@ -107,22 +109,9 @@ def _check_heuristic_bounds(rng):
     sets += [IntegerSet.from_iterable(2520 * 99_991 * (rng.choice(40, size=8, replace=False) + 1)) for _ in range(3)]
     sets += [IntegerSet(tuple(99_991 * k for k in range(1, 13)))]
     sets += [IntegerSet(tuple(2520 * 99_991 * 2**i for i in range(12)))]
-    sweep, calls = solver.dilation_sweep, []
-
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return sweep(*args, **kwargs)
-
     for A in sets:
         seed = int(rng.integers(0, 2**32))
-        calls.clear()
-        solver.dilation_sweep = counted
-        try:
-            heur = solver.heuristic_sum_free(A, seed=seed)
-        finally:
-            solver.dilation_sweep = sweep
-        want = 2 * sum(A.elements) <= 2 * 10**6
-        assert len(calls) == want, f"{A.elements}: the heuristic ran the sweep {len(calls)} times"
+        heur = solver.heuristic_sum_free(A, seed=seed)
         again = solver.heuristic_sum_free(A, seed=seed)
         assert heur.witness == again.witness, "heuristic not reproducible"
         assert not heur.exact and solver.is_sum_free(heur.witness), f"{A.elements}: bad heuristic witness"
@@ -133,19 +122,6 @@ def _check_heuristic_bounds(rng):
         )
 
 
-def _primes_2_mod_3(lo: int, hi: int):
-    """The primes p = 2 (mod 3) in [lo, hi], lo > 2, in increasing order, by trial division."""
-    return (p for p in range(lo, hi + 1) if p % 3 == 2 and all(p % d for d in range(2, isqrt(p) + 1)))
-
-
-def _residue_rows_direct(q: int, classes: bool) -> list[list[bool]]:
-    """Rows over Z/qZ by definition: the masks with no x + y = z mod q (x = y allowed) in order, or x/q for x = 1..q//2."""
-    if not classes:
-        return [[q < 3 * (x * r % q) < 2 * q for r in range(q)] for x in range(1, q // 2 + 1)]
-    sets = [{r for r in range(q) if mask >> r & 1} for mask in range(1, 2**q)]
-    return [[r in S for r in range(q)] for S in sets if not any((x + y) % q in S for x in S for y in S)]
-
-
 def _check_residue_rows_exact(rng):
     # The heuristic's residue rows against their definitions, for q = 2..10,
     # where all 2^q - 1 masks are tested (176 are sum-free, 22 of them middle
@@ -153,44 +129,51 @@ def _check_residue_rows_exact(rng):
     # of _row_residues' one reduction; and _middle_thirds for two drawn
     # primes past 83.  The elements hold every residue mod 83, are drawn,
     # past 2^64, and next to multiples of each modulus.
-    assert solver._ROW_MODULI == (*range(2, 11), *_primes_2_mod_3(11, 83)), f"moduli {solver._ROW_MODULI}"
-    primes = rng.choice(list(_primes_2_mod_3(89, 600)), size=2, replace=False).tolist()
+    primes = rng.choice(list(reference.primes_2_mod_3(89, 600)), size=2, replace=False).tolist()
     big = int(rng.integers(2, 10**9))
     elems = [*range(1, 84), *rng.integers(1, 10**12, size=60).tolist()]
     elems += [2**64 + x for x in rng.integers(0, 2**62, size=20).tolist()]
     elems += [m * q + r for q in (*solver._ROW_MODULI, *primes) for m in (2, big, 2**70) for r in (-2, -1, 1, 2)]
     reduced = solver._row_residues(elems)
     for q in solver._ROW_MODULI:
-        rows = _residue_rows_direct(q, q <= 10)
+        rows = reference.residue_rows_direct(q, q <= 10)
         got = solver._residue_rows(q)[:, reduced % q].tolist()
         assert got == [[row[a % q] for a in elems] for row in rows], f"the rows mod {q} differ from their definition"
-    classes = [(q, row) for q in range(2, 11) for row in _residue_rows_direct(q, True)]
-    assert len(classes) == 176 and sum(row in _residue_rows_direct(q, False) for q, row in classes) == 22
+    classes = [(q, row) for q in range(2, 11) for row in reference.residue_rows_direct(q, True)]
+    assert len(classes) == 176 and sum(row in reference.residue_rows_direct(q, False) for q, row in classes) == 22
     for p in primes:
         got = solver._middle_thirds(p, np.array([a % p for a in elems])).tolist()
         assert got == [[p < 3 * (x * a % p) < 2 * p for a in elems] for x in range(1, p // 2 + 1)], f"mod {p}"
 
 
 def _check_prime_floor(rng):
-    # The residue rows and the prime dilations past 83 against a replay: the
-    # first row with the most elements wins if it beats the size given, and
-    # while that misses the floor, the first prime p past 83 with
-    # z_p·(p+1) < 2n (z_p multiples of p) gives its first x in 1..p-1 with
-    # the most.  Built sets, multiples of 2520, which every class mod q <= 10
+    # What the heuristic's start guarantees: the rows' winner beats the size
+    # given exactly when some row, counted by definition, does, and is then
+    # sum-free on A and holds that most; while neither reaches the floor, the
+    # tail's x/p, p = 2 (mod 3) prime past 83, selects a sum-free set that
+    # does.  Built sets, multiples of 2520, which every class mod q <= 10
     # misses, have every prime through 83 in each element and 2n/(p+1)
     # multiples of p = 89 or 101, then not admissible; or every prime but 83,
     # from the floor, which only x/83 can beat; or residues 1, 3, 8 and 10
-    # mod 11, all selected by 5/11, the last row of 11.  Drawn sets take
-    # multiples of products of 11, 17, 23 and 29, and of 2520·99991.
-    below_83 = 2520 * prod(_primes_2_mod_3(11, 71))
+    # mod 11, all selected by 5/11, the last row of 11.  Two more, multiples
+    # of L, which every row misses, probe p = 89: at z·(p+1) = 2n, where each
+    # x/89 selects n/3, it is not admissible; and with 60 elements in one
+    # residue mod 89, only x/89 scored on the counts reaches the floor.
+    # Drawn sets take multiples of products of 11, 17, 23 and 29, and of
+    # 2520·99991.
+    below_83 = 2520 * prod(reference.primes_2_mod_3(11, 71))
+    L = below_83 * 83
     cases = []
-    for p, lower in ((89, below_83 * 83), (101, below_83 * 83 * 89)):
+    for p, lower in ((89, L), (101, L * 89)):
         ks = [k for k in rng.choice(10**4, size=p, replace=False).tolist() if k % p][: (p + 1) // 2]
         cases.append((IntegerSet.from_iterable([lower * p * ks[0]] + [lower * k for k in ks[1:]]), 0))
     ks = [k for k in rng.choice(10**4, size=60, replace=False).tolist() if k % 83][:40]
     cases.append((IntegerSet.from_iterable(below_83 * k for k in ks), solver.one_third_floor(40)))
     ks = rng.choice(10**4, size=20, replace=False).tolist()
     cases.append((IntegerSet.from_iterable(11 * k + (1, 3, 8, 10)[k % 4] for k in ks), 0))
+    cases.append((IntegerSet.from_iterable([L * (r + 89 * 2**r) for r in range(1, 89)] + [L * 89 * 3, L * 89 * 5]), 0))
+    by_counts = [L * (1 + 89 * 2**t) for t in range(60)] + [L * (r + 89 * 2 ** (r + 30)) for r in range(30, 60)]
+    cases.append((IntegerSet.from_iterable(by_counts), 0))
     for _ in range(8):
         n = int(rng.integers(3, 30))
         factors = [prod(p for p in (11, 17, 23, 29) if rng.random() < 0.5) for _ in range(n)]
@@ -200,23 +183,22 @@ def _check_prime_floor(rng):
         ks = rng.choice(10**3, size=int(rng.integers(3, 30)), replace=False) + 1
         cases.append((IntegerSet.from_iterable(2520 * 99_991 * int(k) for k in ks), int(rng.integers(0, 3))))
     cases.append((IntegerSet(tuple(2520 * 99_991 * 2**i for i in range(31))), 1))
-    rows = {q: _residue_rows_direct(q, q <= 10) for q in (*range(2, 11), *_primes_2_mod_3(11, 83))}
+    moduli = (*range(2, 11), *reference.primes_2_mod_3(11, 83))
+    rows = [(q, row) for q in moduli for row in reference.residue_rows_direct(q, q <= 10)]
     for A, start in cases:
-        n, floor, size, want = len(A), solver.one_third_floor(len(A)), start, None
-        for q, table in rows.items():
-            sizes = [sum(row[a % q] for a in A.elements) for row in table]
-            if max(sizes) > size:
-                size, want = max(sizes), (q, sizes.index(max(sizes)))
+        floor = solver.one_third_floor(len(A))
+        best = max(sum(row[a % q] for a in A.elements) for q, row in rows)
         got = solver._residue_winner(solver._row_residues(A.elements), start)
-        assert got == want, f"{A.elements} from {start}: the rows take {got}, not {want}"
-        if size >= floor:
-            continue
-        p = next(p for p in _primes_2_mod_3(89, 10**5) if sum(a % p == 0 for a in A.elements) * (p + 1) < 2 * n)
-        sizes = [sum(p < 3 * (x * a % p) < 2 * p for a in A.elements) for x in range(1, p)]
-        got, want = solver._prime_floor(A.elements), Fraction(sizes.index(max(sizes)) + 1, p)
-        assert got == want, f"{A.elements}: the tail takes {got}, not {want}"
-        picked = solver.dilation_select(A, got)
-        assert solver.is_sum_free(picked) and len(picked) >= floor, f"{A.elements}: {picked.elements}"
+        assert (got is None) == (best <= start), f"{A.elements} from {start}: the rows take {got}, the most is {best}"
+        if got is not None:
+            q, i = got
+            picked = IntegerSet.from_iterable(a for a in A.elements if solver._residue_rows(q)[i][a % q])
+            assert solver.is_sum_free(picked) and len(picked) == best, f"{A.elements}: row {got} takes {picked.elements}"
+        if max(best, start) < floor:
+            theta = solver._prime_floor(A.elements)
+            p, picked = theta.denominator, solver.dilation_select(A, theta)
+            assert p > 83 and list(reference.primes_2_mod_3(p, p)) == [p], f"{A.elements}: the tail takes {theta}"
+            assert solver.is_sum_free(picked) and len(picked) >= floor, f"{A.elements}: {theta} takes {picked.elements}"
 
 
 def _check_local_search_vs_oracle(rng):

@@ -92,6 +92,19 @@ def dilation_sweep_direct(A: IntegerSet) -> tuple[Fraction, tuple[int, ...]]:
     return best
 
 
+def primes_2_mod_3(lo: int, hi: int):
+    """The primes p = 2 (mod 3) in [lo, hi], lo >= 2, by trial division: solver._ROW_MODULI's and _prime_floor's."""
+    return (p for p in range(lo, hi + 1) if p % 3 == 2 and all(p % d for d in range(2, math.isqrt(p) + 1)))
+
+
+def residue_rows_direct(q: int, classes: bool) -> list[list[bool]]:
+    """solver._residue_rows(q) by definition: the masks with no x + y = z mod q (x = y allowed) in order, or x/q for x = 1..q//2."""
+    if not classes:
+        return [[q < 3 * (x * r % q) < 2 * q for r in range(q)] for x in range(1, q // 2 + 1)]
+    sets = [{r for r in range(q) if mask >> r & 1} for mask in range(1, 2**q)]
+    return [[r in S for r in range(q)] for S in sets if not any((x + y) % q in S for x in S for y in S)]
+
+
 def u2_group_norm_direct(signal: CyclicSignal) -> float:
     """spectral.u2_group_norm from the quadruple average, O(N'^2).
 

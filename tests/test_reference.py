@@ -15,7 +15,9 @@ from sumfree.reference import (
     canonical_vectors,
     dilation_sweep_direct,
     irrationality_direct,
+    primes_2_mod_3,
     pushforward_direct,
+    residue_rows_direct,
     u2_group_norm_direct,
 )
 from sumfree.solver import dilation_sweep
@@ -133,6 +135,15 @@ def test_sweep_at_one_half_closes_at_the_mirror():
         cert = dilation_sweep(A)
         assert cert.theta == Fraction(1, 2), elems
         assert (cert.theta, cert.selected.elements) == dilation_sweep_direct(A), elems
+
+
+def test_residue_oracles_by_hand():
+    # Z/5Z's sum-free classes in mask order, and its middle thirds 1/5
+    # ({2, 3}) and 2/5 ({1, 4}), which are two of those classes
+    assert list(primes_2_mod_3(2, 100)) == [2, 5, 11, 17, 23, 29, 41, 47, 53, 59, 71, 83, 89]
+    rows = [[r in S for r in range(5)] for S in ({1}, {2}, {3}, {2, 3}, {4}, {1, 4})]
+    assert residue_rows_direct(5, True) == rows
+    assert residue_rows_direct(5, False) == [rows[3], rows[5]]
 
 
 def test_vector_count_is_the_enumeration_length():

@@ -1,7 +1,7 @@
 import hashlib
 import tracemalloc
 from fractions import Fraction
-from math import isqrt, prod
+from math import prod
 from unittest.mock import patch
 
 import numpy as np
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from sumfree import solver
 from sumfree.core import IntegerSet, rng_from_seed
-from sumfree.reference import exhaustive_max_sum_free
+from sumfree.reference import exhaustive_max_sum_free, primes_2_mod_3
 from sumfree.solver import (
     ALLOW_EQUAL,
     DISTINCT_ONLY,
@@ -423,8 +423,9 @@ class TestHeuristic:
         [
             # past the sweep's cap the interval 99991·{6..11} reaches the
             # floor 5, and no residue class or prime dilation beats it: no
-            # sweep runs (heuristic_bounds counts its calls), though it would
-            # within its limit
+            # sweep runs, though it would within its limit (this row and
+            # FROZEN's 500-subset rows change if it does; FROZEN's 100-subset
+            # rows and the solve_heuristic golden, if no sweep runs at all)
             (IntegerSet(tuple(99_991 * k for k in range(1, 13))), True, tuple(99_991 * k for k in range(6, 12))),
             # the exact sweep would need about 9e9 events; A ∩ [x, 2x) holds
             # 150 elements and the odd residue class 151
@@ -472,7 +473,7 @@ class TestHeuristic:
         # interval or x/p through 83 reaches the floor of 2 on 2520·M·{1, 4,
         # 16}, and the first admissible prime, 32771, is scored on all its
         # 16 385 rows
-        M = prod(p for p in range(2, 2**15) if p % 3 == 2 and all(p % d for d in range(2, isqrt(p) + 1)))
+        M = prod(primes_2_mod_3(2, 2**15))
         A = IntegerSet(tuple(2520 * M * k for k in (1, 4, 16)))
         assert solver._residue_winner(solver._row_residues(A.elements), 1) is None
         assert solver._prime_floor(A.elements) == Fraction(1, 32771)
