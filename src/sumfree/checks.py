@@ -4,9 +4,11 @@ Each suite re-verifies the library's structural guarantees on freshly
 generated random instances: exact solvers against brute-force oracles,
 FFT paths against direct summation, proved inequalities on random inputs
 (any violation is an implementation bug, not bad luck), and bit-exact
-reproducibility of every seeded operation.  A master seed fans out to one
-independent stream per check, so single suites and `all` runs see
-identical instances.
+reproducibility of every seeded operation.  One check states one
+property: its boundary sizes and fixed sets are among its inputs, not
+checks of their own, and its oracle, if it needs one, lives in
+`reference`.  A master seed fans out to one independent stream per
+check, so single suites and `all` runs see identical instances.
 """
 
 from __future__ import annotations
@@ -353,18 +355,6 @@ def _check_sum_free_paths_agree(rng):
 # --------------------------------------------------------------- spectral
 
 
-def _check_parseval(rng):
-    # complex normal and real uniform values
-    for i in range(20):
-        n = int(rng.integers(2, 40))
-        vals = rng.normal(size=n) + 1j * rng.normal(size=n) if i % 2 else rng.uniform(-1.0, 1.0, n)
-        f = interval_signal(vals)
-        hat = spectral.spectrum(f)
-        lhs = np.sum(np.abs(f.values) ** 2) / f.n_prime
-        rhs = np.sum(np.abs(hat) ** 2)
-        assert abs(lhs - rhs) <= 1e-13, f"Parseval identity failed: {lhs} != {rhs}"
-
-
 def _check_u2_fft_vs_direct(rng):
     for _ in range(10):
         n = int(rng.integers(2, 20))
@@ -376,17 +366,24 @@ def _check_u2_fft_vs_direct(rng):
             f"U2 group norm fft {fast} != direct {slow}"
         )
     # a set's norms from its exact additive energy, on both count paths:
-    # three in four sizes straddle |A|^2 = N, empty sets included
+    # three in four sizes straddle |A|^2 = N, empty sets included.  The
+    # interval-normalised norm takes one value at all three N'.
     for i in range(40):
         N = int(rng.integers(1, 300))
         size = int(rng.integers(0, min(N, 2 * isqrt(N) + 2) + 1) if i % 4 else rng.integers(1, N + 1))
-        A = _random_subset(rng, N, size)
-        for n_prime in (None, 2 * default_n_prime(N), 8 * N + 3):
-            rep = spectral.set_u2(A, N, n_prime)
-            sig = embed_signal(A, N, n_prime)
-            assert rep.n_prime == sig.n_prime, f"{A.elements}: N' {rep.n_prime} != {sig.n_prime}"
-            for got, want in ((rep.u2_group_norm, spectral.u2_group_norm(sig)), (rep.u2_norm, spectral.u2_norm(sig))):
-                assert abs(got - want) <= 1e-12 * want, f"{A.elements} at N'={rep.n_prime}: energy {got} != fft {want}"
+        _set_u2_case(_random_subset(rng, N, size), N)
+
+
+def _set_u2_case(A: IntegerSet, N: int) -> None:
+    norms = []
+    for n_prime in (None, 2 * default_n_prime(N), 8 * N + 3):
+        rep = spectral.set_u2(A, N, n_prime)
+        sig = embed_signal(A, N, n_prime)
+        assert rep.n_prime == sig.n_prime, f"{A.elements}: N' {rep.n_prime} != {sig.n_prime}"
+        for got, want in ((rep.u2_group_norm, spectral.u2_group_norm(sig)), (rep.u2_norm, spectral.u2_norm(sig))):
+            assert abs(got - want) <= 1e-12 * want, f"{A.elements} at N'={rep.n_prime}: energy {got} != fft {want}"
+        norms.append(rep.u2_norm)
+    assert max(norms) - min(norms) <= 1e-12 * max(norms), f"{A.elements}: u2_norm depends on N': {norms}"
 
 
 def _check_pairs_vs_fft(rng):
@@ -435,12 +432,14 @@ def _check_pairs_vs_fft(rng):
 
 
 def _check_triples_zero_iff_sum_free(rng):
-    # ordered_triples(A, N) == 0 exactly when A is ALLOW_EQUAL sum-free.  At
-    # each N the sizes fall below is_sum_free's set-scan cutoff and on both
-    # sides of ordered_triples' kernel/FFT crossover, near 8 sqrt(N) for
-    # random sets; each set is drawn from {1..N} and from its odd numbers,
-    # which are sum-free.  A set below the cutoff never reaches the FFT,
-    # since n^2/4 pairs > 16N would need n > 8 sqrt(N) > 64.
+    # ordered_triples(A, N) == 0 exactly when A is ALLOW_EQUAL sum-free, and
+    # t_count of A's indicator is that count over N^2, so it vanishes
+    # exactly then too.  At each N the sizes fall below is_sum_free's
+    # set-scan cutoff and on both sides of ordered_triples' kernel/FFT
+    # crossover, near 8 sqrt(N) for random sets; each set is drawn from
+    # {1..N} and from its odd numbers, which are sum-free.  A set below the
+    # cutoff never reaches the FFT, since n^2/4 pairs > 16N would need
+    # n > 8 sqrt(N) > 64.
     taken = set()  # (is_sum_free by the kernel, ordered_triples by the kernel, T = 0)
     for _ in range(6):
         N = int(rng.integers(300, 3000))
@@ -449,23 +448,19 @@ def _check_triples_zero_iff_sum_free(rng):
             for step in (1, 2):
                 pool = np.arange(1, N + 1, step)
                 A = IntegerSet(tuple(sorted(int(x) for x in rng.choice(pool, min(size, len(pool)), replace=False))))
-                zero = spectral.ordered_triples(A, N) == 0
-                assert zero == solver.is_sum_free(A, solver.ALLOW_EQUAL), f"{len(A)} elements in [1, {N}]: T = 0 is {zero}"
-                count = spectral._use_kernel(core._pair_ends(np.array(A.elements, dtype=np.int64)), N)
-                taken.add((solver._sum_free_path(A) != "scan", count, zero))
+                taken.add(_triples_case(A, N))
     want = {(check, count, zero) for check in (True, False) for count in (True, not check) for zero in (True, False)}
     assert want <= taken, f"paths not taken: {sorted(want - taken)}"
 
 
-def _check_u2_embedding_free(rng):
-    for _ in range(10):
-        A = _random_set(rng, 10, 24)
-        N = A.elements[-1]
-        base = embed_signal(A, N)
-        wide = embed_signal(A, N, n_prime=2 * base.n_prime)
-        a = spectral.u2_norm(base)
-        b = spectral.u2_norm(wide)
-        assert abs(a - b) <= 1e-6 * max(1.0, a), f"u2_norm depends on padding: {a} vs {b}"
+def _triples_case(A: IntegerSet, N: int) -> tuple[bool, bool, bool]:
+    triples = spectral.ordered_triples(A, N)
+    zero = triples == 0
+    assert zero == solver.is_sum_free(A, solver.ALLOW_EQUAL), f"{len(A)} elements in [1, {N}]: T = 0 is {zero}"
+    t = spectral.t_count(indicator_vector(A, N))
+    assert abs(t * N**2 - triples) <= 1e-6, f"{len(A)} elements in [1, {N}]: t_count N^2 = {t * N**2} != {triples}"
+    count = spectral._use_kernel(core._pair_ends(np.array(A.elements, dtype=np.int64)), N)
+    return solver._sum_free_path(A) != "scan", count, zero
 
 
 def _check_t_count_direct(rng):
@@ -475,18 +470,6 @@ def _check_t_count_direct(rng):
         fast = spectral.t_count(vals)
         slow = reference.t_count_direct(vals)
         assert abs(fast - slow) <= 1e-12, f"t_count fft {fast} != direct {slow}"
-
-
-def _check_t_count_zero_iff_sum_free(rng):
-    for _ in range(20):
-        N = int(rng.integers(6, 50))
-        A = _random_set(rng, 10, N)
-        has_triple = reference.ordered_triples_direct(A) > 0
-        t = spectral.t_count(indicator_vector(A, N))
-        if has_triple:
-            assert t >= 1.0 / N**2 - 1e-10, f"{A.elements}: triple missed, t={t}"
-        else:
-            assert abs(t) <= 1e-10, f"{A.elements}: spurious t={t}"
 
 
 def _check_t_stability(rng):
@@ -507,26 +490,6 @@ def _check_mean_envelope(rng):
         f = interval_signal(vals)
         mean = abs(vals.mean())
         assert mean <= 8.0 * spectral.u2_norm(f) + _REL_TOL, "mean above 8 * U2(N)"
-
-
-def _check_young_bound(rng):
-    n_prime = 512
-    N = 100
-    for _ in range(10):
-        length = int(rng.integers(1, 12))
-        step = int(rng.integers(1, max(2, (N - 1) // max(1, length - 1) if length > 1 else N)))
-        start = int(rng.integers(1, N - (length - 1) * step + 1))
-        prog = structure.Progression(start, step, length)
-        eta = float(rng.uniform(0.1, 1.0))
-        fv = np.zeros(n_prime, dtype=np.complex128)
-        phases = np.exp(2j * np.pi * rng.uniform(size=length))
-        fv[np.array(prog.elements())] = eta * phases
-        gv = np.zeros(n_prime, dtype=np.complex128)
-        gvals = rng.uniform(size=N) * np.exp(2j * np.pi * rng.uniform(size=N))
-        gv[1 : N + 1] = gvals
-        conv = np.fft.ifft(np.fft.fft(fv) * np.fft.fft(gv)) / N
-        bound = eta * length / N
-        assert np.abs(conv).max() <= bound + _REL_TOL, "Young convolution bound failed"
 
 
 def _check_pollard_lattice(rng):
@@ -565,54 +528,53 @@ def _check_decomposition(rng):
 
 
 def _check_dense_progression_vs_naive(rng):
+    # random sets at target 1/2, and the full interval {1..N} at target 1,
+    # which its best window, all of it, meets with equality
+    cases = []
     for _ in range(12):
         N = int(rng.integers(8, 61))
-        A = _random_set(rng, N, N)
-        min_length = int(rng.integers(1, 7))
-        report = structure.find_dense_progression(A, N, min_length, Fraction(1, 2))
-        naive = reference.dense_progression_direct(A, N, min_length)
-        got = (
-            report.hits,
-            report.progression.length,
-            report.progression.start,
-            report.progression.step,
-        )
-        assert got == naive, f"N={N} L0={min_length} {A.elements}: {got} != {naive}"
-
-
-def _check_full_interval_density(rng):
+        cases.append((_random_set(rng, N, N), N, int(rng.integers(1, 7)), Fraction(1, 2)))
     N = int(rng.integers(5, 40))
-    A = IntegerSet(tuple(range(1, N + 1)))
-    report = structure.find_dense_progression(A, N, 1, Fraction(1))
+    cases.append((IntegerSet(tuple(range(1, N + 1))), N, 1, Fraction(1)))
+    for case in cases:
+        _dense_case(*case)
+
+
+def _dense_case(A: IntegerSet, N: int, min_length: int, target: Fraction) -> None:
+    report = structure.find_dense_progression(A, N, min_length, target)
     prog = report.progression
-    assert (prog.start, prog.step, prog.length) == (1, 1, N), "full interval not preferred"
-    assert report.density == 1 and report.meets_target
+    got = (report.hits, prog.length, prog.start, prog.step)
+    naive = reference.dense_progression_direct(A, N, min_length)
+    assert got == naive, f"N={N} L0={min_length} {A.elements}: {got} != {naive}"
+    assert report.density == Fraction(report.hits, prog.length) and report.target == target
+    assert report.meets_target == (report.density >= target), f"N={N}: density {report.density}, target {target}"
 
 
 def _check_alpha_tilde_random(rng):
-    for _ in range(30):
-        q = int(rng.integers(1, 6))
-        M = int(rng.integers(1, 6))
-        numer = rng.integers(0, 9, size=q * M)
-        values = [Fraction(int(x), 8) for x in numer]
-        grid = structure.AlphaGrid.from_values(q, M, values)
-        for eta in (Fraction(0), Fraction(1, 10), Fraction(3, 10)):
-            report = structure.alpha_tilde(grid, eta)
-            assert report.holds, (
-                f"q={q} M={M} eta={eta}: {report.lhs_total} < {report.rhs_bound}"
-            )
+    # grids in eighths, and grids with a single nonzero cell c, the equality
+    # case lhs = rhs = 4c at eta = 0
+    grids = []
+    for i in range(33):
+        q, M = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        if i < 30:
+            values = [Fraction(int(x), 8) for x in rng.integers(0, 9, size=q * M)]
+        else:
+            values = [Fraction(0)] * (q * M)
+            values[int(rng.integers(0, q * M))] = Fraction(int(rng.integers(1, 16)), 16)
+        grids.append(structure.AlphaGrid.from_values(q, M, values))
+    for grid in grids:
+        _alpha_tilde_case(grid)
 
 
-def _check_alpha_tilde_single_cell(rng):
-    q = int(rng.integers(1, 6))
-    M = int(rng.integers(1, 6))
-    c = Fraction(int(rng.integers(1, 16)), 16)
-    values = [Fraction(0)] * (q * M)
-    values[int(rng.integers(0, q * M))] = c
-    grid = structure.AlphaGrid.from_values(q, M, values)
-    report = structure.alpha_tilde(grid, Fraction(0))
-    assert report.lhs_total == 4 * c, f"single cell lhs {report.lhs_total} != {4 * c}"
-    assert report.rhs_bound == 4 * c and report.holds
+def _alpha_tilde_case(grid: structure.AlphaGrid) -> None:
+    q, M = grid.modulus, grid.levels
+    total = sum(v for row in grid.values for v in row)
+    for eta in (Fraction(0), Fraction(1, 10), Fraction(3, 10)):
+        report = structure.alpha_tilde(grid, eta)
+        lhs, rhs = report.lhs_total, report.rhs_bound
+        assert lhs == reference.alpha_tilde_direct(grid, eta), f"{grid.values} eta={eta}: lhs {lhs} != oracle"
+        assert rhs == 4 * total - 4 * eta * q * M, f"{grid.values} eta={eta}: rhs {rhs}"
+        assert report.holds and lhs >= rhs, f"q={q} M={M} eta={eta}: {lhs} < {rhs}"
 
 
 def _check_difference_set_invariance(rng):
@@ -661,19 +623,19 @@ def _check_doubling_report(rng):
 
 
 def _check_avoid_zero_mass(rng):
-    for _ in range(10):
-        q = int(rng.integers(1, 13))
-        K = int(rng.integers(1, 9))
-        membership = rng.uniform(size=(q, K)) < 0.5
-        grid = structure.GridSet(q, K, membership)
-        report = structure.avoid_zero_diagnostic(grid, q, Fraction(1, K))
-        stride = report.subgroup_stride
-        j_end = int(report.interval_end * K)
-        direct = 0
-        for a in range(0, q, stride):
-            for j in range(j_end):
-                direct += int(membership[a, j])
-        assert report.mass == Fraction(direct, q * K), "reported mass mismatch"
+    # sparse and dense grids, so that strides and interval ends tie; index
+    # bounds below q and past it, and interval floors on and between the
+    # grid lines
+    for _ in range(40):
+        q, K = int(rng.integers(1, 13)), int(rng.integers(1, 9))
+        grid = structure.GridSet(q, K, rng.uniform(size=(q, K)) < rng.uniform(0.05, 0.6))
+        index_bound = int(rng.integers(1, q + 3))
+        min_interval = Fraction(int(rng.integers(1, 2 * K + 1)), 2 * K)
+        report = structure.avoid_zero_diagnostic(grid, index_bound, min_interval)
+        got = (report.subgroup_stride, report.interval_end, report.mass)
+        want = reference.avoid_zero_direct(grid, index_bound, min_interval)
+        assert got == want, f"q={q} K={K} bound {index_bound} from {min_interval}: {got} != oracle {want}"
+        assert report.subgroup == tuple(range(0, q, report.subgroup_stride)), f"subgroup {report.subgroup}"
 
 
 def _check_lev_random(rng):
@@ -810,23 +772,6 @@ def _check_experiment_reproducible(rng):
 # --------------------------------------------------------------- equidist
 
 
-def _check_golden_fixture(rng):
-    del rng
-    theta = eq.golden_theta()
-    report = eq.irrationality_check(theta, 10, 1000)
-    assert report.holds, "golden ratio should pass at A=10, N=1000"
-    assert report.worst_vector == (8,), f"worst vector {report.worst_vector}"
-    direct = eq.torus_distance(8 * theta.components[0])
-    assert abs(report.worst_distance - direct) <= 1e-15
-
-
-def _check_rational_fails(rng):
-    del rng
-    report = eq.irrationality_check(eq.Theta((0.5,)), 2, 100)
-    assert not report.holds and report.worst_vector == (2,)
-    assert report.worst_distance == 0.0
-
-
 def _check_irrationality_monotone(rng):
     theta = eq.Theta((float(rng.uniform()),))
     prev = np.inf
@@ -838,8 +783,10 @@ def _check_irrationality_monotone(rng):
 
 def _check_scan_vs_oracle(rng):
     # 4 000 places at a = 1, then d <= 4 with theta uniform, or in eighths
-    # and twelfths, where many vectors tie
+    # and twelfths, where many vectors tie; the golden ratio, whose worst
+    # vector at a = 10 is (8,), and 1/2, rational, so it fails at distance 0
     cases = [(tuple(float(t) for t in rng.uniform(size=4000)), Fraction(1), 100)]
+    cases += [(eq.golden_theta().components, Fraction(10), 1000), ((0.5,), Fraction(2), 100)]
     for _ in range(60):
         d = int(rng.integers(1, 5))
         den = int(rng.choice([0, 8, 12]))
@@ -847,10 +794,15 @@ def _check_scan_vs_oracle(rng):
         k = int(rng.integers(1, 4))
         a = Fraction(int(rng.integers(1, 9 * k)), k)  # floor(a) in 0..8
         cases.append((tuple(float(t) for t in theta), a, int(rng.integers(1, 200))))
-    for theta, a, N in cases:
-        report = eq.irrationality_check(eq.Theta(theta), a, N)
-        got = (report.worst_vector, report.worst_distance, report.holds)
-        assert got == reference.irrationality_direct(theta, a, N), f"scan differs at d={len(theta)}, a={a}"
+    for case in cases:
+        _scan_case(*case)
+
+
+def _scan_case(theta: tuple[float, ...], a: Fraction, N: int) -> eq.IrrationalityReport:
+    report = eq.irrationality_check(eq.Theta(theta), a, N)
+    got = (report.worst_vector, report.worst_distance, report.holds)
+    assert got == reference.irrationality_direct(theta, a, N), f"scan differs at d={len(theta)}, a={a}"
+    return report
 
 
 def _check_evaluate_vs_direct(rng):
@@ -950,24 +902,18 @@ SUITES: dict[str, list[tuple[str, object]]] = {
         ("sum_free_paths_agree", _check_sum_free_paths_agree),
     ],
     "spectral": [
-        ("parseval", _check_parseval),
         ("u2_fft_vs_direct", _check_u2_fft_vs_direct),
         ("pairs_vs_fft", _check_pairs_vs_fft),
-        ("u2_embedding_free", _check_u2_embedding_free),
         ("t_count_direct", _check_t_count_direct),
-        ("t_count_zero_iff_sum_free", _check_t_count_zero_iff_sum_free),
         ("triples_zero_iff_sum_free", _check_triples_zero_iff_sum_free),
         ("t_stability", _check_t_stability),
         ("mean_envelope", _check_mean_envelope),
-        ("young_bound", _check_young_bound),
         ("pollard_lattice", _check_pollard_lattice),
         ("decomposition", _check_decomposition),
     ],
     "structure": [
         ("dense_progression_vs_naive", _check_dense_progression_vs_naive),
-        ("full_interval_density", _check_full_interval_density),
         ("alpha_tilde_random", _check_alpha_tilde_random),
-        ("alpha_tilde_single_cell", _check_alpha_tilde_single_cell),
         ("difference_set_invariance", _check_difference_set_invariance),
         ("popular_differences_monotone", _check_popular_differences_monotone),
         ("doubling_report", _check_doubling_report),
@@ -986,8 +932,6 @@ SUITES: dict[str, list[tuple[str, object]]] = {
         ("experiment_reproducible", _check_experiment_reproducible),
     ],
     "equidist": [
-        ("golden_fixture", _check_golden_fixture),
-        ("rational_fails", _check_rational_fails),
         ("irrationality_monotone", _check_irrationality_monotone),
         ("scan_vs_oracle", _check_scan_vs_oracle),
         ("evaluate_vs_direct", _check_evaluate_vs_direct),

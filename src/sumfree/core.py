@@ -90,14 +90,14 @@ class SumFreeConvention(Enum):
         raise ValueError(f"unknown convention {text!r}; use 'allow-equal' or 'distinct'")
 
 
-def _as_int(x) -> int:
+def _as_int(x, what: str = "element") -> int:
     """x as an int when its type is an integer type other than bool."""
     if not isinstance(x, bool):
         try:
             return operator.index(x)
         except TypeError:
             pass
-    raise ValueError(f"non-integer element {x!r}")
+    raise ValueError(f"non-integer {what} {x!r}")
 
 
 @dataclass(frozen=True)

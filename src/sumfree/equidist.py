@@ -190,12 +190,11 @@ class IrrationalityReport(JsonReport):
 
     holds means every nonzero integer vector with coordinate-sum of
     absolute values at most a_bound keeps q . theta at torus distance at
-    least threshold.  worst_vector is the canonical (first nonzero
-    positive, lexicographically first) minimizer and worst_distance its
-    torus distance; when a_bound < 1 leaves no vector to scan, holds is
-    vacuously true, worst_vector is () and worst_distance is None.
-    threshold is float(a_bound / n), the distance the verdict compares
-    against.
+    least a_bound / n, compared exactly.  worst_vector is the canonical
+    (first nonzero positive, lexicographically first) minimizer and
+    worst_distance its torus distance; when a_bound < 1 leaves no vector
+    to scan, holds is vacuously true, worst_vector is () and
+    worst_distance is None.  threshold is float(a_bound / n), printed.
     """
 
     a_bound: Fraction
@@ -300,11 +299,12 @@ def irrationality_check(theta: Theta, a_bound, N: int) -> IrrationalityReport:
     Exhaustive over sum |q_i| <= a_bound (vectors identified with their
     negatives).  Each q . theta is summed from 0.0 in place order, one
     IEEE addition per nonzero entry, whatever the interpreter (Python's
-    sum() compensates from 3.12 on).  The verdict
-    compares the worst torus distance against the reported threshold,
-    float(a_bound / N); since no distance exceeds 1/2, any threshold above
-    1/2 fails.  The scan is refused before it starts when its vector count
-    passes MAX_TORUS_VECTORS; reduce a_bound in that case.
+    sum() compensates from 3.12 on).  The verdict compares the worst torus
+    distance exactly with a_bound / N, not with the reported threshold,
+    its float, which can underflow to 0.0; since no distance exceeds 1/2,
+    any a_bound / N above 1/2 fails.  The scan is refused before it starts
+    when its vector count passes MAX_TORUS_VECTORS; reduce a_bound in that
+    case.
     """
     a_frac = Fraction(a_bound)
     if a_frac <= 0:
@@ -318,10 +318,10 @@ def irrationality_check(theta: Theta, a_bound, N: int) -> IrrationalityReport:
     worst_vec = [0] * d if worst else []
     for i, q in worst:
         worst_vec[i] = q
-    threshold = float(a_frac / N)
     # budget < 1 leaves nothing to scan: vacuously irrational, at no distance
+    holds = not worst or Fraction(worst_dist) >= a_frac / N
     return IrrationalityReport(
-        a_frac, N, worst_dist >= threshold, tuple(worst_vec), worst_dist if worst else None, threshold
+        a_frac, N, holds, tuple(worst_vec), worst_dist if worst else None, float(a_frac / N)
     )
 
 

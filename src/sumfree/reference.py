@@ -10,7 +10,7 @@ import numpy as np
 from .core import CyclicSignal, IntegerSet, SumFreeConvention, _check_limit
 from .solver import is_sum_free
 from .spectral import _interval_group_norm
-from .structure import AlphaGrid
+from .structure import AlphaGrid, GridSet
 from .weights import GridWeight
 
 _DIRECT_SIZE_CAP = 512
@@ -228,6 +228,26 @@ def alpha_tilde_direct(grid: AlphaGrid, eta) -> Fraction:
     return sum((entry for row in table for entry in row), Fraction(0))
 
 
+def avoid_zero_direct(grid: GridSet, index_bound: int, min_interval) -> tuple[int, Fraction, Fraction]:
+    """structure.avoid_zero_diagnostic's (stride, interval_end, mass), over every admissible box.
+
+    A box is H x [0, j/K] for the subgroup H of stride d, with d | q and
+    d <= index_bound, and j/K >= min_interval; its mass counts the member
+    cells (a, i) with a in H and i <= j, over q*K.  The least mass wins,
+    then the smallest subgroup, then the shortest interval.
+    """
+    q, K, low = grid.modulus, grid.cells, Fraction(min_interval)
+    boxes = [
+        (Fraction(sum(bool(grid.membership[a, i]) for a in range(0, q, d) for i in range(j)), q * K), q // d, j, d)
+        for d in range(1, q + 1)
+        if q % d == 0 and d <= index_bound
+        for j in range(1, K + 1)
+        if Fraction(j, K) >= low
+    ]
+    mass, _, j, stride = min(boxes)
+    return stride, Fraction(j, K), mass
+
+
 def pushforward_direct(w: GridWeight, factor: int, shrink: Fraction, t: Fraction) -> np.ndarray:
     """Single-node pushforward values of weights._node_values, by a Fraction loop.
 
@@ -293,7 +313,7 @@ def irrationality_direct(theta: tuple[float, ...], a_bound, N: int):
     Walks canonical_vectors in lex order and keeps the first vector of
     least torus distance.  Each q . theta is summed from 0.0 in place order
     by an explicit loop of float additions (sum() compensates from Python
-    3.12 on).  holds compares against float(a_bound / N).
+    3.12 on).  holds compares that float distance exactly with a_bound / N.
     """
     a_frac = Fraction(a_bound)
     worst, worst_dist = None, math.inf
@@ -309,7 +329,7 @@ def irrationality_direct(theta: tuple[float, ...], a_bound, N: int):
     vector = [0] * len(theta)
     for i, q in worst:
         vector[i] = q
-    return tuple(vector), worst_dist, worst_dist >= float(a_frac / N)
+    return tuple(vector), worst_dist, Fraction(worst_dist) >= a_frac / N
 
 
 def evaluate_direct(F, n, N: int, theta: tuple[float, ...]) -> np.ndarray:

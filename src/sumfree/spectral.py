@@ -30,6 +30,7 @@ from .core import (
     CyclicSignal,
     IntegerSet,
     JsonReport,
+    _as_int,
     _check_interval,
     _member_table,
     _pair_ends,
@@ -338,8 +339,10 @@ def pollard_check(s1, s2, p: int, t) -> PollardCheck:
     is guaranteed whenever t*p is an integer (the representation-count form
     of the bound on Z/pZ); fractional t in range is evaluated faithfully and
     may legitimately fail, which is why the verdict is returned rather than
-    asserted.
+    asserted.  p and the elements must be of integer type, not bool or
+    float, as IntegerSet.from_iterable requires.
     """
+    p = _as_int(p, "modulus")
     if not _is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     S1 = _validate_subset(s1, p, "S1")
@@ -362,7 +365,7 @@ def pollard_check(s1, s2, p: int, t) -> PollardCheck:
 
 
 def _validate_subset(s, p: int, label: str) -> list[int]:
-    elems = [int(x) for x in s]
+    elems = [_as_int(x) for x in s]
     if len(set(elems)) != len(elems):
         raise ValueError(f"{label} has duplicate elements")
     for x in elems:

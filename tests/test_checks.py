@@ -1,17 +1,73 @@
 import json
+from fractions import Fraction
 
 import pytest
 
-from sumfree import checks, cli
+from sumfree import checks, cli, structure
+from sumfree import equidist as eq
 from sumfree.checks import SUITE_NAMES, SUITES, run_suite
 from sumfree.cli import main
-from sumfree.core import rng_from_seed
+from sumfree.core import IntegerSet, rng_from_seed
 
 CHECKS = [(owner, name, fn) for owner, table in SUITES.items() for name, fn in table]
 
 
+# Properties that are now inputs of a check rather than checks of their
+# own: each runs its old inputs through the case of the check it went into.
+
+
+def _u2_embedding_free(rng):
+    for _ in range(10):
+        A = checks._random_set(rng, 10, 24)
+        checks._set_u2_case(A, A.elements[-1])
+
+
+def _t_count_zero_iff_sum_free(rng):
+    for _ in range(20):
+        N = int(rng.integers(6, 50))
+        checks._triples_case(checks._random_set(rng, 10, N), N)
+
+
+def _full_interval_density(rng):
+    del rng
+    for N in range(1, 40):
+        checks._dense_case(IntegerSet(tuple(range(1, N + 1))), N, 1, Fraction(1))
+
+
+def _alpha_tilde_single_cell(rng):
+    for q in range(1, 6):
+        for M in range(1, 6):
+            values = [Fraction(0)] * (q * M)
+            values[int(rng.integers(0, q * M))] = Fraction(int(rng.integers(1, 16)), 16)
+            checks._alpha_tilde_case(structure.AlphaGrid.from_values(q, M, values))
+
+
+def _golden_fixture(rng):
+    del rng
+    report = checks._scan_case(eq.golden_theta().components, Fraction(10), 1000)
+    assert report.holds and report.worst_vector == (8,)
+
+
+def _rational_fails(rng):
+    del rng
+    report = checks._scan_case((0.5,), Fraction(2), 100)
+    assert not report.holds and report.worst_vector == (2,) and report.worst_distance == 0.0
+
+
+FOLDED = [
+    ("spectral", "u2_embedding_free", _u2_embedding_free),
+    ("spectral", "t_count_zero_iff_sum_free", _t_count_zero_iff_sum_free),
+    ("structure", "full_interval_density", _full_interval_density),
+    ("structure", "alpha_tilde_single_cell", _alpha_tilde_single_cell),
+    ("equidist", "golden_fixture", _golden_fixture),
+    ("equidist", "rational_fails", _rational_fails),
+]
+
+
 @pytest.mark.parametrize(
-    ("owner", "name", "fn"), CHECKS, ids=[f"{owner}.{name}" for owner, name, _ in CHECKS]
+    ("owner", "name", "fn"),
+    CHECKS + FOLDED,
+    ids=[f"{owner}.{name}" for owner, name, _ in CHECKS + FOLDED],
 )
 def test_check(owner, name, fn):
     # the stream run_suite(..., seed=0) hands this check
@@ -31,7 +87,7 @@ def test_cli_offers_every_suite():
 
 def test_check_names_unique():
     labels = [f"{owner}.{name}" for owner, name, _ in CHECKS]
-    assert len(labels) == len(set(labels)) == 52
+    assert len(labels) == len(set(labels)) == 44
 
 
 def test_unknown_suite_rejected():

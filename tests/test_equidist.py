@@ -18,6 +18,7 @@ from sumfree.equidist import (
     irrationality_check,
     torus_distance,
 )
+from sumfree.reference import irrationality_direct
 from sumfree.structure import Progression
 from sumfree.weights import riemann_error, uniform_weight
 
@@ -64,10 +65,20 @@ class TestIrrationality:
             assert rep.holds == (dist >= 5 / n)
 
     def test_verdict_uses_the_printed_threshold(self):
-        # float(4/3) / 11 rounds below the distance, float(4/33) above it
+        # float(4/3) / 11 rounds below the distance; the printed float(4/33),
+        # like 4/33 itself, which the verdict compares with, lies above it
         rep = irrationality_check(Theta((0.1212121212121212,)), Fraction(4, 3), 11)
         assert rep.worst_vector == (1,) and rep.worst_distance == 0.1212121212121212
         assert rep.threshold == 0.12121212121212122 and not rep.holds
+
+    def test_verdict_compares_exactly(self):
+        # 3/10^330 prints as 0.0, which the distance 0.0 of 2 * 1/2 would
+        # meet; the distance 1/4 of 1 * 1/4 meets 1/4 with equality
+        rep = irrationality_check(Theta((0.5,)), 3, 10**330)
+        assert (rep.worst_vector, rep.worst_distance, rep.threshold) == ((2,), 0.0, 0.0)
+        assert not rep.holds
+        assert irrationality_direct((0.5,), 3, 10**330) == ((2,), 0.0, False)
+        assert irrationality_check(Theta((0.25,)), 1, 4).holds
 
     def test_distance_is_the_plain_float_sum(self):
         # 3*t0 + t1 + 2*t2 summed left to right, as 3.11's sum() does; the

@@ -12,6 +12,7 @@ from sumfree import equidist, solver
 from sumfree.core import CyclicSignal, IntegerSet, default_n_prime, interval_signal, rng_from_seed
 from sumfree.equidist import Theta, _vector_count, irrationality_check
 from sumfree.reference import (
+    avoid_zero_direct,
     canonical_vectors,
     dilation_sweep_direct,
     irrationality_direct,
@@ -22,6 +23,7 @@ from sumfree.reference import (
 )
 from sumfree.solver import dilation_sweep
 from sumfree.spectral import _interval_group_norm
+from sumfree.structure import GridSet
 from sumfree.weights import GridWeight, _node_map, _node_values
 
 
@@ -144,6 +146,21 @@ def test_residue_oracles_by_hand():
     rows = [[r in S for r in range(5)] for S in ({1}, {2}, {3}, {2, 3}, {4}, {1, 4})]
     assert residue_rows_direct(5, True) == rows
     assert residue_rows_direct(5, False) == [rows[3], rows[5]]
+
+
+def test_avoid_zero_oracle_by_hand():
+    # Rows 2 and 3 hold one cell each in the first column, rows 1 and 5 are
+    # full.  Strides 3 ({0, 3}) and 2 ({0, 2, 4}) both count 1 at either
+    # end, so the smaller subgroup and the shorter interval win; stride 6
+    # ({0}) counts 0 once the index bound admits it.
+    rows = {1: [1, 1], 2: [1, 0], 3: [1, 0], 5: [1, 1]}
+    grid = GridSet(6, 2, np.array([rows.get(a, [0, 0]) for a in range(6)], dtype=bool))
+    half, one = Fraction(1, 2), Fraction(1)
+    assert avoid_zero_direct(grid, 3, half) == (3, half, Fraction(1, 12))
+    assert avoid_zero_direct(grid, 2, half) == (2, half, Fraction(1, 12))
+    assert avoid_zero_direct(grid, 3, one) == (3, one, Fraction(1, 12))
+    assert avoid_zero_direct(grid, 1, Fraction(1, 3)) == (1, half, Fraction(4, 12))
+    assert avoid_zero_direct(grid, 10, Fraction(1, 4)) == (6, half, 0)
 
 
 def test_vector_count_is_the_enumeration_length():

@@ -201,6 +201,14 @@ class TestPollard:
         with pytest.raises(ValueError):
             pollard_check((0,), (1, 2), 5, Fraction(2, 5))  # t beyond min size
 
+    def test_elements_and_modulus_are_integers(self):
+        # neither truncated (1.5 read as 1) nor coerced (True as 1); numpy ints are integers
+        for s1, s2, p in (([1.5, 2.7], [3], 5), ([1], [True, 3], 5), ([1], [2], 5.0)):
+            with pytest.raises(ValueError, match="^non-integer"):
+                pollard_check(s1, s2, p, Fraction(1, 5))
+        got = pollard_check(np.array([0, 1]), [np.int64(2)], np.int64(5), Fraction(1, 5))
+        assert got == pollard_check((0, 1), (2,), 5, Fraction(1, 5))
+
     def test_json_shape(self):
         d = pollard_check((0, 1), (2,), 5, Fraction(1, 5)).to_json_dict()
         assert set(d) == {"p", "t", "lhs", "rhs", "holds"}
