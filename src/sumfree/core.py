@@ -378,7 +378,7 @@ _PAIR_SAFE_BOUND = 1 << 62
 # inside a 2 MiB L2 cache; 2^14 slows the sweep of a dense set near its
 # event limit by 10-20%.
 _BLOCK = 1 << 15
-_FILTER_PRIME = 262_139  # residue filter modulus for sets that fit no member table
+_FILTER_PRIME = 262_139  # residue filter modulus: a lookup table of 2·_FILTER_PRIME bytes, whatever max(a) is
 # _BELOW[r, c] = c < r: a block's entries before its rows' own diagonal.  A
 # block of R > 1 rows is at least R wide, so R <= isqrt(_BLOCK).
 _BELOW = np.tri(isqrt(_BLOCK), k=-1, dtype=bool)
@@ -403,9 +403,10 @@ def _pair_sum_hits(a: np.ndarray, ends: np.ndarray, table: np.ndarray | None, *,
     The pairs are swept in blocks of rows i and partner columns j, about
     _BLOCK entries each, and every sum in a block is looked up at
     once.  `table`, from _member_table(A, N), answers membership directly,
-    and a sum past N reads its last, False entry.  With no table, sums are
-    filtered by an indicator of a's residues mod a prime, looked up as the
-    sum of the two residues, and each filter hit is confirmed exactly by
+    and a sum past N reads its last, False entry; spectral.ordered_triples
+    counts this way.  With no table, as in is_sum_free, sums are filtered
+    by an indicator of a's residues mod a prime, looked up as the sum of
+    the two residues, and each filter hit is confirmed exactly by
     searchsorted.  Entries of a block below its rows' diagonal (j < i + off)
     repeat pairs that another row holds, and are not counted.
     """

@@ -29,8 +29,6 @@ from .core import (
     JsonReport,
     SumFreeConvention,
     _check_limit,
-    _interval_error,
-    _member_table,
     _pair_ends,
     _pair_sum_hits,
     rng_from_seed,
@@ -41,7 +39,8 @@ DISTINCT_ONLY = SumFreeConvention.DISTINCT_ONLY
 
 EXACT_SIZE_CAP = 64
 # is_sum_free scans sets smaller than this.  When every pair is looked up
-# the pair blocks tie the scan near 32 elements and win 2.6x at 64.
+# the pair blocks, with their residue filter, tie the scan near 36 elements
+# and win about 2.4x at 64.
 _KERNEL_MIN_SIZE = 64
 # breakpoint events: dilation_sweep refuses more, the heuristic skips it above the cap
 SWEEP_EVENT_LIMIT = 40_000_000
@@ -61,18 +60,17 @@ def one_third_floor(n: int) -> int:
 
 
 def _sum_free_path(A: IntegerSet) -> str:
-    """The path is_sum_free takes on A: "scan", "table" or "filter".
+    """The path is_sum_free takes on A: "kernel" or "scan".
 
-    The pair-block kernel ("table" with the member table when A lies in
-    {1,..,MAX_SIGNAL_LENGTH}, else "filter" with the residue filter) runs
-    from _KERNEL_MIN_SIZE elements, within _PAIR_SAFE_BOUND, where the
-    sums stay in int64, and when 2 min(A) <= max(A).  Otherwise, as in a
-    top-half set, where no pair has a sum to look up, A is scanned.
+    The pair-block kernel runs from _KERNEL_MIN_SIZE elements, within
+    _PAIR_SAFE_BOUND, where the sums stay in int64, and when
+    2 min(A) <= max(A).  Otherwise, as in a top-half set, where no pair has
+    a sum to look up, A is scanned.
     """
     elems = A.elements
-    if not (len(elems) >= _KERNEL_MIN_SIZE and -_PAIR_SAFE_BOUND < elems[0] and 2 * elems[0] <= elems[-1] < _PAIR_SAFE_BOUND):
-        return "scan"
-    return "table" if _interval_error(A, elems[-1]) is None else "filter"
+    if len(elems) >= _KERNEL_MIN_SIZE and -_PAIR_SAFE_BOUND < elems[0] and 2 * elems[0] <= elems[-1] < _PAIR_SAFE_BOUND:
+        return "kernel"
+    return "scan"
 
 
 def is_sum_free(A: IntegerSet, convention: SumFreeConvention = ALLOW_EQUAL) -> bool:
@@ -81,17 +79,16 @@ def is_sum_free(A: IntegerSet, convention: SumFreeConvention = ALLOW_EQUAL) -> b
     Only partners with x + y <= max(A) are looked up: a larger sum is not
     in A, whatever the signs.  That bound falls as x grows, so the partners
     run out at some x.  _sum_free_path picks the path.  The kernel,
-    core._pair_sum_hits, stops at the first block holding a hit: its table
-    is the member table, or a residue filter whose hits are confirmed
-    exactly.  The scan runs on Python ints, one C-level `isdisjoint` pass
-    per x.  Every path is exact.
+    core._pair_sum_hits, looks sums up in the residue filter mod
+    core._FILTER_PRIME, confirms each hit exactly, and stops at the first
+    block holding a hit, so its memory is bounded whatever max(A) is.  The
+    scan runs on Python ints, one C-level `isdisjoint` pass per x.  Both
+    paths are exact.
     """
-    path = _sum_free_path(A)
-    if path == "scan":
+    if _sum_free_path(A) == "scan":
         return _scan_sum_free(A, convention)
     a = np.array(A.elements, dtype=np.int64)
-    table = _member_table(A, A.elements[-1]) if path == "table" else None
-    return not _pair_sum_hits(a, _pair_ends(a), table, distinct=convention is DISTINCT_ONLY, first=True)
+    return not _pair_sum_hits(a, _pair_ends(a), None, distinct=convention is DISTINCT_ONLY, first=True)
 
 
 def _scan_sum_free(A: IntegerSet, convention: SumFreeConvention) -> bool:
@@ -432,9 +429,9 @@ def dilation_sweep(A: IntegerSet) -> DilationCertificate:
     keys are divided in place from float numerators, exact below 2^53,
     beside one np.repeat; then the keys and their running sum are live.
     So at most three block arrays exist at once, and the loop's memory is
-    24·_BLOCK bytes plus O(|A|), whatever sum(A) is.  The certificate's
-    is_sum_free check adds its own pair blocks and, on its table path, a
-    member table of max(A) + 2 bytes.
+    24·_BLOCK bytes plus O(|A|), whatever sum(A) is.  The last block's
+    arrays are dropped before the certificate is built, so its is_sum_free
+    check adds only its own pair blocks and residue filter.
 
     The average selection size over theta is |A|/3, while neighbourhoods of
     0 and 1 select nothing; some interval therefore beats the average, which
@@ -489,6 +486,7 @@ def dilation_sweep(A: IntegerSet) -> DilationCertificate:
             lo_key = keys[i]
             hi_key = keys[i + 1] if i + 1 < size else None  # the count falls after its maximum
         carry += int(run[-1])
+    del keys, run
     max_den = 3 * A.elements[-1]
     lo = _breakpoint(lo_key, max_den)
     hi = 1 - lo if hi_key is None else _breakpoint(hi_key, max_den)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from sumfree import checks, cli, structure
+from sumfree import checks, cli, structure, weights
 from sumfree import equidist as eq
 from sumfree.checks import SUITE_NAMES, SUITES, run_suite
 from sumfree.cli import main
@@ -54,6 +54,15 @@ def _rational_fails(rng):
     assert not report.holds and report.worst_vector == (2,) and report.worst_distance == 0.0
 
 
+# A fixed input that left the suites: it draws nothing, so one run holds it.
+
+
+def _overflow_fails_fast(rng):
+    del rng
+    with pytest.raises(weights.GridOverflowError):
+        weights.build_weight(Fraction(1, 2), weights.IterationParams(steps=40), 8)
+
+
 FOLDED = [
     ("spectral", "u2_embedding_free", _u2_embedding_free),
     ("spectral", "t_count_zero_iff_sum_free", _t_count_zero_iff_sum_free),
@@ -61,6 +70,7 @@ FOLDED = [
     ("structure", "alpha_tilde_single_cell", _alpha_tilde_single_cell),
     ("equidist", "golden_fixture", _golden_fixture),
     ("equidist", "rational_fails", _rational_fails),
+    ("weights", "overflow_fails_fast", _overflow_fails_fast),
 ]
 
 
@@ -87,7 +97,7 @@ def test_cli_offers_every_suite():
 
 def test_check_names_unique():
     labels = [f"{owner}.{name}" for owner, name, _ in CHECKS]
-    assert len(labels) == len(set(labels)) == 44
+    assert len(labels) == len(set(labels)) == 40
 
 
 def test_unknown_suite_rejected():

@@ -198,6 +198,14 @@ class TestEquidistError:
         assert rep.integral == 0.0
         assert rep.error == pytest.approx(5.255927713227615e-05, rel=1e-9)
 
+    def test_zero_theta_cosine(self):
+        # at theta = 0 the orbit never moves: cos(0) = 1 at every n, against
+        # an integral of 0
+        for N in (200, 1000):
+            rep = equidist_error(Theta((0.0,)), cosine_orbit(), N)
+            assert abs(rep.empirical - 1.0) <= 1e-12
+            assert rep.integral == 0j and abs(rep.error - 1.0) <= 1e-12
+
     def test_progression_restriction(self):
         pr = Progression(2, 2, 500)
         rep = equidist_error(golden_theta(), cosine_orbit(), 1000, progression=pr)

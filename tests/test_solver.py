@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sumfree import solver
+from sumfree import core, solver
 from sumfree.core import IntegerSet, rng_from_seed
 from sumfree.reference import exhaustive_max_sum_free, primes_2_mod_3
 from sumfree.solver import (
@@ -51,19 +51,23 @@ class TestIsSumFree:
 
     @pytest.mark.parametrize("conv", [ALLOW_EQUAL, DISTINCT_ONLY], ids=lambda c: c.value)
     def test_no_table_without_a_pair_to_look_up(self, conv, monkeypatch):
-        # top-half sets, like the heuristic's witnesses A ∩ [x, 2x), have no
-        # x + y <= max(A): no member table, residue filter or pair block is built
-        built = []
-        for name in ("_member_table", "_pair_sum_hits"):
-            real = getattr(solver, name)
-            monkeypatch.setattr(solver, name, lambda *a, _real=real, _name=name, **k: built.append(_name) or _real(*a, **k))
+        # no path builds a member table: the kernel looks sums up in the
+        # residue filter alone (table=None), and only when a pair has a sum
+        # to look up; top-half sets, like the heuristic's witnesses
+        # A ∩ [x, 2x), and small sets are scanned
+        assert not hasattr(solver, "_member_table")
+        monkeypatch.setattr(core, "_member_table", lambda *a, **k: pytest.fail("member table built"))
+        tables = []
+        real = solver._pair_sum_hits
+        monkeypatch.setattr(solver, "_pair_sum_hits", lambda a, ends, table, **k: tables.append(table) or real(a, ends, table, **k))
+        assert is_sum_free(IntegerSet(tuple(range(1, 126, 2))), conv) and tables == []
         for lo in (150_001, 10**14):
             top = IntegerSet(tuple(range(lo, lo + 150_000, 100)))
             assert len(top) == 1500
-            assert is_sum_free(top, conv) and built == []
+            assert is_sum_free(top, conv) and tables == []
             assert not is_sum_free(IntegerSet.from_iterable(top.elements + (100,)), conv)
-            assert built == (["_member_table", "_pair_sum_hits"] if lo < 10**6 else ["_pair_sum_hits"])
-            built.clear()
+            assert tables == [None]
+            tables.clear()
 
 
 class TestExactSolver:
@@ -235,6 +239,14 @@ class TestBlockMemory:
         A = IntegerSet(tuple(sorted(int(x) for x in rng.choice(2000, size=1000, replace=False) + 1)))
         assert 1.9e6 < 2 * sum(A.elements) <= solver._SWEEP_EVENT_CAP
         assert _traced_peak(dilation_sweep, A) <= 3 * 8 * solver._BLOCK + 512 * len(A)
+
+    def test_certificate_check_takes_no_member_table(self):
+        # one element far out: the certificate's is_sum_free adds its pair
+        # blocks and residue filter, not a table of max(A) bytes, and the
+        # sweep's block arrays are gone by then
+        A = IntegerSet((*range(1, 201), 8_000_001))
+        bound = 3 * 8 * solver._BLOCK + 2 * core._FILTER_PRIME + 512 * len(A)
+        assert _traced_peak(dilation_sweep, A) <= bound < A.elements[-1]
 
     def test_dilation_hits_within_the_prime_limit(self):
         # 129 residues mod 2027 are the widest matrix the limit admits, 1013

@@ -6,6 +6,7 @@ import pytest
 
 from sumfree import spectral
 from sumfree.core import (
+    CyclicSignal,
     IntegerSet,
     indicator_vector,
     interval_signal,
@@ -24,6 +25,7 @@ from sumfree.spectral import (
     pollard_check,
     popular_differences,
     set_u2,
+    spectrum,
     t_count,
     t_stability_gap,
     u2_norm,
@@ -96,6 +98,15 @@ def test_pair_difference_blocks_match_the_fft(monkeypatch, block):
             A = IntegerSet(tuple(sorted(int(x) + 1 for x in rng.choice(N, size=size, replace=False))))
             a = indicator_vector(A, N)
             assert np.array_equal(_differences_by_pairs(a), _differences_by_fft(a)), (N, A.elements)
+
+
+class TestSpectrum:
+    def test_frozen_short_signal(self):
+        # f = 2 at 0 and i at 2 on Z/8Z: fhat(r) = (2 + i (-i)^r) / 8, so the
+        # order of the frequencies and the sign of the phase both show
+        f = CyclicSignal(np.array([2, 0, 1j, 0, 0, 0, 0, 0]), ref_n=1)
+        want = np.array([2 + 1j, 3, 2 - 1j, 1] * 2) / 8
+        assert np.abs(spectrum(f) - want).max() <= 1e-15
 
 
 class TestU2:

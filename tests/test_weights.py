@@ -17,6 +17,7 @@ from sumfree.weights import (
     load_weight,
     pushforward_snapshot,
     quadrature_nodes,
+    riemann_error,
     sample_probabilities,
     sample_set,
     save_weight,
@@ -140,6 +141,16 @@ class TestStats:
         assert s.maximum == 6.25
         assert s.minimum == 0.25
         assert s.lipschitz == 48.0
+
+
+class TestRiemannError:
+    def test_staircase_error_halves(self):
+        # the staircase 1/2, 1, 3/2 on three cells: the error is 1/(2N), and
+        # it halves exactly as N doubles
+        w = GridWeight(1, 3, np.array([[0.5, 1.0, 1.5]]), 0, Fraction(1))
+        errs = [riemann_error(w, N) for N in (100, 200, 400)]
+        assert abs(errs[0] - 1 / 200) <= 1e-15
+        assert errs[0] == 2 * errs[1] == 4 * errs[2]
 
 
 class TestParamsValidation:
