@@ -276,8 +276,10 @@ def _sum_free_paths(A: IntegerSet, conv) -> dict[str, object]:
         a = np.array(elems, dtype=np.int64)
         ends = core._pair_ends(a)
         tables = {"filter": None}
-        if core._interval_error(A, elems[-1]) is None:
+        try:
             tables["table"] = core._member_table(A, elems[-1])
+        except ValueError:
+            pass  # no member table holds A: elements below 1 or past MAX_SIGNAL_LENGTH
         for name, table in tables.items():
             out[name] = not core._pair_sum_hits(a, ends, table, distinct=distinct, first=True)
             out[name + " count"] = core._pair_sum_hits(a, ends, table, distinct=distinct, first=False)
@@ -404,9 +406,9 @@ def _check_pairs_vs_fft(rng):
     cases.append((IntegerSet(tuple(range(1, 1001))), 1000))
     taken = set()
     for A, N in cases:
-        a = indicator_vector(A, N)
+        a, elems = indicator_vector(A, N), np.array(A.elements, dtype=np.int64)
         counts = {"difference_counts": spectral.difference_counts(A, N)}
-        counts["pairs"], counts["fft"] = spectral._differences_by_pairs(a), spectral._differences_by_fft(a)
+        counts["pairs"], counts["fft"] = spectral._differences_by_pairs(elems, N), spectral._differences_by_fft(a)
         # the definition's counts take |A| N membership tests, so large sets compare with the pair path
         want = reference.difference_counts_direct(A, N) if len(A) * N <= 20_000 else counts["pairs"].tolist()
         for name, got in counts.items():
@@ -414,7 +416,6 @@ def _check_pairs_vs_fft(rng):
         want = reference.ordered_triples_direct(A)
         paths = {"ordered_triples": spectral.ordered_triples(A, N), "fft": spectral._triples_by_fft(a)}
         if A.elements:
-            elems = np.array(A.elements, dtype=np.int64)
             ends = core._pair_ends(elems)
             paths["kernel"] = spectral._triples_by_kernel(elems, ends, core._member_table(A, N))
             taken.add(spectral._use_kernel(ends, N))

@@ -112,9 +112,11 @@ def _cmd_solve(args):
     if args.heuristic:
         if args.budget is not None:
             raise ValueError("--budget bounds the exact search; drop it or --heuristic")
-        rep = solver.heuristic_sum_free(A, conv, seed=args.seed)
+        rep = solver.heuristic_sum_free(A, conv, seed=0 if args.seed is None else args.seed)
         kind = "verified lower bound"
     else:
+        if args.seed is not None:
+            raise ValueError("--seed seeds the heuristic; drop it or add --heuristic")
         rep = solver.max_sum_free_subset(A, conv, budget=args.budget)
         kind = "exact" if rep.exact else "budget-limited lower bound"
     return rep.to_json_dict(), f"solve: {rep.optimum} of {len(A)} elements ({kind})", 0
@@ -130,10 +132,14 @@ def _cmd_sweep(args):
 def _cmd_compose(args):
     A = load_set(args.set_a)
     if args.set_b is not None:
+        if args.copies is not None:
+            raise ValueError("--copies composes --set-a with itself; drop it or --set-b")
         B = load_set(args.set_b)
         C = solver.compose(A, B, M=args.multiplier)
         note = f"compose: |A|={len(A)}, |B|={len(B)} -> {len(C)} elements"
     elif args.copies is not None:
+        if args.multiplier is not None:
+            raise ValueError("--multiplier scales --set-b; drop it or --copies")
         C = solver.compose_iterate(A, args.copies)
         note = f"compose: {args.copies} copies of |A|={len(A)} -> {len(C)} elements"
     else:
@@ -338,7 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--heuristic", action="store_true", help="verified lower bound instead of exact search")
     sp.add_argument("--budget", type=int, default=None, help="node budget for the exact search")
-    sp.add_argument("--seed", type=int, default=0, help="heuristic random seed")
+    sp.add_argument("--seed", type=int, default=None, help="heuristic random seed (default 0)")
     sp.set_defaults(handler=_cmd_solve)
 
     sp = sub.add_parser("sweep", help="largest dilation-selected subset, with certificate")

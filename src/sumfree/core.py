@@ -240,17 +240,14 @@ def save_set(A: IntegerSet, path: str | Path) -> None:
         write_json(obj, fh)
 
 
-def _limit_error(work: str, count: int | str, limit: int) -> str | None:
-    """The one wording that refuses `count` units of `work` past `limit`; None within it.
-
-    A str count describes one too large to form, and is past the limit.
-    """
-    return None if isinstance(count, int) and count <= limit else f"{work} = {count} exceeds the limit {limit}"
-
-
 def _check_limit(work: str, count: int | str, limit: int, hint: str = "", error: type[ValueError] = ValueError) -> None:
-    """Raise `error` with _limit_error's message, then "; hint", if it has one."""
-    if (message := _limit_error(work, count, limit)) is not None:
+    """Raise `error` refusing `count` units of `work` past `limit`, then "; hint", if it has one.
+
+    This is the one wording of every limit.  A str count describes one too
+    large to form, and is past the limit.
+    """
+    if not (isinstance(count, int) and count <= limit):
+        message = f"{work} = {count} exceeds the limit {limit}"
         raise error(f"{message}; {hint}" if hint else message)
 
 
@@ -326,24 +323,17 @@ def interval_signal(values: Sequence[float] | np.ndarray, n_prime: int | None = 
     return CyclicSignal(out, ref_n=N)
 
 
-def _interval_error(A: IntegerSet, N: int) -> str | None:
-    """Why no array on {1,..,N} may hold A, or None when one may.
+def _check_interval(A: IntegerSet, N: int) -> None:
+    """Raise ValueError unless an array on {1,..,N} may hold A.
 
     The one check behind every array a set becomes on {1,..,N}: N >= 1,
     containment, then MAX_SIGNAL_LENGTH, all before anything is allocated.
     """
     if N < 1:
-        return "N must be >= 1"
+        raise ValueError("N must be >= 1")
     if A.elements and (A.elements[0] < 1 or A.elements[-1] > N):
-        return f"set not contained in {{1,..,{N}}}"
-    return _limit_error("N", N, MAX_SIGNAL_LENGTH)
-
-
-def _check_interval(A: IntegerSet, N: int) -> None:
-    """Raise ValueError with _interval_error's message, if it has one."""
-    error = _interval_error(A, N)
-    if error is not None:
-        raise ValueError(error)
+        raise ValueError(f"set not contained in {{1,..,{N}}}")
+    _check_limit("N", N, MAX_SIGNAL_LENGTH)
 
 
 def indicator_vector(A: IntegerSet, N: int) -> np.ndarray:
@@ -372,11 +362,11 @@ def _member_table(A: IntegerSet, N: int) -> np.ndarray:
 # Elements strictly inside (-2^62, 2^62) keep top - x and x + y strictly
 # inside (-2^63, 2^63), so both are exact in int64.
 _PAIR_SAFE_BOUND = 1 << 62
-# Entries of every numpy block (pair sums, sweep keys, pair differences,
-# scan states).  The sweep keeps at most three block arrays live and the
-# pair kernels two, and three of 2^15 entries at 64 bits (768 KiB) stay
-# inside a 2 MiB L2 cache; 2^14 slows the sweep of a dense set near its
-# event limit by 10-20%.
+# Entries of every numpy block (pair sums, sweep keys, scan states).  Pair
+# differences take no blocks: spectral._use_pairs forms them at once.  The
+# sweep keeps at most three block arrays live and the pair kernels two, and
+# three of 2^15 entries at 64 bits (768 KiB) stay inside a 2 MiB L2 cache;
+# 2^14 slows the sweep of a dense set near its event limit by 10-20%.
 _BLOCK = 1 << 15
 _FILTER_PRIME = 262_139  # residue filter modulus: a lookup table of 2·_FILTER_PRIME bytes, whatever max(a) is
 # _BELOW[r, c] = c < r: a block's entries before its rows' own diagonal.  A

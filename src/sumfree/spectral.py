@@ -26,7 +26,6 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (
-    _BLOCK,
     CyclicSignal,
     IntegerSet,
     JsonReport,
@@ -129,9 +128,9 @@ def t_count(f: np.ndarray | list[float]) -> float:
 def _use_pairs(A: IntegerSet, N: int) -> bool:
     """Whether difference_counts enumerates element pairs instead of running an FFT.
 
-    The FFT transforms at least 2N points; with |A|^2 <= N the pairs, taken
-    in blocks of about _BLOCK, are no more work, and the N-entry result is
-    the only array of length N.
+    The FFT transforms at least 2N points; with |A|^2 <= N the pairs are no
+    more work, and they never outnumber the N-entry result, so they are all
+    formed at once.
     """
     return len(A) ** 2 <= N
 
@@ -179,18 +178,14 @@ def ordered_triples(A: IntegerSet, N: int) -> int:
     return _triples_by_fft(indicator_vector(A, N))
 
 
-def _differences_by_pairs(a: np.ndarray) -> np.ndarray:
-    # rows x of the support against partners y from the block's first row
-    # on, about _BLOCK differences a block; the negative ones repeat a pair
-    e = np.flatnonzero(a)
-    counts = np.zeros(len(a), dtype=np.int64)
-    r0 = 0
-    while r0 < len(e):
-        r1 = min(len(e), r0 + max(1, _BLOCK // (len(e) - r0)))
-        diffs = e[r0:] - e[r0:r1, None]
-        np.add.at(counts, diffs[diffs >= 0], 1)
-        r0 = r1
-    return counts
+def _differences_by_pairs(e: np.ndarray, N: int) -> np.ndarray:
+    # |x - y| over all ordered pairs of the sorted elements e: each d > 0
+    # comes from two of them, d = 0 from the |A| pairs (x, x)
+    d = e - e[:, None]
+    np.abs(d, out=d)
+    counts = np.bincount(d.ravel(), minlength=N)
+    counts[1:] //= 2
+    return counts.astype(np.int64, copy=False)
 
 
 def _differences_by_fft(a: np.ndarray) -> np.ndarray:
@@ -203,13 +198,17 @@ def _differences_by_fft(a: np.ndarray) -> np.ndarray:
 def difference_counts(A: IntegerSet, N: int) -> np.ndarray:
     """Exact counts |A ∩ (A+d)| for d = 0..N-1 (symmetric in d).
 
-    From the |A|^2 pairwise differences when |A|^2 <= N (_use_pairs), else
-    from the indicator's autocorrelation by an FFT of _fft_length(2N+1)
-    points, rounded to integers.  The differences have no bound like
-    ordered_triples' x + y <= max(A), so they keep the |A|^2 rule.
+    A and N are checked before anything is allocated.  From the |A|^2
+    pairwise differences of the elements when |A|^2 <= N (_use_pairs), else
+    from the float indicator's autocorrelation by an FFT of
+    _fft_length(2N+1) points, rounded to integers; only the FFT path builds
+    the indicator.  The differences have no bound like ordered_triples'
+    x + y <= max(A), so they keep the |A|^2 rule.
     """
-    a = indicator_vector(A, N)
-    return (_differences_by_pairs if _use_pairs(A, N) else _differences_by_fft)(a)
+    _check_interval(A, N)
+    if _use_pairs(A, N):
+        return _differences_by_pairs(np.array(A.elements, dtype=np.int64), N)
+    return _differences_by_fft(indicator_vector(A, N))
 
 
 def additive_energy(A: IntegerSet, N: int) -> int:

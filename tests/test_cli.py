@@ -264,6 +264,23 @@ def test_domain_errors_exit_1(capsys, tmp_path):
         assert err.startswith("error:"), argv
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["compose", "--set-a", fixture("klarner.json"), "--set-b", fixture("deca.json"), "--copies", "3"],
+         "--copies composes --set-a with itself; drop it or --set-b"),
+        (["compose", "--set-a", fixture("klarner.json"), "--copies", "2", "--multiplier", "100"],
+         "--multiplier scales --set-b; drop it or --copies"),
+        (["solve", "--set", fixture("deca.json"), "--seed", "5"],
+         "--seed seeds the heuristic; drop it or add --heuristic"),
+    ],
+    ids=["copies-with-set-b", "multiplier-with-copies", "seed-without-heuristic"],
+)
+def test_flag_that_would_be_ignored_is_refused(capsys, argv, message):
+    # each flag has no effect on the path the others choose, so it is an error, not dropped
+    assert run_cli(capsys, argv) == (1, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("values, shown", [([True, False], "True"), ([1.0, 0], "1.0")], ids=["true", "float-one"])
 def test_grid_set_entries_are_the_integers_0_and_1(capsys, tmp_path, values, shown):
     # the alpha-grid and weight loaders refuse booleans by exact type too

@@ -1,10 +1,10 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from sumfree import spectral
 from sumfree.core import (
     CyclicSignal,
     IntegerSet,
@@ -85,19 +85,8 @@ class TestFFTLength:
             A = IntegerSet(tuple(sorted(int(x) + 1 for x in rng.choice(N, size=size, replace=False))))
             a = indicator_vector(A, N)
             assert _triples_by_fft(a) == ordered_triples(A, N) == ordered_triples_direct(A)
-            assert np.array_equal(difference_counts(A, N), _differences_by_pairs(a))
-
-
-@pytest.mark.parametrize("block", [1, 3, 64])
-def test_pair_difference_blocks_match_the_fft(monkeypatch, block):
-    # blocks of a few differences split one row, and one block spans several rows
-    monkeypatch.setattr(spectral, "_BLOCK", block)
-    rng = rng_from_seed(block, "difference-blocks")
-    for N in (1, 2, 17, 300):
-        for size in {1, min(N, 5), min(N, 17)}:
-            A = IntegerSet(tuple(sorted(int(x) + 1 for x in rng.choice(N, size=size, replace=False))))
-            a = indicator_vector(A, N)
-            assert np.array_equal(_differences_by_pairs(a), _differences_by_fft(a)), (N, A.elements)
+            pairs = _differences_by_pairs(np.array(A.elements, dtype=np.int64), N)
+            assert np.array_equal(difference_counts(A, N), pairs)
 
 
 class TestSpectrum:
@@ -160,6 +149,21 @@ class TestDifferences:
         assert counts.tolist() == [4, 1, 1, 1, 1, 0, 1, 1]
         # |A|^2 = N: counted from pairs
         assert difference_counts(POW2, 16).tolist() == [4, 1, 1, 1, 1, 0, 1, 1] + [0] * 8
+
+    def test_pair_path_takes_its_output_and_one_difference_array(self):
+        # 300^2 <= 10^6, so the pairs are formed at once: the int64 result of
+        # N entries, the |A|^2 differences, and no N-entry float indicator
+        N = 10**6
+        rng = rng_from_seed(39, "pair-memory")
+        A = IntegerSet.from_iterable(int(x) + 1 for x in rng.choice(N, 300, replace=False))
+        tracemalloc.start()
+        try:
+            counts = difference_counts(A, N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts.dtype == np.int64 and counts[0] == 300 and int(counts[1:].sum()) == 300 * 299 // 2
+        assert peak <= 8 * N + 16 * len(A) ** 2 + 2**16
 
     def test_difference_set_size(self):
         counts = difference_counts(POW2, 8)
