@@ -256,14 +256,13 @@ def _check_packing_vs_oracle(rng):
 
 
 def _sum_free_paths(A: IntegerSet, conv) -> dict[str, object]:
-    """A's verdict by is_sum_free and by every lookup that applies to A, with pair counts.
+    """A's verdict by is_sum_free and by every path that applies to A, with pair counts.
 
-    The set scan always applies; the kernel with the residue filter, as
-    is_sum_free runs it, when A is within _PAIR_SAFE_BOUND, and with the
-    member table, as spectral.ordered_triples counts, when A also lies in
-    {1,..,MAX_SIGNAL_LENGTH}.  Up to 200 elements, the definition
-    applies too: reference.pair_sum_count.  Each "count" entry is the
-    kernel's or the definition's number of pairs x <= y (x < y under
+    The set scan always applies, and the pair kernel when A is within
+    _PAIR_SAFE_BOUND; its entry is named for the lookup core._pair_lookup
+    picks from A, "span table" or "filter".  Up to 200 elements, the
+    definition applies too: reference.pair_sum_count.  Each "count" entry
+    is the kernel's or the definition's number of pairs x <= y (x < y under
     DISTINCT_ONLY) whose sum is in A.
     """
     distinct = conv is solver.DISTINCT_ONLY
@@ -275,14 +274,9 @@ def _sum_free_paths(A: IntegerSet, conv) -> dict[str, object]:
     if elems and -core._PAIR_SAFE_BOUND < elems[0] and elems[-1] < core._PAIR_SAFE_BOUND:
         a = np.array(elems, dtype=np.int64)
         ends = core._pair_ends(a)
-        tables = {"filter": None}
-        try:
-            tables["table"] = core._member_table(A, elems[-1])
-        except ValueError:
-            pass  # no member table holds A: elements below 1 or past MAX_SIGNAL_LENGTH
-        for name, table in tables.items():
-            out[name] = not core._pair_sum_hits(a, ends, table, distinct=distinct, first=True)
-            out[name + " count"] = core._pair_sum_hits(a, ends, table, distinct=distinct, first=False)
+        name = "span table" if core._pair_lookup(a)[3] else "filter"
+        out[name] = not core._pair_sum_hits(a, ends, distinct=distinct, first=True)
+        out[name + " count"] = core._pair_sum_hits(a, ends, distinct=distinct, first=False)
     return out
 
 
@@ -295,11 +289,12 @@ def _check_sum_free_paths_agree(rng):
     # set passes it too, each from 1 and from below zero: a draw; a run of
     # the class 1 mod 3, sum-free whatever the signs, alone and with 2 max
     # added, which only the pair (max, max) reaches; the draw's class 1 mod
-    # 3, alone, with an intruder and with 2 max; odd multiples of the filter
-    # prime plus 1 and plus 2, whose residues collide on every pair of the
-    # first kind while no sum is in the set, alone and with a sum added; and
-    # the run's first 190 elements moved past the int64-safe bound, alone
-    # and with a sum.
+    # 3, alone, with an intruder and with 2 max, all on the span table from
+    # the kernel's cutoff; odd multiples of the filter prime plus 1 and
+    # plus 2, too wide for a span table, whose residues collide on every
+    # pair of the first kind while no sum is in the set, alone and with a
+    # sum added; and the run's first 190 elements moved past the int64-safe
+    # bound, alone and with a sum.
     p, cutoff = core._FILTER_PRIME, solver._KERNEL_MIN_SIZE
     small = [[], [1], [-4], [-2, -1]]
     for _ in range(150):
@@ -334,13 +329,14 @@ def _check_sum_free_paths_agree(rng):
             counts = {k: v for k, v in paths.items() if "count" in k}
             assert len(set(verdicts.values())) == 1, f"{A.elements[:8]}... {conv.value}: {verdicts}"
             assert len(set(counts.values())) <= 1, f"{A.elements[:8]}... {conv.value}: {counts}"
-            taken.add((path, "table" in paths, "filter" in paths, paths["scan"]))
+            took = "scan" if path == "scan" else "span table" if "span table" in paths else "filter"
+            taken.add((took, took == "span table" and A.elements[0] < 0, paths["scan"]))
             if i < len(small):
                 free[conv] += paths["scan"]
     # small sets: plenty of each verdict under each convention
     assert all(50 < n < len(small) - 50 for n in free.values()), f"sum-free small sets: {free}"
-    # (path taken, member table applies, residue filter applies)
-    kinds = {("kernel", True, True), ("kernel", False, True), ("scan", True, True), ("scan", False, True), ("scan", False, False)}
+    # (path is_sum_free took, a span table holding negatives, verdict)
+    kinds = {("scan", False), ("span table", False), ("span table", True), ("filter", False)}
     missed = {(*kind, verdict) for kind in kinds for verdict in (True, False)} - taken
     assert not missed, f"paths not taken: {sorted(missed)}"
 
@@ -364,19 +360,15 @@ def _check_u2_fft_vs_direct(rng):
     for i in range(40):
         N = int(rng.integers(1, 300))
         size = int(rng.integers(0, min(N, 2 * isqrt(N) + 2) + 1) if i % 4 else rng.integers(1, N + 1))
-        _set_u2_case(_random_subset(rng, N, size), N)
-
-
-def _set_u2_case(A: IntegerSet, N: int) -> None:
-    norms = []
-    for n_prime in (None, 2 * default_n_prime(N), 8 * N + 3):
-        rep = spectral.set_u2(A, N, n_prime)
-        sig = embed_signal(A, N, n_prime)
-        assert rep.n_prime == sig.n_prime, f"{A.elements}: N' {rep.n_prime} != {sig.n_prime}"
-        for got, want in ((rep.u2_group_norm, spectral.u2_group_norm(sig)), (rep.u2_norm, spectral.u2_norm(sig))):
-            assert abs(got - want) <= 1e-12 * want, f"{A.elements} at N'={rep.n_prime}: energy {got} != fft {want}"
-        norms.append(rep.u2_norm)
-    assert max(norms) - min(norms) <= 1e-12 * max(norms), f"{A.elements}: u2_norm depends on N': {norms}"
+        A, norms = _random_subset(rng, N, size), []
+        for n_prime in (None, 2 * default_n_prime(N), 8 * N + 3):
+            rep = spectral.set_u2(A, N, n_prime)
+            sig = embed_signal(A, N, n_prime)
+            assert rep.n_prime == sig.n_prime, f"{A.elements}: N' {rep.n_prime} != {sig.n_prime}"
+            for got, want in ((rep.u2_group_norm, spectral.u2_group_norm(sig)), (rep.u2_norm, spectral.u2_norm(sig))):
+                assert abs(got - want) <= 1e-12 * want, f"{A.elements} at N'={rep.n_prime}: energy {got} != fft {want}"
+            norms.append(rep.u2_norm)
+        assert max(norms) - min(norms) <= 1e-12 * max(norms), f"{A.elements}: u2_norm depends on N': {norms}"
 
 
 def _check_pairs_vs_fft(rng):
@@ -404,7 +396,7 @@ def _check_pairs_vs_fft(rng):
     for N, density in ((2000, 0.9), (2000, 0.5), (2000, 0.02), (5000, 0.01)):
         cases.append((IntegerSet(tuple(int(x) + 1 for x in np.nonzero(rng.random(N) < density)[0])), N))
     cases.append((IntegerSet(tuple(range(1, 1001))), 1000))
-    taken = set()
+    taken = set()  # (kernel or FFT, span table or filter)
     for A, N in cases:
         a, elems = indicator_vector(A, N), np.array(A.elements, dtype=np.int64)
         counts = {"difference_counts": spectral.difference_counts(A, N)}
@@ -417,10 +409,19 @@ def _check_pairs_vs_fft(rng):
         paths = {"ordered_triples": spectral.ordered_triples(A, N), "fft": spectral._triples_by_fft(a)}
         if A.elements:
             ends = core._pair_ends(elems)
-            paths["kernel"] = spectral._triples_by_kernel(elems, ends, core._member_table(A, N))
-            taken.add(spectral._use_kernel(ends, N))
+            paths["kernel"] = spectral._triples_by_kernel(elems, ends)
+            taken.add((spectral._use_kernel(ends, N), core._pair_lookup(elems)[3]))
         assert set(paths.values()) == {want}, f"{len(A)} elements in [1, {N}]: {paths} != oracle {want}"
-    assert taken == {True, False}, "ordered triples took one path only"
+    # sparse sets in [1, 10^6], too wide for a span table: the kernel takes
+    # the residue filter, alone and with a sum added (the FFT is compared above)
+    for _ in range(2):
+        sparse = _random_subset(rng, 10**6, 100).elements
+        for A in (IntegerSet(sparse), IntegerSet.from_iterable({*sparse, sparse[0] + sparse[1]})):
+            elems = np.array(A.elements, dtype=np.int64)
+            taken.add((spectral._use_kernel(core._pair_ends(elems), 10**6), core._pair_lookup(elems)[3]))
+            got, want = spectral.ordered_triples(A, 10**6), reference.ordered_triples_direct(A)
+            assert got == want, f"{A.elements} in [1, 10^6]: {got} != oracle {want}"
+    assert {(True, True), (True, False), (False, True)} <= taken, f"ordered triples paths taken: {sorted(taken)}"
 
 
 def _check_triples_zero_iff_sum_free(rng):
@@ -440,19 +441,15 @@ def _check_triples_zero_iff_sum_free(rng):
             for step in (1, 2):
                 pool = np.arange(1, N + 1, step)
                 A = IntegerSet(tuple(sorted(int(x) for x in rng.choice(pool, min(size, len(pool)), replace=False))))
-                taken.add(_triples_case(A, N))
+                triples = spectral.ordered_triples(A, N)
+                zero = triples == 0
+                assert zero == solver.is_sum_free(A, solver.ALLOW_EQUAL), f"{len(A)} elements in [1, {N}]: T = 0 is {zero}"
+                t = spectral.t_count(indicator_vector(A, N))
+                assert abs(t * N**2 - triples) <= 1e-6, f"{len(A)} elements in [1, {N}]: t_count N^2 = {t * N**2} != {triples}"
+                count = spectral._use_kernel(core._pair_ends(np.array(A.elements, dtype=np.int64)), N)
+                taken.add((solver._sum_free_path(A) != "scan", count, zero))
     want = {(check, count, zero) for check in (True, False) for count in (True, not check) for zero in (True, False)}
     assert want <= taken, f"paths not taken: {sorted(want - taken)}"
-
-
-def _triples_case(A: IntegerSet, N: int) -> tuple[bool, bool, bool]:
-    triples = spectral.ordered_triples(A, N)
-    zero = triples == 0
-    assert zero == solver.is_sum_free(A, solver.ALLOW_EQUAL), f"{len(A)} elements in [1, {N}]: T = 0 is {zero}"
-    t = spectral.t_count(indicator_vector(A, N))
-    assert abs(t * N**2 - triples) <= 1e-6, f"{len(A)} elements in [1, {N}]: t_count N^2 = {t * N**2} != {triples}"
-    count = spectral._use_kernel(core._pair_ends(np.array(A.elements, dtype=np.int64)), N)
-    return solver._sum_free_path(A) != "scan", count, zero
 
 
 def _check_t_count_direct(rng):
@@ -528,18 +525,14 @@ def _check_dense_progression_vs_naive(rng):
         cases.append((_random_set(rng, N, N), N, int(rng.integers(1, 7)), Fraction(1, 2)))
     N = int(rng.integers(5, 40))
     cases.append((IntegerSet(tuple(range(1, N + 1))), N, 1, Fraction(1)))
-    for case in cases:
-        _dense_case(*case)
-
-
-def _dense_case(A: IntegerSet, N: int, min_length: int, target: Fraction) -> None:
-    report = structure.find_dense_progression(A, N, min_length, target)
-    prog = report.progression
-    got = (report.hits, prog.length, prog.start, prog.step)
-    naive = reference.dense_progression_direct(A, N, min_length)
-    assert got == naive, f"N={N} L0={min_length} {A.elements}: {got} != {naive}"
-    assert report.density == Fraction(report.hits, prog.length) and report.target == target
-    assert report.meets_target == (report.density >= target), f"N={N}: density {report.density}, target {target}"
+    for A, N, min_length, target in cases:
+        report = structure.find_dense_progression(A, N, min_length, target)
+        prog = report.progression
+        got = (report.hits, prog.length, prog.start, prog.step)
+        naive = reference.dense_progression_direct(A, N, min_length)
+        assert got == naive, f"N={N} L0={min_length} {A.elements}: {got} != {naive}"
+        assert report.density == Fraction(report.hits, prog.length) and report.target == target
+        assert report.meets_target == (report.density >= target), f"N={N}: density {report.density}, target {target}"
 
 
 def _check_alpha_tilde_random(rng):
@@ -555,18 +548,14 @@ def _check_alpha_tilde_random(rng):
             values[int(rng.integers(0, q * M))] = Fraction(int(rng.integers(1, 16)), 16)
         grids.append(structure.AlphaGrid.from_values(q, M, values))
     for grid in grids:
-        _alpha_tilde_case(grid)
-
-
-def _alpha_tilde_case(grid: structure.AlphaGrid) -> None:
-    q, M = grid.modulus, grid.levels
-    total = sum(v for row in grid.values for v in row)
-    for eta in (Fraction(0), Fraction(1, 10), Fraction(3, 10)):
-        report = structure.alpha_tilde(grid, eta)
-        lhs, rhs = report.lhs_total, report.rhs_bound
-        assert lhs == reference.alpha_tilde_direct(grid, eta), f"{grid.values} eta={eta}: lhs {lhs} != oracle"
-        assert rhs == 4 * total - 4 * eta * q * M, f"{grid.values} eta={eta}: rhs {rhs}"
-        assert report.holds and lhs >= rhs, f"q={q} M={M} eta={eta}: {lhs} < {rhs}"
+        q, M = grid.modulus, grid.levels
+        total = sum(v for row in grid.values for v in row)
+        for eta in (Fraction(0), Fraction(1, 10), Fraction(3, 10)):
+            report = structure.alpha_tilde(grid, eta)
+            lhs, rhs = report.lhs_total, report.rhs_bound
+            assert lhs == reference.alpha_tilde_direct(grid, eta), f"{grid.values} eta={eta}: lhs {lhs} != oracle"
+            assert rhs == 4 * total - 4 * eta * q * M, f"{grid.values} eta={eta}: rhs {rhs}"
+            assert report.holds and lhs >= rhs, f"q={q} M={M} eta={eta}: {lhs} < {rhs}"
 
 
 def _check_difference_set_invariance(rng):
@@ -776,15 +765,10 @@ def _check_scan_vs_oracle(rng):
         k = int(rng.integers(1, 4))
         a = Fraction(int(rng.integers(1, 9 * k)), k)  # floor(a) in 0..8
         cases.append((tuple(float(t) for t in theta), a, int(rng.integers(1, 200))))
-    for case in cases:
-        _scan_case(*case)
-
-
-def _scan_case(theta: tuple[float, ...], a: Fraction, N: int) -> eq.IrrationalityReport:
-    report = eq.irrationality_check(eq.Theta(theta), a, N)
-    got = (report.worst_vector, report.worst_distance, report.holds)
-    assert got == reference.irrationality_direct(theta, a, N), f"scan differs at d={len(theta)}, a={a}"
-    return report
+    for theta, a, N in cases:
+        report = eq.irrationality_check(eq.Theta(theta), a, N)
+        got = (report.worst_vector, report.worst_distance, report.holds)
+        assert got == reference.irrationality_direct(theta, a, N), f"scan differs at d={len(theta)}, a={a}"
 
 
 def _check_evaluate_vs_direct(rng):

@@ -347,18 +347,6 @@ def indicator_vector(A: IntegerSet, N: int) -> np.ndarray:
     return out
 
 
-def _member_table(A: IntegerSet, N: int) -> np.ndarray:
-    """Bool table t of length N + 2 with t[s] = (s in A), for A in {1,..,N}.
-
-    The last entry is False, so that a lookup with mode="clip" reads every
-    s > N as absent.  Checked by _check_interval before allocating.
-    """
-    _check_interval(A, N)
-    table = np.zeros(N + 2, dtype=bool)
-    table[list(A.elements)] = True
-    return table
-
-
 # Elements strictly inside (-2^62, 2^62) keep top - x and x + y strictly
 # inside (-2^63, 2^63), so both are exact in int64.
 _PAIR_SAFE_BOUND = 1 << 62
@@ -368,7 +356,12 @@ _PAIR_SAFE_BOUND = 1 << 62
 # three of 2^15 entries at 64 bits (768 KiB) stay inside a 2 MiB L2 cache;
 # 2^14 slows the sweep of a dense set near its event limit by 10-20%.
 _BLOCK = 1 << 15
-_FILTER_PRIME = 262_139  # residue filter modulus: a lookup table of 2·_FILTER_PRIME bytes, whatever max(a) is
+# Residue filter modulus of _pair_lookup's wide sets: 2·_FILTER_PRIME bytes,
+# whatever max(a) is.  A set whose span fits in max(2·_FILTER_PRIME, 64·|a|)
+# bytes gets an exact span table instead.  64 bytes an element is under 3x
+# the 24 the pair kernel already holds (a, its ends and its keys), and far
+# inside the 512 an element that the sweep's memory test allows its check.
+_FILTER_PRIME = 262_139
 # _BELOW[r, c] = c < r: a block's entries before its rows' own diagonal.  A
 # block of R > 1 rows is at least R wide, so R <= isqrt(_BLOCK).
 _BELOW = np.tri(isqrt(_BLOCK), k=-1, dtype=bool)
@@ -383,7 +376,34 @@ def _pair_ends(a: np.ndarray) -> np.ndarray:
     return np.searchsorted(a, a[-1] - a, side="right")
 
 
-def _pair_sum_hits(a: np.ndarray, ends: np.ndarray, table: np.ndarray | None, *, distinct: bool, first: bool) -> int:
+def _pair_lookup(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """(table, row keys, column keys, exact): where _pair_sum_hits looks a's sums up.
+
+    The sum a[i] + a[j] is read at table[row[i] + col[j]] with mode="clip",
+    and this is the one place that picks the table.  When max(a) - min(a) + 3
+    <= max(2·_FILTER_PRIME, 64·len(a)), the span table is exact: it marks x
+    in a at x - base, for base = min(a) - 1, so a sum below min(a) reads the
+    absent base and one past max(a) the absent max(a) + 1; x - base is at
+    most the span + 1, so nothing overflows for a within _PAIR_SAFE_BOUND.
+    Otherwise the filter marks a's residues mod _FILTER_PRIME twice over, a
+    sum's two residues read it, and its hits need confirming.  Either table
+    is bounded by len(a), not by max(a).
+    """
+    base = int(a[0]) - 1
+    size = int(a[-1]) - base + 2  # base, a's span, and max(a) + 1
+    if size <= max(2 * _FILTER_PRIME, 64 * len(a)):
+        rows = a - base
+        table = np.zeros(size, dtype=bool)
+        table[rows] = True
+        return table, rows, a, True
+    keys = a % _FILTER_PRIME
+    table = np.zeros(2 * _FILTER_PRIME, dtype=bool)
+    table[keys] = True
+    table[keys + _FILTER_PRIME] = True
+    return table, keys, keys, False
+
+
+def _pair_sum_hits(a: np.ndarray, ends: np.ndarray, *, distinct: bool, first: bool) -> int:
     """#{i <= j : a[i] + a[j] in a} (i < j when distinct), over x + y <= max(a).
 
     `a` is sorted, strictly increasing, int64 and within _PAIR_SAFE_BOUND;
@@ -391,26 +411,16 @@ def _pair_sum_hits(a: np.ndarray, ends: np.ndarray, table: np.ndarray | None, *,
     block that has a hit, so it is nonzero exactly when some pair hits.
 
     The pairs are swept in blocks of rows i and partner columns j, about
-    _BLOCK entries each, and every sum in a block is looked up at
-    once.  `table`, from _member_table(A, N), answers membership directly,
-    and a sum past N reads its last, False entry; spectral.ordered_triples
-    counts this way.  With no table, as in is_sum_free, sums are filtered
-    by an indicator of a's residues mod a prime, looked up as the sum of
-    the two residues, and each filter hit is confirmed exactly by
-    searchsorted.  Entries of a block below its rows' diagonal (j < i + off)
-    repeat pairs that another row holds, and are not counted.
+    _BLOCK entries each, and every sum in a block is looked up at once in
+    the table _pair_lookup picks from a.  A span table's hits are counted
+    as they are; each hit of the residue filter is confirmed exactly by
+    searchsorted.  Entries of a block below its rows' diagonal
+    (j < i + off) repeat pairs that another row holds, and are not counted.
     """
     off = int(distinct)
     lens = ends - np.arange(len(a)) - off
     rows = int(np.count_nonzero(lens > 0))
-    exact = table is not None
-    if not exact:
-        keys = a % _FILTER_PRIME
-        table = np.zeros(2 * _FILTER_PRIME, dtype=bool)
-        table[keys] = True
-        table[keys + _FILTER_PRIME] = True
-    else:
-        keys = a
+    table, row_keys, col_keys, exact = _pair_lookup(a)
     hits = 0
     r0 = 0
     while r0 < rows:
@@ -419,7 +429,7 @@ def _pair_sum_hits(a: np.ndarray, ends: np.ndarray, table: np.ndarray | None, *,
         # a block wider than _BLOCK has one row, split into column blocks
         for c0 in range(lo, hi, _BLOCK):
             c1 = min(hi, c0 + _BLOCK)
-            found = np.take(table, keys[r0:r1, None] + keys[None, c0:c1], mode="clip")
+            found = np.take(table, row_keys[r0:r1, None] + col_keys[None, c0:c1], mode="clip")
             if not found.any():
                 continue
             if exact:

@@ -26,12 +26,13 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (
+    MAX_SIGNAL_LENGTH,
     CyclicSignal,
     IntegerSet,
     JsonReport,
     _as_int,
     _check_interval,
-    _member_table,
+    _check_limit,
     _pair_ends,
     _pair_sum_hits,
     group_order,
@@ -146,10 +147,10 @@ def _use_kernel(ends: np.ndarray, N: int) -> bool:
     return pairs <= _PAIRS_PER_FFT_POINT * _fft_length(2 * N + 1)
 
 
-def _triples_by_kernel(a: np.ndarray, ends: np.ndarray, table: np.ndarray) -> int:
+def _triples_by_kernel(a: np.ndarray, ends: np.ndarray) -> int:
     # every pair x < y counts twice, (x, y) and (y, x); the pairs (x, x) once
-    doubles = int(np.count_nonzero(np.take(table, 2 * a, mode="clip")))
-    return 2 * _pair_sum_hits(a, ends, table, distinct=True, first=False) + doubles
+    doubles = np.intersect1d(a, 2 * a, assume_unique=True).size
+    return 2 * _pair_sum_hits(a, ends, distinct=True, first=False) + doubles
 
 
 def _triples_by_fft(a: np.ndarray) -> int:
@@ -162,9 +163,9 @@ def ordered_triples(A: IntegerSet, N: int) -> int:
 
     A and N are checked before anything is allocated.  When _use_kernel
     finds at most _PAIRS_PER_FFT_POINT pairs x <= y with x + y <= max(A) per
-    FFT point, core._pair_sum_hits counts the pairs x < y whose sum is in A
-    from an (N + 2)-entry bool member table; the count is twice that plus
-    the x with 2x in A, and no float array is built.  Otherwise the
+    FFT point, core._pair_sum_hits counts the pairs x < y whose sum is in A,
+    in the table that core._pair_lookup picks from A; the count is twice
+    that plus the x with 2x in A, and no float array is built.  Otherwise the
     pair-sum counts are the float indicator's self-convolution rounded to
     integers, as difference_counts rounds its correlation.
     """
@@ -174,7 +175,7 @@ def ordered_triples(A: IntegerSet, N: int) -> int:
     a = np.array(A.elements, dtype=np.int64)
     ends = _pair_ends(a)
     if _use_kernel(ends, N):
-        return _triples_by_kernel(a, ends, _member_table(A, N))
+        return _triples_by_kernel(a, ends)
     return _triples_by_fft(indicator_vector(A, N))
 
 
@@ -339,9 +340,11 @@ def pollard_check(s1, s2, p: int, t) -> PollardCheck:
     of the bound on Z/pZ); fractional t in range is evaluated faithfully and
     may legitimately fail, which is why the verdict is returned rather than
     asserted.  p and the elements must be of integer type, not bool or
-    float, as IntegerSet.from_iterable requires.
+    float, as IntegerSet.from_iterable requires, and p is held to
+    MAX_SIGNAL_LENGTH before it is tested for primality.
     """
     p = _as_int(p, "modulus")
+    _check_limit("modulus", p, MAX_SIGNAL_LENGTH)
     if not _is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     S1 = _validate_subset(s1, p, "S1")
@@ -353,12 +356,11 @@ def pollard_check(s1, s2, p: int, t) -> PollardCheck:
     counts = np.zeros(p, dtype=np.int64)
     if S1 and S2:
         sums = (np.add.outer(np.array(S1), np.array(S2)) % p).ravel()
-        counts = np.bincount(sums, minlength=p).astype(np.int64)
+        counts = np.bincount(sums, minlength=p)
+    # the counts take at most min(|S1|, |S2|) + 1 distinct values
+    values, times = np.unique(counts, return_counts=True)
     tau = tf * p
-    lhs = Fraction(0)
-    for c in counts:
-        lhs += min(Fraction(int(c)), tau)
-    lhs /= p * p
+    lhs = sum(int(k) * min(Fraction(int(c)), tau) for c, k in zip(values, times)) / (p * p)
     rhs = tf * min(Fraction(len(S1) + len(S2), p) - tf, Fraction(1))
     return PollardCheck(p=p, t=tf, lhs=lhs, rhs=rhs, holds=lhs >= rhs)
 

@@ -3,35 +3,50 @@ from fractions import Fraction
 
 import pytest
 
-from sumfree import checks, cli, structure, weights
+from sumfree import checks, cli, reference, solver, spectral, structure, weights
 from sumfree import equidist as eq
 from sumfree.checks import SUITE_NAMES, SUITES, run_suite
 from sumfree.cli import main
-from sumfree.core import IntegerSet, rng_from_seed
+from sumfree.core import IntegerSet, default_n_prime, embed_signal, indicator_vector, rng_from_seed
 
 CHECKS = [(owner, name, fn) for owner, table in SUITES.items() for name, fn in table]
 
 
-# Properties that are now inputs of a check rather than checks of their
-# own: each runs its old inputs through the case of the check it went into.
+# Properties whose inputs went into a check of the suites but that keep a
+# test of their own: each states its property on the library and the
+# `reference` oracles, not through the check it went into.
 
 
 def _u2_embedding_free(rng):
     for _ in range(10):
         A = checks._random_set(rng, 10, 24)
-        checks._set_u2_case(A, A.elements[-1])
+        N, norms = A.elements[-1], []
+        for n_prime in (None, 2 * default_n_prime(N), 8 * N + 3):
+            rep, sig = spectral.set_u2(A, N, n_prime), embed_signal(A, N, n_prime)
+            assert rep.n_prime == sig.n_prime
+            assert rep.u2_group_norm == pytest.approx(spectral.u2_group_norm(sig), rel=1e-12)
+            assert rep.u2_norm == pytest.approx(spectral.u2_norm(sig), rel=1e-12)
+            norms.append(rep.u2_norm)
+        assert max(norms) == pytest.approx(min(norms), rel=1e-12), f"{A.elements}: u2_norm depends on N'"
 
 
 def _t_count_zero_iff_sum_free(rng):
     for _ in range(20):
         N = int(rng.integers(6, 50))
-        checks._triples_case(checks._random_set(rng, 10, N), N)
+        A = checks._random_set(rng, 10, N)
+        triples = spectral.ordered_triples(A, N)
+        assert (triples == 0) == solver.is_sum_free(A, solver.ALLOW_EQUAL), f"{A.elements}: T = {triples}"
+        assert spectral.t_count(indicator_vector(A, N)) * N**2 == pytest.approx(triples, abs=1e-6)
 
 
 def _full_interval_density(rng):
     del rng
     for N in range(1, 40):
-        checks._dense_case(IntegerSet(tuple(range(1, N + 1))), N, 1, Fraction(1))
+        A = IntegerSet(tuple(range(1, N + 1)))
+        report = structure.find_dense_progression(A, N, 1, Fraction(1))
+        prog = report.progression
+        assert (report.hits, prog.length, prog.start, prog.step) == reference.dense_progression_direct(A, N, 1)
+        assert report.density == 1 and report.meets_target, f"N={N}: density {report.density}"
 
 
 def _alpha_tilde_single_cell(rng):
@@ -39,18 +54,29 @@ def _alpha_tilde_single_cell(rng):
         for M in range(1, 6):
             values = [Fraction(0)] * (q * M)
             values[int(rng.integers(0, q * M))] = Fraction(int(rng.integers(1, 16)), 16)
-            checks._alpha_tilde_case(structure.AlphaGrid.from_values(q, M, values))
+            grid = structure.AlphaGrid.from_values(q, M, values)
+            for eta in (Fraction(0), Fraction(1, 10), Fraction(3, 10)):
+                report = structure.alpha_tilde(grid, eta)
+                assert report.lhs_total == reference.alpha_tilde_direct(grid, eta), f"{values} eta={eta}"
+                assert report.rhs_bound == 4 * sum(values) - 4 * eta * q * M, f"{values} eta={eta}"
+                assert report.holds and report.lhs_total >= report.rhs_bound, f"q={q} M={M} eta={eta}"
+
+
+def _scan(theta, a, N):
+    report = eq.irrationality_check(eq.Theta(theta), a, N)
+    assert (report.worst_vector, report.worst_distance, report.holds) == reference.irrationality_direct(theta, a, N)
+    return report
 
 
 def _golden_fixture(rng):
     del rng
-    report = checks._scan_case(eq.golden_theta().components, Fraction(10), 1000)
+    report = _scan(eq.golden_theta().components, Fraction(10), 1000)
     assert report.holds and report.worst_vector == (8,)
 
 
 def _rational_fails(rng):
     del rng
-    report = checks._scan_case((0.5,), Fraction(2), 100)
+    report = _scan((0.5,), Fraction(2), 100)
     assert not report.holds and report.worst_vector == (2,) and report.worst_distance == 0.0
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sumfree import core
 from sumfree.core import (
     JSON_DISTINCT_MIN,
     MAX_SIGNAL_LENGTH,
@@ -125,6 +126,31 @@ class TestConvention:
         assert SumFreeConvention.parse("distinct") is SumFreeConvention.DISTINCT_ONLY
         with pytest.raises(ValueError):
             SumFreeConvention.parse("sometimes")
+
+
+class TestPairLookup:
+    def test_span_table_rule_boundary(self):
+        # span + 3 bytes against max(2·_FILTER_PRIME, 64·|a|): at equality
+        # the exact span table, one past it the residue filter
+        p, n = core._FILTER_PRIME, 10_000
+        for lo in (0, -5):
+            assert core._pair_lookup(np.array([lo, lo + 2 * p - 3]))[3]
+            assert not core._pair_lookup(np.array([lo, lo + 2 * p - 2]))[3]
+        a = np.arange(n) * 63
+        for last, exact in ((64 * n - 3, True), (64 * n - 2, False)):
+            a[-1] = last
+            table, _, _, took = core._pair_lookup(a)
+            assert took == exact and len(table) == (last + 3 if exact else 2 * p)
+
+    def test_span_table_reads_sums_outside_the_set_as_absent(self):
+        # in {-3, -2, -1}, -4, -5 and -6 read the absent entry below min(a);
+        # in {1, 2, 3, 4}, the block's second row reads 2 + 3 = 5, past its
+        # own end, at the absent entry above max(a)
+        for a, hits in (([-3, -2, -1], (2, 1)), ([1, 2, 3, 4], (4, 2))):
+            a = np.array(a)
+            assert core._pair_lookup(a)[3]
+            got = tuple(core._pair_sum_hits(a, core._pair_ends(a), distinct=d, first=False) for d in (False, True))
+            assert got == hits
 
 
 class TestSignals:

@@ -51,23 +51,39 @@ class TestIsSumFree:
 
     @pytest.mark.parametrize("conv", [ALLOW_EQUAL, DISTINCT_ONLY], ids=lambda c: c.value)
     def test_no_table_without_a_pair_to_look_up(self, conv, monkeypatch):
-        # no path builds a member table: the kernel looks sums up in the
-        # residue filter alone (table=None), and only when a pair has a sum
-        # to look up; top-half sets, like the heuristic's witnesses
+        # the kernel runs, and picks its lookup table, only when a pair has a
+        # sum to look up; top-half sets, like the heuristic's witnesses
         # A ∩ [x, 2x), and small sets are scanned
-        assert not hasattr(solver, "_member_table")
-        monkeypatch.setattr(core, "_member_table", lambda *a, **k: pytest.fail("member table built"))
-        tables = []
+        assert not hasattr(core, "_member_table")
+        calls = []
         real = solver._pair_sum_hits
-        monkeypatch.setattr(solver, "_pair_sum_hits", lambda a, ends, table, **k: tables.append(table) or real(a, ends, table, **k))
-        assert is_sum_free(IntegerSet(tuple(range(1, 126, 2))), conv) and tables == []
+        monkeypatch.setattr(solver, "_pair_sum_hits", lambda a, ends, **k: calls.append(len(a)) or real(a, ends, **k))
+        assert is_sum_free(IntegerSet(tuple(range(1, 126, 2))), conv) and calls == []
         for lo in (150_001, 10**14):
             top = IntegerSet(tuple(range(lo, lo + 150_000, 100)))
             assert len(top) == 1500
-            assert is_sum_free(top, conv) and tables == []
+            assert is_sum_free(top, conv) and calls == []
             assert not is_sum_free(IntegerSet.from_iterable(top.elements + (100,)), conv)
-            assert tables == [None]
-            tables.clear()
+            assert calls == [1501]
+            calls.clear()
+
+    def test_path_selector_boundary(self):
+        # the scan up to 63 elements, the kernel from 64
+        assert solver._KERNEL_MIN_SIZE == 64
+        assert solver._sum_free_path(IntegerSet(tuple(range(1, 127, 2)))) == "scan"
+        assert solver._sum_free_path(IntegerSet(tuple(range(1, 129, 2)))) == "kernel"
+
+    def test_dense_set_past_the_filter_prime_confirms_nothing(self, monkeypatch):
+        # 15 001 elements, sum-free, up to 279 999 > _FILTER_PRIME: their span
+        # fits a span table, so no wrapped sum is confirmed, and searchsorted
+        # runs once, for the pair ends (2 575 times through a residue filter)
+        A = IntegerSet(tuple(range(1, 20_000, 2)) + tuple(range(130_001, 140_000, 2)) + (279_999,))
+        assert len(A) == 15_001 and A.elements[-1] > core._FILTER_PRIME
+        calls = []
+        real = np.searchsorted
+        monkeypatch.setattr(np, "searchsorted", lambda *a, **k: calls.append(1) or real(*a, **k))
+        assert is_sum_free(A, ALLOW_EQUAL)
+        assert len(calls) == 1
 
 
 class TestExactSolver:
@@ -247,6 +263,17 @@ class TestBlockMemory:
         A = IntegerSet((*range(1, 201), 8_000_001))
         bound = 3 * 8 * solver._BLOCK + 2 * core._FILTER_PRIME + 512 * len(A)
         assert _traced_peak(dilation_sweep, A) <= bound < A.elements[-1]
+
+    def test_span_table_is_bounded_by_the_set(self):
+        # 10 000 negative elements 64 apart span 639 936 > 2·_FILTER_PRIME,
+        # and every pair is looked up: a span table of at most 64 bytes an
+        # element, the kernel's two blocks (int64 sums, bool hits) and at
+        # most eight int64 arrays of |A| entries.  A table sized by
+        # |min(A)| would take 10 MB
+        A = IntegerSet(tuple(range(-10**7 - 639_990, -10**7, 64)))
+        n = len(A)
+        assert n == 10_000 and 2 * core._FILTER_PRIME < A.elements[-1] - A.elements[0] + 3 <= 64 * n
+        assert _traced_peak(is_sum_free, A) <= 64 * n + 9 * solver._BLOCK + 8 * 8 * n
 
     def test_dilation_hits_within_the_prime_limit(self):
         # 129 residues mod 2027 are the widest matrix the limit admits, 1013

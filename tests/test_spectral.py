@@ -5,9 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from sumfree import spectral
 from sumfree.core import (
     CyclicSignal,
     IntegerSet,
+    _pair_ends,
     indicator_vector,
     interval_signal,
     rng_from_seed,
@@ -56,6 +58,19 @@ class TestTCount:
             ordered_triples(IntegerSet((1, 2**70)), 10)
         with pytest.raises(ValueError, match="^N must be >= 1$"):
             ordered_triples(IntegerSet(()), 0)
+
+    def test_kernel_rule_boundary(self, monkeypatch):
+        # {1..240} has 240^2/4 pairs x <= y with x + y <= 240, exactly
+        # _PAIRS_PER_FFT_POINT per point at N = 899: the kernel counts them,
+        # and one pair more goes to the FFT
+        A, N = IntegerSet(tuple(range(1, 241))), 899
+        ends = _pair_ends(np.array(A.elements, dtype=np.int64))
+        assert int(np.maximum(ends - np.arange(240), 0).sum()) == 14_400 == 8 * _fft_length(2 * N + 1)
+        assert spectral._use_kernel(ends, N)
+        ends[0] += 1
+        assert not spectral._use_kernel(ends, N)
+        monkeypatch.setattr(spectral, "_triples_by_fft", lambda a: pytest.fail("FFT at the boundary"))
+        assert ordered_triples(A, N) == ordered_triples_direct(A)
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
@@ -165,6 +180,15 @@ class TestDifferences:
         assert counts.dtype == np.int64 and counts[0] == 300 and int(counts[1:].sum()) == 300 * 299 // 2
         assert peak <= 8 * N + 16 * len(A) ** 2 + 2**16
 
+    def test_pair_rule_boundary(self, monkeypatch):
+        # |A|^2 = N takes the pairs, |A|^2 = N + 1 the FFT
+        A = IntegerSet(tuple(range(1, 31)))
+        assert spectral._use_pairs(A, 900) and not spectral._use_pairs(A, 899)
+        for N, unused in ((900, "_differences_by_fft"), (899, "_differences_by_pairs")):
+            with monkeypatch.context() as m:
+                m.setattr(spectral, unused, lambda *a: pytest.fail(f"{unused} at N = {N}"))
+                assert difference_counts(A, N).tolist() == difference_counts_direct(A, N)
+
     def test_difference_set_size(self):
         counts = difference_counts(POW2, 8)
         size = sum(2 for c in counts[1:] if c > 0) + 1
@@ -223,6 +247,15 @@ class TestPollard:
                 pollard_check(s1, s2, p, Fraction(1, 5))
         got = pollard_check(np.array([0, 1]), [np.int64(2)], np.int64(5), Fraction(1, 5))
         assert got == pollard_check((0, 1), (2,), 5, Fraction(1, 5))
+
+    def test_modulus_is_bounded(self):
+        # refused before the primality test and before a p-entry array; just
+        # inside the limit the p counts are summed by value
+        with pytest.raises(ValueError, match="^modulus = 10000000019 exceeds the limit 8388608$"):
+            pollard_check((0,), (0,), 10**10 + 19, 0)
+        p = 1_000_003
+        rep = pollard_check((0,), (0,), p, Fraction(1, p))
+        assert rep.lhs == rep.rhs == Fraction(1, p * p) and rep.holds
 
     def test_json_shape(self):
         d = pollard_check((0, 1), (2,), 5, Fraction(1, 5)).to_json_dict()
