@@ -295,7 +295,7 @@ def _check_sum_free_paths_agree(rng):
     # pair of the first kind while no sum is in the set, alone and with a
     # sum added; and the run's first 190 elements moved past the int64-safe
     # bound, alone and with a sum.
-    p, cutoff = core._FILTER_PRIME, solver._KERNEL_MIN_SIZE
+    p, cutoff = core._filter_prime(core._LOOKUP_BYTES // 2), solver._KERNEL_MIN_SIZE
     small = [[], [1], [-4], [-2, -1]]
     for _ in range(150):
         lo = int(rng.integers(-60, 20))

@@ -31,7 +31,7 @@ import zlib
 from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import islice
 from math import isqrt
 from pathlib import Path
@@ -356,15 +356,24 @@ _PAIR_SAFE_BOUND = 1 << 62
 # three of 2^15 entries at 64 bits (768 KiB) stay inside a 2 MiB L2 cache;
 # 2^14 slows the sweep of a dense set near its event limit by 10-20%.
 _BLOCK = 1 << 15
-# Residue filter modulus of _pair_lookup's wide sets: 2·_FILTER_PRIME bytes,
-# whatever max(a) is.  A set whose span fits in max(2·_FILTER_PRIME, 64·|a|)
-# bytes gets an exact span table instead.  64 bytes an element is under 3x
-# the 24 the pair kernel already holds (a, its ends and its keys), and far
-# inside the 512 an element that the sweep's memory test allows its check.
-_FILTER_PRIME = 262_139
-# _BELOW[r, c] = c < r: a block's entries before its rows' own diagonal.  A
-# block of R > 1 rows is at least R wide, so R <= isqrt(_BLOCK).
-_BELOW = np.tri(isqrt(_BLOCK), k=-1, dtype=bool)
+# Bytes either lookup of _pair_lookup may take: B = max(_LOOKUP_BYTES, 64·|a|).
+# 64 bytes an element is under 3x the 24 the pair kernel already holds (a, its
+# ends and its keys), and far inside the 512 the sweep's memory test allows.
+_LOOKUP_BYTES = 1 << 19
+# _ON_OR_ABOVE[r, c] = c >= r: a block's entries on or past its rows' own
+# diagonal.  A block of R > 1 rows is at least R wide, so R <= isqrt(_BLOCK).
+_ON_OR_ABOVE = np.triu(np.ones((isqrt(_BLOCK), isqrt(_BLOCK)), dtype=bool))
+
+
+def _is_prime(p: int) -> bool:
+    """Whether the int p is prime, by trial division up to isqrt(p)."""
+    return p > 1 and all(p % d for d in range(2, isqrt(p) + 1))
+
+
+@cache
+def _filter_prime(m: int) -> int:
+    """The largest prime p <= m, for m >= 2: a residue filter of 2p <= 2m bytes."""
+    return next(filter(_is_prime, range(m, 1, -1)))
 
 
 def _pair_ends(a: np.ndarray) -> np.ndarray:
@@ -380,26 +389,28 @@ def _pair_lookup(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, boo
     """(table, row keys, column keys, exact): where _pair_sum_hits looks a's sums up.
 
     The sum a[i] + a[j] is read at table[row[i] + col[j]] with mode="clip",
-    and this is the one place that picks the table.  When max(a) - min(a) + 3
-    <= max(2·_FILTER_PRIME, 64·len(a)), the span table is exact: it marks x
-    in a at x - base, for base = min(a) - 1, so a sum below min(a) reads the
-    absent base and one past max(a) the absent max(a) + 1; x - base is at
-    most the span + 1, so nothing overflows for a within _PAIR_SAFE_BOUND.
-    Otherwise the filter marks a's residues mod _FILTER_PRIME twice over, a
-    sum's two residues read it, and its hits need confirming.  Either table
-    is bounded by len(a), not by max(a).
+    and this is the one place that picks the table.  Either table takes at
+    most B = max(_LOOKUP_BYTES, 64·len(a)) bytes, whatever max(a) is.  When
+    max(a) - min(a) + 3 <= B, the span table is exact: it marks x in a at
+    x - base, for base = min(a) - 1, so a sum below min(a) reads the absent
+    base and one past max(a) the absent max(a) + 1; x - base is at most the
+    span + 1, so nothing overflows for a within _PAIR_SAFE_BOUND.  Otherwise
+    the filter marks a's residues mod p = _filter_prime(B // 2) twice over,
+    a sum's two residues read it, and its hits need confirming.
     """
+    budget = max(_LOOKUP_BYTES, 64 * len(a))
     base = int(a[0]) - 1
     size = int(a[-1]) - base + 2  # base, a's span, and max(a) + 1
-    if size <= max(2 * _FILTER_PRIME, 64 * len(a)):
+    if size <= budget:
         rows = a - base
         table = np.zeros(size, dtype=bool)
         table[rows] = True
         return table, rows, a, True
-    keys = a % _FILTER_PRIME
-    table = np.zeros(2 * _FILTER_PRIME, dtype=bool)
+    p = _filter_prime(budget // 2)
+    keys = a % p
+    table = np.zeros(2 * p, dtype=bool)
     table[keys] = True
-    table[keys + _FILTER_PRIME] = True
+    table[keys + p] = True
     return table, keys, keys, False
 
 
@@ -412,10 +423,11 @@ def _pair_sum_hits(a: np.ndarray, ends: np.ndarray, *, distinct: bool, first: bo
 
     The pairs are swept in blocks of rows i and partner columns j, about
     _BLOCK entries each, and every sum in a block is looked up at once in
-    the table _pair_lookup picks from a.  A span table's hits are counted
-    as they are; each hit of the residue filter is confirmed exactly by
-    searchsorted.  Entries of a block below its rows' diagonal
-    (j < i + off) repeat pairs that another row holds, and are not counted.
+    the table _pair_lookup picks from a, of at most B bytes.  A block with
+    a hit first clears its entries below its rows' diagonal (j < i + off),
+    which repeat pairs that another row holds.  A span table's remaining
+    hits are counted as they are; each remaining hit of the residue filter
+    is confirmed exactly by searchsorted.
     """
     off = int(distinct)
     lens = ends - np.arange(len(a)) - off
@@ -432,15 +444,12 @@ def _pair_sum_hits(a: np.ndarray, ends: np.ndarray, *, distinct: bool, first: bo
             found = np.take(table, row_keys[r0:r1, None] + col_keys[None, c0:c1], mode="clip")
             if not found.any():
                 continue
-            if exact:
-                square = found[:, : r1 - r0]
-                hits += int(np.count_nonzero(found)) - int(np.count_nonzero(square & _BELOW[: r1 - r0, : r1 - r0]))
-            else:
+            found[:, : r1 - r0] &= _ON_OR_ABOVE[: r1 - r0, : r1 - r0]
+            if not exact:
                 r, c = np.nonzero(found)
-                keep = c >= r
-                sums = a[r0 + r[keep]] + a[c0 + c[keep]]
-                at = np.minimum(np.searchsorted(a, sums), len(a) - 1)
-                hits += int(np.count_nonzero(a[at] == sums))
+                sums = a[r0 + r] + a[c0 + c]
+                found = a[np.minimum(np.searchsorted(a, sums), len(a) - 1)] == sums
+            hits += int(np.count_nonzero(found))
             if first and hits:
                 return hits
         r0 = r1

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import compress, count, islice, repeat
-from math import isqrt, lcm
+from math import lcm
 from operator import sub
 
 import numpy as np
@@ -29,6 +29,7 @@ from .core import (
     JsonReport,
     SumFreeConvention,
     _check_limit,
+    _is_prime,
     _pair_ends,
     _pair_sum_hits,
     rng_from_seed,
@@ -81,9 +82,9 @@ def is_sum_free(A: IntegerSet, convention: SumFreeConvention = ALLOW_EQUAL) -> b
     run out at some x.  _sum_free_path picks the path.  The kernel,
     core._pair_sum_hits, looks sums up in the table core._pair_lookup picks
     from A: an exact span table, or a residue filter whose hits it confirms.
-    It stops at the first block holding a hit, and its memory is bounded by
-    |A|, whatever max(A) is.  The scan runs on Python ints, one C-level
-    `isdisjoint` pass per x.  Both paths are exact.
+    It stops at the first block holding a hit, and each lookup takes at most
+    B = max(core._LOOKUP_BYTES, 64·|A|) bytes, whatever max(A) is.  The scan
+    runs on Python ints, one C-level `isdisjoint` pass per x; both are exact.
     """
     if _sum_free_path(A) == "scan":
         return _scan_sum_free(A, convention)
@@ -562,7 +563,7 @@ def _prime_floor(elems: tuple[int, ...]) -> Fraction:
     """
     n = len(elems)
     hint = "every other candidate misses the floor"
-    primes = (p for p in count(89, 6) if all(p % d for d in range(5, isqrt(p) + 1, 2)))  # odd, 2 (mod 3)
+    primes = filter(_is_prime, count(89, 6))  # odd, 2 (mod 3)
     for tried, p in enumerate(primes, 1):
         _check_limit("prime dilation steps", n * (tried + p // 2), PRIME_DILATION_LIMIT, hint)
         counts = np.bincount(np.fromiter(map(p.__rmod__, elems), dtype=np.int64, count=n), minlength=p)

@@ -26,6 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (
+    _BLOCK,
     MAX_SIGNAL_LENGTH,
     CyclicSignal,
     IntegerSet,
@@ -33,6 +34,7 @@ from .core import (
     _as_int,
     _check_interval,
     _check_limit,
+    _is_prime,
     _pair_ends,
     _pair_sum_hits,
     group_order,
@@ -308,17 +310,6 @@ def fourier_decompose(signal: CyclicSignal, tau: float) -> DecompositionPair:
     )
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
 @dataclass(frozen=True)
 class PollardCheck(JsonReport):
     p: int
@@ -341,7 +332,9 @@ def pollard_check(s1, s2, p: int, t) -> PollardCheck:
     may legitimately fail, which is why the verdict is returned rather than
     asserted.  p and the elements must be of integer type, not bool or
     float, as IntegerSet.from_iterable requires, and p is held to
-    MAX_SIGNAL_LENGTH before it is tested for primality.
+    MAX_SIGNAL_LENGTH before it is tested for primality.  The sums are
+    counted in blocks of at most _BLOCK, so memory grows with p, not with
+    |S1|·|S2|.
     """
     p = _as_int(p, "modulus")
     _check_limit("modulus", p, MAX_SIGNAL_LENGTH)
@@ -354,9 +347,12 @@ def pollard_check(s1, s2, p: int, t) -> PollardCheck:
     if not 0 <= tf <= bound:
         raise ValueError(f"t must lie in [0, {bound}]")
     counts = np.zeros(p, dtype=np.int64)
-    if S1 and S2:
-        sums = (np.add.outer(np.array(S1), np.array(S2)) % p).ravel()
-        counts = np.bincount(sums, minlength=p)
+    a1, a2 = np.array(S1, dtype=np.int64), np.array(S2, dtype=np.int64)
+    step = max(1, _BLOCK // max(len(a2), 1))  # rows of S1 per block of at most _BLOCK sums
+    for r0 in range(0, len(a1), step):
+        for c0 in range(0, len(a2), _BLOCK):
+            sums = (a1[r0 : r0 + step, None] + a2[None, c0 : c0 + _BLOCK]) % p
+            counts += np.bincount(sums.ravel(), minlength=p)
     # the counts take at most min(|S1|, |S2|) + 1 distinct values
     values, times = np.unique(counts, return_counts=True)
     tau = tf * p

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import IntegerSet, JsonReport, _check_limit, indicator_vector, read_grid_json
+from .core import IntegerSet, JsonReport, _check_limit, indicator_vector, parse_rational, read_grid_json
 from .spectral import popular_differences
 
 # window ends find_dense_progression may visit: its grids hold about twice as
@@ -278,10 +278,11 @@ class AlphaGrid:
     def from_values(cls, modulus: int, levels: int, values) -> "AlphaGrid":
         """Build from row-major values (numbers, floats, or 'a/b' strings).
 
-        Each distinct value is parsed once.
+        Each distinct value is parsed once, a string by core.parse_rational,
+        which refuses a decimal exponent past MAX_DECIMAL_EXPONENT.
         """
         values = list(values)
-        parsed = {v: Fraction(v) for v in dict.fromkeys(values)}
+        parsed = {v: parse_rational(v) if isinstance(v, str) else Fraction(v) for v in dict.fromkeys(values)}
         flat = [parsed[v] for v in values]
         if len(flat) != modulus * levels:
             raise ValueError(f"expected {modulus * levels} values, got {len(flat)}")

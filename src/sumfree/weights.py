@@ -441,7 +441,7 @@ def sample_set(w: GridWeight, N: int, seed: int) -> IntegerSet:
     p = sample_probabilities(w, N)
     u = rng.random(N)
     elements = np.nonzero(u < p)[0] + 1
-    return IntegerSet(tuple(int(x) for x in elements))
+    return IntegerSet(tuple(elements.tolist()))
 
 
 @dataclass(frozen=True)

@@ -130,17 +130,39 @@ class TestConvention:
 
 class TestPairLookup:
     def test_span_table_rule_boundary(self):
-        # span + 3 bytes against max(2·_FILTER_PRIME, 64·|a|): at equality
-        # the exact span table, one past it the residue filter
-        p, n = core._FILTER_PRIME, 10_000
-        for lo in (0, -5):
-            assert core._pair_lookup(np.array([lo, lo + 2 * p - 3]))[3]
-            assert not core._pair_lookup(np.array([lo, lo + 2 * p - 2]))[3]
-        a = np.arange(n) * 63
-        for last, exact in ((64 * n - 3, True), (64 * n - 2, False)):
-            a[-1] = last
-            table, _, _, took = core._pair_lookup(a)
-            assert took == exact and len(table) == (last + 3 if exact else 2 * p)
+        # span + 3 bytes against B = max(_LOOKUP_BYTES, 64·|a|): at equality
+        # the exact span table, one past it the residue filter, whose 2p
+        # bytes for p = _filter_prime(B // 2) stay within B
+        for n, budget in ((2, core._LOOKUP_BYTES), (10_000, 64 * 10_000)):
+            a = np.arange(n) * 63 - 5
+            for last, exact in ((a[0] + budget - 3, True), (a[0] + budget - 2, False)):
+                a[-1] = last
+                table, _, _, took = core._pair_lookup(a)
+                assert took == exact and len(table) == (budget if exact else 2 * core._filter_prime(budget // 2))
+                assert len(table) <= budget
+
+    def test_filter_prime_is_the_largest_prime_within_the_budget(self):
+        assert core._filter_prime(1 << 18) == 262_139 and core._filter_prime(1 << 19) == 524_287
+        sieve = np.ones(10_000, dtype=bool)
+        sieve[:2] = False
+        for d in range(2, 100):
+            sieve[d * d :: d] &= not sieve[d]
+        assert [core._is_prime(p) for p in range(-3, 10_000)] == [False] * 3 + sieve.tolist()
+
+    @pytest.mark.parametrize("distinct", [False, True])
+    def test_filter_counts_a_wide_set_past_8192_elements(self, distinct):
+        # odd numbers are sum-free; with one even sum s added, the pairs
+        # whose sum is in the set are those of odd x <= y reaching s and
+        # those (s, y) reaching an odd element, each counted by np.isin
+        rng = rng_from_seed(7, "wide-filter")
+        odd = np.sort(rng.choice(5 * 10**7, size=9_000, replace=False) * 2 + 1)
+        s = int(odd[10] + odd[-20])
+        a = np.union1d(odd, [s])
+        assert not core._pair_lookup(a)[3] and core._filter_prime(64 * len(a) // 2) > 262_139
+        halves = int(np.count_nonzero(np.isin(s - odd, odd))) + (-1 if distinct else 1) * int(s // 2 in odd)
+        want = halves // 2 + int(np.count_nonzero(np.isin(odd + s, odd)))
+        got = core._pair_sum_hits(a, core._pair_ends(a), distinct=distinct, first=False)
+        assert want >= 1 and got == want
 
     def test_span_table_reads_sums_outside_the_set_as_absent(self):
         # in {-3, -2, -1}, -4, -5 and -6 read the absent entry below min(a);

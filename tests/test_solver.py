@@ -74,16 +74,33 @@ class TestIsSumFree:
         assert solver._sum_free_path(IntegerSet(tuple(range(1, 129, 2)))) == "kernel"
 
     def test_dense_set_past_the_filter_prime_confirms_nothing(self, monkeypatch):
-        # 15 001 elements, sum-free, up to 279 999 > _FILTER_PRIME: their span
-        # fits a span table, so no wrapped sum is confirmed, and searchsorted
-        # runs once, for the pair ends (2 575 times through a residue filter)
+        # 15 001 elements, sum-free, up to 279 999 > 262 139 (the filter prime
+        # of _LOOKUP_BYTES): their span fits a span table, so no wrapped sum
+        # is confirmed, and searchsorted runs once, for the pair ends (2 575
+        # times through a residue filter mod 262 139)
         A = IntegerSet(tuple(range(1, 20_000, 2)) + tuple(range(130_001, 140_000, 2)) + (279_999,))
-        assert len(A) == 15_001 and A.elements[-1] > core._FILTER_PRIME
+        assert len(A) == 15_001 and A.elements[-1] > core._filter_prime(core._LOOKUP_BYTES // 2)
         calls = []
         real = np.searchsorted
         monkeypatch.setattr(np, "searchsorted", lambda *a, **k: calls.append(1) or real(*a, **k))
         assert is_sum_free(A, ALLOW_EQUAL)
         assert len(calls) == 1
+
+    def test_wide_set_filter_prime_grows_with_the_set(self, monkeypatch):
+        # 16 384 random odd numbers below 10^8 are too wide for a span table,
+        # and their budget of 64 bytes an element gives the filter prime
+        # 524 287.  The filter confirms the sums that hit A's residues, about
+        # a 1 - exp(-|A|/p) share: 2 039 112 of them, against 4 025 693
+        # (1.97x) mod 262 139, the prime of a 2^19-byte budget
+        rng = rng_from_seed(0, "wide-odd")
+        A = IntegerSet(tuple(sorted((rng.choice(5 * 10**7, size=16_384, replace=False) * 2 + 1).tolist())))
+        assert core._filter_prime(64 * len(A) // 2) == 524_287
+        confirmed = []
+        real = np.searchsorted
+        monkeypatch.setattr(np, "searchsorted", lambda a, v, **k: confirmed.append(np.size(v)) or real(a, v, **k))
+        assert is_sum_free(A, ALLOW_EQUAL)
+        # the first call finds the pair ends
+        assert confirmed[0] == len(A) and 1.9 * sum(confirmed[1:]) < 4_025_693
 
 
 class TestExactSolver:
@@ -261,18 +278,18 @@ class TestBlockMemory:
         # blocks and residue filter, not a table of max(A) bytes, and the
         # sweep's block arrays are gone by then
         A = IntegerSet((*range(1, 201), 8_000_001))
-        bound = 3 * 8 * solver._BLOCK + 2 * core._FILTER_PRIME + 512 * len(A)
+        bound = 3 * 8 * solver._BLOCK + core._LOOKUP_BYTES + 512 * len(A)
         assert _traced_peak(dilation_sweep, A) <= bound < A.elements[-1]
 
     def test_span_table_is_bounded_by_the_set(self):
-        # 10 000 negative elements 64 apart span 639 936 > 2·_FILTER_PRIME,
+        # 10 000 negative elements 64 apart span 639 936 > _LOOKUP_BYTES,
         # and every pair is looked up: a span table of at most 64 bytes an
         # element, the kernel's two blocks (int64 sums, bool hits) and at
         # most eight int64 arrays of |A| entries.  A table sized by
         # |min(A)| would take 10 MB
         A = IntegerSet(tuple(range(-10**7 - 639_990, -10**7, 64)))
         n = len(A)
-        assert n == 10_000 and 2 * core._FILTER_PRIME < A.elements[-1] - A.elements[0] + 3 <= 64 * n
+        assert n == 10_000 and core._LOOKUP_BYTES < A.elements[-1] - A.elements[0] + 3 <= 64 * n
         assert _traced_peak(is_sum_free, A) <= 64 * n + 9 * solver._BLOCK + 8 * 8 * n
 
     def test_dilation_hits_within_the_prime_limit(self):

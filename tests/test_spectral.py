@@ -7,6 +7,7 @@ import pytest
 
 from sumfree import spectral
 from sumfree.core import (
+    _BLOCK,
     CyclicSignal,
     IntegerSet,
     _pair_ends,
@@ -256,6 +257,30 @@ class TestPollard:
         p = 1_000_003
         rep = pollard_check((0,), (0,), p, Fraction(1, p))
         assert rep.lhs == rep.rhs == Fraction(1, p * p) and rep.holds
+
+    def test_memory_is_bounded_by_the_modulus(self):
+        # 3 000 x 3 000 sums mod 1 000 003, counted in blocks of at most
+        # _BLOCK sums: the p int64 counts, one bincount result a block and
+        # np.unique's sorted copy (145 MiB when every sum was formed at once),
+        # with the value that forming every sum at once gave
+        p = 1_000_003
+        rng = rng_from_seed(5, "pollard-memory")
+        s1, s2 = (rng.choice(p, 3_000, replace=False).tolist() for _ in range(2))
+        tracemalloc.start()
+        try:
+            rep = pollard_check(s1, s2, p, Fraction(3, p))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * p + 32 * _BLOCK + 2**16
+        assert rep.lhs == Fraction(2_992_759, p * p) and rep.holds
+
+    def test_a_row_longer_than_a_block_is_split(self):
+        # |S2| = 32 769 > _BLOCK; t·p = 2, so the lhs is sum min(c, 2) / p^2
+        p, s1, s2 = 65_537, (0, 5, 65_000), tuple(range(0, 65_537, 2))
+        counts = np.bincount((np.add.outer(s1, s2) % p).ravel(), minlength=p)
+        rep = pollard_check(s1, s2, p, Fraction(2, p))
+        assert rep.lhs == Fraction(int(np.minimum(counts, 2).sum()), p * p)
 
     def test_json_shape(self):
         d = pollard_check((0, 1), (2,), 5, Fraction(1, 5)).to_json_dict()

@@ -248,6 +248,14 @@ class TestGridLoaders:
         grid = load_alpha_grid(path)
         assert grid.values[1][1] == Fraction(3, 4)
 
+    def test_grid_entry_exponent_is_refused_before_fraction(self, tmp_path):
+        # Fraction('1e-3000000') would form 10^3000000 first
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"q": 1, "M": 1, "values": ["1e-3000000"]}))
+        with pytest.raises(ValueError) as exc:
+            load_alpha_grid(path)
+        assert str(exc.value) == f"{path}: decimal exponent of '1e-3000000' is past 1000000"
+
     def test_grid_set_round_trip(self, tmp_path):
         path = tmp_path / "s.json"
         path.write_text(json.dumps({"q": 2, "K": 2, "values": [0, 1, 1, 1]}))
