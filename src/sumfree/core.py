@@ -48,8 +48,10 @@ _MAX_SEED = 2**64 - 1
 # 128 MiB of complex128); checked before allocating.
 MAX_SIGNAL_LENGTH = 1 << 23
 
-# Largest |k| in a decimal exponent 'e<k>'; Fraction forms 10^|k| exactly.
-MAX_DECIMAL_EXPONENT = 10**6
+# Most decimal digits of a numerator or denominator: Python's default limit
+# on int-str conversion, so every rational read or computed can be printed.
+MAX_RATIONAL_DIGITS = 4300
+_RATIONAL_BOUND = 10**MAX_RATIONAL_DIGITS
 _DECIMAL_EXPONENT = re.compile(r"[eE][-+]?0*(\d+)\s*$")
 
 
@@ -457,18 +459,33 @@ def _pair_sum_hits(a: np.ndarray, ends: np.ndarray, *, distinct: bool, first: bo
 
 
 def parse_rational(text: str) -> Fraction:
-    """Exact rational from '2/5', '0.1', '3' or '1e-9' (exponent at most 10^6)."""
-    exponent = _DECIMAL_EXPONENT.search(text.replace("_", ""))
-    if exponent and (len(exponent[1]) > 7 or int(exponent[1]) > MAX_DECIMAL_EXPONENT):
-        raise ValueError(f"decimal exponent of {text!r} is past {MAX_DECIMAL_EXPONENT}")
+    """Exact rational from '2/5', '0.1', '3' or '1e-9', of at most MAX_RATIONAL_DIGITS digits a part.
+
+    An exponent past that many is refused before Fraction forms 10^k, and a
+    longer run of digits before int() reads it.
+    """
+    plain = text.replace("_", "")
+    exponent = _DECIMAL_EXPONENT.search(plain)
+    if exponent and (len(exponent[1]) > 7 or int(exponent[1]) > MAX_RATIONAL_DIGITS):
+        raise ValueError(f"decimal exponent of {text!r} is past {MAX_RATIONAL_DIGITS}")
+    _check_limit("rational digits", max(map(len, re.findall(r"\d+", plain)), default=0), MAX_RATIONAL_DIGITS)
     try:
-        return Fraction(text)
+        x = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational: {text!r}") from exc
+    return _check_rational_digits(x)
 
 
 def format_rational(x: Fraction) -> str:
+    _check_rational_digits(x)
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
+
+
+def _check_rational_digits(x: Fraction) -> Fraction:
+    """x, unless its numerator or denominator has more than MAX_RATIONAL_DIGITS digits."""
+    if max(abs(x.numerator), x.denominator) >= _RATIONAL_BOUND:
+        _check_limit("rational digits", f"more than {MAX_RATIONAL_DIGITS}", MAX_RATIONAL_DIGITS)
+    return x
 
 
 class JsonReport:

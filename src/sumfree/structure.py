@@ -279,7 +279,8 @@ class AlphaGrid:
         """Build from row-major values (numbers, floats, or 'a/b' strings).
 
         Each distinct value is parsed once, a string by core.parse_rational,
-        which refuses a decimal exponent past MAX_DECIMAL_EXPONENT.
+        which refuses a numerator or denominator of more than
+        core.MAX_RATIONAL_DIGITS digits, and an exponent past that many.
         """
         values = list(values)
         parsed = {v: parse_rational(v) if isinstance(v, str) else Fraction(v) for v in dict.fromkeys(values)}

@@ -14,7 +14,6 @@ and riemann_error measures that integer-to-cell map against the grid mean.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,6 +28,7 @@ from .core import (
     IntegerSet,
     JsonReport,
     _check_limit,
+    _check_rational_digits,
     format_rational,
     parse_rational,
     read_grid_json,
@@ -42,9 +42,8 @@ from .spectral import ordered_triples
 MAX_GRID_CELLS = 1 << 22
 # each quadrature node costs one pass over the grid per step
 MAX_T_SAMPLES = 1 << 10
-# node-cells of node maps a build keeps across its steps: at most about
-# 40 bytes each, so about 10 MB
-_MAP_CACHE_CELLS = 1 << 18
+# every integer below this is exact in float64
+_FLOAT_EXACT = 1 << 53
 _MEAN_TOL = 1e-12
 
 
@@ -146,25 +145,19 @@ def default_step_count(eps) -> int:
     The tracker's gap to 1/3 + eps/8 starts at 2/3 - eps/8 and contracts
     by 3/4 per step, so for eps = p/q the test reads
     (16q - 3p) * 3^k < 3p * 4^k.  A float logarithm places k within one
-    step (see _step_estimate) and the integer test settles it, so tiny eps
-    cost no iteration: 8, 11 and 13 steps for eps = 1/2, 1/4 and 1/8.
+    step and the integer test settles it, so tiny eps cost no iteration:
+    8, 11 and 13 steps for eps = 1/2, 1/4 and 1/8.
     """
-    steps, gap, allowance = _step_estimate(eps)
+    eps_f = _checked_eps(eps)
+    gap, allowance = 16 * eps_f.denominator - 3 * eps_f.numerator, 3 * eps_f.numerator
+    steps = max(0, math.floor((math.log(gap) - math.log(allowance)) / math.log(4 / 3)) - 1)
     while gap * 3**steps >= allowance * 4**steps:
         steps += 1
     return steps
 
 
-def _step_estimate(eps) -> tuple[int, int, int]:
-    """(k, 16q - 3p, 3p) for eps = p/q, where k <= default_step_count(eps)."""
-    eps_f = _checked_eps(eps)
-    gap, allowance = 16 * eps_f.denominator - 3 * eps_f.numerator, 3 * eps_f.numerator
-    steps = max(0, math.floor((math.log(gap) - math.log(allowance)) / math.log(4 / 3)) - 1)
-    return steps, gap, allowance
-
-
 def _checked_eps(eps) -> Fraction:
-    eps_f = Fraction(eps)
+    eps_f = _check_rational_digits(Fraction(eps))
     if not 0 < eps_f < 1:
         raise ValueError("eps must lie in (0, 1)")
     return eps_f
@@ -211,14 +204,17 @@ def _node_map(cells: int, factor: int, width: Fraction) -> tuple[np.ndarray, ...
     it meets at most two destination cells.  In units of 1/(K*b), source
     cell i is (i*a, (i+1)*a] and destination cell j is (j*b, (j+1)*b]; the
     share (cut - i*a)/a of cell i's mass lands in j0 = i*a // b and the
-    rest, if any, in j0 + 1, all in exact Python integers.  Returns j0, the
-    first shares, the sources that spill, their destinations and their
-    second shares, each share scaled by 3/4 * factor.
+    rest, if any, in j0 + 1.  Returns j0, the first shares, the sources
+    that spill, their destinations and their second shares, each share
+    scaled by 3/4 * factor.  The integers are int64 while K*b < 2^53, and
+    Python ints past that (a denominator past 2^63, say): below it every
+    product is exact, and each share a float64 quotient of exact operands,
+    so both give the same maps bit for bit.
     """
     if not 0 < width <= 1:
         raise ValueError("t * interval_shrink must lie in (0, 1]")
     a, b = width.numerator, width.denominator
-    lo = np.arange(cells, dtype=object) * a  # Python ints: b may pass 2^63
+    lo = np.arange(cells, dtype=np.int64 if cells * b < _FLOAT_EXACT else object) * a
     j0 = lo // b
     cut = np.minimum(lo + a, (j0 + 1) * b)
     scale = 0.75 * factor
@@ -226,16 +222,7 @@ def _node_map(cells: int, factor: int, width: Fraction) -> tuple[np.ndarray, ...
     second = scale * ((lo + a - cut) / a).astype(np.float64)
     j0 = j0.astype(np.int64)
     spill = np.nonzero(second)[0]
-    node_map = j0, first, spill, j0[spill] + 1, second[spill]
-    for part in node_map:
-        part.flags.writeable = False  # _build_maps hands the same arrays to every build
-    return node_map
-
-
-@functools.lru_cache(maxsize=1)
-def _build_maps(cells: int, factor: int, shrink: Fraction, nodes: tuple[Fraction, ...]) -> tuple:
-    """Every node's _node_map, kept while the steps of one build reuse them."""
-    return tuple(_node_map(cells, factor, t * shrink) for t in nodes)
+    return j0, first, spill, j0[spill] + 1, second[spill]
 
 
 def _node_values(w: GridWeight, factor: int, node_map: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -260,22 +247,15 @@ def _node_values(w: GridWeight, factor: int, node_map: tuple[np.ndarray, ...]) -
 def _push(w: GridWeight, params: IterationParams, eps, nodes) -> GridWeight:
     """Average the single-node pushforwards of w over the given t nodes.
 
-    The node maps depend on K, the factor, the shrink and t only, so a
-    build computes them at its first step and reuses them, unless they
-    would hold more than _MAP_CACHE_CELLS cells; then each step maps each
-    node afresh.
+    Each node's map is made afresh, in int64 as a rule (see _node_map).
     """
     eps_f = _checked_eps(eps)
     _check_grid_size(w.cells, params.modulus_factor, base=w.modulus)
     factor, shrink = params.modulus_factor, params.interval_shrink
-    if len(nodes) * w.cells <= _MAP_CACHE_CELLS:
-        maps = _build_maps(w.cells, factor, shrink, tuple(nodes))
-    else:
-        maps = (_node_map(w.cells, factor, t * shrink) for t in nodes)
     new_modulus = factor * w.modulus
     acc = np.zeros((new_modulus, w.cells), dtype=np.float64)
-    for node_map in maps:
-        acc += _node_values(w, factor, node_map)
+    for t in nodes:
+        acc += _node_values(w, factor, _node_map(w.cells, factor, t * shrink))
     acc /= len(nodes)
     return GridWeight(
         modulus=new_modulus,
@@ -313,8 +293,8 @@ def _check_grid_size(cells: int, factor: int, steps: int = 1, base: int = 1) -> 
     """Refuse a grid of base * factor**steps residues x cells past the cap.
 
     Past 64 bits the modulus exceeds the cap whatever the cells, so it goes
-    by its bit length: forming it costs time that grows with steps, and
-    str() of an int refuses more than 4300 digits.
+    by its bit length: forming it costs time that grows with steps, and an
+    eps of core.MAX_RATIONAL_DIGITS digits defaults to 2^34400, too long for str().
     """
     log_modulus = math.log2(base) + steps * math.log2(factor)
     if log_modulus <= 64:
@@ -345,12 +325,7 @@ def build_weight(eps, params: IterationParams, cells: int) -> WeightBuildReport:
     the first that satisfies it.
     """
     eps_f = _checked_eps(eps)
-    steps = params.steps
-    if steps is None:
-        # the estimate is at most the default, so a default past the cap is
-        # refused before default_step_count forms 3^k and 4^k exactly
-        _check_grid_size(cells, params.modulus_factor, _step_estimate(eps_f)[0])
-        steps = default_step_count(eps_f)
+    steps = default_step_count(eps_f) if params.steps is None else params.steps
     _check_grid_size(cells, params.modulus_factor, steps)
     w = uniform_weight(cells)
     for _ in range(steps):

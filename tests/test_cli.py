@@ -15,6 +15,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sumfree
@@ -321,7 +322,7 @@ _PRIMED = 2520 * 99_991 * math.prod(p for p in range(2, 3000) if p % 3 == 2 and 
         (["weight", "build", "--eps", "1/2", "--cells", "8", "--steps", "20"],
          "grid cells = 8388608 exceeds the limit 4194304; "
          "reduce steps (alpha_schedule tracks the recurrence without a grid)"),
-        (["equidist", "check", "--theta", "0.618", "--a", "1e99999", "--n", "10"],
+        (["equidist", "check", "--theta", "0.618", "--a", "1e4299", "--n", "10"],
          "torus vectors = more than 1658655 exceeds the limit 1658655; reduce a_bound"),
         (["equidist", "check", "--theta", ",".join(["0.1"] * 10**5), "--a", "2", "--n", "10"],
          "torus vectors = more than 1658655 exceeds the limit 1658655; reduce a_bound"),
@@ -391,16 +392,17 @@ def test_long_theta_at_a_bound_one_runs(capsys):
 
 
 def test_grid_cap_message_for_huge_modulus(capsys):
-    # about 40 000 default steps: the modulus 2^40000 has more digits than str() allows
-    code, out, err = run_cli(capsys, ["weight", "build", "--eps", "1e-5000", "--cells", "8"])
+    # about 34 400 default steps: the modulus 2^34400 has more digits than str() allows
+    code, out, err = run_cli(capsys, ["weight", "build", "--eps", "1e-4299", "--cells", "8"])
     assert code == 1 and out == ""
     assert "grid cells = (" in err and "-bit modulus) x 8 exceeds the limit 4194304; reduce steps" in err
 
 
 def test_grid_cap_refused_before_the_exact_step_count(capsys):
-    # about 8e6 default steps: the exact test would form 3^k and 4^k first
+    # the largest denominator eps may have: the exact step count forms 3^k
+    # and 4^k, k near 34 400, in milliseconds, and the cap refuses k
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, ["weight", "build", "--eps", "1e-1000000", "--cells", "8"])
+    code, out, err = run_cli(capsys, ["weight", "build", "--eps", "1/" + "9" * 4300, "--cells", "8"])
     assert time.perf_counter() - start < 5.0
     assert code == 1 and out == ""
     assert "grid cells = (" in err and "-bit modulus) x 8 exceeds the limit 4194304; reduce steps" in err
@@ -409,8 +411,8 @@ def test_grid_cap_refused_before_the_exact_step_count(capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        # the cap check reads k * log2(3) instead of forming 3^k, k near 8e6
-        (["weight", "build", "--eps", "1e-1000000", "--cells", "8", "--factor", "3"], "-bit modulus"),
+        # the cap check reads k * log2(3) instead of forming 3^k, k near 34 400
+        (["weight", "build", "--eps", "1e-4299", "--cells", "8", "--factor", "3"], "-bit modulus"),
         # refused before Fraction builds 10^3000000
         (["weight", "build", "--eps", "1e-3000000", "--cells", "8"], "decimal exponent"),
     ],
@@ -421,6 +423,22 @@ def test_tiny_eps_refused_in_constant_time(capsys, argv, message):
     assert time.perf_counter() - start < 1.0
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+def test_rational_past_the_digit_bound_is_refused_in_its_wording(capsys, tmp_path):
+    # 1e-5000 was read, then failed in str() with Python's message; 1/p over
+    # the 600 primes below 10^8 sums to a denominator of about 4 800 digits
+    code, out, err = run_cli(capsys, ["structure", "alphatilde", "--grid", fixture("grid.json"), "--eta", "1e-5000"])
+    assert (code, out, err) == (1, "", "error: decimal exponent of '1e-5000' is past 4300\n")
+    top = 10**8
+    prime = np.ones(20_000, dtype=bool)  # prime[j]: top - 20 000 + j is prime
+    for d in range(2, math.isqrt(top) + 1):
+        prime[-(top - 20_000) % d :: d] = False
+    primes = top - 20_000 + np.nonzero(prime)[0][-600:]
+    grid = tmp_path / "primes.json"
+    grid.write_text(json.dumps({"q": 600, "M": 1, "values": [f"1/{p}" for p in primes]}))
+    code, out, err = run_cli(capsys, ["structure", "alphatilde", "--grid", str(grid), "--eta", "1/4"])
+    assert (code, out, err) == (1, "", "error: rational digits = more than 4300 exceeds the limit 4300\n")
 
 
 def test_weight_build_default_steps(capsys):

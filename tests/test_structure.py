@@ -254,7 +254,7 @@ class TestGridLoaders:
         path.write_text(json.dumps({"q": 1, "M": 1, "values": ["1e-3000000"]}))
         with pytest.raises(ValueError) as exc:
             load_alpha_grid(path)
-        assert str(exc.value) == f"{path}: decimal exponent of '1e-3000000' is past 1000000"
+        assert str(exc.value) == f"{path}: decimal exponent of '1e-3000000' is past 4300"
 
     def test_grid_set_round_trip(self, tmp_path):
         path = tmp_path / "s.json"

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 from sumfree import weights
 from sumfree.core import GridOverflowError
+from sumfree.reference import pushforward_direct
 from sumfree.solver import ALLOW_EQUAL, heuristic_sum_free, is_sum_free
 from sumfree.weights import (
     GridWeight,
@@ -101,14 +102,33 @@ class TestPushforward:
         )
 
     def test_uncached_node_maps_match_the_cached_build(self, monkeypatch):
-        # past _MAP_CACHE_CELLS nodes x cells, _push maps each node afresh at
-        # every step; that path must give the cached build's values bit for bit
+        # int64 node maps must give the Python-int maps' values bit for bit
         params = IterationParams(interval_shrink=Fraction(2, 3), t_samples=5, steps=3)
-        cached = build_weight(Fraction(1, 2), params, 16).weight
-        monkeypatch.setattr(weights, "_MAP_CACHE_CELLS", 0)
-        monkeypatch.setattr(weights, "_build_maps", None)  # any use of the cache would raise
-        fresh = build_weight(Fraction(1, 2), params, 16).weight
-        assert fresh.values.tobytes() == cached.values.tobytes()
+        int64 = build_weight(Fraction(1, 2), params, 16).weight
+        monkeypatch.setattr(weights, "_FLOAT_EXACT", 0)  # every map on Python ints
+        python_ints = build_weight(Fraction(1, 2), params, 16).weight
+        assert python_ints.values.tobytes() == int64.values.tobytes()
+
+    def test_node_map_dtype_boundary(self, monkeypatch):
+        # at t = 1, K*b = 2^53 - 8 maps in int64 and K*b = 2^53 on Python
+        # ints; both match the Fraction loop
+        K, b = 8, 1 << 50
+        w = GridWeight(2, K, np.linspace(0.5, 1.5, 2 * K).reshape(2, K), 0, Fraction(1))
+        arange, dtypes = np.arange, []
+
+        def spy(*args, **kwargs):
+            if "dtype" in kwargs:  # only _node_map passes one
+                dtypes.append(kwargs["dtype"])
+            return arange(*args, **kwargs)
+
+        for shrink, dtype in ((Fraction(b - 2, b - 1), np.int64), (Fraction(1, b), object)):
+            want = pushforward_direct(w, 2, shrink, Fraction(1))
+            dtypes.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(np, "arange", spy)
+                got = pushforward_snapshot(w, IterationParams(interval_shrink=shrink), Fraction(1, 2), 1)
+            assert dtypes == [dtype]
+            assert got.values.tobytes() == want.tobytes()
 
     def test_zero_steps_is_uniform(self):
         rep = build_weight(Fraction(1, 2), IterationParams(steps=0), 4)
