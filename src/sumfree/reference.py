@@ -249,7 +249,7 @@ def avoid_zero_direct(grid: GridSet, index_bound: int, min_interval) -> tuple[in
 
 
 def pushforward_direct(w: GridWeight, factor: int, shrink: Fraction, t: Fraction) -> np.ndarray:
-    """Single-node pushforward values of weights._node_values, by a Fraction loop.
+    """Single-node pushforward values of weights.pushforward_snapshot, by a Fraction loop.
 
     The image of source cell i under y -> t*shrink*y is an interval of
     length t*shrink/K; its overlap with each destination cell is computed

@@ -86,13 +86,14 @@ class GridWeight:
             raise ValueError("alpha_bound must be a Fraction")
 
     def to_json_dict(self) -> dict:
+        """The JSON form, values as the read-only Q x K array: core.write_json writes it row-major."""
         return {
             "schema_version": SCHEMA_VERSION,
             "Q": self.modulus,
             "K": self.cells,
             "generation": self.generation,
             "alpha_bound": format_rational(self.alpha_bound),
-            "values": self.values.ravel().tolist(),
+            "values": self.values,
         }
 
 
@@ -225,42 +226,52 @@ def _node_map(cells: int, factor: int, width: Fraction) -> tuple[np.ndarray, ...
     return j0, first, spill, j0[spill] + 1, second[spill]
 
 
-def _node_values(w: GridWeight, factor: int, node_map: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Single-node pushforward: 3/4 of the mass lands on the image, 1/4 is flat.
+def _node_values(rows: np.ndarray, node_map: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Single-node pushforward of the source rows: a flat row, then one image row each.
 
-    Residues map r -> factor*r, so only every factor-th residue receives
-    image mass.  Both adds run on the flat grid, whose np.add.at takes
-    numpy's fast one-dimensional path, and apply their terms in order: each
-    destination sums its parts in increasing source order, since its
-    second part comes from a lower source than its first parts.
+    Row 0 is the flat 1/4 that every destination residue receives; row
+    1 + i adds 3/4 of source row i's mass on its image.  Both adds run on
+    the flat array, whose np.add.at takes numpy's fast one-dimensional path,
+    and apply their terms in order: each destination sums its parts in
+    increasing source order, since its second part comes from a lower
+    source than its first parts.
     """
-    Q, K = w.modulus, w.cells
     j0, first, spill, j1, second = node_map
-    out = np.full((factor * Q, K), 0.25, dtype=np.float64)
-    rows = factor * K * np.arange(Q)[:, None]  # flat offset of each image row
+    count, K = rows.shape
+    out = np.full((1 + count, K), 0.25, dtype=np.float64)
+    starts = K * np.arange(1, 1 + count)[:, None]  # flat offset of each image row
     flat = out.reshape(-1)
-    np.add.at(flat, (rows + j1).ravel(), (second * w.values[:, spill]).ravel())
-    np.add.at(flat, (rows + j0).ravel(), (first * w.values).ravel())
+    np.add.at(flat, (starts + j1).ravel(), (second * rows[:, spill]).ravel())
+    np.add.at(flat, (starts + j0).ravel(), (first * rows).ravel())
     return out
 
 
 def _push(w: GridWeight, params: IterationParams, eps, nodes) -> GridWeight:
     """Average the single-node pushforwards of w over the given t nodes.
 
-    Each node's map is made afresh, in int64 as a rule (see _node_map).
+    Residues map r -> factor*r, so a destination row is the image of the
+    row of r when factor divides it and the flat 1/4 otherwise.  Equal
+    source rows have equal images, so each distinct row (by its bytes) is
+    pushed once and the new grid gathers the rows by class: from the
+    uniform start, k steps leave at most k + 1 distinct rows.  Each node's
+    map is made afresh, in int64 as a rule (see _node_map).
     """
     eps_f = _checked_eps(eps)
     _check_grid_size(w.cells, params.modulus_factor, base=w.modulus)
     factor, shrink = params.modulus_factor, params.interval_shrink
-    new_modulus = factor * w.modulus
-    acc = np.zeros((new_modulus, w.cells), dtype=np.float64)
+    row_bytes = np.ascontiguousarray(w.values).view(np.dtype((np.void, 8 * w.cells)))[:, 0]
+    _, firsts, classes = np.unique(row_bytes, return_index=True, return_inverse=True)
+    distinct = w.values[firsts]
+    acc = np.zeros((1 + len(distinct), w.cells), dtype=np.float64)
     for t in nodes:
-        acc += _node_values(w, factor, _node_map(w.cells, factor, t * shrink))
+        acc += _node_values(distinct, _node_map(w.cells, factor, t * shrink))
     acc /= len(nodes)
+    gather = np.zeros(factor * w.modulus, dtype=np.intp)
+    gather[::factor] = 1 + classes
     return GridWeight(
-        modulus=new_modulus,
+        modulus=factor * w.modulus,
         cells=w.cells,
-        values=acc,
+        values=acc[gather],
         generation=w.generation + 1,
         alpha_bound=alpha_next(w.alpha_bound, eps_f),
     )
@@ -318,25 +329,24 @@ def build_weight(eps, params: IterationParams, cells: int) -> WeightBuildReport:
     """Iterate pushforward_step from the uniform start, with full provenance.
 
     The step count is params.steps, defaulting to default_step_count(eps);
-    the final grid size is checked up front so an over-deep build fails
-    before any work.  The alpha trail is the exact recurrence, one value
-    per generation; the final value sits below 1/3 + eps/4 once
-    (3/4)^steps * (2/3 - eps/8) < eps/8, and the default step count is
-    the first that satisfies it.
+    the final grid size, and then the digits of each tracker value (the
+    denominator grows by about 4 a step), are checked up front so an
+    over-deep build, or one whose trail cannot be printed, fails before any
+    work.  The alpha trail is the exact recurrence, one value per
+    generation; the final value sits below 1/3 + eps/4 once
+    (3/4)^steps * (2/3 - eps/8) < eps/8, and the default step count is the
+    first that satisfies it.
     """
     eps_f = _checked_eps(eps)
     steps = default_step_count(eps_f) if params.steps is None else params.steps
     _check_grid_size(cells, params.modulus_factor, steps)
+    trail = alpha_schedule(eps_f, steps)
+    for alpha in trail:
+        _check_rational_digits(alpha)
     w = uniform_weight(cells)
     for _ in range(steps):
         w = pushforward_step(w, params, eps_f)
-    return WeightBuildReport(
-        weight=w,
-        eps=eps_f,
-        params=params,
-        steps=steps,
-        alpha_trail=alpha_schedule(eps_f, steps),
-    )
+    return WeightBuildReport(weight=w, eps=eps_f, params=params, steps=steps, alpha_trail=trail)
 
 
 @dataclass(frozen=True)
@@ -370,14 +380,18 @@ def weight_stats(w: GridWeight) -> WeightStats:
 def _cell_map(w: GridWeight, N: int) -> tuple[np.ndarray, np.ndarray]:
     """Residue and 0-based cell of each n = 1..N: (n mod Q, ceil(n*K/N) - 1).
 
-    Right-closed cells: n belongs to cell i iff (i-1)/K < n/N <= i/K.
+    Right-closed cells: n belongs to cell i iff (i-1)/K < n/N <= i/K, so
+    0-based cell i holds the n with floor(i*N/K) < n <= floor((i+1)*N/K).
+    Both come without a division per n: the residues tile 1, .., Q-1, 0
+    and the cells repeat each i between those bounds.
     """
     Q, K = w.modulus, w.cells
     if N < Q * K:
         raise ValueError(f"N must be at least Q*K = {Q * K}")
     _check_limit("N", N, MAX_SIGNAL_LENGTH)
-    n = np.arange(1, N + 1, dtype=np.int64)
-    return n % Q, -(-n * K // N) - 1
+    residues = np.tile(np.roll(np.arange(Q, dtype=np.int64), -1), -(-N // Q))[:N]
+    bounds = np.arange(K + 1, dtype=np.int64) * N // K
+    return residues, np.repeat(np.arange(K, dtype=np.int64), np.diff(bounds))
 
 
 def sample_probabilities(w: GridWeight, N: int) -> np.ndarray:

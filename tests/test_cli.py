@@ -57,7 +57,7 @@ def assert_json_equal(actual, expected, path="report"):
         assert actual == expected, path
 
 
-# 2048 weight values: a float list past core.JSON_DISTINCT_MIN
+# 2048 weight values in 2 distinct rows of 1024, which write_json formats once each
 _STDOUT_ONLY = {"weight_build_1024_cells": ["weight", "build", "--eps", "1/5", "--cells", "1024", "--steps", "1"]}
 
 

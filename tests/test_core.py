@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from sumfree import core
 from sumfree.core import (
-    JSON_DISTINCT_MIN,
     MAX_SIGNAL_LENGTH,
     CyclicSignal,
     IntegerSet,
@@ -335,21 +334,12 @@ _JSON_NUMBERS = st.one_of(st.none(), st.booleans(), st.integers(), _JSON_FLOATS)
 _JSON_TEXT = st.one_of(st.text(), st.sampled_from(["", ",", ",[]{}", "[1,2]", "{}", "é☃", '"\\\n', "\ud800"]))
 
 
-@st.composite
-def _long_float_lists(draw):
-    """All-float lists past JSON_DISTINCT_MIN, holding both -0.0 and 0.0."""
-    cycle = [-0.0, 0.0, *draw(st.lists(_JSON_FLOATS, max_size=10))]
-    size = draw(st.integers(JSON_DISTINCT_MIN, JSON_DISTINCT_MIN + 40))
-    return (cycle * (size // len(cycle) + 1))[:size]
-
-
 _JSON_TREES = st.recursive(
     st.one_of(
         _JSON_NUMBERS,
         _JSON_TEXT,
         st.sampled_from([[], {}, ()]),
         st.lists(_JSON_NUMBERS, min_size=1, max_size=8),
-        _long_float_lists(),
     ),
     lambda kids: st.one_of(
         st.lists(kids, max_size=4),
@@ -370,11 +360,46 @@ def _compact(obj) -> str:
     return json.dumps(obj, separators=(",", ":")) + "\n"
 
 
+@st.composite
+def _float_grids(draw):
+    """2-D float64 arrays whose rows are drawn from a few, so that rows repeat."""
+    cols = draw(st.integers(0, 6))
+    pool = draw(st.lists(st.lists(_JSON_FLOATS, min_size=cols, max_size=cols), min_size=1, max_size=4))
+    rows = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    return np.array(rows, dtype=np.float64).reshape(len(rows), cols)
+
+
+_SPECIAL_ROW = np.array(_SPECIAL_FLOATS)
+_GRIDS = {
+    "repeated-rows": np.tile([[0.25, 1.5, 6.25]], (5, 1)),
+    "signed-zeros": np.array([[-0.0, 0.0], [0.0, -0.0], [-0.0, 0.0]]),
+    "specials": np.stack([_SPECIAL_ROW, _SPECIAL_ROW[::-1], _SPECIAL_ROW]),
+    "subnormals": np.array([[5e-324, 1e-310], [-5e-324, 2.2250738585072014e-308]]),
+    "one-row": _SPECIAL_ROW[None, :],
+    "one-column": _SPECIAL_ROW[:, None],
+    "no-columns": np.zeros((3, 0)),
+    "read-only": np.linspace(0.5, 1.5, 12).reshape(4, 3).repeat(2, axis=0),
+}
+_GRIDS["read-only"].flags.writeable = False
+
+
 class TestJsonWriter:
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(_JSON_TREES)
     def test_matches_the_compact_stdlib_text(self, first_difference, obj):
         assert first_difference(_written(obj), _compact(obj)) is None
+
+    @pytest.mark.parametrize("name", list(_GRIDS))
+    def test_float_grid_writes_its_flat_list(self, first_difference, name):
+        grid = _GRIDS[name]
+        want = json.dumps(grid.ravel().tolist(), separators=(",", ":")) + "\n"
+        assert first_difference(_written(grid), want) is None
+        assert first_difference(_written({"values": grid}), _compact({"values": grid.ravel().tolist()})) is None
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(_float_grids())
+    def test_drawn_float_grids_write_their_flat_list(self, first_difference, grid):
+        assert first_difference(_written([grid]), _compact([grid.ravel().tolist()])) is None
 
     def test_lists_longer_than_one_piece(self, first_difference):
         floats = [(-0.0, 0.0, 0.5, math.nan, 1e-310)[i % 5] for i in range(40_000)]
@@ -384,8 +409,15 @@ class TestJsonWriter:
 
     @pytest.mark.parametrize(
         "obj, stdlib_refuses",
-        [({"a": object()}, True), ([np.int64(3)], True), ({(1, 2): 1}, True), ({1: 2}, False)],
-        ids=["value", "numpy", "key", "int-key"],
+        [
+            ({"a": object()}, True),
+            ([np.int64(3)], True),
+            ({(1, 2): 1}, True),
+            ({1: 2}, False),
+            (np.ones(3), True),
+            (np.ones((2, 2), dtype=np.int64), True),
+        ],
+        ids=["value", "numpy", "key", "int-key", "1-d-array", "int-grid"],
     )
     def test_what_json_refuses_raises_type_error(self, obj, stdlib_refuses):
         # json writes the int key as "1"; every document the package writes has str keys

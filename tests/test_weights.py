@@ -1,6 +1,10 @@
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from fractions import Fraction
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sumfree import weights
 from sumfree.core import GridOverflowError
@@ -17,6 +21,7 @@ from sumfree.weights import (
     density_experiment,
     load_weight,
     pushforward_snapshot,
+    pushforward_step,
     quadrature_nodes,
     riemann_error,
     sample_probabilities,
@@ -130,6 +135,40 @@ class TestPushforward:
             assert dtypes == [dtype]
             assert got.values.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("kind", ["repeated-rows", "distinct-rows"])
+    def test_row_path_matches_fraction_loop(self, kind):
+        # equal rows are pushed once and gathered; the grid must still be the Fraction loop's
+        rng = np.random.default_rng(11)
+        values = rng.random((6, 12)) + 0.1
+        if kind == "repeated-rows":
+            values = values[[0, 3, 0, 0, 3, 5]]
+        w = GridWeight(6, 12, values / values.mean(), 0, Fraction(1))
+        assert len(np.unique(w.values, axis=0)) == (3 if kind == "repeated-rows" else 6)
+        for factor, shrink, t in ((2, Fraction(1, 2), Fraction(17, 32)), (3, Fraction(2, 3), Fraction(1))):
+            params = IterationParams(modulus_factor=factor, interval_shrink=shrink)
+            got = pushforward_snapshot(w, params, Fraction(1, 2), t)
+            assert got.values.tobytes() == pushforward_direct(w, factor, shrink, t).tobytes()
+
+    @pytest.mark.parametrize("factor", [2, 3, 5])
+    def test_k_steps_leave_at_most_k_plus_one_distinct_rows(self, factor):
+        # a residue's row depends only on how often the factor divides it
+        w = uniform_weight(16)
+        for k in range(1, 6 if factor == 2 else 4):
+            w = pushforward_step(w, IterationParams(modulus_factor=factor, t_samples=3), Fraction(1, 2))
+            assert len(np.unique(w.values, axis=0)) <= k + 1
+
+    def test_tracker_digits_refused_before_any_step(self, monkeypatch):
+        # eps meets the digit bound, but its tracker's denominator grows by about 4 a step
+        steps = []
+        monkeypatch.setattr(weights, "pushforward_step", lambda *args: steps.append(args))
+        eps, params = Fraction(1, 10**4299), IterationParams(steps=10)
+        refused = "^rational digits = more than 4300 exceeds the limit 4300$"
+        with pytest.raises(ValueError, match=refused):
+            build_weight(eps, params, 4096)
+        with pytest.raises(ValueError, match=refused):
+            density_experiment(eps, params, 4096, 1 << 22, (1,))
+        assert steps == []
+
     def test_zero_steps_is_uniform(self):
         rep = build_weight(Fraction(1, 2), IterationParams(steps=0), 4)
         assert rep.weight.modulus == 1
@@ -227,6 +266,16 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_set(uniform_weight(2), 10, seed=-1)
 
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.integers(1, 12), st.integers(1, 40), st.integers(0, 700))
+    def test_cell_map_is_the_division_form(self, Q, K, extra):
+        # tiled residues and repeated cells are n mod Q and ceil(n*K/N) - 1, K dividing N or not
+        N = Q * K + extra
+        residues, cells = weights._cell_map(GridWeight(Q, K, np.ones((Q, K)), 0, Fraction(1)), N)
+        n = np.arange(1, N + 1, dtype=np.int64)
+        assert residues.tolist() == (n % Q).tolist()
+        assert cells.tolist() == (-(-n * K // N) - 1).tolist()
+
 
 class TestSerialization:
     def test_round_trip_bit_identical(self, tmp_path):
@@ -237,6 +286,20 @@ class TestSerialization:
         assert back.values.tolist() == rep.weight.values.tolist()
         assert back.alpha_bound == rep.weight.alpha_bound
         assert back.generation == rep.weight.generation
+
+    def test_save_formats_each_distinct_row_once(self, tmp_path):
+        # 64 rows of 4096 values, 7 of them distinct: formatting value by value
+        # would take 262 144 float objects, several times this bound
+        w = build_weight(Fraction(1, 2), IterationParams(steps=6), 4096).weight
+        texts = {row.tobytes(): ",".join(map(repr, row.tolist())) for row in w.values}
+        assert len(texts) == 7
+        tracemalloc.start()
+        try:
+            save_weight(w, tmp_path / "w.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= w.values.nbytes + sum(map(len, texts.values()))
 
     def test_load_errors(self, tmp_path):
         import json
